@@ -12,13 +12,25 @@ Words are stored most-significant-bit first (the order a human would
 write them); "bit i" with i counted from 1 at the least significant
 position is word[2b - i].  Slices partition a query by these bits:
 slice i of S keeps the elements of S whose bit i is one.
+
+Slices are cut from a per-n slice table: entry i-1 is the set of all
+elements of [1..n] whose bit i is one, so slice i of S is S & table[i-1].
+The table holds n * log2(n) references to one shared tuple of ints and is
+kept for the few most recent n.  A slice equal to its base is the base
+object itself and every empty slice is one shared empty frozenset, so a
+singleton query's slices add no new set objects.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .model import Query, is_power_of_two
 
 INVALID = None
+
+_EMPTY: Query = frozenset()
+_TABLES_KEPT = 8
 
 
 def id_bits(n: int) -> int:
@@ -65,10 +77,47 @@ def decode_balanced(bitvals: tuple[int, ...] | list[int], n: int) -> int | None:
     return value + 1
 
 
+@lru_cache(maxsize=_TABLES_KEPT)
+def slice_table(n: int) -> tuple[Query, ...]:
+    """Entry i-1: the elements of [1..n] whose balanced-identifier bit i is one."""
+    b = id_bits(n) // 2
+    universe = tuple(range(1, n + 1))
+    low = [frozenset(v for v in universe if not (v - 1) >> j & 1) for j in range(b)]
+    high = [frozenset(v for v in universe if (v - 1) >> j & 1) for j in range(b)]
+    return (*low, *high)
+
+
+def _checked_base(s: Query, n: int) -> Query:
+    """s as a frozenset; ValueError if an element lies outside [1..n]."""
+    if s:
+        lo, hi = min(s), max(s)
+        if lo < 1 or hi > n:
+            raise ValueError(f"element {lo if lo < 1 else hi} outside universe [1..{n}]")
+    return frozenset(s)
+
+
+def _cut(mask: Query, base: Query) -> Query:
+    part = mask & base
+    if not part:
+        return _EMPTY
+    return base if len(part) == len(base) else part
+
+
 def slice_query(s: Query, i: int, n: int) -> Query:
-    """Elements of s whose balanced-identifier bit i is one (bit 1 = least significant)."""
-    width = id_bits(n)
-    if not 1 <= i <= width:
-        raise ValueError(f"bit position {i} outside [1..{width}]")
-    pos = width - i
-    return frozenset(v for v in s if encode_balanced(v, n)[pos] == 1)
+    """Elements of s whose balanced-identifier bit i is one (bit 1 = least significant).
+
+    Cut from the slice table as s & table[i-1]; the result is always a
+    frozenset, the base itself when every element qualifies and a shared
+    empty frozenset when none does.
+    """
+    table = slice_table(n)
+    if not 1 <= i <= len(table):
+        raise ValueError(f"bit position {i} outside [1..{len(table)}]")
+    return _cut(table[i - 1], _checked_base(s, n))
+
+
+def bit_slices(s: Query, n: int) -> list[Query]:
+    """All 2*log2(n) slices of s, bit 1 first, shared as in slice_query."""
+    table = slice_table(n)
+    base = _checked_base(s, n)
+    return [_cut(mask, base) for mask in table]

@@ -113,15 +113,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _level_groups(code, kinds):
-    groups = []
-    key = None
-    for blk in code.blocks:
-        blk_key = (blk.kind, blk.level)
-        if blk_key != key:
-            key = blk_key
-            groups.append((blk.kind, blk.level, []))
-        groups[-1][2].append(frozenset(code.queries[blk.base]))
-    return [(kind, lvl, tuple(qs)) for kind, lvl, qs in groups if kind in kinds]
+    """(kind, level, base queries) for each block group of a kind in `kinds`."""
+    for group in code.block_groups:
+        head = group[0]
+        if head.kind in kinds:
+            yield head.kind, head.level, tuple(code.queries[blk.base] for blk in group)
 
 
 def _verify_levels(code, budget: int, kinds) -> int:

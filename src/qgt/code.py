@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import log2
 
-from .balanced import id_bits, slice_query
+from .balanced import bit_slices, id_bits
 from .model import Query, as_multiset, is_power_of_two, next_power_of_two
 from .ssui import build_ssui
 from .sui import build_sui, build_sui_rr
@@ -52,7 +52,7 @@ class Block:
     slices: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Code:
     queries: tuple[Query, ...]
     blocks: tuple[Block, ...]
@@ -128,14 +128,14 @@ class Code:
 
 
 def enhance(s: Query, n: int) -> list[Query]:
-    """The base query followed by its 2*log2(n) balanced-ID slices."""
-    if not is_power_of_two(n):
-        raise ValueError(f"universe size must be a power of two, got {n}")
-    width = id_bits(n)
-    out = [s]
-    for i in range(1, width + 1):
-        out.append(slice_query(s, i, n))
-    return out
+    """The base query followed by its 2*log2(n) balanced-ID slices.
+
+    Slices come from the per-n slice table (see balanced.bit_slices).
+    They are frozensets even for a plain-set base.  A slice that keeps
+    every element is the frozenset base object itself, and one that keeps
+    none is a shared empty frozenset.
+    """
+    return [s, *bit_slices(s, n)]
 
 
 class _Assembler:

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgt.balanced import decode_balanced, encode_balanced, id_bits, slice_query
+from qgt.balanced import (
+    decode_balanced,
+    encode_balanced,
+    id_bits,
+    slice_query,
+    slice_table,
+)
 
 SIZES = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
@@ -79,3 +85,34 @@ def test_each_element_in_half_the_slices():
     for v in s:
         member = sum(1 for i in range(1, id_bits(n) + 1) if v in slice_query(s, i, n))
         assert member == b
+
+
+@pytest.mark.parametrize("n", [2**e for e in range(1, 13)])
+def test_slice_table_matches_identifiers(n):
+    width = id_bits(n)
+    table = slice_table(n)
+    assert len(table) == width
+    for i in range(1, width + 1):
+        expected = {v for v in range(1, n + 1) if encode_balanced(v, n)[width - i] == 1}
+        assert table[i - 1] == expected
+
+
+def test_slice_query_rejects_elements_outside_universe():
+    with pytest.raises(ValueError):
+        slice_query(frozenset({9}), 1, 8)
+    with pytest.raises(ValueError):
+        slice_query(frozenset({0, 3}), 1, 8)
+
+
+def test_slices_share_base_and_empty():
+    s = frozenset({1})  # identifier 000111
+    assert slice_query(s, 1, 8) is s
+    assert slice_query(s, 4, 8) is slice_query(frozenset({2, 3}), 6, 8)
+
+
+def test_slice_of_plain_set_is_frozenset():
+    s = {1, 2, 3, 4}  # bit 3 is one for all of them, bit 6 for none
+    for i in range(1, 7):
+        part = slice_query(s, i, 8)
+        assert type(part) is frozenset
+        assert part == {v for v in s if encode_balanced(v, 8)[6 - i] == 1}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -31,6 +32,27 @@ def test_enhance_union_of_slices_recovers_query():
     s = frozenset({2, 5, 11, 16})
     parts = enhance(s, 16)
     assert frozenset().union(*parts[1:]) == s
+
+
+def test_enhance_rejects_elements_outside_universe():
+    with pytest.raises(ValueError):
+        enhance(frozenset({0}), 8)
+    with pytest.raises(ValueError):
+        enhance(frozenset({9}), 8)
+
+
+def test_enhance_plain_set_gives_frozenset_slices():
+    s = {2, 5, 11, 16}
+    parts = enhance(s, 16)
+    assert all(type(p) is frozenset for p in parts[1:])
+    assert parts[1:] == enhance(frozenset(s), 16)[1:]
+
+
+def test_code_is_frozen():
+    code = build_code(16, 2, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        code.k = 3
+    assert code.incidence is code.incidence  # cached_property still caches
 
 
 def test_block_arity():
