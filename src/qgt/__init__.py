@@ -32,7 +32,6 @@ from .disperser import BipartiteGraph, DisperserParams, build_disperser, verify_
 from .model import (
     FeedbackVector,
     Multiset,
-    Params,
     Query,
     as_multiset,
     capped_feedback,
@@ -75,7 +74,6 @@ __all__ = [
     "FeedbackVector",
     "GraphSketch",
     "Multiset",
-    "Params",
     "Query",
     "RandomCode",
     "RandomCodeParams",

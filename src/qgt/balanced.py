@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .model import Query, is_power_of_two
+from .model import Query, check_universe
 
 INVALID = None
 
@@ -35,8 +35,7 @@ _TABLES_KEPT = 8
 
 def id_bits(n: int) -> int:
     """Identifier width in bits: 2 * log2(n)."""
-    if n < 2 or not is_power_of_two(n):
-        raise ValueError(f"universe size must be a power of two >= 2, got {n}")
+    check_universe(n)
     return 2 * (n.bit_length() - 1)
 
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, log2
 
-from .model import Query
+from .model import Query, check_cap, check_capacity, incidence, query_mask
 from .ssui import BudgetError
 
 
@@ -45,10 +45,8 @@ class BoundReport:
 
 def lower_bound(n: int, k: int, alpha: int, measured_m: int | None = None) -> BoundReport:
     """Evaluate the lower-bound expression, optionally against a measured length."""
-    if k > n:
-        raise ValueError(f"capacity k={k} exceeds universe size n={n}")
-    if k < 1 or alpha < 1:
-        raise ValueError("k and alpha must be positive")
+    check_capacity(n, k)
+    check_cap(alpha)
     general = min((k / alpha) ** 2, n / alpha)
     denom = log2(alpha) if alpha >= 2 else 1.0
     info = k * log2(n / k) / denom
@@ -63,10 +61,6 @@ def sets_up_to(n: int, k: int) -> int:
 def counting_bound_holds(n: int, k: int, alpha: int, m: int) -> bool:
     """Feedback positions carry alpha+1 values, so solvability needs (alpha+1)^m >= #sets."""
     return (alpha + 1) ** m >= sets_up_to(n, k)
-
-
-def _query_masks(queries: tuple[Query, ...]) -> list[int]:
-    return [sum(1 << (v - 1) for v in s) for s in queries]
 
 
 def find_unjammed_violation(
@@ -85,20 +79,14 @@ def find_unjammed_violation(
     """
     if sets_up_to(n, k) > budget:
         raise BudgetError("instance too large for exhaustive oracle")
-    masks = _query_masks(queries)
-    incidence: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for idx, m in enumerate(masks):
-        bits = m
-        while bits:
-            low = bits & -bits
-            incidence[low.bit_length()].append(idx)
-            bits ^= low
+    masks = [query_mask(s) for s in queries]
+    inc = incidence(queries)
     for size in range(1, k + 1):
         for combo in itertools.combinations(range(1, n + 1), size):
-            k_mask = sum(1 << (v - 1) for v in combo)
+            k_mask = query_mask(combo)
             for x in combo:
                 if not any(
-                    (masks[idx] & k_mask).bit_count() <= alpha + 1 for idx in incidence[x]
+                    (masks[idx] & k_mask).bit_count() <= alpha + 1 for idx in inc.get(x, ())
                 ):
                     return frozenset(combo), x
     return None
@@ -114,14 +102,7 @@ def verify_uniqueness(
     """True iff the feedback vectors of all sets with |K| <= k are pairwise distinct."""
     if sets_up_to(n, k) > budget:
         raise BudgetError("instance too large for exhaustive oracle")
-    masks = _query_masks(queries)
-    incidence: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for idx, m in enumerate(masks):
-        bits = m
-        while bits:
-            low = bits & -bits
-            incidence[low.bit_length()].append(idx)
-            bits ^= low
+    inc = incidence(queries)
     # Nonzero positions characterize a vector (all others read 0), so sets are
     # compared through their sparse capped profiles instead of full m-tuples.
     seen: set[tuple[tuple[int, int], ...]] = set()
@@ -130,7 +111,7 @@ def verify_uniqueness(
         for combo in itertools.combinations(range(1, n + 1), size):
             touched: list[int] = []
             for v in combo:
-                for idx in incidence[v]:
+                for idx in inc.get(v, ()):
                     if counts[idx] == 0:
                         touched.append(idx)
                     counts[idx] += 1

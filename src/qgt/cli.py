@@ -148,11 +148,14 @@ def _verify_levels(code, budget: int, kinds) -> int:
 
 
 def _verify_dispersion_levels(code, seed: int) -> int:
-    """Re-derive the per-level dispersers for this seed and verify dispersion.
+    """Build one disperser per non-singleton selector level and verify dispersion.
 
-    The code format stores no seeds, so this mirrors what `build --seed`
-    would have used.  Levels realized as singleton selectors never
-    consulted a disperser and are reported as such.
+    The code format stores no seeds, so each level's disperser is drawn
+    from ``seed`` itself and sized from the block level.  That is not the
+    disperser `build --seed` used: the build seeds level i with
+    seed*1009 + i and sizes a chunked level from its inner width
+    ceil(kappa/alpha), not from the level.  Levels realized as singleton
+    selectors never consulted a disperser and are reported as such.
     """
     failures = 0
     checked = 0

@@ -28,7 +28,8 @@ from functools import cached_property
 from math import log2
 
 from .balanced import bit_slices, id_bits
-from .model import Query, as_multiset, is_power_of_two, next_power_of_two
+from .model import Query, as_multiset, check_cap, check_capacity, check_universe, next_power_of_two
+from .model import incidence as _incidence
 from .ssui import build_ssui
 from .sui import build_sui, build_sui_rr
 
@@ -66,12 +67,8 @@ class Code:
 
     @cached_property
     def incidence(self) -> dict[int, tuple[int, ...]]:
-        """element -> indices of the queries containing it."""
-        lists: dict[int, list[int]] = {}
-        for idx, s in enumerate(self.queries):
-            for v in s:
-                lists.setdefault(v, []).append(idx)
-        return {v: tuple(ix) for v, ix in lists.items()}
+        """element -> indices of the queries containing it (see model.incidence)."""
+        return _incidence(self.queries)
 
     @cached_property
     def block_groups(self) -> tuple[tuple[Block, ...], ...]:
@@ -110,8 +107,8 @@ class Code:
         counts = as_multiset(hidden, self.n)
         if alpha is None and self.mode != MODE_MULTISET:
             alpha = self.alpha
-        if alpha is not None and alpha < 1:
-            raise ValueError(f"feedback cap must be >= 1, got {alpha}")
+        if alpha is not None:
+            check_cap(alpha)
         buf = [0] * len(self.queries)
         inc = self.incidence
         touched: list[int] = []
@@ -159,29 +156,28 @@ class _Assembler:
         return Code(tuple(self.queries), tuple(self.blocks), n, k, alpha, mode)
 
 
-def _check_build_params(n: int, k: int) -> None:
-    if n < 2 or not is_power_of_two(n):
-        raise ValueError(f"universe size must be a power of two >= 2, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"capacity k must satisfy 1 <= k <= n, got k={k}, n={n}")
+def _check_build_params(n: int, k: int, alpha: int | None = None) -> None:
+    """Universe and capacity checks; with ``alpha``, also the decoder's alpha >= 2."""
+    check_universe(n)
+    check_capacity(n, k)
+    if alpha is not None and alpha < 2:
+        raise ValueError("cap too small for quantitative decoding (alpha must be >= 2)")
 
 
 def _level_seed(seed: int, index: int) -> int:
     return seed * 1009 + index
 
 
-def build_code(n: int, k: int, alpha: int, seed: int = 0, c2: int = 1) -> Code:
+def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
     """Plain-mode code: interference-selector levels plus a terminal strong selector."""
-    _check_build_params(n, k)
-    if alpha < 2:
-        raise ValueError("cap too small for quantitative decoding (alpha must be >= 2)")
+    _check_build_params(n, k, alpha)
     k_pow = next_power_of_two(k)
     cap = alpha - 1
     asm = _Assembler(n)
     ell = k_pow
     index = 0
-    while ell * cap > c2 * k_pow:  # ell > c2*k_pow/cap, exactly
-        fam = build_sui(n, ell, 0.5, k_pow, cap, c2=c2, seed=_level_seed(seed, index))
+    while ell * cap > k_pow:  # ell > k_pow/cap, exactly
+        fam = build_sui(n, ell, 0.5, k_pow, cap, seed=_level_seed(seed, index))
         asm.add_level(KIND_SUI, ell, fam.queries)
         ell //= 2
         index += 1
@@ -191,16 +187,14 @@ def build_code(n: int, k: int, alpha: int, seed: int = 0, c2: int = 1) -> Code:
     return asm.finish(n, k, alpha, MODE_PLAIN)
 
 
-def build_code_large(n: int, k: int, alpha: int, seed: int = 0, c2: int = 1) -> Code:
+def build_code_large(n: int, k: int, alpha: int, seed: int = 0) -> Code:
     """Large-k code: selector levels all the way down, chunked below the switch level.
 
     Intended for (k/alpha)^2 > n/alpha; outside that regime the plain
     construction is usually shorter, so a warning is emitted (the build
     still proceeds).
     """
-    _check_build_params(n, k)
-    if alpha < 2:
-        raise ValueError("cap too small for quantitative decoding (alpha must be >= 2)")
+    _check_build_params(n, k, alpha)
     if (k / alpha) ** 2 <= n / alpha:
         warnings.warn(
             f"large-k mode outside its intended regime: (k/alpha)^2 = {(k / alpha) ** 2:.3g} "
@@ -209,30 +203,30 @@ def build_code_large(n: int, k: int, alpha: int, seed: int = 0, c2: int = 1) -> 
         )
     k_pow = next_power_of_two(k)
     cap = alpha - 1
-    # switch = largest power of two at most c2*k_pow/cap (0 when none exists);
+    # switch = largest power of two at most k_pow/cap (0 when none exists);
     # interference-selector levels above it, chunked levels at or below
-    if cap > c2 * k_pow:
+    if cap > k_pow:
         switch = 0
     else:
         switch = 1
-        while switch * 2 * cap <= c2 * k_pow:
+        while switch * 2 * cap <= k_pow:
             switch *= 2
     asm = _Assembler(n)
     ell = k_pow
     index = 0
     while ell >= 1:
         if ell > switch:
-            fam = build_sui(n, ell, 0.5, k_pow, cap, c2=c2, seed=_level_seed(seed, index))
+            fam = build_sui(n, ell, 0.5, k_pow, cap, seed=_level_seed(seed, index))
             asm.add_level(KIND_SUI, ell, fam.queries)
         else:
-            fam = build_sui_rr(n, ell, 0.5, k_pow, cap, c2=c2, seed=_level_seed(seed, index))
+            fam = build_sui_rr(n, ell, 0.5, k_pow, cap, seed=_level_seed(seed, index))
             asm.add_level(KIND_RR, ell, fam.queries)
         ell //= 2
         index += 1
     return asm.finish(n, k, alpha, MODE_LARGE)
 
 
-def build_code_multiset(n: int, k: int, seed: int = 0, c2: int = 1) -> Code:
+def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
     """Multiset code: selector levels down to 1, no terminal strong selector.
 
     Decoding assumes the readout cap is at least the total multiplicity,
@@ -247,7 +241,7 @@ def build_code_multiset(n: int, k: int, seed: int = 0, c2: int = 1) -> Code:
     ell = k_pow
     index = 0
     while ell >= 1:
-        fam = build_sui(n, ell, 0.5, k_pow, no_cap, c2=c2, seed=_level_seed(seed, index))
+        fam = build_sui(n, ell, 0.5, k_pow, no_cap, seed=_level_seed(seed, index))
         asm.add_level(KIND_SUI, ell, fam.queries)
         ell //= 2
         index += 1

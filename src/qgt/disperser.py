@@ -22,6 +22,10 @@ from math import ceil, comb, log2
 
 from .ssui import BudgetError
 
+# build_disperser verifies exhaustively up to this many ell_star-subsets,
+# by sampling beyond it.
+_EXHAUSTIVE_BUDGET = 200_000
+
 
 def default_degree(n: int) -> int:
     return ceil(log2(n) ** 2)
@@ -40,7 +44,6 @@ class DisperserParams:
     delta: int | None = None
     seed: int = 0
     max_retries: int = 64
-    sample_trials: int = 1000
 
     def __post_init__(self) -> None:
         if self.ell_star < 1:
@@ -145,7 +148,7 @@ def verify_dispersion(
     raise ValueError(f"unknown verification mode {mode!r}")
 
 
-def build_disperser(n: int, params: DisperserParams, exhaustive_budget: int = 200_000) -> BipartiteGraph:
+def build_disperser(n: int, params: DisperserParams) -> BipartiteGraph:
     """Seeded construction with verification; reseeds until dispersion holds.
 
     Verification is exhaustive whenever C(n, ell_star) fits the budget,
@@ -155,7 +158,7 @@ def build_disperser(n: int, params: DisperserParams, exhaustive_budget: int = 20
     degree = params.degree if params.degree is not None else default_degree(n)
     delta = params.delta if params.delta is not None else default_delta(n)
     n_right = right_size(params.ell_star, degree, delta)
-    exhaustive = comb(n, min(params.ell_star, n)) <= exhaustive_budget
+    exhaustive = comb(n, min(params.ell_star, n)) <= _EXHAUSTIVE_BUDGET
     for attempt in range(params.max_retries):
         seed = params.seed + attempt
         graph = _draw(n, n_right, degree, seed)
@@ -164,8 +167,7 @@ def build_disperser(n: int, params: DisperserParams, exhaustive_budget: int = 20
             params.ell_star,
             params.epsilon,
             mode="exhaustive" if exhaustive else "sampled",
-            budget=exhaustive_budget,
-            trials=params.sample_trials,
+            budget=_EXHAUSTIVE_BUDGET,
             seed=seed,
         )
         if ok:

@@ -8,12 +8,20 @@ the multiplicity-weighted intersection count capped at ``alpha``.
 Plain hidden sets are multisets with every multiplicity equal to one.
 
 All values here are immutable; every operation is a pure function.
+
+The facts every selector family and oracle shares live here, once:
+
+* ``check_universe``, ``check_capacity``, ``check_cap``: the parameter
+  rules for n (a power of two, at least 2), k (1 <= k <= n) and
+  alpha (at least 1);
+* ``singletons``: the n singleton queries, a selector for every width;
+* ``query_mask``: a query as an int with bit v-1 set for element v;
+* ``incidence``: element -> indices of the queries containing it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 Query = frozenset[int]
 Multiset = dict[int, int]
@@ -30,27 +38,47 @@ def next_power_of_two(x: int) -> int:
     return 1 << (x - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class Params:
-    """Instance parameters: universe size, hidden-set capacity, feedback cap.
+def check_universe(n: int) -> None:
+    """ValueError unless the universe size n is a power of two, at least 2."""
+    if n < 2 or not is_power_of_two(n):
+        raise ValueError(f"universe size must be a power of two >= 2, got {n}")
 
-    ``n`` must be a power of two; non-conforming universes are rejected
-    rather than padded.  ``alpha`` >= 2 is required by the deterministic
-    decoder; ``alpha`` >= 1 is enough everywhere else, and alpha > k is
-    accepted (the cap then never binds, i.e. full count feedback).
+
+def check_capacity(n: int, k: int) -> None:
+    """ValueError unless the capacity k satisfies 1 <= k <= n."""
+    if not 1 <= k <= n:
+        raise ValueError(f"capacity k must satisfy 1 <= k <= n, got k={k}, n={n}")
+
+
+def check_cap(alpha: int) -> None:
+    """ValueError unless the feedback cap alpha is at least 1.
+
+    alpha > k is legal: the cap then never binds (full count feedback).
     """
+    if alpha < 1:
+        raise ValueError(f"feedback cap must be >= 1, got {alpha}")
 
-    n: int
-    k: int
-    alpha: int
 
-    def __post_init__(self) -> None:
-        if self.n < 2 or not is_power_of_two(self.n):
-            raise ValueError(f"universe size must be a power of two >= 2, got {self.n}")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"capacity k must satisfy 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.alpha < 1:
-            raise ValueError(f"feedback cap must be >= 1, got {self.alpha}")
+def singletons(n: int) -> tuple[Query, ...]:
+    """The n singleton queries {1}, ..., {n}, in element order."""
+    return tuple(frozenset((v,)) for v in range(1, n + 1))
+
+
+def query_mask(elements: Iterable[int]) -> int:
+    """Bitmask of a set of elements: bit v-1 is set for element v."""
+    return sum(1 << (v - 1) for v in elements)
+
+
+def incidence(queries: Iterable[Query]) -> dict[int, tuple[int, ...]]:
+    """element -> indices of the queries containing it, ascending.
+
+    Elements in no query are absent; read it with ``.get(v, ())``.
+    """
+    lists: dict[int, list[int]] = {}
+    for idx, s in enumerate(queries):
+        for v in s:
+            lists.setdefault(v, []).append(idx)
+    return {v: tuple(ix) for v, ix in lists.items()}
 
 
 def as_multiset(hidden: Iterable[int] | Mapping[int, int], n: int | None = None) -> Multiset:
@@ -83,8 +111,7 @@ def multiset_total(hidden: Mapping[int, int]) -> int:
 
 def capped_feedback(query: Query, hidden: Iterable[int] | Mapping[int, int], alpha: int) -> int:
     """min(weighted |query ∩ hidden|, alpha) -- the single-query feedback value."""
-    if alpha < 1:
-        raise ValueError(f"feedback cap must be >= 1, got {alpha}")
+    check_cap(alpha)
     counts = as_multiset(hidden)
     weight = sum(m for v, m in counts.items() if v in query)
     return min(weight, alpha)
@@ -94,8 +121,7 @@ def feedback_vector(
     queries: Iterable[Query], hidden: Iterable[int] | Mapping[int, int], alpha: int
 ) -> FeedbackVector:
     """Feedback values of every query against one hidden multiset, in order."""
-    if alpha < 1:
-        raise ValueError(f"feedback cap must be >= 1, got {alpha}")
+    check_cap(alpha)
     counts = as_multiset(hidden)
     out = []
     for q in queries:

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from math import ceil, comb, e, log
 
-from .model import Query
+from .model import Query, check_cap, check_capacity, incidence, singletons
 from .ssui import BudgetError
 
 
@@ -77,14 +77,11 @@ class RandomCode:
 def build_random_code(n: int, k: int, alpha: int, seed: int = 0) -> RandomCode:
     if n < 2:
         raise ValueError(f"universe size must be >= 2, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"capacity k must satisfy 1 <= k <= n, got {k}")
-    if alpha < 1:
-        raise ValueError(f"feedback cap must be >= 1, got {alpha}")
+    check_capacity(n, k)
+    check_cap(alpha)
     params = RandomCodeParams(n, k, alpha, seed)
     if params.fallback:
-        queries = tuple(frozenset((v,)) for v in range(1, n + 1))
-        return RandomCode(queries, n, k, alpha, seed, len(queries), 0, True)
+        return RandomCode(singletons(n), n, k, alpha, seed, n, 0, True)
     rng = random.Random(seed)
     queries_list: list[Query] = []
     for probability, count in ((params.p1, params.t1), (params.p2, params.t2)):
@@ -93,10 +90,6 @@ def build_random_code(n: int, k: int, alpha: int, seed: int = 0) -> RandomCode:
                 frozenset(v for v in range(1, n + 1) if rng.random() < probability)
             )
     return RandomCode(tuple(queries_list), n, k, alpha, seed, params.t1, params.t2, False)
-
-
-def params_for(n: int, k: int, alpha: int) -> RandomCodeParams:
-    return RandomCodeParams(n, k, alpha, 0)
 
 
 @dataclass(frozen=True)
@@ -127,12 +120,12 @@ class ClaimReport:
 
 
 def _hit_exactly_once(
-    lo: int, hi: int, incidence: dict[int, list[int]], combo: tuple[int, ...]
+    lo: int, hi: int, inc: dict[int, tuple[int, ...]], combo: tuple[int, ...]
 ) -> bool:
     """Does some query with index in [lo, hi) meet the set in exactly one element?"""
     counts: dict[int, int] = {}
     for v in combo:
-        for idx in incidence[v]:
+        for idx in inc.get(v, ()):
             counts[idx] = counts.get(idx, 0) + 1
     return any(c == 1 and lo <= idx < hi for idx, c in counts.items())
 
@@ -157,10 +150,7 @@ def verify_claims(
             claim1 = False
             witness1 = s
             break
-    incidence: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for idx, s in enumerate(code.queries):
-        for v in s:
-            incidence[v].append(idx)
+    inc = incidence(code.queries)
     if code.fallback:
         part1 = (0, len(code.queries))
         part2 = part1
@@ -176,7 +166,7 @@ def verify_claims(
         for size in range(1, k + 1):
             lo, hi = part1 if size <= small_limit else part2
             for combo in itertools.combinations(range(1, n + 1), size):
-                if not _hit_exactly_once(lo, hi, incidence, combo):
+                if not _hit_exactly_once(lo, hi, inc, combo):
                     if size <= small_limit:
                         claim2, witness2 = False, frozenset(combo)
                     else:
@@ -191,7 +181,7 @@ def verify_claims(
             size = rng.randint(1, k)
             combo = tuple(rng.sample(population, size))
             lo, hi = part1 if size <= small_limit else part2
-            if not _hit_exactly_once(lo, hi, incidence, combo):
+            if not _hit_exactly_once(lo, hi, inc, combo):
                 if size <= small_limit:
                     claim2, witness2 = False, frozenset(combo)
                 else:

@@ -18,15 +18,16 @@ Queries are space-separated strictly increasing element indices; an
 empty line is the empty query.  Multiset codes store alpha 0: their cap
 is chosen at encode/readout time.
 
-Parsing is strict: version, header shape, offsets, and index order are
-all checked, and errors name the offending line.  parse(serialize(c))
-reproduces the code exactly.
+Parsing is strict: version, header shape, a power-of-two n (any n >= 2
+in random mode), offsets, and index order are all checked, and errors
+name the offending line.  parse(serialize(c)) reproduces the code
+exactly; equal query lines parse to one shared set.
 """
 
 from __future__ import annotations
 
 from .code import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM, Block, Code
-from .model import Query
+from .model import Query, check_universe
 
 FORMAT_NAME = "qgtc"
 FORMAT_VERSION = 1
@@ -84,6 +85,11 @@ def code_from_text(text: str) -> Code:
     block_count = _header_int(lines, 5, "blocks")
     if n < 2:
         raise FormatError(f"line 2: universe size must be >= 2, got {n}")
+    if mode != MODE_RANDOM:
+        try:
+            check_universe(n)
+        except ValueError as exc:
+            raise FormatError(f"line 2: {exc}") from exc
     if not 1 <= k <= n:
         raise FormatError(f"line 3: capacity k must satisfy 1 <= k <= n, got {k}")
     if alpha < 0:
@@ -107,8 +113,14 @@ def code_from_text(text: str) -> Code:
         blocks.append(Block(kind, level, base - 1, slices))
     body_start = header_len + block_count
     queries: list[Query] = []
+    # A repeated line reuses the first one's set, as a built code shares
+    # a slice equal to its base and every empty slice.
+    parsed: dict[str, Query] = {}
     for i, raw in enumerate(lines[body_start:]):
         lineno = body_start + i
+        if raw in parsed:
+            queries.append(parsed[raw])
+            continue
         elements = []
         prev = 0
         for token in raw.split():
@@ -122,7 +134,8 @@ def code_from_text(text: str) -> Code:
                 raise FormatError(f"line {lineno + 1}: element {v} outside universe [1..{n}]")
             prev = v
             elements.append(v)
-        queries.append(frozenset(elements))
+        parsed[raw] = frozenset(elements)
+        queries.append(parsed[raw])
     m = len(queries)
     expected_next = 0
     for i, blk in enumerate(blocks):

@@ -24,11 +24,26 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .model import Query, is_power_of_two
+from .model import Query, check_universe, query_mask, singletons
+
+
+# Multiplier c of smallest_admissible_prime: every family here uses q >= 2*ell*d.
+_C = 2
 
 
 class BudgetError(ValueError):
     """An exhaustive verification would exceed its configured enumeration budget."""
+
+
+def check_selector_params(n: int, ell: int, kappa: int, alpha: int) -> None:
+    """ValueError unless (n, ell, kappa, alpha) are valid selector parameters."""
+    check_universe(n)
+    if ell < 1:
+        raise ValueError(f"selection width ell must be >= 1, got {ell}")
+    if kappa < 0:
+        raise ValueError(f"interference budget kappa must be >= 0, got {kappa}")
+    if alpha < 1:
+        raise ValueError(f"interference cap alpha must be >= 1, got {alpha}")
 
 
 def is_prime(q: int) -> bool:
@@ -92,7 +107,6 @@ class SSuIFamily:
     ell: int
     kappa: int
     alpha: int
-    c: int
     q: int
     d: int
 
@@ -102,25 +116,16 @@ class SSuIFamily:
         return (self.q - (self.ell - 1) * self.d) - self.kappa * self.d / self.alpha
 
 
-def build_ssui(n: int, ell: int, kappa: int, alpha: int, c: int = 2) -> SSuIFamily:
+def build_ssui(n: int, ell: int, kappa: int, alpha: int) -> SSuIFamily:
     """Build the full q^2-query strong selector family for the given parameters.
 
     The prime is the smallest one that is admissible *and* leaves the
     jamming bound strictly satisfied, so the analytic guarantee holds by
     construction; verify_ssui remains available as an independent check.
     """
-    if n < 2 or not is_power_of_two(n):
-        raise ValueError(f"universe size must be a power of two >= 2, got {n}")
-    if ell < 1:
-        raise ValueError(f"selection width ell must be >= 1, got {ell}")
-    if kappa < 0:
-        raise ValueError(f"interference budget kappa must be >= 0, got {kappa}")
-    if alpha < 1:
-        raise ValueError(f"interference cap alpha must be >= 1, got {alpha}")
-    if c < 1:
-        raise ValueError(f"multiplier c must be >= 1, got {c}")
+    check_selector_params(n, ell, kappa, alpha)
     d = _degree_bound(ell, n)
-    q = smallest_admissible_prime(ell, d, c, n)
+    q = smallest_admissible_prime(ell, d, _C, n)
     # integer form of kappa*d/alpha < q - (ell-1)*d
     while not kappa * d < alpha * (q - (ell - 1) * d):
         q += 1
@@ -132,10 +137,10 @@ def build_ssui(n: int, ell: int, kappa: int, alpha: int, c: int = 2) -> SSuIFami
         for x in range(q):
             members[x * q + poly_eval(coeffs, x, q)].append(i)
     queries = tuple(frozenset(m) for m in members)
-    return SSuIFamily(queries, n, ell, kappa, alpha, c, q, d)
+    return SSuIFamily(queries, n, ell, kappa, alpha, q, d)
 
 
-def strong_selector(n: int, width: int, c: int = 2) -> tuple[Query, ...]:
+def strong_selector(n: int, width: int) -> tuple[Query, ...]:
     """An (n, width) strong selector: every element of every width-subset is isolated.
 
     Uses the interference-free polynomial family, except when the n
@@ -146,10 +151,10 @@ def strong_selector(n: int, width: int, c: int = 2) -> tuple[Query, ...]:
         raise ValueError(f"width must be >= 1, got {width}")
     if width < n:
         d = _degree_bound(width, n)
-        q = smallest_admissible_prime(width, d, c, n)
+        q = smallest_admissible_prime(width, d, _C, n)
         if q * q < n:
-            return build_ssui(n, width, 0, 1, c).queries
-    return tuple(frozenset((v,)) for v in range(1, n + 1))
+            return build_ssui(n, width, 0, 1).queries
+    return singletons(n)
 
 
 def _subset_count(n: int, max_size: int) -> int:
@@ -184,12 +189,12 @@ def max_unselected_count(
     spent = _subset_count(n, ell)
     if spent > budget:
         raise BudgetError("instance too large for exhaustive oracle")
-    masks = [sum(1 << (v - 1) for v in s) for s in queries]
+    masks = [query_mask(s) for s in queries]
     worst = 0
     jam_possible = kappa >= alpha
     for size in range(1, ell + 1):
         for combo in itertools.combinations(universe, size):
-            k1_mask = sum(1 << (v - 1) for v in combo)
+            k1_mask = query_mask(combo)
             bit_of = {v: 1 << (v - 1) for v in combo}
             isolating: dict[int, list[int]] = {v: [] for v in combo}
             for m in masks:
@@ -217,7 +222,7 @@ def max_unselected_count(
                     raise BudgetError("instance too large for exhaustive oracle")
                 best_jammed = 0
                 for k2_combo in itertools.combinations(pool, take):
-                    k2_mask = sum(1 << (v - 1) for v in k2_combo)
+                    k2_mask = query_mask(k2_combo)
                     jammed = 0
                     for v in jammable:
                         keep = k2_mask & ~bit_of[v]

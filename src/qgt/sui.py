@@ -15,8 +15,8 @@ Two routes build one:
   order within).  Empty intersections are kept so family length is a
   predictable function of the parts.
 
-The chunked variant covers the regime ell <= c2*kappa/alpha: build the
-selector for width c2*kappa/alpha, then split every query into
+The chunked variant covers the regime ell <= kappa/alpha: build the
+selector for width kappa/alpha, then split every query into
 consecutive chunks of at most alpha elements.  A chunk of a selecting
 query still selects (subsets only shrink interference), and every chunk
 is small enough that its feedback can never be capped away.
@@ -29,8 +29,8 @@ from math import ceil
 
 from . import ssui as _ssui
 from .disperser import DisperserParams, build_disperser, default_degree, default_delta, right_size
-from .model import Query, is_power_of_two
-from .ssui import max_unselected_count
+from .model import Query, singletons
+from .ssui import check_selector_params, max_unselected_count
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,9 @@ class SuIReport:
 
 
 def _check_params(n: int, ell: int, epsilon: float, kappa: int, alpha: int) -> None:
-    if n < 2 or not is_power_of_two(n):
-        raise ValueError(f"universe size must be a power of two >= 2, got {n}")
-    if ell < 1:
-        raise ValueError(f"selection width ell must be >= 1, got {ell}")
+    check_selector_params(n, ell, kappa, alpha)
     if not 0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
-    if kappa < 0:
-        raise ValueError(f"interference budget kappa must be >= 0, got {kappa}")
-    if alpha < 1:
-        raise ValueError(f"interference cap alpha must be >= 1, got {alpha}")
 
 
 def build_sui(
@@ -75,8 +68,6 @@ def build_sui(
     kappa: int,
     alpha: int,
     *,
-    c2: int = 1,
-    strong_c: int = 2,
     strong_queries: tuple[Query, ...] | None = None,
     disperser_params: DisperserParams | None = None,
     seed: int = 0,
@@ -84,7 +75,7 @@ def build_sui(
 ) -> SuIFamily:
     """Build a selector under interference.
 
-    Admissibility requires alpha*ell >= c2*kappa (the boundary case is
+    Admissibility requires alpha*ell >= kappa (the boundary case is
     what the chunked builder composes through).  ``strong_queries``
     injects a prebuilt strong selector, ``disperser_params`` overrides
     the disperser sizing, and ``force_composed`` skips the
@@ -92,10 +83,9 @@ def build_sui(
     can be exercised and verified at small scales where singletons win.
     """
     _check_params(n, ell, epsilon, kappa, alpha)
-    if alpha * ell < c2 * kappa:
+    if alpha * ell < kappa:
         raise ValueError(
-            f"inadmissible selector parameters: alpha*ell = {alpha * ell} "
-            f"< c2*kappa = {c2 * kappa}"
+            f"inadmissible selector parameters: alpha*ell = {alpha * ell} < kappa = {kappa}"
         )
     if disperser_params is None:
         disperser_params = DisperserParams(
@@ -103,18 +93,13 @@ def build_sui(
         )
     degree = disperser_params.degree if disperser_params.degree is not None else default_degree(n)
     delta = disperser_params.delta if disperser_params.delta is not None else default_delta(n)
-    strong = (
-        strong_queries
-        if strong_queries is not None
-        else _ssui.strong_selector(n, strong_c * delta, strong_c)
-    )
+    strong = strong_queries if strong_queries is not None else _ssui.strong_selector(n, 2 * delta)
     m = len(strong)
     n_right = right_size(disperser_params.ell_star, degree, delta)
     if not force_composed and n <= m * n_right:
         # The composed family would have m*|W| queries; n singletons are no
         # longer than that and select everything with zero interference.
-        queries = tuple(frozenset((v,)) for v in range(1, n + 1))
-        return SuIFamily(queries, n, ell, epsilon, kappa, alpha, "singleton", 0)
+        return SuIFamily(singletons(n), n, ell, epsilon, kappa, alpha, "singleton", 0)
     graph = build_disperser(n, disperser_params)
     attempts = graph.attempts
     neighborhoods = graph.right_neighborhoods()
@@ -142,29 +127,25 @@ def build_sui_rr(
     kappa: int,
     alpha: int,
     *,
-    c2: int = 1,
-    strong_c: int = 2,
     strong_queries: tuple[Query, ...] | None = None,
     disperser_params: DisperserParams | None = None,
     seed: int = 0,
     force_composed: bool = False,
 ) -> SuIFamily:
-    """Chunked selector for the ell <= c2*kappa/alpha regime; all queries have <= alpha elements."""
+    """Chunked selector for the ell <= kappa/alpha regime; all queries have <= alpha elements."""
     _check_params(n, ell, epsilon, kappa, alpha)
-    if alpha * ell > c2 * kappa:
+    if alpha * ell > kappa:
         raise ValueError(
-            f"chunked builder covers alpha*ell <= c2*kappa; got alpha*ell = {alpha * ell}, "
-            f"c2*kappa = {c2 * kappa} (use build_sui)"
+            f"chunked builder covers alpha*ell <= kappa; got alpha*ell = {alpha * ell}, "
+            f"kappa = {kappa} (use build_sui)"
         )
-    inner_ell = max(1, -(-c2 * kappa // alpha))
+    inner_ell = max(1, -(-kappa // alpha))
     base = build_sui(
         n,
         inner_ell,
         epsilon,
         kappa,
         alpha,
-        c2=c2,
-        strong_c=strong_c,
         strong_queries=strong_queries,
         disperser_params=disperser_params,
         seed=seed,

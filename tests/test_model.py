@@ -2,15 +2,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qgt.balanced import id_bits
+from qgt.code import build_code, build_code_large, build_code_multiset
 from qgt.model import (
-    Params,
     as_multiset,
     capped_feedback,
+    check_cap,
+    check_capacity,
+    check_universe,
     distinguishes,
     feedback_vector,
     multiset_total,
     next_power_of_two,
 )
+from qgt.ssui import build_ssui
+from qgt.sui import build_sui, build_sui_rr
 
 
 def test_capped_feedback_examples():
@@ -45,17 +51,49 @@ def test_as_multiset_normalization():
         as_multiset([9], n=8)
 
 
-def test_params_validation():
-    Params(16, 3, 2)
-    Params(8, 8, 9)  # alpha above k: cap never binds, legal at the model level
-    with pytest.raises(ValueError):
-        Params(12, 3, 2)
-    with pytest.raises(ValueError):
-        Params(16, 0, 2)
-    with pytest.raises(ValueError):
-        Params(16, 17, 2)
-    with pytest.raises(ValueError):
-        Params(16, 3, 0)
+def test_check_universe():
+    for n in (2, 8, 16, 1024):
+        check_universe(n)
+    for n in (12, 1, 0, -4):
+        with pytest.raises(ValueError, match="power of two >= 2"):
+            check_universe(n)
+
+
+def test_check_capacity():
+    check_capacity(16, 3)
+    check_capacity(8, 8)
+    with pytest.raises(ValueError, match="capacity"):
+        check_capacity(16, 0)
+    with pytest.raises(ValueError, match="capacity"):
+        check_capacity(16, 17)
+
+
+def test_check_cap():
+    check_cap(2)
+    check_cap(9)  # alpha above k: cap never binds, legal at the model level
+    with pytest.raises(ValueError, match="feedback cap must be >= 1"):
+        check_cap(0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        id_bits,
+        lambda n: build_code(n, 2, 2),
+        lambda n: build_code_large(n, 8, 2),
+        lambda n: build_code_multiset(n, 2),
+        lambda n: build_sui(n, 2, 0.5, 2, 1),
+        lambda n: build_sui_rr(n, 1, 0.5, 2, 1),
+        lambda n: build_ssui(n, 2, 2, 2),
+    ],
+    ids=[
+        "id_bits", "build_code", "build_code_large", "build_code_multiset",
+        "build_sui", "build_sui_rr", "build_ssui",
+    ],
+)
+def test_builders_share_the_universe_check(make):
+    with pytest.raises(ValueError, match="power of two >= 2"):
+        make(12)
 
 
 def test_next_power_of_two():

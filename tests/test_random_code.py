@@ -6,7 +6,6 @@ from qgt.random_code import (
     RandomCodeParams,
     build_random_code,
     find_verified_code,
-    params_for,
     verify_claims,
 )
 
@@ -17,13 +16,13 @@ def test_t1_formula_frozen_value():
 
 
 def test_probabilities():
-    p = params_for(64, 4, 8)
+    p = RandomCodeParams(64, 4, 8, 0)
     assert p.p1 == 8 / (6 * 64)
     assert p.p2 == min(1 / 24, 8 / 384)
 
 
 def test_fallback_threshold():
-    p = params_for(32, 3, 8)
+    p = RandomCodeParams(32, 3, 8, 0)
     assert p.fallback  # t1 + t2 >= 32 at this scale
     code = build_random_code(32, 3, 8)
     assert code.fallback
@@ -58,7 +57,7 @@ def test_determinism():
 def test_non_fallback_draw_shapes():
     code = build_random_code(4096, 40, 128, seed=0)
     assert not code.fallback
-    p = params_for(4096, 40, 128)
+    p = RandomCodeParams(4096, 40, 128, 0)
     assert len(code.queries) == p.t1 + p.t2
     assert code.t1 == p.t1 and code.t2 == p.t2
 

@@ -56,6 +56,31 @@ def test_empty_query_line_parses_to_empty_set():
     assert parsed.queries == (frozenset(), frozenset({1}))
 
 
+def test_parsed_code_shares_equal_queries():
+    code = build_code_multiset(64, 4)
+    parsed = code_from_text(code_to_text(code))
+    assert parsed == code
+    assert len({id(s) for s in parsed.queries}) == len(set(parsed.queries))
+
+
+@pytest.mark.parametrize("mode", ["plain", "large", "multiset"])
+def test_non_power_of_two_universe_names_line_2(mode):
+    text = f"qgtc 1\nn 12\nk 1\nalpha 2\nmode {mode}\nblocks 0\n1\n"
+    with pytest.raises(FormatError, match="line 2: .*power of two >= 2"):
+        code_from_text(text)
+
+
+def test_random_mode_accepts_any_universe():
+    text = "qgtc 1\nn 12\nk 1\nalpha 2\nmode random\nblocks 0\n1 12\n"
+    assert code_from_text(text).queries == (frozenset({1, 12}),)
+
+
+def test_repeated_malformed_line_names_first_occurrence():
+    text = "qgtc 1\nn 8\nk 1\nalpha 1\nmode random\nblocks 0\n1\n3 2\n3 2\n"
+    with pytest.raises(FormatError, match="line 8:"):
+        code_from_text(text)
+
+
 def test_version_mismatch():
     with pytest.raises(FormatError, match="unsupported format"):
         code_from_text("qgtc 2\nn 8\nk 1\nalpha 1\nmode plain\nblocks 0\n")

@@ -62,7 +62,7 @@ def test_poly_eval_matches_horner_free_form():
 
 
 def test_build_ssui_shape():
-    fam = build_ssui(16, 4, 4, 2, c=2)
+    fam = build_ssui(16, 4, 4, 2)
     assert fam.q == 17
     assert len(fam.queries) == 17 * 17
     occ = occurrence_counts(fam.queries, 16)
@@ -71,7 +71,7 @@ def test_build_ssui_shape():
 
 
 def test_argument_groups_partition_universe():
-    fam = build_ssui(16, 4, 4, 2, c=2)
+    fam = build_ssui(16, 4, 4, 2)
     q = fam.q
     for x in range(q):
         group = fam.queries[x * q : (x + 1) * q]
@@ -81,9 +81,9 @@ def test_argument_groups_partition_universe():
 
 
 def test_cooccurrence_at_most_d():
-    assert cooccurrence_bound_holds(build_ssui(16, 4, 4, 2, c=2))
+    assert cooccurrence_bound_holds(build_ssui(16, 4, 4, 2))
     # q < n here, so queries actually share elements
-    fam = build_ssui(256, 4, 4, 2, c=2)
+    fam = build_ssui(256, 4, 4, 2)
     assert fam.q < 256
     counts = {}
     for s in fam.queries:
@@ -98,7 +98,7 @@ def test_cooccurrence_at_most_d():
     [(16, 2, 4, 2), (16, 4, 4, 2), (8, 3, 4, 2), (8, 2, 2, 1), (32, 2, 3, 2)],
 )
 def test_verify_ssui_accepts_construction(n, ell, kappa, alpha):
-    fam = build_ssui(n, ell, kappa, alpha, c=2)
+    fam = build_ssui(n, ell, kappa, alpha)
     assert verify_ssui(fam.queries, n, ell, kappa, alpha)
 
 
@@ -153,7 +153,7 @@ def _naive_max_unselected(queries, n, ell, kappa, alpha):
 
 
 def test_max_unselected_matches_naive_enumeration():
-    fam = build_ssui(8, 2, 2, 1, c=2)
+    fam = build_ssui(8, 2, 2, 1)
     assert max_unselected_count(fam.queries, 8, 2, 2, 1) == _naive_max_unselected(
         fam.queries, 8, 2, 2, 1
     )
