@@ -12,15 +12,13 @@ import argparse
 import random
 import sys
 import time
-from math import ceil
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import random_code as random_mod
-from .code import MODE_MULTISET, MODE_RANDOM, Code, build, choose_mode
+from .code import MODE_MULTISET, MODE_RANDOM, Code, build, choose_mode, level_params
 from .decode import DecodeError, decode_detailed
-from .disperser import DisperserParams, build_disperser, verify_dispersion
-from .model import multiset_total, next_power_of_two
+from .model import multiset_total
 from .serialize import (
     FormatError,
     code_from_text,
@@ -51,7 +49,7 @@ def _load_code(path: str):
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    code = build(args.n, args.k, args.alpha, mode=args.mode, seed=args.seed)
+    code = build(args.n, args.k, args.alpha, mode=args.mode)
     _write_out(code_to_text(code), args.out)
     return EXIT_OK
 
@@ -59,10 +57,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_encode(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     hidden = parse_set_spec(args.set)
-    alpha = args.alpha
-    if alpha is None and code.mode != MODE_MULTISET:
-        alpha = code.alpha
-    fv = code.feedback(hidden, alpha)
+    fv = code.feedback(hidden, args.alpha)
     _write_out(fv_to_text(fv), args.out)
     return EXIT_OK
 
@@ -103,11 +98,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.ssui:
         ran_any = True
         failures += _verify_levels(code, args.budget, ("ssui",))
-    if args.dispersion:
-        ran_any = True
-        failures += _verify_dispersion_levels(code, args.seed)
     if not ran_any:
-        print("nothing to verify (pass --uniqueness/--claim-a/--sui/--ssui/--dispersion)")
+        print("nothing to verify (pass --uniqueness/--claim-a/--sui/--ssui)")
         return EXIT_USAGE
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
@@ -124,8 +116,7 @@ def _verify_levels(code, budget: int, kinds) -> int:
     if code.mode == MODE_RANDOM or not code.blocks:
         print("selector check: no block layout in this code")
         return 1
-    k_pow = next_power_of_two(code.k)
-    cap = (code.alpha - 1) if code.alpha >= 2 else k_pow + 1
+    k_pow, cap = level_params(code.k, code.alpha)
     failures = 0
     for kind, level, queries in _level_groups(code, kinds):
         try:
@@ -144,38 +135,6 @@ def _verify_levels(code, budget: int, kinds) -> int:
             failures += 1
             continue
         failures += 0 if ok else 1
-    return failures
-
-
-def _verify_dispersion_levels(code, seed: int) -> int:
-    """Build one disperser per non-singleton selector level and verify dispersion.
-
-    The code format stores no seeds, so each level's disperser is drawn
-    from ``seed`` itself and sized from the block level.  That is not the
-    disperser `build --seed` used: the build seeds level i with
-    seed*1009 + i and sizes a chunked level from its inner width
-    ceil(kappa/alpha), not from the level.  Levels realized as singleton
-    selectors never consulted a disperser and are reported as such.
-    """
-    failures = 0
-    checked = 0
-    for kind, level, queries in _level_groups(code, ("sui", "rr")):
-        if all(len(q) <= 1 for q in queries):
-            print(f"{kind} level {level}: singleton selector, no disperser involved")
-            continue
-        checked += 1
-        params = DisperserParams(ell_star=max(1, ceil(0.5 * level)), epsilon=0.5, seed=seed)
-        try:
-            graph = build_disperser(code.n, params)
-            ok = verify_dispersion(graph, params.ell_star, params.epsilon, mode="sampled", seed=seed)
-        except (ValueError, BudgetError) as exc:
-            print(f"{kind} level {level}: dispersion check failed to run: {exc}")
-            failures += 1
-            continue
-        print(f"{kind} level {level}: dispersion {'pass' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
-    if checked == 0 and failures == 0:
-        print("dispersion: all selector levels are singleton families (vacuous pass)")
     return failures
 
 
@@ -217,7 +176,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def bench_row(n: int, k: int, alpha: int, mode: str = "auto", seed: int = 0) -> str:
     resolved = choose_mode(n, k, alpha) if mode == "auto" else mode
     start = time.monotonic()
-    code = build(n, k, alpha, mode=resolved, seed=seed)
+    code = build(n, k, alpha, mode=resolved)
     build_ms = (time.monotonic() - start) * 1000
     report = bounds_mod.lower_bound(n, k, alpha, measured_m=len(code.queries))
     rng = random.Random(seed)
@@ -247,7 +206,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    sketch = GraphSketch(args.nodes, args.k, seed=args.seed)
+    sketch = GraphSketch(args.nodes, args.k)
     ops = parse_ops(Path(args.ops).read_text().splitlines())
     for op, params in ops:
         if len(params) != 2:
@@ -274,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="feedback cap (>= 2; multiset codes ignore it: their cap is chosen at encode time)",
     )
     p.add_argument("--mode", choices=("plain", "large", "multiset", "auto"), default="auto")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_build)
 
@@ -297,9 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim-a", dest="claim_a", action="store_true")
     p.add_argument("--sui", action="store_true")
     p.add_argument("--ssui", action="store_true")
-    p.add_argument("--dispersion", action="store_true")
     p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("random", help="seeded random query system plus claim report")
@@ -329,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--k", type=int, required=True, help="maximum node degree")
     p.add_argument("--ops", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reconstruct", action="store_true")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_graph)

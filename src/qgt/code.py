@@ -164,6 +164,17 @@ def _check_build_params(n: int, k: int, alpha: int | None = None) -> None:
         raise ValueError("cap too small for quantitative decoding (alpha must be >= 2)")
 
 
+def level_params(k: int, alpha: int) -> tuple[int, int]:
+    """(kappa, cap) of a code's selector levels.
+
+    kappa = next_power_of_two(k).  The interference cap is alpha - 1;
+    below alpha = 2 (multiset codes store alpha 0) it is kappa + 1, a cap
+    that can never bind.
+    """
+    kappa = next_power_of_two(k)
+    return kappa, (alpha - 1 if alpha >= 2 else kappa + 1)
+
+
 def _level_seed(seed: int, index: int) -> int:
     return seed * 1009 + index
 
@@ -171,8 +182,7 @@ def _level_seed(seed: int, index: int) -> int:
 def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
     """Plain-mode code: interference-selector levels plus a terminal strong selector."""
     _check_build_params(n, k, alpha)
-    k_pow = next_power_of_two(k)
-    cap = alpha - 1
+    k_pow, cap = level_params(k, alpha)
     asm = _Assembler(n)
     ell = k_pow
     index = 0
@@ -201,8 +211,7 @@ def build_code_large(n: int, k: int, alpha: int, seed: int = 0) -> Code:
             f"<= n/alpha = {n / alpha:.3g}",
             stacklevel=2,
         )
-    k_pow = next_power_of_two(k)
-    cap = alpha - 1
+    k_pow, cap = level_params(k, alpha)
     # switch = largest power of two at most k_pow/cap (0 when none exists);
     # interference-selector levels above it, chunked levels at or below
     if cap > k_pow:
@@ -235,8 +244,7 @@ def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
     never bind.
     """
     _check_build_params(n, k)
-    k_pow = next_power_of_two(k)
-    no_cap = k_pow + 1
+    k_pow, no_cap = level_params(k, 0)
     asm = _Assembler(n)
     ell = k_pow
     index = 0
@@ -255,13 +263,13 @@ def choose_mode(n: int, k: int, alpha: int) -> str:
     return MODE_PLAIN if plain_proxy <= large_proxy else MODE_LARGE
 
 
-def build(n: int, k: int, alpha: int, mode: str = "auto", seed: int = 0) -> Code:
+def build(n: int, k: int, alpha: int, mode: str = "auto") -> Code:
     if mode == "auto":
         mode = choose_mode(n, k, alpha)
     if mode == MODE_PLAIN:
-        return build_code(n, k, alpha, seed)
+        return build_code(n, k, alpha)
     if mode == MODE_LARGE:
-        return build_code_large(n, k, alpha, seed)
+        return build_code_large(n, k, alpha)
     if mode == MODE_MULTISET:
-        return build_code_multiset(n, k, seed)
+        return build_code_multiset(n, k)
     raise ValueError(f"unknown build mode {mode!r}")

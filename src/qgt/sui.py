@@ -10,10 +10,23 @@ Two routes build one:
 
 * If the n singleton queries are no longer than the composed family,
   use them; they select everything with zero interference.
-* Otherwise intersect each strong-selector query with each right-node
-  neighborhood of a verified disperser (right-node major order, selector
-  order within).  Empty intersections are kept so family length is a
-  predictable function of the parts.
+* Otherwise `compose` intersects each query of a width-2*delta strong
+  selector with each right-node neighborhood of a verified disperser
+  (right-node major order, selector order within).  Empty intersections
+  are kept so family length is a predictable function of the parts.
+
+At the default sizing (degree ceil(log2(n)^2), delta ceil(log2(n)^3))
+the strong selector of width 2*delta is the n singletons at every
+n = 2^8 .. 2^20, so the composed length m*|W| is never below n and
+`build_sui` returns singletons at every n this package can build.  No
+other sizing helps below n = 2^12 either: the shortest even-width
+Reed-Solomon table is not below n up to n = 2^11.  At n = 2^12 a
+composition beats n only with |W| = 1, which is the bare width-2 strong
+selector (2,809 queries) rather than a disperser composition; at
+n = 2^13 .. 2^16 the width-2 table leaves room for |W| <= 2, 4, 8, 14,
+and its delta = 1 caps ell_star*degree at |W|.  The composed branch is
+kept for the paper's asymptotic regime; tests reach it through
+`compose` directly.
 
 The chunked variant covers the regime ell <= kappa/alpha: build the
 selector for width kappa/alpha, then split every query into
@@ -28,7 +41,14 @@ from dataclasses import dataclass
 from math import ceil
 
 from . import ssui as _ssui
-from .disperser import DisperserParams, build_disperser, default_degree, default_delta, right_size
+from .disperser import (
+    BipartiteGraph,
+    DisperserParams,
+    build_disperser,
+    default_degree,
+    default_delta,
+    right_size,
+)
 from .model import Query, singletons
 from .ssui import check_selector_params, max_unselected_count
 
@@ -61,55 +81,43 @@ def _check_params(n: int, ell: int, epsilon: float, kappa: int, alpha: int) -> N
         raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
 
 
+def compose(strong: tuple[Query, ...], graph: BipartiteGraph) -> tuple[Query, ...]:
+    """The paper's composition of a strong selector with a disperser.
+
+    Each strong-selector query is intersected with each right-node
+    neighborhood of ``graph``: right-node major, selector order within
+    each node.  Empty intersections are kept, so the family has exactly
+    len(strong) * graph.n_right queries.
+    """
+    return tuple(t & hood for hood in graph.right_neighborhoods() for t in strong)
+
+
 def build_sui(
-    n: int,
-    ell: int,
-    epsilon: float,
-    kappa: int,
-    alpha: int,
-    *,
-    strong_queries: tuple[Query, ...] | None = None,
-    disperser_params: DisperserParams | None = None,
-    seed: int = 0,
-    force_composed: bool = False,
+    n: int, ell: int, epsilon: float, kappa: int, alpha: int, *, seed: int = 0
 ) -> SuIFamily:
     """Build a selector under interference.
 
     Admissibility requires alpha*ell >= kappa (the boundary case is
-    what the chunked builder composes through).  ``strong_queries``
-    injects a prebuilt strong selector, ``disperser_params`` overrides
-    the disperser sizing, and ``force_composed`` skips the
-    singleton-is-shorter shortcut; all three exist so the composed route
-    can be exercised and verified at small scales where singletons win.
+    what the chunked builder composes through).  The disperser has the
+    default sizing (default_degree(n), default_delta(n)) and is drawn
+    from ``seed``; the n singletons are returned whenever they are no
+    longer than the composed family.
     """
     _check_params(n, ell, epsilon, kappa, alpha)
     if alpha * ell < kappa:
         raise ValueError(
             f"inadmissible selector parameters: alpha*ell = {alpha * ell} < kappa = {kappa}"
         )
-    if disperser_params is None:
-        disperser_params = DisperserParams(
-            ell_star=max(1, ceil(epsilon * ell)), epsilon=epsilon, seed=seed
-        )
-    degree = disperser_params.degree if disperser_params.degree is not None else default_degree(n)
-    delta = disperser_params.delta if disperser_params.delta is not None else default_delta(n)
-    strong = strong_queries if strong_queries is not None else _ssui.strong_selector(n, 2 * delta)
-    m = len(strong)
-    n_right = right_size(disperser_params.ell_star, degree, delta)
-    if not force_composed and n <= m * n_right:
+    params = DisperserParams(ell_star=max(1, ceil(epsilon * ell)), epsilon=epsilon, seed=seed)
+    delta = default_delta(n)
+    strong = _ssui.strong_selector(n, 2 * delta)
+    if n <= len(strong) * right_size(params.ell_star, default_degree(n), delta):
         # The composed family would have m*|W| queries; n singletons are no
         # longer than that and select everything with zero interference.
         return SuIFamily(singletons(n), n, ell, epsilon, kappa, alpha, "singleton", 0)
-    graph = build_disperser(n, disperser_params)
-    attempts = graph.attempts
-    neighborhoods = graph.right_neighborhoods()
-    composed = []
-    for hood in neighborhoods:
-        for t in strong:
-            composed.append(t & hood)
-    return SuIFamily(
-        tuple(composed), n, ell, epsilon, kappa, alpha, "disperser-composed", attempts
-    )
+    graph = build_disperser(n, params)
+    queries = compose(strong, graph)
+    return SuIFamily(queries, n, ell, epsilon, kappa, alpha, "disperser-composed", graph.attempts)
 
 
 def chunk_query(s: Query, size: int) -> list[Query]:
@@ -121,16 +129,7 @@ def chunk_query(s: Query, size: int) -> list[Query]:
 
 
 def build_sui_rr(
-    n: int,
-    ell: int,
-    epsilon: float,
-    kappa: int,
-    alpha: int,
-    *,
-    strong_queries: tuple[Query, ...] | None = None,
-    disperser_params: DisperserParams | None = None,
-    seed: int = 0,
-    force_composed: bool = False,
+    n: int, ell: int, epsilon: float, kappa: int, alpha: int, *, seed: int = 0
 ) -> SuIFamily:
     """Chunked selector for the ell <= kappa/alpha regime; all queries have <= alpha elements."""
     _check_params(n, ell, epsilon, kappa, alpha)
@@ -140,17 +139,7 @@ def build_sui_rr(
             f"kappa = {kappa} (use build_sui)"
         )
     inner_ell = max(1, -(-kappa // alpha))
-    base = build_sui(
-        n,
-        inner_ell,
-        epsilon,
-        kappa,
-        alpha,
-        strong_queries=strong_queries,
-        disperser_params=disperser_params,
-        seed=seed,
-        force_composed=force_composed,
-    )
+    base = build_sui(n, inner_ell, epsilon, kappa, alpha, seed=seed)
     chunked: list[Query] = []
     for s in base.queries:
         chunked.extend(chunk_query(s, alpha))

@@ -1,4 +1,7 @@
+import warnings
 from pathlib import Path
+
+import pytest
 
 from qgt.cli import main
 from qgt.serialize import code_from_text
@@ -31,7 +34,7 @@ def test_build_determinism(tmp_path, capsys):
     outs = []
     for _ in range(2):
         status, out, _ = run(
-            capsys, "build", "--n", "32", "--k", "3", "--alpha", "3", "--seed", "4",
+            capsys, "build", "--n", "32", "--k", "3", "--alpha", "3",
         )
         assert status == 0
         outs.append(out)
@@ -73,12 +76,37 @@ def test_verify_selector_levels(tmp_path, capsys):
     assert "pass" in out
 
 
-def test_verify_dispersion_vacuous_on_singleton_levels(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "build_args, level_line",
+    [
+        (("--mode", "multiset", "--alpha", "4"), "sui level 4: max unselected 0"),
+        (("--mode", "large", "--alpha", "2"), "rr level 4: max unselected 0"),
+    ],
+)
+def test_verify_selector_levels_multiset_and_large(tmp_path, capsys, build_args, level_line):
     code_file = tmp_path / "code.qgtc"
-    run(capsys, "build", "--n", "16", "--k", "2", "--alpha", "3", "--out", str(code_file))
-    status, out, _ = run(capsys, "verify", "--code", str(code_file), "--dispersion")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # large mode outside its regime at n = 16
+        run(capsys, "build", "--n", "16", "--k", "4", *build_args, "--out", str(code_file))
+    status, out, _ = run(capsys, "verify", "--code", str(code_file), "--sui")
     assert status == 0
-    assert "singleton" in out or "vacuous" in out
+    assert level_line in out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "--n", "16", "--k", "2", "--alpha", "2", "--seed", "1"),
+        ("graph", "--nodes", "6", "--k", "2", "--ops", "ops.txt", "--seed", "1"),
+        ("verify", "--code", "code.qgtc", "--dispersion"),
+        ("verify", "--code", "code.qgtc", "--sui", "--seed", "1"),
+    ],
+)
+def test_removed_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 def test_verify_without_flags_is_usage_error(tmp_path, capsys):

@@ -95,6 +95,17 @@ def test_determinism_bit_for_bit():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "builder, args",
+    [(build_code, (64, 4, 3)), (build_code_large, (64, 16, 2)), (build_code_multiset, (64, 4))],
+)
+def test_seed_changes_no_byte_of_a_built_code(builder, args):
+    # every selector level is the singleton family, which reads no seed
+    reference = code_to_text(builder(*args, seed=0))
+    for seed in range(1, 4):
+        assert code_to_text(builder(*args, seed=seed)) == reference, seed
+
+
 def test_cap_below_two_rejected():
     with pytest.raises(ValueError, match="cap too small"):
         build_code(16, 2, 1)

@@ -4,6 +4,8 @@ import pytest
 
 from qgt.code import Block, Code, build_code, build_code_large, build_code_multiset, enhance
 from qgt.decode import DecodeError, decode, decode_detailed
+from qgt.disperser import DisperserParams, build_disperser
+from qgt.sui import compose
 
 
 def _synthetic_code(bases, n, k, alpha, mode="plain"):
@@ -148,27 +150,26 @@ def test_fat_query_roundtrip_alpha_two_sampled():
         assert decode(code, code.feedback(combo)) == {v: 1 for v in combo}
 
 
+def _tiny_composed_level():
+    """Pairs of [1..8] composed with a verified degree-4 disperser (|W| = 2)."""
+    strong = tuple(frozenset(c) for c in itertools.combinations(range(1, 9), 2))
+    params = DisperserParams(ell_star=1, epsilon=0.25, degree=4, delta=2, seed=3)
+    return compose(strong, build_disperser(8, params))
+
+
 def test_composed_level_code_end_to_end():
     # a code whose first level is a genuinely disperser-composed family
     # (fat, overlapping queries) rather than the singleton shortcut
-    from qgt.disperser import DisperserParams
     from qgt.ssui import build_ssui
-    from qgt.sui import build_sui
 
     n, k, alpha = 8, 2, 3
-    strong = tuple(frozenset(c) for c in itertools.combinations(range(1, 9), 2))
-    level = build_sui(
-        n, 2, 0.5, 2, alpha - 1,
-        strong_queries=strong,
-        disperser_params=DisperserParams(ell_star=1, epsilon=0.25, degree=4, delta=2, seed=3),
-        force_composed=True,
-    )
+    level = _tiny_composed_level()
     terminal = build_ssui(n, 2, 2, alpha - 1)
-    assert any(len(s) > 1 for s in level.queries)
+    assert any(len(s) > 1 for s in level)
     queries: list = []
     blocks = []
     width = 2 * (n.bit_length() - 1)
-    for kind, family in (("sui", level.queries), ("ssui", terminal.queries)):
+    for kind, family in (("sui", level), ("ssui", terminal.queries)):
         for s in family:
             blocks.append(Block(kind, 2, len(queries), width))
             queries.extend(enhance(s, n))
@@ -181,21 +182,12 @@ def test_composed_level_code_end_to_end():
 def test_composed_level_multiset_roundtrip():
     # multiset decoding over fat composed queries: full-multiplicity reads
     # plus weighted subtraction of already-decoded elements
-    from qgt.disperser import DisperserParams
-    from qgt.sui import build_sui
-
     n = 8
-    strong = tuple(frozenset(c) for c in itertools.combinations(range(1, 9), 2))
-    level = build_sui(
-        n, 2, 0.5, 2, 3,
-        strong_queries=strong,
-        disperser_params=DisperserParams(ell_star=1, epsilon=0.25, degree=4, delta=2, seed=3),
-        force_composed=True,
-    )
+    level = _tiny_composed_level()
     queries: list = []
     blocks = []
     width = 2 * (n.bit_length() - 1)
-    for s in level.queries:
+    for s in level:
         blocks.append(Block("sui", 2, len(queries), width))
         queries.extend(enhance(s, n))
     code = Code(tuple(queries), tuple(blocks), n, 2, 0, "multiset")
