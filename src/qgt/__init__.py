@@ -14,7 +14,6 @@ from .bounds import (
     counting_bound_holds,
     find_unjammed_violation,
     lower_bound,
-    sets_up_to,
     verify_uniqueness,
 )
 from .code import (
@@ -30,6 +29,7 @@ from .code import (
 from .decode import DecodeError, DecodeStats, decode, decode_detailed
 from .disperser import BipartiteGraph, DisperserParams, build_disperser, verify_dispersion
 from .model import (
+    BudgetError,
     FeedbackVector,
     Multiset,
     Query,
@@ -38,6 +38,7 @@ from .model import (
     distinguishes,
     feedback_vector,
     multiset_total,
+    sets_up_to,
 )
 from .random_code import (
     ClaimReport,
@@ -49,7 +50,6 @@ from .random_code import (
 )
 from .serialize import code_from_text, code_to_text, fv_from_text, fv_to_text
 from .ssui import (
-    BudgetError,
     SSuIFamily,
     build_ssui,
     nth_polynomial,

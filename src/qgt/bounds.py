@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, log2
+from math import log2
 
-from .model import Query, check_cap, check_capacity, incidence, query_mask
-from .ssui import BudgetError
+from .model import Query, check_budget, check_cap, check_capacity, incidence, query_mask
+from .model import sets_up_to
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,6 @@ def lower_bound(n: int, k: int, alpha: int, measured_m: int | None = None) -> Bo
     return BoundReport(n, k, alpha, general, info, general + info, measured_m)
 
 
-def sets_up_to(n: int, k: int) -> int:
-    """Number of hidden-set candidates: all subsets of [1..n] with at most k elements."""
-    return sum(comb(n, j) for j in range(k + 1))
-
-
 def counting_bound_holds(n: int, k: int, alpha: int, m: int) -> bool:
     """Feedback positions carry alpha+1 values, so solvability needs (alpha+1)^m >= #sets."""
     return (alpha + 1) ** m >= sets_up_to(n, k)
@@ -77,8 +72,7 @@ def find_unjammed_violation(
     solvable.  None over all |K| <= k is the necessary condition the
     jamming argument demands of every correct code.
     """
-    if sets_up_to(n, k) > budget:
-        raise BudgetError("instance too large for exhaustive oracle")
+    check_budget(sets_up_to(n, k), budget)
     masks = [query_mask(s) for s in queries]
     inc = incidence(queries)
     for size in range(1, k + 1):
@@ -100,8 +94,7 @@ def verify_uniqueness(
     budget: int = 10_000_000,
 ) -> bool:
     """True iff the feedback vectors of all sets with |K| <= k are pairwise distinct."""
-    if sets_up_to(n, k) > budget:
-        raise BudgetError("instance too large for exhaustive oracle")
+    check_budget(sets_up_to(n, k), budget)
     inc = incidence(queries)
     # Nonzero positions characterize a vector (all others read 0), so sets are
     # compared through their sparse capped profiles instead of full m-tuples.

@@ -16,9 +16,10 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import random_code as random_mod
-from .code import MODE_MULTISET, MODE_RANDOM, Code, build, choose_mode, level_params
+from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_MULTISET, MODE_RANDOM, Code, build
+from .code import choose_mode, level_params
 from .decode import DecodeError, decode_detailed
-from .model import multiset_total
+from .model import BudgetError, multiset_total
 from .serialize import (
     FormatError,
     code_from_text,
@@ -28,7 +29,7 @@ from .serialize import (
     multiset_to_text,
     parse_set_spec,
 )
-from .ssui import BudgetError, verify_ssui
+from .ssui import verify_ssui
 from .streaming import GraphSketch, StreamSketch, parse_ops
 from .sui import verify_sui
 
@@ -94,10 +95,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
     if args.sui:
         ran_any = True
-        failures += _verify_levels(code, args.budget, ("sui", "rr"))
+        failures += _verify_levels(code, args.budget, (KIND_SUI, KIND_RR))
     if args.ssui:
         ran_any = True
-        failures += _verify_levels(code, args.budget, ("ssui",))
+        failures += _verify_levels(code, args.budget, (KIND_SSUI,))
     if not ran_any:
         print("nothing to verify (pass --uniqueness/--claim-a/--sui/--ssui)")
         return EXIT_USAGE
@@ -120,7 +121,7 @@ def _verify_levels(code, budget: int, kinds) -> int:
     failures = 0
     for kind, level, queries in _level_groups(code, kinds):
         try:
-            if kind == "ssui":
+            if kind == KIND_SSUI:
                 ok = verify_ssui(queries, code.n, level, k_pow, cap, budget=budget)
                 print(f"{kind} level {level}: {'pass' if ok else 'FAIL'}")
             else:

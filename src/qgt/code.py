@@ -6,13 +6,23 @@ R_2b(S); the layout records block kind ("sui", "rr" or "ssui"), the
 selector level it came from, and where its base query sits.  The
 decoder needs the layout; the feedback model does not.
 
-Assembly for a capacity-k, cap-alpha code (plain mode): selector levels
-for ell = k, k/2, ... while ell > k/(alpha-1), each an
-(n, ell, 1/2, k, alpha-1) selector under interference, then a terminal
-strong selector sized to the level where the loop stopped.  The large-k
-mode replaces the terminal strong selector with chunked selector levels
-down to ell = 1, and the multiset mode runs plain selector levels all
-the way down to 1 with an interference cap that never binds.
+Every mode is built by one level loop, ``_assemble``.  With kappa the
+next power of two of k and cap the interference cap (``level_params``),
+selector levels run at ell = kappa, kappa/2, ... while ell >= 1 and
+ell*cap > kappa, each an (n, ell, 1/2, kappa, cap) selector under
+interference.  The modes differ only in what follows:
+
+* plain adds one Reed-Solomon strong selector at level max(1, ell),
+  sized to where the loop stopped;
+* large adds chunked selector levels for the remaining ell down to 1;
+* multiset adds nothing: its cap kappa + 1 never binds, so the loop
+  itself already ran down to ell = 1.
+
+Large mode needs no separate switch level.  Every ell is a power of
+two, so ell*cap > kappa holds exactly above the largest power of two at
+most kappa/cap, which is where chunked levels begin; when cap > kappa no
+such power exists and every level is a plain selector level.  Selector
+and chunked levels are seeded seed*1009 + index, counted across both.
 
 Levels whose query family repeats the previous level verbatim are
 emitted once: re-running an identical family under fixed-point decoding
@@ -30,8 +40,8 @@ from math import log2
 from .balanced import bit_slices, id_bits
 from .model import Query, as_multiset, check_cap, check_capacity, check_universe, next_power_of_two
 from .model import incidence as _incidence
-from .ssui import build_ssui
-from .sui import build_sui, build_sui_rr
+from .ssui import SSuIFamily, build_ssui
+from .sui import SuIFamily, build_sui, build_sui_rr
 
 KIND_SUI = "sui"
 KIND_RR = "rr"
@@ -135,27 +145,6 @@ def enhance(s: Query, n: int) -> list[Query]:
     return [s, *bit_slices(s, n)]
 
 
-class _Assembler:
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.width = id_bits(n)
-        self.queries: list[Query] = []
-        self.blocks: list[Block] = []
-        self._previous: tuple[Query, ...] | None = None
-
-    def add_level(self, kind: str, level: int, family: tuple[Query, ...]) -> None:
-        if self._previous is not None and family == self._previous:
-            return  # identical family: a repeat decodes nothing new
-        self._previous = family
-        for s in family:
-            base = len(self.queries)
-            self.queries.extend(enhance(s, self.n))
-            self.blocks.append(Block(kind, level, base, self.width))
-
-    def finish(self, n: int, k: int, alpha: int, mode: str) -> Code:
-        return Code(tuple(self.queries), tuple(self.blocks), n, k, alpha, mode)
-
-
 def _check_build_params(n: int, k: int, alpha: int | None = None) -> None:
     """Universe and capacity checks; with ``alpha``, also the decoder's alpha >= 2."""
     check_universe(n)
@@ -175,30 +164,44 @@ def level_params(k: int, alpha: int) -> tuple[int, int]:
     return kappa, (alpha - 1 if alpha >= 2 else kappa + 1)
 
 
-def _level_seed(seed: int, index: int) -> int:
-    return seed * 1009 + index
+def _assemble(n: int, k: int, alpha: int, mode: str, seed: int) -> Code:
+    """The level loop every mode shares, then the mode's tail (module docstring)."""
+    kappa, cap = level_params(k, alpha)
+    width = id_bits(n)
+    queries: list[Query] = []
+    blocks: list[Block] = []
+    previous: tuple[Query, ...] | None = None
+
+    def emit(kind: str, level: int, family: SSuIFamily | SuIFamily) -> None:
+        nonlocal previous
+        if family.queries == previous:
+            return  # identical family: a repeat decodes nothing new
+        previous = family.queries
+        for s in previous:
+            blocks.append(Block(kind, level, len(queries), width))
+            queries.extend(enhance(s, n))
+
+    ell, index = kappa, 0
+    while ell >= 1 and ell * cap > kappa:  # ell > kappa/cap, exactly
+        emit(KIND_SUI, ell, build_sui(n, ell, 0.5, kappa, cap, seed=seed * 1009 + index))
+        ell, index = ell // 2, index + 1
+    if mode == MODE_PLAIN:
+        emit(KIND_SSUI, max(1, ell), build_ssui(n, max(1, ell), kappa, cap))
+    elif mode == MODE_LARGE:
+        while ell >= 1:
+            emit(KIND_RR, ell, build_sui_rr(n, ell, 0.5, kappa, cap, seed=seed * 1009 + index))
+            ell, index = ell // 2, index + 1
+    return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
 
 
 def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
-    """Plain-mode code: interference-selector levels plus a terminal strong selector."""
+    """Plain-mode code: selector levels plus a terminal strong selector."""
     _check_build_params(n, k, alpha)
-    k_pow, cap = level_params(k, alpha)
-    asm = _Assembler(n)
-    ell = k_pow
-    index = 0
-    while ell * cap > k_pow:  # ell > k_pow/cap, exactly
-        fam = build_sui(n, ell, 0.5, k_pow, cap, seed=_level_seed(seed, index))
-        asm.add_level(KIND_SUI, ell, fam.queries)
-        ell //= 2
-        index += 1
-    terminal = max(1, ell)
-    fam = build_ssui(n, terminal, k_pow, cap)
-    asm.add_level(KIND_SSUI, terminal, fam.queries)
-    return asm.finish(n, k, alpha, MODE_PLAIN)
+    return _assemble(n, k, alpha, MODE_PLAIN, seed)
 
 
 def build_code_large(n: int, k: int, alpha: int, seed: int = 0) -> Code:
-    """Large-k code: selector levels all the way down, chunked below the switch level.
+    """Large-k code: selector levels, then chunked selector levels down to 1.
 
     Intended for (k/alpha)^2 > n/alpha; outside that regime the plain
     construction is usually shorter, so a warning is emitted (the build
@@ -211,28 +214,7 @@ def build_code_large(n: int, k: int, alpha: int, seed: int = 0) -> Code:
             f"<= n/alpha = {n / alpha:.3g}",
             stacklevel=2,
         )
-    k_pow, cap = level_params(k, alpha)
-    # switch = largest power of two at most k_pow/cap (0 when none exists);
-    # interference-selector levels above it, chunked levels at or below
-    if cap > k_pow:
-        switch = 0
-    else:
-        switch = 1
-        while switch * 2 * cap <= k_pow:
-            switch *= 2
-    asm = _Assembler(n)
-    ell = k_pow
-    index = 0
-    while ell >= 1:
-        if ell > switch:
-            fam = build_sui(n, ell, 0.5, k_pow, cap, seed=_level_seed(seed, index))
-            asm.add_level(KIND_SUI, ell, fam.queries)
-        else:
-            fam = build_sui_rr(n, ell, 0.5, k_pow, cap, seed=_level_seed(seed, index))
-            asm.add_level(KIND_RR, ell, fam.queries)
-        ell //= 2
-        index += 1
-    return asm.finish(n, k, alpha, MODE_LARGE)
+    return _assemble(n, k, alpha, MODE_LARGE, seed)
 
 
 def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
@@ -241,19 +223,10 @@ def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
     Decoding assumes the readout cap is at least the total multiplicity,
     which makes every feedback value exact; the selectors therefore only
     need isolation, so they are built with an interference cap that can
-    never bind.
+    never bind (alpha 0, see level_params).
     """
     _check_build_params(n, k)
-    k_pow, no_cap = level_params(k, 0)
-    asm = _Assembler(n)
-    ell = k_pow
-    index = 0
-    while ell >= 1:
-        fam = build_sui(n, ell, 0.5, k_pow, no_cap, seed=_level_seed(seed, index))
-        asm.add_level(KIND_SUI, ell, fam.queries)
-        ell //= 2
-        index += 1
-    return asm.finish(n, k, 0, MODE_MULTISET)
+    return _assemble(n, k, 0, MODE_MULTISET, seed)
 
 
 def choose_mode(n: int, k: int, alpha: int) -> str:

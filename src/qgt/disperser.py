@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from math import ceil, comb, log2
 
-from .ssui import BudgetError
+from .model import check_budget
 
 # build_disperser verifies exhaustively up to this many ell_star-subsets,
 # by sampling beyond it.
@@ -125,27 +125,20 @@ def verify_dispersion(
     masks = graph.left_masks()
     ell_star = min(ell_star, graph.n_left)
     if mode == "exhaustive":
-        if comb(graph.n_left, ell_star) > budget:
-            raise BudgetError("instance too large for exhaustive oracle")
-        for combo in itertools.combinations(range(graph.n_left), ell_star):
-            seen = 0
-            for v in combo:
-                seen |= masks[v]
-            if graph.n_right - seen.bit_count() > allowed_missing:
-                return False
-        return True
-    if mode == "sampled":
+        check_budget(comb(graph.n_left, ell_star), budget)
+        candidates = itertools.combinations(range(graph.n_left), ell_star)
+    elif mode == "sampled":
         rng = random.Random(seed)
-        population = range(graph.n_left)
-        for _ in range(trials):
-            combo = rng.sample(population, ell_star)
-            seen = 0
-            for v in combo:
-                seen |= masks[v]
-            if graph.n_right - seen.bit_count() > allowed_missing:
-                return False
-        return True
-    raise ValueError(f"unknown verification mode {mode!r}")
+        candidates = (rng.sample(range(graph.n_left), ell_star) for _ in range(trials))
+    else:
+        raise ValueError(f"unknown verification mode {mode!r}")
+    for combo in candidates:
+        seen = 0
+        for v in combo:
+            seen |= masks[v]
+        if graph.n_right - seen.bit_count() > allowed_missing:
+            return False
+    return True
 
 
 def build_disperser(n: int, params: DisperserParams) -> BipartiteGraph:

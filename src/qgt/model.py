@@ -16,12 +16,16 @@ The facts every selector family and oracle shares live here, once:
   alpha (at least 1);
 * ``singletons``: the n singleton queries, a selector for every width;
 * ``query_mask``: a query as an int with bit v-1 set for element v;
-* ``incidence``: element -> indices of the queries containing it.
+* ``incidence``: element -> indices of the queries containing it;
+* ``sets_up_to``, ``check_budget``, ``BudgetError``: the size of an
+  exhaustive search over candidate sets, and the one refusal an oracle
+  raises when a search would exceed its budget.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from math import comb
 
 Query = frozenset[int]
 Multiset = dict[int, int]
@@ -79,6 +83,21 @@ def incidence(queries: Iterable[Query]) -> dict[int, tuple[int, ...]]:
         for v in s:
             lists.setdefault(v, []).append(idx)
     return {v: tuple(ix) for v, ix in lists.items()}
+
+
+class BudgetError(ValueError):
+    """An exhaustive verification would exceed its configured enumeration budget."""
+
+
+def sets_up_to(n: int, k: int) -> int:
+    """Number of hidden-set candidates: all subsets of [1..n] with at most k elements."""
+    return sum(comb(n, j) for j in range(k + 1))
+
+
+def check_budget(count: int, budget: int) -> None:
+    """BudgetError if an exhaustive oracle would enumerate more than ``budget`` cases."""
+    if count > budget:
+        raise BudgetError("instance too large for exhaustive oracle")
 
 
 def as_multiset(hidden: Iterable[int] | Mapping[int, int], n: int | None = None) -> Multiset:

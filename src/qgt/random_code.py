@@ -28,10 +28,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import ceil, comb, e, log
+from math import ceil, e, log
 
-from .model import Query, check_cap, check_capacity, incidence, singletons
-from .ssui import BudgetError
+from .model import Query, check_budget, check_cap, check_capacity, incidence, sets_up_to
+from .model import singletons
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,19 @@ def verify_claims(
     matching the fact that singletons hit every set exactly once.
     """
     n, k, alpha = code.n, code.k, code.alpha
-    claim1 = True
-    witness1 = None
-    for s in code.queries:
-        if len(s) > alpha:
-            claim1 = False
-            witness1 = s
-            break
+    if mode == "exhaustive":
+        check_budget(sets_up_to(n, k) - 1, budget)
+        universe = range(1, n + 1)
+        candidates = (
+            combo for size in range(1, k + 1) for combo in itertools.combinations(universe, size)
+        )
+    elif mode == "sampled":
+        rng = random.Random(seed)
+        population = list(range(1, n + 1))
+        candidates = (tuple(rng.sample(population, rng.randint(1, k))) for _ in range(trials))
+    else:
+        raise ValueError(f"unknown verification mode {mode!r}")
+    witness1 = next((s for s in code.queries if len(s) > alpha), None)
     inc = incidence(code.queries)
     if code.fallback:
         part1 = (0, len(code.queries))
@@ -158,38 +164,19 @@ def verify_claims(
         part1 = (0, code.t1)
         part2 = (code.t1, code.t1 + code.t2)
     small_limit = min(k, n // alpha)
-    claim2, witness2 = True, None
-    claim3, witness3 = True, None
-    if mode == "exhaustive":
-        if sum(comb(n, j) for j in range(1, k + 1)) > budget:
-            raise BudgetError("instance too large for exhaustive oracle")
-        for size in range(1, k + 1):
-            lo, hi = part1 if size <= small_limit else part2
-            for combo in itertools.combinations(range(1, n + 1), size):
-                if not _hit_exactly_once(lo, hi, inc, combo):
-                    if size <= small_limit:
-                        claim2, witness2 = False, frozenset(combo)
-                    else:
-                        claim3, witness3 = False, frozenset(combo)
-                    break
-            if not (claim2 and claim3):
-                break
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        population = list(range(1, n + 1))
-        for _ in range(trials):
-            size = rng.randint(1, k)
-            combo = tuple(rng.sample(population, size))
-            lo, hi = part1 if size <= small_limit else part2
-            if not _hit_exactly_once(lo, hi, inc, combo):
-                if size <= small_limit:
-                    claim2, witness2 = False, frozenset(combo)
-                else:
-                    claim3, witness3 = False, frozenset(combo)
-                break
-    else:
-        raise ValueError(f"unknown verification mode {mode!r}")
-    return ClaimReport(claim1, claim2, claim3, witness1, witness2, witness3)
+    witness2 = witness3 = None
+    for combo in candidates:
+        small = len(combo) <= small_limit
+        lo, hi = part1 if small else part2
+        if not _hit_exactly_once(lo, hi, inc, combo):
+            if small:
+                witness2 = frozenset(combo)
+            else:
+                witness3 = frozenset(combo)
+            break
+    return ClaimReport(
+        witness1 is None, witness2 is None, witness3 is None, witness1, witness2, witness3
+    )
 
 
 def find_verified_code(

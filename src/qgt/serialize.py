@@ -26,13 +26,15 @@ exactly; equal query lines parse to one shared set.
 
 from __future__ import annotations
 
-from .code import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM, Block, Code
+from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM
+from .code import Block, Code
 from .model import Query, check_universe
 
 FORMAT_NAME = "qgtc"
 FORMAT_VERSION = 1
 
 _MODES = (MODE_PLAIN, MODE_LARGE, MODE_MULTISET, MODE_RANDOM)
+_KINDS = (KIND_SUI, KIND_RR, KIND_SSUI)
 
 
 class FormatError(ValueError):
@@ -104,7 +106,7 @@ def code_from_text(text: str) -> Code:
         if len(parts) != 4:
             raise FormatError(f"line {lineno + 1}: expected '<kind> <level> <base> <slices>'")
         kind = parts[0]
-        if kind not in ("sui", "rr", "ssui"):
+        if kind not in _KINDS:
             raise FormatError(f"line {lineno + 1}: unknown block kind {kind!r}")
         try:
             level, base, slices = int(parts[1]), int(parts[2]), int(parts[3])

@@ -24,15 +24,12 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .model import Query, check_universe, query_mask, singletons
+from .model import BudgetError as BudgetError  # re-exported: qgt.ssui.BudgetError
+from .model import Query, check_budget, check_universe, query_mask, sets_up_to, singletons
 
 
 # Multiplier c of smallest_admissible_prime: every family here uses q >= 2*ell*d.
 _C = 2
-
-
-class BudgetError(ValueError):
-    """An exhaustive verification would exceed its configured enumeration budget."""
 
 
 def check_selector_params(n: int, ell: int, kappa: int, alpha: int) -> None:
@@ -157,10 +154,6 @@ def strong_selector(n: int, width: int) -> tuple[Query, ...]:
     return singletons(n)
 
 
-def _subset_count(n: int, max_size: int) -> int:
-    return sum(comb(n, j) for j in range(max_size + 1))
-
-
 def max_unselected_count(
     queries: tuple[Query, ...],
     n: int,
@@ -186,9 +179,8 @@ def max_unselected_count(
     ``budget``.
     """
     universe = range(1, n + 1)
-    spent = _subset_count(n, ell)
-    if spent > budget:
-        raise BudgetError("instance too large for exhaustive oracle")
+    spent = sets_up_to(n, ell)
+    check_budget(spent, budget)
     masks = [query_mask(s) for s in queries]
     worst = 0
     jam_possible = kappa >= alpha
@@ -218,8 +210,7 @@ def max_unselected_count(
                 pool = [i + 1 for i in range(n) if relevant >> i & 1]
                 take = min(kappa, len(pool))
                 spent += comb(len(pool), take)
-                if spent > budget:
-                    raise BudgetError("instance too large for exhaustive oracle")
+                check_budget(spent, budget)
                 best_jammed = 0
                 for k2_combo in itertools.combinations(pool, take):
                     k2_mask = query_mask(k2_combo)
@@ -246,8 +237,7 @@ def verify_ssui(
     budget: int = 10_000_000,
 ) -> bool:
     """Exhaustively check the strong-selection property (no unselected element ever)."""
-    if _subset_count(n, ell) * _subset_count(n, kappa) > budget:
-        raise BudgetError("instance too large for exhaustive oracle")
+    check_budget(sets_up_to(n, ell) * sets_up_to(n, kappa), budget)
     return max_unselected_count(queries, n, ell, kappa, alpha, budget, stop_at=1) == 0
 
 

@@ -114,7 +114,10 @@ def build_sui(
     if n <= len(strong) * right_size(params.ell_star, default_degree(n), delta):
         # The composed family would have m*|W| queries; n singletons are no
         # longer than that and select everything with zero interference.
-        return SuIFamily(singletons(n), n, ell, epsilon, kappa, alpha, "singleton", 0)
+        # A strong selector of length n is the singletons themselves: a
+        # Reed-Solomon table has q^2 queries, q an odd prime, never a power of two.
+        queries = strong if len(strong) == n else singletons(n)
+        return SuIFamily(queries, n, ell, epsilon, kappa, alpha, "singleton", 0)
     graph = build_disperser(n, params)
     queries = compose(strong, graph)
     return SuIFamily(queries, n, ell, epsilon, kappa, alpha, "disperser-composed", graph.attempts)

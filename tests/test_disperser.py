@@ -85,3 +85,29 @@ def test_dump_format():
     adjacency = ((1, 2), (2, 2))
     g = BipartiteGraph(2, 2, 2, adjacency)
     assert dump_graph(g) == "1 2\n2 2\n"
+
+
+# Seven left nodes on four right nodes; only the pair (0, 1) shares its
+# neighborhood, so at ell_star = 2, epsilon = 1/4 it is the one failing subset.
+ONE_BAD_PAIR = BipartiteGraph(7, 4, 2, ((1, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
+
+
+def test_exhaustive_dispersion_finds_the_one_failing_pair():
+    assert verify_dispersion(ONE_BAD_PAIR, 2, 0.25) is False
+    assert verify_dispersion(ONE_BAD_PAIR, 2, 0.5) is True
+
+
+@pytest.mark.parametrize(("seed", "first_failing_draw"), [(0, 61), (1, 51), (2, 22), (3, 30)])
+def test_sampled_dispersion_fails_at_a_pinned_draw(seed, first_failing_draw):
+    # Recorded before the two modes shared one scan loop: the draw at which
+    # the failing pair first comes up fixes the RNG call order.
+    def verdict(trials):
+        return verify_dispersion(ONE_BAD_PAIR, 2, 0.25, mode="sampled", trials=trials, seed=seed)
+
+    assert verdict(first_failing_draw - 1) is True
+    assert verdict(first_failing_draw) is False
+
+
+def test_unknown_dispersion_mode_raises():
+    with pytest.raises(ValueError, match="unknown verification mode"):
+        verify_dispersion(ONE_BAD_PAIR, 2, 0.25, mode="guess")

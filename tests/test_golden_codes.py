@@ -23,6 +23,17 @@ GOLDEN = [
     ("plain", (64, 4, 3), "25fe0b5c14a554df4ea8adced195e66f4a4f5286fbe422cd2f184f320ae01e26"),
     ("large", (64, 16, 2), "501358b11900ec98c60aab0a3ff023ce6968d469199406d5d58240e41186cc99"),
     ("multiset", (4096, 16), "73eb482fe18d7277d5b7a4a7cc9609e57c4264d9eb8778cc21726b37ecfdbc5f"),
+    # Each branch of the shared level loop; recorded before the three
+    # builders became one loop.
+    # cap > kappa: the strong selector sits at level 1
+    ("plain", (64, 3, 6), "fec83830b2026de833626247e4051963e9b92793e280d8bb5e5b975d91e3b651"),
+    # k not a power of two
+    ("plain", (64, 5, 3), "057632c957db57775a23b3fa0199d3c793a91360b1044ed18e68a7cd955aca73"),
+    # cap > kappa: no chunked levels
+    ("large", (64, 4, 7), "1342c48dab5db05dd74d4cfb8cb9f80f8d30367e372cf9e77225ff81cda08dcc"),
+    # selector levels, then chunked levels
+    ("large", (64, 16, 3), "d1764531e6685eba775e6b722c72c4c61e3f7cd5771a5293623ac71606ae66a6"),
+    ("multiset", (64, 5), "94aa85229137ec9cbfba26cea7da55e537a8851108cfcc5728d579eaf897fae4"),
 ]
 
 

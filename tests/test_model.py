@@ -135,3 +135,17 @@ def test_feedback_vector_deterministic(case):
     query, hidden, alpha = case
     queries = [query, frozenset({1}), frozenset()]
     assert feedback_vector(queries, hidden, alpha) == feedback_vector(queries, hidden, alpha)
+
+
+def test_one_budget_rule_behind_every_oracle():
+    import qgt
+    import qgt.bounds
+    import qgt.ssui
+    from qgt.model import BudgetError, check_budget, sets_up_to
+
+    assert qgt.BudgetError is qgt.ssui.BudgetError is BudgetError
+    assert qgt.sets_up_to is qgt.bounds.sets_up_to is sets_up_to
+    assert sets_up_to(5, 2) == 1 + 5 + 10
+    check_budget(16, 16)
+    with pytest.raises(BudgetError, match="instance too large for exhaustive oracle"):
+        check_budget(17, 16)

@@ -97,3 +97,35 @@ def test_mode_validation():
     code = build_random_code(32, 3, 8)
     with pytest.raises(ValueError, match="unknown verification mode"):
         verify_claims(code, mode="guess")
+
+
+def _failing_code(part1_covers_all: bool) -> RandomCode:
+    """n = 8, k = 3, alpha = 4: sets of size <= 2 read part 1, size 3 reads part 2.
+
+    Part 1 is the singletons {1} .. {7}, plus {8} when ``part1_covers_all``;
+    part 2 is the whole universe, which meets every 3-set three times and
+    breaks claim 1 (8 > alpha elements).
+    """
+    part1 = tuple(frozenset((v,)) for v in range(1, 9 if part1_covers_all else 8))
+    return RandomCode(part1 + (frozenset(range(1, 9)),), 8, 3, 4, 0, len(part1), 1, False)
+
+
+@pytest.mark.parametrize(
+    ("part1_covers_all", "mode", "seed", "witness2", "witness3"),
+    [
+        (False, "exhaustive", 0, {8}, None),
+        (False, "sampled", 1, {8}, None),
+        (False, "sampled", 0, None, {2, 4, 5}),
+        (True, "exhaustive", 0, None, {1, 2, 3}),
+        (True, "sampled", 5, None, {3, 5, 6}),
+    ],
+)
+def test_failing_claims_pin_their_witness(part1_covers_all, mode, seed, witness2, witness3):
+    # Recorded before the exhaustive and sampled scans became one loop: the
+    # sampled witnesses fix the RNG call order (randint, then sample).
+    report = verify_claims(_failing_code(part1_covers_all), mode=mode, trials=200, seed=seed)
+    assert not report.passed
+    assert report.witness1 == frozenset(range(1, 9)) and not report.claim1
+    assert report.witness2 == (None if witness2 is None else frozenset(witness2))
+    assert report.witness3 == (None if witness3 is None else frozenset(witness3))
+    assert report.claim2 == (witness2 is None) and report.claim3 == (witness3 is None)

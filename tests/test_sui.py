@@ -125,3 +125,23 @@ def test_default_sizing_always_takes_the_singleton_shortcut(n):
     for ell in (1, 2, 4, 8, 16):
         if ell <= n:
             assert build_sui(n, ell, 0.5, ell, 1).provenance == "singleton", (n, ell)
+
+
+def test_singleton_shortcut_reuses_the_strong_selectors_tuple(monkeypatch):
+    # At default sizing the width-2*delta strong selector is the n singletons;
+    # the shortcut hands that tuple on instead of building the singletons again.
+    import qgt.ssui
+
+    original = qgt.ssui.strong_selector
+    returned = []
+
+    def recording(n, width):
+        returned.append(original(n, width))
+        return returned[-1]
+
+    monkeypatch.setattr(qgt.ssui, "strong_selector", recording)
+    fam = build_sui(1024, 16, 0.5, 16, 3)
+    assert len(returned) == 1
+    assert fam.queries is returned[0]
+    assert fam.provenance == "singleton"
+    assert fam.queries == tuple(frozenset({v}) for v in range(1, 1025))
