@@ -2,9 +2,12 @@
 
 A code is a flat sequence of queries plus a block layout.  Every block
 is one selector query S followed by its 2*log2(n) bit slices R_1(S) ..
-R_2b(S); the layout records block kind ("sui", "rr" or "ssui"), the
-selector level it came from, and where its base query sits.  The
-decoder needs the layout; the feedback model does not.
+R_2b(S), except that a base of at most one element carries no slices: a
+one-element base already names its element, and an empty one names
+none.  The layout records block kind ("sui", "rr" or "ssui"), the
+selector level it came from, where its base query sits and its slice
+count (0 or 2*log2(n)).  The decoder needs the layout; the feedback
+model does not.
 
 Every mode is built by one level loop, ``_assemble``.  With kappa the
 next power of two of k and cap the interference cap (``level_params``),
@@ -24,10 +27,12 @@ most kappa/cap, which is where chunked levels begin; when cap > kappa no
 such power exists and every level is a plain selector level.  Selector
 and chunked levels are seeded seed*1009 + index, counted across both.
 
-Levels whose query family repeats the previous level verbatim are
-emitted once: re-running an identical family under fixed-point decoding
-can never decode anything new, and at small n many levels collapse to
-the same singleton family.
+Assembly stops after the first family in which every element has a
+query of its own (at every n this package builds, the first selector
+level is the n singletons).  That family isolates every element with
+zero interference, so no later level, strong selector or chunked level
+could decode anything more; plain alpha >= 3, large and multiset codes
+are then exactly n queries.
 """
 
 from __future__ import annotations
@@ -55,7 +60,11 @@ MODE_RANDOM = "random"
 
 @dataclass(frozen=True)
 class Block:
-    """One enhanced selector query: base at `base`, slices at base+1 .. base+slices."""
+    """One selector query: base at `base`, slices at base+1 .. base+slices.
+
+    `slices` is 2*log2(n), or 0 on a base of at most one element (built
+    codes give every such base 0).
+    """
 
     kind: str
     level: int
@@ -170,26 +179,31 @@ def _assemble(n: int, k: int, alpha: int, mode: str, seed: int) -> Code:
     width = id_bits(n)
     queries: list[Query] = []
     blocks: list[Block] = []
-    previous: tuple[Query, ...] | None = None
 
-    def emit(kind: str, level: int, family: SSuIFamily | SuIFamily) -> None:
-        nonlocal previous
-        if family.queries == previous:
-            return  # identical family: a repeat decodes nothing new
-        previous = family.queries
-        for s in previous:
-            blocks.append(Block(kind, level, len(queries), width))
-            queries.extend(enhance(s, n))
+    def emit(kind: str, level: int, family: SSuIFamily | SuIFamily) -> bool:
+        """Append the family's blocks; True once every element has a query of its own."""
+        alone: set[int] = set()
+        for s in family.queries:
+            if len(s) > 1:
+                blocks.append(Block(kind, level, len(queries), width))
+                queries.extend(enhance(s, n))
+            else:
+                blocks.append(Block(kind, level, len(queries), 0))
+                queries.append(s)
+                alone.update(s)
+        return len(alone) == n
 
     ell, index = kappa, 0
     while ell >= 1 and ell * cap > kappa:  # ell > kappa/cap, exactly
-        emit(KIND_SUI, ell, build_sui(n, ell, 0.5, kappa, cap, seed=seed * 1009 + index))
+        if emit(KIND_SUI, ell, build_sui(n, ell, 0.5, kappa, cap, seed=seed * 1009 + index)):
+            return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
         ell, index = ell // 2, index + 1
     if mode == MODE_PLAIN:
         emit(KIND_SSUI, max(1, ell), build_ssui(n, max(1, ell), kappa, cap))
     elif mode == MODE_LARGE:
         while ell >= 1:
-            emit(KIND_RR, ell, build_sui_rr(n, ell, 0.5, kappa, cap, seed=seed * 1009 + index))
+            if emit(KIND_RR, ell, build_sui_rr(n, ell, 0.5, kappa, cap, seed=seed * 1009 + index)):
+                break
             ell, index = ell // 2, index + 1
     return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
 
@@ -218,7 +232,7 @@ def build_code_large(n: int, k: int, alpha: int, seed: int = 0) -> Code:
 
 
 def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
-    """Multiset code: selector levels down to 1, no terminal strong selector.
+    """Multiset code: selector levels down to 1 (or to a full singleton level), no tail.
 
     Decoding assumes the readout cap is at least the total multiplicity,
     which makes every feedback value exact; the selectors therefore only

@@ -16,7 +16,9 @@ any positive count: the slice residues of a good block are then r times
 the balanced identifier of a single new element, recovered with its
 full multiplicity at once.  Slice residues outside {0, r}, bad identifier
 weight, an element outside the base query, or an element already decoded
-all invalidate the block for this sweep; it is skipped, not fatal.
+all invalidate the block for this sweep; it is skipped, not fatal.  A
+block with no slices has a base of at most one element, so a good one
+yields that element directly (an empty base never has a residue).
 
 After the last level the decoder re-encodes its answer and compares
 against the input; any mismatch raises, so an unexplained feedback
@@ -118,6 +120,9 @@ def _read_block(
     stats: DecodeStats,
 ) -> int | None:
     """Recover the single new element a good block isolates, or None to skip."""
+    if not blk.slices:
+        base = code.queries[blk.base]
+        return next(iter(base)) if len(base) == 1 else None
     bits_lsb_first = []
     for j in range(1, blk.slices + 1):
         idx = blk.base + j

@@ -14,18 +14,22 @@ Code file layout (LF line endings):
 Block base offsets are 1-based into the query list; each block owns its
 base query and the `slice-count` queries after it, and together the
 blocks must tile [1..m] exactly (random-mode codes carry no blocks).
+A slice count is 2*log2(n), or 0 on a base of at most one element,
+which names its element without slices; files whose one-element bases
+carry full slices also load.
 Queries are space-separated strictly increasing element indices; an
 empty line is the empty query.  Multiset codes store alpha 0: their cap
 is chosen at encode/readout time.
 
 Parsing is strict: version, header shape, a power-of-two n (any n >= 2
-in random mode), offsets, and index order are all checked, and errors
-name the offending line.  parse(serialize(c)) reproduces the code
-exactly; equal query lines parse to one shared set.
+in random mode), offsets, slice counts and index order are all checked,
+and errors name the offending line.  parse(serialize(c)) reproduces the
+code exactly; equal query lines parse to one shared set.
 """
 
 from __future__ import annotations
 
+from .balanced import id_bits
 from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM
 from .code import Block, Code
 from .model import Query, check_universe
@@ -85,6 +89,8 @@ def code_from_text(text: str) -> Code:
     if mode not in _MODES:
         raise FormatError(f"line 5: unknown mode {mode!r}")
     block_count = _header_int(lines, 5, "blocks")
+    if mode == MODE_RANDOM and block_count:
+        raise FormatError("line 6: random-mode codes carry no blocks")
     if n < 2:
         raise FormatError(f"line 2: universe size must be >= 2, got {n}")
     if mode != MODE_RANDOM:
@@ -139,6 +145,7 @@ def code_from_text(text: str) -> Code:
         parsed[raw] = frozenset(elements)
         queries.append(parsed[raw])
     m = len(queries)
+    width = id_bits(n) if blocks else 0
     expected_next = 0
     for i, blk in enumerate(blocks):
         lineno = header_len + i
@@ -148,6 +155,15 @@ def code_from_text(text: str) -> Code:
             )
         if blk.slices < 0 or blk.base + blk.slices + 1 > m:
             raise FormatError(f"line {lineno + 1}: block extends past the last query")
+        if blk.slices not in (0, width):
+            raise FormatError(
+                f"line {lineno + 1}: block has {blk.slices} slices, "
+                f"expected 0 or {width} (2*log2 n)"
+            )
+        if not blk.slices and len(queries[blk.base]) > 1:
+            raise FormatError(
+                f"line {lineno + 1}: a 0-slice block's base has more than one element"
+            )
         expected_next = blk.base + blk.slices + 1
     if blocks and expected_next != m:
         raise FormatError(

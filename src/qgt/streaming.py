@@ -11,11 +11,12 @@ code capacity and the readout cap.
 Counters are exact rather than capped because deletions are impossible
 under capped counters; the cap belongs to the readout, not the state.
 Deleting an element that is absent would drive some counter negative
-whenever the code contains a fine-grained query for it (the bottom
-selector level at these scales is the singleton family); such deletes
-are rejected and leave the sketch untouched.  The structure keeps no
-shadow copy of the multiset, so a delete that no counter can witness is
-the caller's contract to avoid.
+whenever the code contains a fine-grained query for it; at every n this
+package builds, a multiset code is exactly the n singleton queries, so
+each element has its own counter and every update touches that one
+counter.  Such deletes are rejected and leave the sketch untouched.
+The structure keeps no shadow copy of the multiset, so a delete that no
+counter can witness is the caller's contract to avoid.
 
 The graph maintainer reuses the sketch over the edge universe of an
 nu-node graph, with edges numbered row-major: (1,2), (1,3), ...,

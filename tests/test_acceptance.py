@@ -35,7 +35,7 @@ GRID = [
 
 # Documented scaling-report constant (README): measured m / lower bound
 # stayed below this on the n = 2^10 grid.
-REPORTED_RATIO_BOUND = 2048
+REPORTED_RATIO_BOUND = 1400
 
 
 def _report(name: str, started: float, limit: float | None = None) -> None:

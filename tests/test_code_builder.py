@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import pytest
 
@@ -12,6 +13,7 @@ from qgt.code import (
     choose_mode,
     enhance,
 )
+from qgt.model import singletons
 from qgt.serialize import code_to_text
 
 
@@ -56,10 +58,18 @@ def test_code_is_frozen():
 
 
 def test_block_arity():
-    code = build_code(16, 2, 2)
-    width = id_bits(16)
-    assert len(code.queries) == len(code.blocks) * (1 + width)
-    assert all(blk.slices == width for blk in code.blocks)
+    # Reed-Solomon tables: empty and one-element bases at n = 16,
+    # one- and two-element bases at n = 32
+    sizes = set()
+    for n in (16, 32):
+        code = build_code(n, 2, 2)
+        width = id_bits(n)
+        assert len(code.queries) == sum(1 + blk.slices for blk in code.blocks)
+        for blk in code.blocks:
+            size = len(code.queries[blk.base])
+            sizes.add(size)
+            assert blk.slices == (0 if size <= 1 else width)
+    assert {0, 1, 2} <= sizes
 
 
 def test_layout_self_consistency():
@@ -76,14 +86,16 @@ def test_alpha_two_collapses_to_terminal_selector_only():
 
 
 def test_level_structure_alpha_three():
+    # the first selector level is the n singletons, which ends the code:
+    # no further level and no strong selector could decode anything more
     code = build_code(32, 3, 3)
-    kinds = [blk.kind for blk in code.blocks]
-    assert kinds[0] == "sui"
-    assert kinds[-1] == "ssui"
+    assert {(blk.kind, blk.level) for blk in code.blocks} == {("sui", 4)}
+    assert code.queries == singletons(32)
+    assert all(blk.slices == 0 for blk in code.blocks)
 
 
 def test_duplicate_levels_emitted_once():
-    # at n=1024 every selector level is the same singleton family
+    # at n=1024 the first selector level is the singleton family
     code = build_code(1024, 4, 4)
     sui_levels = {blk.level for blk in code.blocks if blk.kind == "sui"}
     assert len(sui_levels) == 1
@@ -171,10 +183,39 @@ def test_k_one_builds_and_decodes():
     from qgt.decode import decode
 
     code = build_code(16, 1, 3)
-    kinds = [blk.kind for blk in code.blocks]
-    assert kinds[0] == "sui" and kinds[-1] == "ssui"
+    assert {blk.kind for blk in code.blocks} == {"sui"}
+    assert code.queries == singletons(16)
     for v in range(1, 17):
         assert decode(code, code.feedback([v])) == {v: 1}
+
+
+def test_full_singleton_level_builds_no_discarded_levels(monkeypatch):
+    import qgt.code
+
+    calls = []
+    build_sui = qgt.code.build_sui
+
+    def counting_build_sui(*args, **kwargs):
+        calls.append(args)
+        return build_sui(*args, **kwargs)
+
+    monkeypatch.setattr(qgt.code, "build_sui", counting_build_sui)
+    code = build_code_multiset(4096, 16)
+    assert len(calls) == 1
+    assert code.queries == singletons(4096)
+
+
+@pytest.mark.parametrize(
+    "builder, args",
+    [(build_code, (64, 4, 3)), (build_code, (64, 3, 6)), (build_code_large, (64, 16, 2)),
+     (build_code_large, (64, 16, 3)), (build_code_multiset, (64, 5))],
+)
+def test_singleton_level_codes_are_exactly_n(builder, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # large mode warns outside its regime
+        code = builder(*args)
+    assert len(code) == args[0]
+    assert code.queries == singletons(args[0])
 
 
 def test_multiset_feedback_uncapped_by_default():

@@ -128,16 +128,22 @@ def test_multiset_weighted_subtraction_across_blocks():
 
 
 def test_fat_query_roundtrip_sampled():
-    # q < n here, so terminal-selector queries hold several elements and the
-    # decoder actually exercises interference subtraction
+    # q < n here, so terminal-selector queries hold several elements; read
+    # under cap 3, a base holding two hidden elements reads a trusted 2,
+    # which the decoder must explain by subtracting decoded elements
+    import dataclasses
     import random
 
-    code = build_code(256, 4, 3)
+    code = dataclasses.replace(build_code(256, 4, 2), alpha=3)
     assert any(len(code.queries[b.base]) > 1 for b in code.blocks)
     rng = random.Random(11)
+    trusted_twos = 0
     for _ in range(300):
         combo = rng.sample(range(1, 257), rng.randint(0, 4))
-        assert decode(code, code.feedback(combo)) == {v: 1 for v in combo}
+        fv = code.feedback(combo)
+        trusted_twos += sum(fv[b.base] == 2 for b in code.blocks)
+        assert decode(code, fv) == {v: 1 for v in combo}
+    assert trusted_twos > 0
 
 
 def test_fat_query_roundtrip_alpha_two_sampled():

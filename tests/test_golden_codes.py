@@ -2,7 +2,11 @@
 
 Any change to construction, slicing or serialization that alters a
 single byte of a built code shows up here.  The hashes were recorded
-with the per-element slicing that the slice table replaced.
+after one-element bases dropped their slices and assembly began to
+stop at the first full singleton level; plain (1024, 4, 2), a
+Reed-Solomon table with no base of fewer than two elements, kept its
+earlier hash.  The output must not depend on set iteration order, so
+the hashes hold under any PYTHONHASHSEED.
 """
 
 import hashlib
@@ -17,23 +21,27 @@ BUILDERS = {"plain": build_code, "large": build_code_large, "multiset": build_co
 
 GOLDEN = [
     ("plain", (1024, 4, 2), "575bf14edc709c6e648082919b1ee4503259195802260e106e6b6017652292b9"),
-    ("plain", (1024, 16, 4), "31e67bd342908e4f32e09d5df039cd742241cb2da6deb89f643fd8cbdad98332"),
-    ("multiset", (1024, 8), "9a232825f27ac6d0daed442a0de66f883e8e139cac82e83e8cd228214f0d6d1c"),
-    ("large", (1024, 32, 2), "92b174e708786f1a1b8ffd7ee688b5bc2d482d585b2f16b7739e526853fec150"),
-    ("plain", (64, 4, 3), "25fe0b5c14a554df4ea8adced195e66f4a4f5286fbe422cd2f184f320ae01e26"),
-    ("large", (64, 16, 2), "501358b11900ec98c60aab0a3ff023ce6968d469199406d5d58240e41186cc99"),
-    ("multiset", (4096, 16), "73eb482fe18d7277d5b7a4a7cc9609e57c4264d9eb8778cc21726b37ecfdbc5f"),
-    # Each branch of the shared level loop; recorded before the three
-    # builders became one loop.
-    # cap > kappa: the strong selector sits at level 1
-    ("plain", (64, 3, 6), "fec83830b2026de833626247e4051963e9b92793e280d8bb5e5b975d91e3b651"),
+    ("plain", (1024, 16, 4), "fcd3186950b199946ed0c688297cd77d07fb47b372f5edc9ed0128fbe2a6a729"),
+    ("multiset", (1024, 8), "c97262e573f4c6951d3aa11d861b401c12a0927525502a7e18bb72a25319a7de"),
+    ("large", (1024, 32, 2), "575a8584321af3cb1132e16a8e2f1918f6c523dfe57d01a5097f6cb8a2548117"),
+    ("plain", (64, 4, 3), "b8c4ade73825d573265104b5b4828b3e9305ab1265ac2193fc418153443d49b7"),
+    ("large", (64, 16, 2), "070e27fb4b7b9aee86032946cab0cc8c4ce8b721846a32e4f4cbb07abf04c68d"),
+    ("multiset", (4096, 16), "34ed610b057f35b5ac42ca29ee5fd02c4520aa4655b66e87932ad797f75f2963"),
+    # One row per parameter branch of the shared level loop; at n = 64
+    # each code ends at its first level, the singletons.
+    # cap > kappa: a strong selector would sit at level 1
+    ("plain", (64, 3, 6), "3135b7346dbc6f073c23c50fadda90c607d1140b23970809a91ae9c5b6ddcc80"),
     # k not a power of two
-    ("plain", (64, 5, 3), "057632c957db57775a23b3fa0199d3c793a91360b1044ed18e68a7cd955aca73"),
+    ("plain", (64, 5, 3), "4d8bde29f2395436f1f65c495a5ab0ae07b32c1d65d04d247cda39604cdaa0c6"),
     # cap > kappa: no chunked levels
-    ("large", (64, 4, 7), "1342c48dab5db05dd74d4cfb8cb9f80f8d30367e372cf9e77225ff81cda08dcc"),
+    ("large", (64, 4, 7), "84d1e6cea7af557952460e205b2b1107039dc49df3ea9b6d7b5f3d7facbd5f55"),
     # selector levels, then chunked levels
-    ("large", (64, 16, 3), "d1764531e6685eba775e6b722c72c4c61e3f7cd5771a5293623ac71606ae66a6"),
-    ("multiset", (64, 5), "94aa85229137ec9cbfba26cea7da55e537a8851108cfcc5728d579eaf897fae4"),
+    ("large", (64, 16, 3), "8f625da4b8ce6c5b2a776561bf82a252eafdbd714848c210b08f0daa3b555c2a"),
+    ("multiset", (64, 5), "2f2710f304847896ccab98d615e356b0fdceaaa351839037cd95c7635bfe0549"),
+    # Reed-Solomon tables with bare bases: empty and one-element (n = 16),
+    # one-element beside two-element (n = 32)
+    ("plain", (16, 2, 2), "8982befe9af2bad86553d659f543d17305d586358a4b75f0eae69c92cc2599fb"),
+    ("plain", (32, 2, 2), "92918d5fbb1f4eea48a4f2452a357590f1dcc92f0538a41913daff8f165d26e2"),
 ]
 
 

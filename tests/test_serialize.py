@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from qgt.code import Code, build_code, build_code_large, build_code_multiset
+from qgt.decode import decode
 from qgt.serialize import (
     FormatError,
     code_from_text,
@@ -120,6 +123,48 @@ def test_block_overrun_rejected():
     text = "qgtc 1\nn 8\nk 1\nalpha 2\nmode plain\nblocks 1\nssui 1 1 9\n1\n\n"
     with pytest.raises(FormatError, match="past the last query"):
         code_from_text(text)
+
+
+def test_slice_count_other_than_zero_or_width_names_the_line():
+    # n = 8: a block carries 0 or 2*log2(8) = 6 slices
+    text = "qgtc 1\nn 8\nk 1\nalpha 2\nmode plain\nblocks 2\nssui 1 1 0\nssui 1 2 3\n1\n2\n\n2\n2\n"
+    with pytest.raises(FormatError, match="line 8: block has 3 slices, expected 0 or 6"):
+        code_from_text(text)
+
+
+def test_zero_slice_block_on_a_fat_base_names_the_line():
+    text = "qgtc 1\nn 8\nk 1\nalpha 2\nmode plain\nblocks 2\nssui 1 1 0\nssui 1 2 0\n1\n2 3\n"
+    with pytest.raises(FormatError, match="line 8: a 0-slice block's base has more than one"):
+        code_from_text(text)
+
+
+def test_random_mode_blocks_rejected():
+    text = "qgtc 1\nn 12\nk 1\nalpha 2\nmode random\nblocks 1\nsui 1 1 0\n1\n"
+    with pytest.raises(FormatError, match="line 6: random-mode codes carry no blocks"):
+        code_from_text(text)
+
+
+# build_code_multiset(4, 2) as written before one-element bases dropped
+# their slices: four singleton blocks with 2*log2(4) = 4 slices each.
+FULL_SLICE_SINGLETONS = (
+    "qgtc 1\nn 4\nk 2\nalpha 0\nmode multiset\nblocks 4\n"
+    "sui 2 1 4\nsui 2 6 4\nsui 2 11 4\nsui 2 16 4\n"
+    "1\n1\n1\n\n\n2\n\n2\n2\n\n3\n3\n\n\n3\n4\n\n\n4\n4\n"
+)
+
+
+def test_full_slice_singleton_file_still_loads_and_decodes():
+    old = code_from_text(FULL_SLICE_SINGLETONS)
+    assert len(old) == 20 and all(blk.slices == 4 for blk in old.blocks)
+    new = build_code_multiset(4, 2)
+    assert len(new) == 4 and all(blk.slices == 0 for blk in new.blocks)
+    for total in range(3):
+        for combo in itertools.combinations_with_replacement(range(1, 5), total):
+            hidden: dict[int, int] = {}
+            for v in combo:
+                hidden[v] = hidden.get(v, 0) + 1
+            assert decode(old, old.feedback(hidden)) == hidden
+            assert decode(new, new.feedback(hidden)) == hidden
 
 
 def test_unknown_block_kind_rejected():

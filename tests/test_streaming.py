@@ -48,6 +48,23 @@ def test_delete_absent_element_rejected_and_state_unchanged():
     assert sketch.counters == snapshot
 
 
+@pytest.mark.parametrize(
+    "code",
+    [build_code_multiset(64, 4), build_code_multiset(4096, 16), GraphSketch(64, 3).sketch.code],
+    ids=["multiset-64-4", "multiset-4096-16", "graph-64-3"],
+)
+def test_every_element_witnesses_its_own_delete(code):
+    # A delete of an absent element is caught only through a query that
+    # holds that element alone; pin that every element has one.
+    queries = set(code.queries)
+    assert all(frozenset({v}) in queries for v in range(1, code.n + 1))
+    sketch = StreamSketch(code)
+    for v in range(1, code.n + 1):
+        with pytest.raises(ValueError, match="absent"):
+            sketch.delete(v)
+    assert sketch.counters == [0] * len(code) and sketch.total_multiplicity == 0
+
+
 def test_reconstruct_empty():
     assert _sketch().reconstruct() == {}
 
