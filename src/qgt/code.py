@@ -1,4 +1,4 @@
-"""Group-testing code assembly: layered selector families with balanced-ID slices.
+"""Group-testing code assembly: one selector family with balanced-ID slices.
 
 A code is a flat sequence of queries plus a block layout.  Every block
 is one selector query S followed by its 2*log2(n) bit slices R_1(S) ..
@@ -9,30 +9,26 @@ selector level it came from, where its base query sits and its slice
 count (0 or 2*log2(n)).  The decoder needs the layout; the feedback
 model does not.
 
-Every mode is built by one level loop, ``_assemble``.  With kappa the
-next power of two of k and cap the interference cap (``level_params``),
-selector levels run at ell = kappa, kappa/2, ... while ell >= 1 and
-ell*cap > kappa, each an (n, ell, 1/2, kappa, cap) selector under
-interference.  The modes differ only in what follows:
+Every mode is built by ``_assemble`` as one selector family at level
+kappa, the next power of two of k, with the interference cap from
+``level_params``:
 
-* plain adds one Reed-Solomon strong selector at level max(1, ell),
-  sized to where the loop stopped;
-* large adds chunked selector levels for the remaining ell down to 1;
-* multiset adds nothing: its cap kappa + 1 never binds, so the loop
-  itself already ran down to ell = 1.
+* cap > 1 (plain and large with alpha >= 3, and every multiset code,
+  whose cap kappa + 1 never binds): the (n, kappa, 1/2, kappa, cap)
+  selector under interference, kind "sui";
+* cap = 1 in plain mode: the Reed-Solomon strong selector
+  (n, kappa, kappa, 1), kind "ssui";
+* cap = 1 in large mode: the chunked selector (n, kappa, 1/2, kappa, 1),
+  kind "rr".
 
-Large mode needs no separate switch level.  Every ell is a power of
-two, so ell*cap > kappa holds exactly above the largest power of two at
-most kappa/cap, which is where chunked levels begin; when cap > kappa no
-such power exists and every level is a plain selector level.  Selector
-and chunked levels are seeded seed*1009 + index, counted across both.
-
-Assembly stops after the first family in which every element has a
-query of its own (at every n this package builds, the first selector
-level is the n singletons).  That family isolates every element with
-zero interference, so no later level, strong selector or chunked level
-could decode anything more; plain alpha >= 3, large and multiset codes
-are then exactly n queries.
+The paper stacks levels ell = k, k/2, ... and ends with a strong
+selector or chunked levels.  Here the first level already is the n
+singletons whenever it is a selector under interference (see the
+``sui`` module for why, at every n a code can be built for), and a
+family in which every element has a query of its own isolates every
+element with zero interference, so no later level could decode
+anything more.  Plain alpha >= 3, large and multiset codes are exactly
+n queries; plain alpha = 2 codes are the strong selector alone.
 """
 
 from __future__ import annotations
@@ -45,8 +41,8 @@ from math import log2
 from .balanced import bit_slices, id_bits
 from .model import Query, as_multiset, check_cap, check_capacity, check_universe, next_power_of_two
 from .model import incidence as _incidence
-from .ssui import SSuIFamily, build_ssui
-from .sui import SuIFamily, build_sui, build_sui_rr
+from .ssui import build_ssui
+from .sui import build_sui, build_sui_rr
 
 KIND_SUI = "sui"
 KIND_RR = "rr"
@@ -103,13 +99,9 @@ class Code:
         return tuple(tuple(g) for g in groups)
 
     @cached_property
-    def base_to_group(self) -> dict[int, tuple[int, Block]]:
-        """base query index -> (group index, block)."""
-        out: dict[int, tuple[int, Block]] = {}
-        for gi, group in enumerate(self.block_groups):
-            for blk in group:
-                out[blk.base] = (gi, blk)
-        return out
+    def base_block(self) -> dict[int, Block]:
+        """base query index -> its block."""
+        return {blk.base: blk for blk in self.blocks}
 
     @property
     def occurrence_max(self) -> int:
@@ -173,53 +165,44 @@ def level_params(k: int, alpha: int) -> tuple[int, int]:
     return kappa, (alpha - 1 if alpha >= 2 else kappa + 1)
 
 
-def _assemble(n: int, k: int, alpha: int, mode: str, seed: int) -> Code:
-    """The level loop every mode shares, then the mode's tail (module docstring)."""
+def _assemble(n: int, k: int, alpha: int, mode: str) -> Code:
+    """The one selector family of a code, as blocks (module docstring)."""
     kappa, cap = level_params(k, alpha)
+    if cap > 1:
+        kind, family = KIND_SUI, build_sui(n, kappa, 0.5, kappa, cap)
+    elif mode == MODE_PLAIN:
+        kind, family = KIND_SSUI, build_ssui(n, kappa, kappa, 1)
+    else:
+        kind, family = KIND_RR, build_sui_rr(n, kappa, 0.5, kappa, 1)
     width = id_bits(n)
     queries: list[Query] = []
     blocks: list[Block] = []
-
-    def emit(kind: str, level: int, family: SSuIFamily | SuIFamily) -> bool:
-        """Append the family's blocks; True once every element has a query of its own."""
-        alone: set[int] = set()
-        for s in family.queries:
-            if len(s) > 1:
-                blocks.append(Block(kind, level, len(queries), width))
-                queries.extend(enhance(s, n))
-            else:
-                blocks.append(Block(kind, level, len(queries), 0))
-                queries.append(s)
-                alone.update(s)
-        return len(alone) == n
-
-    ell, index = kappa, 0
-    while ell >= 1 and ell * cap > kappa:  # ell > kappa/cap, exactly
-        if emit(KIND_SUI, ell, build_sui(n, ell, 0.5, kappa, cap, seed=seed * 1009 + index)):
-            return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
-        ell, index = ell // 2, index + 1
-    if mode == MODE_PLAIN:
-        emit(KIND_SSUI, max(1, ell), build_ssui(n, max(1, ell), kappa, cap))
-    elif mode == MODE_LARGE:
-        while ell >= 1:
-            if emit(KIND_RR, ell, build_sui_rr(n, ell, 0.5, kappa, cap, seed=seed * 1009 + index)):
-                break
-            ell, index = ell // 2, index + 1
+    for s in family.queries:
+        if len(s) > 1:
+            blocks.append(Block(kind, kappa, len(queries), width))
+            queries.extend(enhance(s, n))
+        else:
+            blocks.append(Block(kind, kappa, len(queries), 0))
+            queries.append(s)
     return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
 
 
 def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
-    """Plain-mode code: selector levels plus a terminal strong selector."""
+    """Plain-mode code: the n singletons, or the strong selector at alpha = 2.
+
+    ``seed`` changes no byte of the code: no family a code is built from
+    draws anything at random.
+    """
     _check_build_params(n, k, alpha)
-    return _assemble(n, k, alpha, MODE_PLAIN, seed)
+    return _assemble(n, k, alpha, MODE_PLAIN)
 
 
 def build_code_large(n: int, k: int, alpha: int, seed: int = 0) -> Code:
-    """Large-k code: selector levels, then chunked selector levels down to 1.
+    """Large-k code: the n singletons, as a selector or chunked selector level.
 
     Intended for (k/alpha)^2 > n/alpha; outside that regime the plain
     construction is usually shorter, so a warning is emitted (the build
-    still proceeds).
+    still proceeds).  ``seed`` changes no byte of the code.
     """
     _check_build_params(n, k, alpha)
     if (k / alpha) ** 2 <= n / alpha:
@@ -228,19 +211,20 @@ def build_code_large(n: int, k: int, alpha: int, seed: int = 0) -> Code:
             f"<= n/alpha = {n / alpha:.3g}",
             stacklevel=2,
         )
-    return _assemble(n, k, alpha, MODE_LARGE, seed)
+    return _assemble(n, k, alpha, MODE_LARGE)
 
 
 def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
-    """Multiset code: selector levels down to 1 (or to a full singleton level), no tail.
+    """Multiset code: one selector level, the n singletons.
 
     Decoding assumes the readout cap is at least the total multiplicity,
-    which makes every feedback value exact; the selectors therefore only
-    need isolation, so they are built with an interference cap that can
-    never bind (alpha 0, see level_params).
+    which makes every feedback value exact; the selector therefore only
+    needs isolation, so it is built with an interference cap that can
+    never bind (alpha 0, see level_params).  ``seed`` changes no byte of
+    the code.
     """
     _check_build_params(n, k)
-    return _assemble(n, k, 0, MODE_MULTISET, seed)
+    return _assemble(n, k, 0, MODE_MULTISET)
 
 
 def choose_mode(n: int, k: int, alpha: int) -> str:

@@ -1,10 +1,12 @@
 """Reconstruction of the hidden multiset from a feedback vector.
 
-The decoder walks the code's blocks level by level.  Within a level it
-sweeps repeatedly until no block yields a new element (a fixed point):
-a counted loop would presume the hidden set is full-size, and the fixed
-point is strictly more permissive while preserving the per-level
-invariant the construction relies on.
+The decoder sweeps every block whose base feedback is nonzero, in
+code order, until a sweep yields no new element (a fixed point); a
+counted loop would presume the hidden set is full-size.  There is no
+walk level by level: a block fires only when its base holds exactly one
+unknown element, so every firing is correct whatever fired before it,
+and one fixed point over all blocks decodes everything a fixed point per
+level would, and possibly more.
 
 A block is *good* when its base feedback is trusted and accounts for
 exactly one unit beyond the already-decoded elements inside it.  In
@@ -20,7 +22,7 @@ all invalidate the block for this sweep; it is skipped, not fatal.  A
 block with no slices has a base of at most one element, so a good one
 yields that element directly (an empty base never has a residue).
 
-After the last level the decoder re-encodes its answer and compares
+At the fixed point the decoder re-encodes its answer and compares
 against the input; any mismatch raises, so an unexplained feedback
 vector fails loudly rather than returning a wrong multiset.
 
@@ -71,42 +73,36 @@ def decode_detailed(code: Code, fv: tuple[int, ...] | list[int]) -> tuple[Multis
     acc_w: dict[int, int] = {}
     inc = code.incidence
     nonzero = list(itertools.compress(range(len(fv)), fv))
-    base_map = code.base_to_group
-    group_count = len(code.block_groups)
-    candidates: list[list[Block]] = [[] for _ in range(group_count)]
-    for idx in nonzero:
-        hit = base_map.get(idx)
-        if hit is not None:
-            candidates[hit[0]].append(hit[1])
-    for group in candidates:
-        progress = True
-        while progress and group:
-            progress = False
-            stats.sweeps += 1
-            for blk in group:
-                stats.good_checks += 1
-                base_fv = fv[blk.base]
-                if not multiset_mode and base_fv >= alpha:
-                    continue  # at the cap: the true count may be anything above it
-                residue = base_fv - acc_w.get(blk.base, 0)
-                if residue < 0:
-                    # below the cap the value is exact, so decoded weight can
-                    # never legitimately exceed it
-                    raise DecodeError("inconsistent feedback: over-explained query")
-                if residue == 0:
-                    continue
-                if not multiset_mode and residue != 1:
-                    continue
-                v = _read_block(code, blk, fv, acc_w, residue, stats)
-                if v is None or v in acc:
-                    continue
-                if not multiset_mode and len(acc) >= code.k:
-                    raise DecodeError(f"decoded more than k={code.k} elements")
-                acc[v] = residue
-                for idx in inc[v]:
-                    acc_w[idx] = acc_w.get(idx, 0) + residue
-                stats.decoded += 1
-                progress = True
+    base_block = code.base_block
+    candidates = [base_block[idx] for idx in nonzero if idx in base_block]
+    progress = True
+    while progress and candidates:
+        progress = False
+        stats.sweeps += 1
+        for blk in candidates:
+            stats.good_checks += 1
+            base_fv = fv[blk.base]
+            if not multiset_mode and base_fv >= alpha:
+                continue  # at the cap: the true count may be anything above it
+            residue = base_fv - acc_w.get(blk.base, 0)
+            if residue < 0:
+                # below the cap the value is exact, so decoded weight can
+                # never legitimately exceed it
+                raise DecodeError("inconsistent feedback: over-explained query")
+            if residue == 0:
+                continue
+            if not multiset_mode and residue != 1:
+                continue
+            v = _read_block(code, blk, fv, acc_w, residue, stats)
+            if v is None or v in acc:
+                continue
+            if not multiset_mode and len(acc) >= code.k:
+                raise DecodeError(f"decoded more than k={code.k} elements")
+            acc[v] = residue
+            for idx in inc[v]:
+                acc_w[idx] = acc_w.get(idx, 0) + residue
+            stats.decoded += 1
+            progress = True
     _check_consistency(code, fv, acc, acc_w, nonzero)
     return dict(sorted(acc.items())), stats
 

@@ -124,7 +124,7 @@ class GraphSketch:
     ``capacity`` bounds the number of live edges the reconstruction
     supports; it defaults to k*nu/2, the most a max-degree-k graph can
     hold.  Callers maintain the degree bound; the sketch only sees edge
-    updates.
+    updates.  ``seed`` changes no byte of the sketch's code.
     """
 
     def __init__(self, nodes: int, k: int, capacity: int | None = None, seed: int = 0) -> None:
@@ -137,7 +137,7 @@ class GraphSketch:
             capacity = max(1, k * nodes // 2)
         self.capacity = min(capacity, self.edge_universe)
         code_n = next_power_of_two(max(2, self.edge_universe))
-        code = build_code_multiset(code_n, self.capacity, seed=seed)
+        code = build_code_multiset(code_n, self.capacity)
         self.sketch = StreamSketch(code)
 
     def add_edge(self, u: int, v: int) -> int:

@@ -1,4 +1,4 @@
-"""Selectors under interference: disperser-composed families and the chunked variant.
+"""Selectors under interference: the singleton family, the composition and the chunked variant.
 
 An (n, ell, epsilon, kappa, alpha) selector under interference
 guarantees that for every K1 of at most ell elements and every K2 of at
@@ -6,27 +6,21 @@ most kappa, fewer than epsilon*ell elements of K1 miss out on a query
 that contains them alone from K1 with interference from K2 (not
 counting the element itself) below alpha.
 
-Two routes build one:
+The paper builds one with `compose`: each query of a width-2*delta
+strong selector intersected with each right-node neighborhood of a
+verified disperser (right-node major order, selector order within).
+Empty intersections are kept, so the family has m*|W| queries for a
+strong selector of m queries and |W| >= 1 right nodes.
 
-* If the n singleton queries are no longer than the composed family,
-  use them; they select everything with zero interference.
-* Otherwise `compose` intersects each query of a width-2*delta strong
-  selector with each right-node neighborhood of a verified disperser
-  (right-node major order, selector order within).  Empty intersections
-  are kept so family length is a predictable function of the parts.
-
-At the default sizing (degree ceil(log2(n)^2), delta ceil(log2(n)^3))
-the strong selector of width 2*delta is the n singletons at every
-n = 2^8 .. 2^20, so the composed length m*|W| is never below n and
-`build_sui` returns singletons at every n this package can build.  No
-other sizing helps below n = 2^12 either: the shortest even-width
-Reed-Solomon table is not below n up to n = 2^11.  At n = 2^12 a
-composition beats n only with |W| = 1, which is the bare width-2 strong
-selector (2,809 queries) rather than a disperser composition; at
-n = 2^13 .. 2^16 the width-2 table leaves room for |W| <= 2, 4, 8, 14,
-and its delta = 1 caps ell_star*degree at |W|.  The composed branch is
-kept for the paper's asymptotic regime; tests reach it through
-`compose` directly.
+`build_sui` returns the n singletons instead; they select everything
+with zero interference.  At the default sizing (delta ceil(log2(n)^3))
+the width-2*delta Reed-Solomon table is first shorter than n at
+n = 2^39, where it has q^2 = 711,829^2 = 506,700,525,241 queries; at
+every n = 2^1 .. 2^38 the strong selector, and so any composition with
+it, has at least n queries.  No universe a code is built for comes near
+2^39, so the composition is not on the build path.  `compose`,
+`disperser.build_disperser` and `disperser.verify_dispersion` stay as
+library constructions, checked at tiny n.
 
 The chunked variant covers the regime ell <= kappa/alpha: build the
 selector for width kappa/alpha, then split every query into
@@ -38,17 +32,10 @@ is small enough that its feedback can never be capped away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
-from . import ssui as _ssui
-from .disperser import (
-    BipartiteGraph,
-    DisperserParams,
-    build_disperser,
-    default_degree,
-    default_delta,
-    right_size,
-)
+# build_disperser is not called here; perfbench/tracer.py wraps it as qgt.sui.build_disperser.
+from .disperser import BipartiteGraph
+from .disperser import build_disperser as build_disperser
 from .model import Query, singletons
 from .ssui import check_selector_params, max_unselected_count
 
@@ -61,8 +48,7 @@ class SuIFamily:
     epsilon: float
     kappa: int
     alpha: int
-    provenance: str  # "singleton" | "disperser-composed" | "alpha-chunked"
-    disperser_attempts: int = 0
+    provenance: str  # "singleton" | "alpha-chunked"
 
 
 @dataclass(frozen=True)
@@ -95,32 +81,18 @@ def compose(strong: tuple[Query, ...], graph: BipartiteGraph) -> tuple[Query, ..
 def build_sui(
     n: int, ell: int, epsilon: float, kappa: int, alpha: int, *, seed: int = 0
 ) -> SuIFamily:
-    """Build a selector under interference.
+    """Build a selector under interference: the n singletons (module docstring).
 
     Admissibility requires alpha*ell >= kappa (the boundary case is
-    what the chunked builder composes through).  The disperser has the
-    default sizing (default_degree(n), default_delta(n)) and is drawn
-    from ``seed``; the n singletons are returned whenever they are no
-    longer than the composed family.
+    what the chunked builder composes through).  ``seed`` changes no
+    byte of the family.
     """
     _check_params(n, ell, epsilon, kappa, alpha)
     if alpha * ell < kappa:
         raise ValueError(
             f"inadmissible selector parameters: alpha*ell = {alpha * ell} < kappa = {kappa}"
         )
-    params = DisperserParams(ell_star=max(1, ceil(epsilon * ell)), epsilon=epsilon, seed=seed)
-    delta = default_delta(n)
-    strong = _ssui.strong_selector(n, 2 * delta)
-    if n <= len(strong) * right_size(params.ell_star, default_degree(n), delta):
-        # The composed family would have m*|W| queries; n singletons are no
-        # longer than that and select everything with zero interference.
-        # A strong selector of length n is the singletons themselves: a
-        # Reed-Solomon table has q^2 queries, q an odd prime, never a power of two.
-        queries = strong if len(strong) == n else singletons(n)
-        return SuIFamily(queries, n, ell, epsilon, kappa, alpha, "singleton", 0)
-    graph = build_disperser(n, params)
-    queries = compose(strong, graph)
-    return SuIFamily(queries, n, ell, epsilon, kappa, alpha, "disperser-composed", graph.attempts)
+    return SuIFamily(singletons(n), n, ell, epsilon, kappa, alpha, "singleton")
 
 
 def chunk_query(s: Query, size: int) -> list[Query]:
@@ -131,9 +103,7 @@ def chunk_query(s: Query, size: int) -> list[Query]:
     return [frozenset(ordered[i : i + size]) for i in range(0, len(ordered), size)]
 
 
-def build_sui_rr(
-    n: int, ell: int, epsilon: float, kappa: int, alpha: int, *, seed: int = 0
-) -> SuIFamily:
+def build_sui_rr(n: int, ell: int, epsilon: float, kappa: int, alpha: int) -> SuIFamily:
     """Chunked selector for the ell <= kappa/alpha regime; all queries have <= alpha elements."""
     _check_params(n, ell, epsilon, kappa, alpha)
     if alpha * ell > kappa:
@@ -142,13 +112,11 @@ def build_sui_rr(
             f"kappa = {kappa} (use build_sui)"
         )
     inner_ell = max(1, -(-kappa // alpha))
-    base = build_sui(n, inner_ell, epsilon, kappa, alpha, seed=seed)
+    base = build_sui(n, inner_ell, epsilon, kappa, alpha)
     chunked: list[Query] = []
     for s in base.queries:
         chunked.extend(chunk_query(s, alpha))
-    return SuIFamily(
-        tuple(chunked), n, ell, epsilon, kappa, alpha, "alpha-chunked", base.disperser_attempts
-    )
+    return SuIFamily(tuple(chunked), n, ell, epsilon, kappa, alpha, "alpha-chunked")
 
 
 def verify_sui(

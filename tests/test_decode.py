@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
+from qgt.bounds import verify_uniqueness
 from qgt.code import Block, Code, build_code, build_code_large, build_code_multiset, enhance
 from qgt.decode import DecodeError, decode, decode_detailed
 from qgt.disperser import DisperserParams, build_disperser
+from qgt.serialize import code_from_text, code_to_text
 from qgt.sui import compose
 
 
@@ -70,6 +72,21 @@ def test_pair_resolved_by_second_block():
     code = _synthetic_code([{1, 2}, {2}], 8, 2, 3)
     fv = code.feedback([1, 2])
     assert decode(code, fv) == {1: 1, 2: 1}
+
+
+def test_decoding_does_not_depend_on_group_order():
+    # {1, 2} is ambiguous alone and sits in the first block group; the
+    # second group's bare {1} pins 1 down, after which {1, 2} yields 2
+    n, k, alpha = 2, 2, 3
+    queries = (*enhance(frozenset({1, 2}), n), frozenset({1}))
+    blocks = (Block("sui", 2, 0, 2), Block("ssui", 1, 3, 0))
+    code = Code(queries, blocks, n, k, alpha, "plain")
+    assert len(code.block_groups) == 2
+    assert verify_uniqueness(code.queries, n, k, alpha)
+    assert code_from_text(code_to_text(code)) == code
+    for size in range(k + 1):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            assert decode(code, code.feedback(combo)) == {v: 1 for v in combo}, combo
 
 
 def test_fv_length_mismatch():

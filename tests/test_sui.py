@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from qgt.disperser import DisperserParams, build_disperser
+from qgt.disperser import DisperserParams, build_disperser, default_delta
+from qgt.model import singletons
+from qgt.ssui import _C, _degree_bound, smallest_admissible_prime
 from qgt.sui import (
     SuIFamily,
     build_sui,
@@ -121,27 +123,42 @@ def test_occurrence_total_chunk_invariant():
 
 @pytest.mark.parametrize("n", [2**e for e in range(1, 17)])
 def test_default_sizing_always_takes_the_singleton_shortcut(n):
-    # the composed branch never runs at any n a code can be built for
+    # the composition is never shorter at these n (next test), so every
+    # selector under interference is the n singletons
     for ell in (1, 2, 4, 8, 16):
         if ell <= n:
-            assert build_sui(n, ell, 0.5, ell, 1).provenance == "singleton", (n, ell)
+            fam = build_sui(n, ell, 0.5, ell, 1)
+            assert fam.provenance == "singleton", (n, ell)
+            assert fam.queries == singletons(n), (n, ell)
 
 
-def test_singleton_shortcut_reuses_the_strong_selectors_tuple(monkeypatch):
-    # At default sizing the width-2*delta strong selector is the n singletons;
-    # the shortcut hands that tuple on instead of building the singletons again.
+def _default_table_length(n):
+    """Queries in the width-2*default_delta(n) Reed-Solomon table, from its closed form."""
+    width = 2 * default_delta(n)
+    q = smallest_admissible_prime(width, _degree_bound(width, n), _C, n)
+    return q * q
+
+
+def test_default_strong_selector_is_first_shorter_than_n_at_2_39():
+    # A composition has len(strong) * |W| >= len(strong) queries, so below
+    # 2^39 it is never shorter than the n singletons build_sui returns.
+    for e in range(1, 39):
+        assert _default_table_length(2**e) >= 2**e, e
+    assert _default_table_length(2**39) == 506_700_525_241 < 2**39
+
+
+def test_build_sui_builds_no_strong_selector_or_disperser(monkeypatch):
+    import qgt.disperser
     import qgt.ssui
+    import qgt.sui
 
-    original = qgt.ssui.strong_selector
-    returned = []
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_sui left the singleton family")
 
-    def recording(n, width):
-        returned.append(original(n, width))
-        return returned[-1]
-
-    monkeypatch.setattr(qgt.ssui, "strong_selector", recording)
+    monkeypatch.setattr(qgt.ssui, "strong_selector", refuse)
+    monkeypatch.setattr(qgt.disperser, "build_disperser", refuse)
+    monkeypatch.setattr(qgt.sui, "build_disperser", refuse)
+    monkeypatch.setattr(qgt.sui, "compose", refuse)
     fam = build_sui(1024, 16, 0.5, 16, 3)
-    assert len(returned) == 1
-    assert fam.queries is returned[0]
     assert fam.provenance == "singleton"
     assert fam.queries == tuple(frozenset({v}) for v in range(1, 1025))
