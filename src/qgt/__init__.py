@@ -23,7 +23,6 @@ from .code import (
     build_code,
     build_code_large,
     build_code_multiset,
-    choose_mode,
     enhance,
 )
 from .decode import DecodeError, DecodeStats, decode, decode_detailed
@@ -92,7 +91,6 @@ __all__ = [
     "build_sui",
     "build_sui_rr",
     "capped_feedback",
-    "choose_mode",
     "code_from_text",
     "code_to_text",
     "counting_bound_holds",

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import random_code as random_mod
 from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_MULTISET, MODE_RANDOM, Code, build
-from .code import choose_mode, level_params
+from .code import MODE_PLAIN, level_params
 from .decode import DecodeError, decode_detailed
 from .model import BudgetError, multiset_total
 from .serialize import (
@@ -169,15 +169,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if len(parts) not in (3, 4):
             raise FormatError(f"grid line {lineno}: expected 'n k alpha [mode]'")
         n, k, alpha = int(parts[0]), int(parts[1]), int(parts[2])
-        mode = parts[3] if len(parts) == 4 else "auto"
+        mode = parts[3] if len(parts) == 4 else MODE_PLAIN
         print(bench_row(n, k, alpha, mode, seed=args.seed))
     return EXIT_OK
 
 
-def bench_row(n: int, k: int, alpha: int, mode: str = "auto", seed: int = 0) -> str:
-    resolved = choose_mode(n, k, alpha) if mode == "auto" else mode
+def bench_row(n: int, k: int, alpha: int, mode: str = MODE_PLAIN, seed: int = 0) -> str:
     start = time.monotonic()
-    code = build(n, k, alpha, mode=resolved)
+    code = build(n, k, alpha, mode=mode)
     build_ms = (time.monotonic() - start) * 1000
     report = bounds_mod.lower_bound(n, k, alpha, measured_m=len(code.queries))
     rng = random.Random(seed)
@@ -186,7 +185,7 @@ def bench_row(n: int, k: int, alpha: int, mode: str = "auto", seed: int = 0) -> 
     _, stats = decode_detailed(code, fv)
     ratio = report.ratio if report.ratio is not None else 0.0
     return (
-        f"{n},{k},{alpha},{resolved},{len(code.queries)},{code.occurrence_max},"
+        f"{n},{k},{alpha},{mode},{len(code.queries)},{code.occurrence_max},"
         f"{report.lb_total:.3f},{ratio:.3f},{build_ms:.1f},{stats.operations}"
     )
 
@@ -233,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--alpha", type=int, required=True,
         help="feedback cap (>= 2; multiset codes ignore it: their cap is chosen at encode time)",
     )
-    p.add_argument("--mode", choices=("plain", "large", "multiset", "auto"), default="auto")
+    p.add_argument("--mode", choices=("plain", "large", "multiset"), default=MODE_PLAIN)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_build)
 

@@ -17,9 +17,17 @@ kappa, the next power of two of k, with the interference cap from
   whose cap kappa + 1 never binds): the (n, kappa, 1/2, kappa, cap)
   selector under interference, kind "sui";
 * cap = 1 in plain mode: the Reed-Solomon strong selector
-  (n, kappa, kappa, 1), kind "ssui";
+  (n, kappa, kappa, 1), kind "ssui", when its laid-out length
+  q^2 * (1 + 2*log2(n)) is below n, else the n singletons, still kind
+  "ssui": they are a strong selector for every width;
 * cap = 1 in large mode: the chunked selector (n, kappa, 1/2, kappa, 1),
   kind "rr".
+
+The plain rule is exact and builds nothing (``ssui.rs_size`` gives q):
+if n >= 2q every table base holds two or more elements, so the table is
+q^2 * (1 + 2*log2(n)) queries; if n < 2q it has q^2 > n^2/4 >= n.  The
+table first wins at n = 2^15, 2^18, 2^18, 2^19, 2^21 and 2^23 for
+kappa = 1, 2, 4, 8, 16 and 32.
 
 The paper stacks levels ell = k, k/2, ... and ends with a strong
 selector or chunked levels.  Here the first level already is the n
@@ -27,21 +35,21 @@ singletons whenever it is a selector under interference (see the
 ``sui`` module for why, at every n a code can be built for), and a
 family in which every element has a query of its own isolates every
 element with zero interference, so no later level could decode
-anything more.  Plain alpha >= 3, large and multiset codes are exactly
-n queries; plain alpha = 2 codes are the strong selector alone.
+anything more.  No code is longer than n: plain alpha >= 3, large and
+multiset codes are exactly n queries, and a plain alpha = 2 code is the
+n singletons or a shorter table.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import log2
 
 from .balanced import bit_slices, id_bits
 from .model import Query, as_multiset, check_cap, check_capacity, check_universe, next_power_of_two
 from .model import incidence as _incidence
-from .ssui import build_ssui
+from .model import singletons
+from .ssui import build_ssui, rs_size
 from .sui import build_sui, build_sui_rr
 
 KIND_SUI = "sui"
@@ -165,30 +173,44 @@ def level_params(k: int, alpha: int) -> tuple[int, int]:
     return kappa, (alpha - 1 if alpha >= 2 else kappa + 1)
 
 
+def _table_wins(n: int, kappa: int) -> bool:
+    """Whether the laid-out (n, kappa, kappa, 1) Reed-Solomon table is shorter than n."""
+    return rs_size(n, kappa, kappa, 1)[0] ** 2 * (1 + id_bits(n)) < n
+
+
 def _assemble(n: int, k: int, alpha: int, mode: str) -> Code:
     """The one selector family of a code, as blocks (module docstring)."""
     kappa, cap = level_params(k, alpha)
     if cap > 1:
-        kind, family = KIND_SUI, build_sui(n, kappa, 0.5, kappa, cap)
-    elif mode == MODE_PLAIN:
-        kind, family = KIND_SSUI, build_ssui(n, kappa, kappa, 1)
+        kind, family = KIND_SUI, build_sui(n, kappa, 0.5, kappa, cap).queries
+    elif mode == MODE_LARGE:
+        kind, family = KIND_RR, build_sui_rr(n, kappa, 0.5, kappa, 1).queries
+    elif _table_wins(n, kappa):
+        kind, family = KIND_SSUI, build_ssui(n, kappa, kappa, 1).queries
     else:
-        kind, family = KIND_RR, build_sui_rr(n, kappa, 0.5, kappa, 1)
+        kind, family = KIND_SSUI, singletons(n)
+    return _layout(family, kind, kappa, n, k, alpha, mode)
+
+
+def _layout(
+    family: tuple[Query, ...], kind: str, level: int, n: int, k: int, alpha: int, mode: str
+) -> Code:
+    """One block per query of `family`; bases of two or more elements carry slices."""
     width = id_bits(n)
     queries: list[Query] = []
     blocks: list[Block] = []
-    for s in family.queries:
+    for s in family:
         if len(s) > 1:
-            blocks.append(Block(kind, kappa, len(queries), width))
+            blocks.append(Block(kind, level, len(queries), width))
             queries.extend(enhance(s, n))
         else:
-            blocks.append(Block(kind, kappa, len(queries), 0))
+            blocks.append(Block(kind, level, len(queries), 0))
             queries.append(s)
     return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
 
 
 def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
-    """Plain-mode code: the n singletons, or the strong selector at alpha = 2.
+    """Plain-mode code: the n singletons, or a shorter strong selector at alpha = 2.
 
     ``seed`` changes no byte of the code: no family a code is built from
     draws anything at random.
@@ -200,17 +222,10 @@ def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
 def build_code_large(n: int, k: int, alpha: int, seed: int = 0) -> Code:
     """Large-k code: the n singletons, as a selector or chunked selector level.
 
-    Intended for (k/alpha)^2 > n/alpha; outside that regime the plain
-    construction is usually shorter, so a warning is emitted (the build
-    still proceeds).  ``seed`` changes no byte of the code.
+    ``build_code`` is never longer; large mode stays for the files and
+    callers that name it.  ``seed`` changes no byte of the code.
     """
     _check_build_params(n, k, alpha)
-    if (k / alpha) ** 2 <= n / alpha:
-        warnings.warn(
-            f"large-k mode outside its intended regime: (k/alpha)^2 = {(k / alpha) ** 2:.3g} "
-            f"<= n/alpha = {n / alpha:.3g}",
-            stacklevel=2,
-        )
     return _assemble(n, k, alpha, MODE_LARGE)
 
 
@@ -227,16 +242,7 @@ def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
     return _assemble(n, k, 0, MODE_MULTISET)
 
 
-def choose_mode(n: int, k: int, alpha: int) -> str:
-    """Pick plain vs large-k assembly by comparing their dominant length terms."""
-    plain_proxy = (k / alpha) ** 2 * log2(n) ** 3
-    large_proxy = (n / alpha) * log2(n) ** 4
-    return MODE_PLAIN if plain_proxy <= large_proxy else MODE_LARGE
-
-
-def build(n: int, k: int, alpha: int, mode: str = "auto") -> Code:
-    if mode == "auto":
-        mode = choose_mode(n, k, alpha)
+def build(n: int, k: int, alpha: int, mode: str = MODE_PLAIN) -> Code:
     if mode == MODE_PLAIN:
         return build_code(n, k, alpha)
     if mode == MODE_LARGE:

@@ -15,7 +15,9 @@ adversary can jam.  The prime q is raised until the counting argument
 has slack: kappa*d/alpha < q - (ell-1)*d.
 
 The family has exactly q^2 queries and every element occurs in exactly
-q of them.
+q of them.  ``rs_size`` is the one home of the sizing (d, the smallest
+admissible prime and the jamming loop), so a family's length is known
+before it is built: ``build_ssui`` and ``strong_selector`` both read it.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ from math import comb
 
 from .model import BudgetError as BudgetError  # re-exported: qgt.ssui.BudgetError
 from .model import Query, check_budget, check_universe, query_mask, sets_up_to, singletons
-
-
-# Multiplier c of smallest_admissible_prime: every family here uses q >= 2*ell*d.
-_C = 2
 
 
 def check_selector_params(n: int, ell: int, kappa: int, alpha: int) -> None:
@@ -89,12 +87,18 @@ def poly_eval(coeffs: tuple[int, ...], x: int, q: int) -> int:
     return acc
 
 
-def _degree_bound(ell: int, n: int) -> int:
-    base = max(2, ell)
+def rs_size(n: int, ell: int, kappa: int, alpha: int) -> tuple[int, int]:
+    """(q, d) of the (n, ell, kappa, alpha) table; with kappa = 0, q is admissible as is."""
     d = 1
-    while base ** d < n:
+    while max(2, ell) ** d < n:
         d += 1
-    return max(1, d)
+    q = smallest_admissible_prime(ell, d, 2, n)  # every table has q >= 2*ell*d
+    # integer form of kappa*d/alpha < q - (ell-1)*d
+    while not kappa * d < alpha * (q - (ell - 1) * d):
+        q += 1
+        while not is_prime(q):
+            q += 1
+    return q, d
 
 
 @dataclass(frozen=True)
@@ -121,13 +125,7 @@ def build_ssui(n: int, ell: int, kappa: int, alpha: int) -> SSuIFamily:
     construction; verify_ssui remains available as an independent check.
     """
     check_selector_params(n, ell, kappa, alpha)
-    d = _degree_bound(ell, n)
-    q = smallest_admissible_prime(ell, d, _C, n)
-    # integer form of kappa*d/alpha < q - (ell-1)*d
-    while not kappa * d < alpha * (q - (ell - 1) * d):
-        q += 1
-        while not is_prime(q):
-            q += 1
+    q, d = rs_size(n, ell, kappa, alpha)
     members: list[list[int]] = [[] for _ in range(q * q)]
     for i in range(1, n + 1):
         coeffs = nth_polynomial(i, q, d)
@@ -146,11 +144,8 @@ def strong_selector(n: int, width: int) -> tuple[Query, ...]:
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    if width < n:
-        d = _degree_bound(width, n)
-        q = smallest_admissible_prime(width, d, _C, n)
-        if q * q < n:
-            return build_ssui(n, width, 0, 1).queries
+    if width < n and rs_size(n, width, 0, 1)[0] ** 2 < n:
+        return build_ssui(n, width, 0, 1).queries
     return singletons(n)
 
 

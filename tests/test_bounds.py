@@ -7,8 +7,9 @@ from qgt.bounds import (
     sets_up_to,
     verify_uniqueness,
 )
-from qgt.code import build_code
 from qgt.ssui import BudgetError
+
+from rs_table import rs_table_code
 
 
 def test_lower_bound_example():
@@ -65,12 +66,12 @@ def test_one_full_query_jams():
 
 
 def test_built_code_is_unjammed():
-    code = build_code(16, 3, 2)
+    code = rs_table_code(16, 3)
     assert find_unjammed_violation(code.queries, 16, 3, 2) is None
 
 
 def test_uniqueness_of_built_code():
-    code = build_code(16, 2, 2)
+    code = rs_table_code(16, 2)
     assert verify_uniqueness(code.queries, 16, 2, 2)
 
 
@@ -88,12 +89,12 @@ def test_uniqueness_budget_guard():
 def test_uniqueness_implies_no_jam_witness():
     # solvability requires the jamming condition; check the implication on a grid
     for n, k, alpha in [(8, 2, 2), (16, 2, 2), (16, 3, 2)]:
-        code = build_code(n, k, alpha)
+        code = rs_table_code(n, k, alpha)
         if verify_uniqueness(code.queries, n, k, alpha):
             assert find_unjammed_violation(code.queries, n, k, alpha) is None
 
 
 def test_counting_bound_on_correct_code():
-    code = build_code(16, 2, 2)
+    code = rs_table_code(16, 2)
     assert verify_uniqueness(code.queries, 16, 2, 2)
     assert counting_bound_holds(16, 2, 2, len(code.queries))

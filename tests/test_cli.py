@@ -1,4 +1,3 @@
-import warnings
 from pathlib import Path
 
 import pytest
@@ -85,9 +84,7 @@ def test_verify_selector_levels(tmp_path, capsys):
 )
 def test_verify_selector_levels_multiset_and_large(tmp_path, capsys, build_args, level_line):
     code_file = tmp_path / "code.qgtc"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # large mode outside its regime at n = 16
-        run(capsys, "build", "--n", "16", "--k", "4", *build_args, "--out", str(code_file))
+    run(capsys, "build", "--n", "16", "--k", "4", *build_args, "--out", str(code_file))
     status, out, _ = run(capsys, "verify", "--code", str(code_file), "--sui")
     assert status == 0
     assert level_line in out
@@ -101,6 +98,7 @@ def test_verify_selector_levels_multiset_and_large(tmp_path, capsys, build_args,
         ("graph", "--nodes", "6", "--k", "2", "--ops", "ops.txt", "--seed", "1"),
         ("verify", "--code", "code.qgtc", "--dispersion"),
         ("verify", "--code", "code.qgtc", "--sui", "--seed", "1"),
+        ("build", "--n", "16", "--k", "2", "--alpha", "2", "--mode", "auto"),
     ],
 )
 def test_removed_flags_are_usage_errors(argv):

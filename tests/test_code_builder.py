@@ -6,15 +6,18 @@ import pytest
 
 from qgt.balanced import id_bits, slice_query
 from qgt.code import (
+    _table_wins,
     build,
     build_code,
     build_code_large,
     build_code_multiset,
-    choose_mode,
     enhance,
 )
 from qgt.model import singletons
 from qgt.serialize import code_to_text
+from qgt.ssui import rs_size
+
+from rs_table import rs_table_code
 
 
 def test_enhance_empty():
@@ -62,7 +65,7 @@ def test_block_arity():
     # one- and two-element bases at n = 32
     sizes = set()
     for n in (16, 32):
-        code = build_code(n, 2, 2)
+        code = rs_table_code(n, 2)
         width = id_bits(n)
         assert len(code.queries) == sum(1 + blk.slices for blk in code.blocks)
         for blk in code.blocks:
@@ -126,8 +129,7 @@ def test_cap_below_two_rejected():
 
 
 def test_large_mode_rr_queries_are_small():
-    with pytest.warns(UserWarning):
-        code = build_code_large(32, 8, 2)
+    code = build_code_large(32, 8, 2)
     for blk in code.blocks:
         if blk.kind == "rr":
             assert len(code.queries[blk.base]) <= 2
@@ -139,12 +141,6 @@ def test_multiset_code_has_no_terminal_selector():
     assert not any(blk.kind == "ssui" for blk in code.blocks)
     assert code.alpha == 0
     assert code.mode == "multiset"
-
-
-def test_choose_mode_prefers_plain_for_small_k():
-    assert choose_mode(1024, 4, 2) == "plain"
-    assert choose_mode(16, 16, 2) == "large"
-    assert build(32, 2, 2, mode="auto").mode == "plain"
 
 
 def test_occurrence_accounting():
@@ -211,9 +207,7 @@ def test_full_singleton_level_builds_no_discarded_levels(monkeypatch):
      (build_code_large, (64, 16, 3)), (build_code_multiset, (64, 5))],
 )
 def test_singleton_level_codes_are_exactly_n(builder, args):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # large mode warns outside its regime
-        code = builder(*args)
+    code = builder(*args)
     assert len(code) == args[0]
     assert code.queries == singletons(args[0])
 
@@ -224,3 +218,66 @@ def test_multiset_feedback_uncapped_by_default():
     assert max(fv) == 5
     capped = code.feedback({3: 5}, alpha=2)
     assert max(capped) == 2
+
+
+def test_large_mode_builds_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_code_large(32, 8, 2)
+
+
+def test_auto_mode_is_gone():
+    with pytest.raises(ValueError, match="unknown build mode"):
+        build(32, 2, 2, mode="auto")
+    assert build(32, 2, 2).mode == "plain"
+
+
+# Smallest n = 2^e at which the laid-out (n, kappa, kappa, 1) table is
+# shorter than the n singletons, from rs_size alone (nothing is built).
+CROSSOVER = {1: 15, 2: 18, 4: 18, 8: 19, 16: 21, 32: 23}
+
+
+@pytest.mark.parametrize("kappa, first", sorted(CROSSOVER.items()))
+def test_table_crossover_from_closed_form(kappa, first):
+    wins = [e for e in range(1, 40) if _table_wins(2**e, kappa)]
+    assert wins[0] == first
+    n = 2**first
+    q, _ = rs_size(n, kappa, kappa, 1)
+    assert n >= 2 * q  # every base holds two or more elements: the length is exact
+    assert q * q * (1 + id_bits(n)) < n
+
+
+def test_laid_out_table_length_is_its_closed_form():
+    code = rs_table_code(1024, 1)
+    assert rs_size(1024, 1, 1, 1)[0] == 23
+    assert len(code) == 23**2 * 21 == 11_109
+    assert all(blk.slices == id_bits(1024) for blk in code.blocks)
+
+
+def test_assemble_takes_the_table_exactly_where_it_wins(monkeypatch):
+    import qgt.code
+
+    class Called(Exception):
+        pass
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise Called  # the 2^15 table takes seconds to build; the call is the point
+
+    monkeypatch.setattr(qgt.code, "build_ssui", spy)
+    assert build_code(2**14, 1, 2).queries == singletons(2**14)
+    assert calls == []
+    with pytest.raises(Called):
+        build_code(2**15, 1, 2)
+    assert calls == [(2**15, 1, 1, 1)]
+
+
+def test_plain_is_never_longer_than_n_or_large():
+    for e in range(1, 9):
+        n = 2**e
+        for k in sorted({k for k in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32, n) if k <= n}):
+            for alpha in range(2, k + 4):
+                plain = len(build_code(n, k, alpha))
+                assert plain <= min(n, len(build_code_large(n, k, alpha))), (n, k, alpha)

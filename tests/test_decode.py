@@ -9,6 +9,8 @@ from qgt.disperser import DisperserParams, build_disperser
 from qgt.serialize import code_from_text, code_to_text
 from qgt.sui import compose
 
+from rs_table import rs_table_code
+
 
 def _synthetic_code(bases, n, k, alpha, mode="plain"):
     """A hand-rolled code from explicit base queries, one block each."""
@@ -118,8 +120,7 @@ def test_overfull_hidden_set_fails_loudly():
 
 
 def test_large_mode_exhaustive_roundtrip():
-    with pytest.warns(UserWarning):
-        code = build_code_large(32, 8, 2)
+    code = build_code_large(32, 8, 2)
     for size in range(3):
         for combo in itertools.combinations(range(1, 33), size):
             fv = code.feedback(combo)
@@ -127,7 +128,7 @@ def test_large_mode_exhaustive_roundtrip():
 
 
 def test_decode_stats_counts_work():
-    code = build_code(16, 2, 2)
+    code = rs_table_code(16, 2)
     fv = code.feedback([5, 9])
     result, stats = decode_detailed(code, fv)
     assert result == {5: 1, 9: 1}
@@ -151,7 +152,7 @@ def test_fat_query_roundtrip_sampled():
     import dataclasses
     import random
 
-    code = dataclasses.replace(build_code(256, 4, 2), alpha=3)
+    code = dataclasses.replace(rs_table_code(256, 4), alpha=3)
     assert any(len(code.queries[b.base]) > 1 for b in code.blocks)
     rng = random.Random(11)
     trusted_twos = 0
@@ -166,7 +167,7 @@ def test_fat_query_roundtrip_sampled():
 def test_fat_query_roundtrip_alpha_two_sampled():
     import random
 
-    code = build_code(256, 3, 2)
+    code = rs_table_code(256, 3)
     rng = random.Random(13)
     for _ in range(300):
         combo = rng.sample(range(1, 257), rng.randint(0, 3))
@@ -236,12 +237,9 @@ def test_edge_parameter_grid_roundtrips():
 
 def test_large_mode_edge_grid():
     import random
-    import warnings
 
     for n, k, alpha in [(16, 4, 4), (32, 8, 3)]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = build_code_large(n, k, alpha)
+        code = build_code_large(n, k, alpha)
         for combo in itertools.combinations(range(1, n + 1), 2):
             assert decode(code, code.feedback(combo)) == {v: 1 for v in combo}
         rng = random.Random(1)

@@ -3,14 +3,14 @@
 Any change to construction, slicing or serialization that alters a
 single byte of a built code shows up here.  The hashes were recorded
 after one-element bases dropped their slices and assembly began to
-stop at the first full singleton level; plain (1024, 4, 2), a
-Reed-Solomon table with no base of fewer than two elements, kept its
-earlier hash.  The output must not depend on set iteration order, so
-the hashes hold under any PYTHONHASHSEED.
+stop at the first full singleton level; the three plain alpha = 2 rows
+were recorded again when plain mode began to take the n singletons
+wherever they are shorter than the Reed-Solomon table.  The output
+must not depend on set iteration order, so the hashes hold under any
+PYTHONHASHSEED.
 """
 
 import hashlib
-import warnings
 
 import pytest
 
@@ -22,12 +22,11 @@ BUILDERS = {"plain": build_code, "large": build_code_large, "multiset": build_co
 GOLDEN = [
     # code._assemble builds one family at level kappa = next_power_of_two(k),
     # chosen by the interference cap of level_params and the mode.
-    # cap = 1, plain: the Reed-Solomon strong selector ("ssui")
-    ("plain", (1024, 4, 2), "575bf14edc709c6e648082919b1ee4503259195802260e106e6b6017652292b9"),
-    # ... with bare bases: empty and one-element (n = 16), one-element
-    # beside two-element (n = 32)
-    ("plain", (16, 2, 2), "8982befe9af2bad86553d659f543d17305d586358a4b75f0eae69c92cc2599fb"),
-    ("plain", (32, 2, 2), "92918d5fbb1f4eea48a4f2452a357590f1dcc92f0538a41913daff8f165d26e2"),
+    # cap = 1, plain: the n singletons as a strong selector ("ssui"), since
+    # the laid-out Reed-Solomon table is longer below n = 2^15 (kappa = 1)
+    ("plain", (1024, 4, 2), "1e461d13026c7997d51a3930ce65068452469cbe2102a893fba2dbb677a746ac"),
+    ("plain", (16, 2, 2), "01360c6d97a227f47fcb666b79ce09d9ef49c052a705fb0704edfee55e1dac0d"),
+    ("plain", (32, 2, 2), "41a7bf7c7fd2469ceeaf56e288c52f1ecd0309cf9f3402e6f06435ef58038d27"),
     # cap = 1, large: the chunked selector ("rr"), the n singletons
     ("large", (1024, 32, 2), "575a8584321af3cb1132e16a8e2f1918f6c523dfe57d01a5097f6cb8a2548117"),
     ("large", (64, 16, 2), "070e27fb4b7b9aee86032946cab0cc8c4ce8b721846a32e4f4cbb07abf04c68d"),
@@ -54,7 +53,5 @@ GOLDEN = [
     ids=["-".join([m, *map(str, a)]) for m, a, _ in GOLDEN],
 )
 def test_code_text_hash(mode, args, digest):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # large mode warns outside its regime
-        code = BUILDERS[mode](*args)
+    code = BUILDERS[mode](*args)
     assert hashlib.sha256(code_to_text(code).encode()).hexdigest() == digest

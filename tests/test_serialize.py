@@ -14,11 +14,13 @@ from qgt.serialize import (
     parse_set_spec,
 )
 
+from rs_table import rs_table_code
+
 
 @pytest.mark.parametrize(
     "code",
     [
-        build_code(16, 2, 2),
+        rs_table_code(16, 2),
         build_code(32, 3, 3),
         build_code_multiset(16, 4),
     ],
@@ -36,8 +38,7 @@ def test_roundtrip_identity(code):
 
 
 def test_large_roundtrip():
-    with pytest.warns(UserWarning):
-        code = build_code_large(32, 8, 2)
+    code = build_code_large(32, 8, 2)
     assert code_from_text(code_to_text(code)).queries == code.queries
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from qgt.disperser import DisperserParams, build_disperser, default_delta
 from qgt.model import singletons
-from qgt.ssui import _C, _degree_bound, smallest_admissible_prime
+from qgt.ssui import rs_size
 from qgt.sui import (
     SuIFamily,
     build_sui,
@@ -135,7 +135,7 @@ def test_default_sizing_always_takes_the_singleton_shortcut(n):
 def _default_table_length(n):
     """Queries in the width-2*default_delta(n) Reed-Solomon table, from its closed form."""
     width = 2 * default_delta(n)
-    q = smallest_admissible_prime(width, _degree_bound(width, n), _C, n)
+    q, _ = rs_size(n, width, 0, 1)
     return q * q
 
 
