@@ -14,6 +14,12 @@ candidate set K at least one query containing x whose intersection with
 K has at most alpha+1 elements; otherwise K and K \\ {x} produce
 identical feedback under some cap-alpha function.  `verify_uniqueness`
 is the definition of solvability itself, checked exhaustively.
+
+`find_unjammed_violation` walks the candidate sets with
+`model.walk_subsets`, keeping each query's count in K and each
+element's number of queries that are not over-full on push and pop; it
+returns the same first witness as the full enumeration.
+`verify_uniqueness` still rebuilds each set's profile from scratch.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from math import log2
 
 from .model import Query, check_budget, check_cap, check_capacity, incidence, query_mask
-from .model import sets_up_to
+from .model import sets_up_to, walk_subsets
 
 
 @dataclass(frozen=True)
@@ -71,19 +77,65 @@ def find_unjammed_violation(
     some feedback capped at alpha, so the query system cannot be
     solvable.  None over all |K| <= k is the necessary condition the
     jamming argument demands of every correct code.
+
+    Sets are visited in the order of ``model.walk_subsets`` (size by
+    size, each size lexicographic) and x is the smallest violating
+    element, so the witness is the first one a full enumeration finds.
     """
     check_budget(sets_up_to(n, k), budget)
     masks = [query_mask(s) for s in queries]
     inc = incidence(queries)
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            k_mask = query_mask(combo)
-            for x in combo:
-                if not any(
-                    (masks[idx] & k_mask).bit_count() <= alpha + 1 for idx in inc.get(x, ())
-                ):
-                    return frozenset(combo), x
-    return None
+    queries_of = [inc.get(v, ()) for v in range(n + 1)]
+    full = alpha + 1  # a query holding more elements of K than this is over-full
+    hits = [0] * len(queries)  # |Q ∩ K|
+    roomy = [0] * (n + 1)  # queries containing v that are not over-full
+    chosen: list[int] = []
+    jammed = 0  # elements of K whose every query is over-full
+
+    def crowd(j: int, step: int) -> None:
+        # query j crossed the over-full line: the other elements of K in it gain or lose it
+        nonlocal jammed
+        m = masks[j]
+        for v in chosen:
+            if m >> (v - 1) & 1:
+                if roomy[v] == 0:
+                    jammed -= 1
+                roomy[v] += step
+                if roomy[v] == 0:
+                    jammed += 1
+
+    def push(e: int) -> None:
+        nonlocal jammed
+        room = 0
+        for j in queries_of[e]:
+            h = hits[j] + 1
+            hits[j] = h
+            if h <= full:
+                room += 1
+            elif h == full + 1:
+                crowd(j, -1)
+        roomy[e] = room
+        if room == 0:
+            jammed += 1
+        chosen.append(e)
+
+    def pop(e: int) -> None:
+        nonlocal jammed
+        chosen.pop()
+        if roomy[e] == 0:
+            jammed -= 1
+        for j in queries_of[e]:
+            h = hits[j]
+            hits[j] = h - 1
+            if h == full + 1:
+                crowd(j, 1)
+
+    def leaf() -> tuple[frozenset[int], int] | None:
+        if not jammed:
+            return None
+        return frozenset(chosen), next(x for x in chosen if roomy[x] == 0)
+
+    return walk_subsets(n, k, push, pop, leaf)
 
 
 def verify_uniqueness(

@@ -19,17 +19,21 @@ The facts every selector family and oracle shares live here, once:
 * ``incidence``: element -> indices of the queries containing it;
 * ``sets_up_to``, ``check_budget``, ``BudgetError``: the size of an
   exhaustive search over candidate sets, and the one refusal an oracle
-  raises when a search would exceed its budget.
+  raises when a search would exceed its budget;
+* ``walk_subsets``: the push/pop walk over those candidate sets that
+  the selector and jamming oracles keep their per-set counts on.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from math import comb
+from typing import TypeVar
 
 Query = frozenset[int]
 Multiset = dict[int, int]
 FeedbackVector = tuple[int, ...]
+T = TypeVar("T")
 
 
 def is_power_of_two(n: int) -> bool:
@@ -98,6 +102,39 @@ def check_budget(count: int, budget: int) -> None:
     """BudgetError if an exhaustive oracle would enumerate more than ``budget`` cases."""
     if count > budget:
         raise BudgetError("instance too large for exhaustive oracle")
+
+
+def walk_subsets(
+    n: int,
+    max_size: int,
+    push: Callable[[int], None],
+    pop: Callable[[int], None],
+    leaf: Callable[[], T | None],
+) -> T | None:
+    """Depth-first walk over the nonempty subsets of [1..n] of at most max_size elements.
+
+    Sets are visited size by size, each size in lexicographic order: the
+    order of ``itertools.combinations(range(1, n + 1), size)`` for size =
+    1, 2, ...  ``push(e)`` runs as e joins the current set and ``pop(e)``
+    as it leaves, so a caller keeps its per-set counts up to date instead
+    of rebuilding them; ``leaf()`` runs at each set of the current size.
+    Returns the first ``leaf()`` result that is not None, else None.
+    """
+
+    def descend(start: int, left: int) -> T | None:
+        for e in range(start, n - left + 2):
+            push(e)
+            found = leaf() if left == 1 else descend(e + 1, left - 1)
+            pop(e)
+            if found is not None:
+                return found
+        return None
+
+    for size in range(1, max_size + 1):
+        found = descend(1, size)
+        if found is not None:
+            return found
+    return None
 
 
 def as_multiset(hidden: Iterable[int] | Mapping[int, int], n: int | None = None) -> Multiset:

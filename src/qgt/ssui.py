@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .model import BudgetError as BudgetError  # re-exported: qgt.ssui.BudgetError
-from .model import Query, check_budget, check_universe, query_mask, sets_up_to, singletons
+from .model import Query, check_budget, check_universe, incidence, query_mask, sets_up_to
+from .model import singletons, walk_subsets
 
 
 def check_selector_params(n: int, ell: int, kappa: int, alpha: int) -> None:
@@ -169,57 +170,117 @@ def max_unselected_count(
     subsets need scanning.  The result equals the one a full enumeration
     of all (K1, K2) pairs would produce.
 
+    K1 is walked with ``walk_subsets``.  On each push and pop the walk
+    keeps, per query, how many K1 elements it holds and their sum (which
+    names the element when there is one), and per element how many
+    queries isolate it and how many of those are thin: a query of at
+    most alpha elements, or any query when kappa < alpha, can never be
+    jammed.  The number of K1 elements never isolated and the number
+    that can be jammed (isolated only by queries that are not thin) are
+    kept too, so a K1 with nothing to jam costs O(1); the collapsed K2
+    scan, unchanged, runs only at the others.
+
     ``stop_at`` allows early exit once the count reaches a threshold.
     The enumeration, including the collapsed K2 scans, is charged against
     ``budget``.
     """
-    universe = range(1, n + 1)
     spent = sets_up_to(n, ell)
     check_budget(spent, budget)
     masks = [query_mask(s) for s in queries]
+    inc = incidence(queries)
+    queries_of = [inc.get(v, ()) for v in range(n + 1)]
+    thin = [len(s) <= alpha or kappa < alpha for s in queries]
+    hits = [0] * len(queries)  # |Q ∩ K1|
+    owner = [0] * len(queries)  # sum of Q ∩ K1: its one element when hits == 1
+    isolated_by = [0] * (n + 1)  # queries isolating v from K1
+    thin_isolated_by = [0] * (n + 1)  # of those, thin ones
+    k1: list[int] = []
+    never = 0  # elements of K1 no query isolates
+    jammable = 0  # elements of K1 isolated only by queries that are not thin
     worst = 0
-    jam_possible = kappa >= alpha
-    for size in range(1, ell + 1):
-        for combo in itertools.combinations(universe, size):
-            k1_mask = query_mask(combo)
-            bit_of = {v: 1 << (v - 1) for v in combo}
-            isolating: dict[int, list[int]] = {v: [] for v in combo}
-            for m in masks:
-                hit = m & k1_mask
-                if hit and hit & (hit - 1) == 0:
-                    isolating[hit.bit_length()].append(m)
-            never = [v for v in combo if not isolating[v]]
-            jammable = []
-            if jam_possible:
-                for v in combo:
-                    iso = isolating[v]
-                    if iso and all((m & ~bit_of[v]).bit_count() >= alpha for m in iso):
-                        jammable.append(v)
-            if not jammable:
-                count = len(never)
-            else:
-                relevant = 0
-                for v in jammable:
-                    for m in isolating[v]:
-                        relevant |= m
-                pool = [i + 1 for i in range(n) if relevant >> i & 1]
-                take = min(kappa, len(pool))
-                spent += comb(len(pool), take)
-                check_budget(spent, budget)
-                best_jammed = 0
-                for k2_combo in itertools.combinations(pool, take):
-                    k2_mask = query_mask(k2_combo)
-                    jammed = 0
-                    for v in jammable:
-                        keep = k2_mask & ~bit_of[v]
-                        if all((m & keep).bit_count() >= alpha for m in isolating[v]):
-                            jammed += 1
-                    best_jammed = max(best_jammed, jammed)
-                count = len(never) + best_jammed
-            if count > worst:
-                worst = count
-                if stop_at is not None and worst >= stop_at:
-                    return worst
+
+    def gain(v: int, is_thin: bool) -> None:
+        nonlocal never, jammable
+        if isolated_by[v] == 0:
+            never -= 1
+            if not is_thin:
+                jammable += 1
+        elif is_thin and thin_isolated_by[v] == 0:
+            jammable -= 1
+        isolated_by[v] += 1
+        if is_thin:
+            thin_isolated_by[v] += 1
+
+    def lose(v: int, is_thin: bool) -> None:
+        nonlocal never, jammable
+        isolated_by[v] -= 1
+        if is_thin:
+            thin_isolated_by[v] -= 1
+        if isolated_by[v] == 0:
+            never += 1
+            if not is_thin:
+                jammable -= 1
+        elif is_thin and thin_isolated_by[v] == 0:
+            jammable += 1
+
+    def push(e: int) -> None:
+        nonlocal never
+        k1.append(e)
+        never += 1
+        for j in queries_of[e]:
+            h = hits[j]
+            if h == 0:
+                gain(e, thin[j])
+            elif h == 1:
+                lose(owner[j], thin[j])
+            hits[j] = h + 1
+            owner[j] += e
+
+    def pop(e: int) -> None:
+        nonlocal never
+        for j in queries_of[e]:
+            h = hits[j] - 1
+            hits[j] = h
+            owner[j] -= e
+            if h == 0:
+                lose(e, thin[j])
+            elif h == 1:
+                gain(owner[j], thin[j])
+        k1.pop()
+        never -= 1
+
+    def leaf() -> int | None:
+        nonlocal spent, worst
+        count = never
+        if jammable:
+            jam = [v for v in k1 if isolated_by[v] and not thin_isolated_by[v]]
+            bit_of = {v: 1 << (v - 1) for v in jam}
+            isolating = {v: [masks[j] for j in queries_of[v] if hits[j] == 1] for v in jam}
+            relevant = 0
+            for v in jam:
+                for m in isolating[v]:
+                    relevant |= m
+            pool = [i + 1 for i in range(n) if relevant >> i & 1]
+            take = min(kappa, len(pool))
+            spent += comb(len(pool), take)
+            check_budget(spent, budget)
+            best_jammed = 0
+            for k2_combo in itertools.combinations(pool, take):
+                k2_mask = query_mask(k2_combo)
+                jammed = 0
+                for v in jam:
+                    keep = k2_mask & ~bit_of[v]
+                    if all((m & keep).bit_count() >= alpha for m in isolating[v]):
+                        jammed += 1
+                best_jammed = max(best_jammed, jammed)
+            count += best_jammed
+        if count > worst:
+            worst = count
+            if stop_at is not None and worst >= stop_at:
+                return worst
+        return None
+
+    walk_subsets(n, ell, push, pop, leaf)
     return worst
 
 
