@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import random_code as random_mod
-from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_MULTISET, MODE_RANDOM, Code, build
+from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_RANDOM, Code, build
 from .code import MODE_PLAIN, level_params
 from .decode import DecodeError, decode_detailed
 from .model import BudgetError, multiset_total
@@ -181,7 +181,7 @@ def bench_row(n: int, k: int, alpha: int, mode: str = MODE_PLAIN, seed: int = 0)
     report = bounds_mod.lower_bound(n, k, alpha, measured_m=len(code.queries))
     rng = random.Random(seed)
     probe = rng.sample(range(1, n + 1), min(k, n))
-    fv = code.feedback(probe, alpha if code.mode != MODE_MULTISET else None)
+    fv = code.feedback(probe)
     _, stats = decode_detailed(code, fv)
     ratio = report.ratio if report.ratio is not None else 0.0
     return (

@@ -82,7 +82,7 @@ class Code:
     blocks: tuple[Block, ...]
     n: int
     k: int
-    alpha: int  # 0 for multiset codes: the cap is chosen at encode time
+    alpha: int  # 0: no value is capped (multiset codes; the cap is chosen at encode time)
     mode: str
 
     def __len__(self) -> int:
@@ -119,13 +119,13 @@ class Code:
     def feedback(self, hidden, alpha: int | None = None) -> tuple[int, ...]:
         """Feedback vector via the incidence index (fast path).
 
-        ``alpha`` defaults to the code's own cap; pass None explicitly on
-        multiset codes for uncapped counts (equivalent to any admissible
-        cap at or above the total multiplicity).
+        ``alpha`` defaults to the code's own cap; a code storing alpha 0
+        (every multiset code) gives uncapped counts, equivalent to any
+        admissible cap at or above the total multiplicity.
         """
         counts = as_multiset(hidden, self.n)
-        if alpha is None and self.mode != MODE_MULTISET:
-            alpha = self.alpha
+        if alpha is None:
+            alpha = self.alpha or None
         if alpha is not None:
             check_cap(alpha)
         buf = [0] * len(self.queries)

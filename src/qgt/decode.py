@@ -1,33 +1,30 @@
 """Reconstruction of the hidden multiset from a feedback vector.
 
-The decoder sweeps every block whose base feedback is nonzero, in
-code order, until a sweep yields no new element (a fixed point); a
-counted loop would presume the hidden set is full-size.  There is no
-walk level by level: a block fires only when its base holds exactly one
-unknown element, so every firing is correct whatever fired before it,
-and one fixed point over all blocks decodes everything a fixed point per
-level would, and possibly more.
+The decoder sweeps every block whose base feedback is nonzero, in code
+order, until a sweep yields no new element (a fixed point; a counted
+loop would presume the hidden set is full-size).  A block fires only
+when its base holds exactly one unknown element, so every firing is
+correct whatever fired before it, and one fixed point over all blocks
+decodes everything a walk level by level would, and more.
 
-A block is *good* when its base feedback is trusted and accounts for
-exactly one unit beyond the already-decoded elements inside it.  In
-plain mode "trusted" means strictly below the cap (a capped value could
-hide anything) and the unexplained residue must be exactly 1.  In
-multiset mode the readout cap is required to be at least the total
-multiplicity, which makes every value exact, so the residue r may be
-any positive count: the slice residues of a good block are then r times
-the balanced identifier of a single new element, recovered with its
-full multiplicity at once.  Slice residues outside {0, r}, bad identifier
-weight, an element outside the base query, or an element already decoded
-all invalidate the block for this sweep; it is skipped, not fatal.  A
-block with no slices has a base of at most one element, so a good one
-yields that element directly (an empty base never has a residue).
+One rule decodes every mode.  A block is *good* when its base value is
+trusted (below ``code.alpha``, or any value when alpha is 0, as on
+multiset codes), its residue r beyond the decoded weight inside the
+base is positive, and every slice residue is 0 or r.  The slices then
+spell r times the balanced identifier of one new element, decoded with
+multiplicity r; a block with no slices has a base of at most one
+element, which names that element directly.  On a set input a trusted
+base holding r >= 2 unknown elements never fires: two of them differ in
+some identifier bit, so some slice residue lies strictly between 0 and
+r.  Bad identifier weight, an element outside the base or one already
+decoded skip the block for this sweep.  A (k+1)-th distinct element
+raises.
 
-At the fixed point the decoder re-encodes its answer and compares
-against the input; any mismatch raises, so an unexplained feedback
-vector fails loudly rather than returning a wrong multiset.
-
-Only blocks whose base feedback is nonzero can ever fire, so each
-sweep visits the (few) touched blocks rather than the whole code.
+At the fixed point the decoder re-encodes its answer, capped at a
+nonzero ``code.alpha``, and raises on any mismatch with the input: it
+returns at most k distinct elements that reproduce the vector exactly,
+or raises.  Only blocks with a nonzero base value can fire, so each
+sweep visits the few touched blocks, not the whole code.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 
 from .balanced import decode_balanced
-from .code import MODE_MULTISET, MODE_RANDOM, Block, Code
+from .code import MODE_RANDOM, Block, Code
 from .model import Multiset
 
 
@@ -66,8 +63,7 @@ def decode_detailed(code: Code, fv: tuple[int, ...] | list[int]) -> tuple[Multis
         raise DecodeError("code has no block layout; only constructed codes are decodable")
     if len(fv) != len(code.queries):
         raise DecodeError(f"feedback vector length {len(fv)} != code length {len(code.queries)}")
-    multiset_mode = code.mode == MODE_MULTISET
-    alpha = code.alpha
+    alpha = code.alpha  # 0: no value is capped
     stats = DecodeStats()
     acc: Multiset = {}
     acc_w: dict[int, int] = {}
@@ -82,7 +78,7 @@ def decode_detailed(code: Code, fv: tuple[int, ...] | list[int]) -> tuple[Multis
         for blk in candidates:
             stats.good_checks += 1
             base_fv = fv[blk.base]
-            if not multiset_mode and base_fv >= alpha:
+            if alpha and base_fv >= alpha:
                 continue  # at the cap: the true count may be anything above it
             residue = base_fv - acc_w.get(blk.base, 0)
             if residue < 0:
@@ -91,19 +87,17 @@ def decode_detailed(code: Code, fv: tuple[int, ...] | list[int]) -> tuple[Multis
                 raise DecodeError("inconsistent feedback: over-explained query")
             if residue == 0:
                 continue
-            if not multiset_mode and residue != 1:
-                continue
             v = _read_block(code, blk, fv, acc_w, residue, stats)
             if v is None or v in acc:
                 continue
-            if not multiset_mode and len(acc) >= code.k:
+            if len(acc) >= code.k:
                 raise DecodeError(f"decoded more than k={code.k} elements")
             acc[v] = residue
             for idx in inc[v]:
                 acc_w[idx] = acc_w.get(idx, 0) + residue
             stats.decoded += 1
             progress = True
-    _check_consistency(code, fv, acc, acc_w, nonzero)
+    _check_consistency(fv, acc_w, nonzero, alpha)
     return dict(sorted(acc.items())), stats
 
 
@@ -142,11 +136,7 @@ def _read_block(
 
 
 def _check_consistency(
-    code: Code,
-    fv: tuple[int, ...] | list[int],
-    acc: Multiset,
-    acc_w: dict[int, int],
-    nonzero: list[int],
+    fv: tuple[int, ...] | list[int], acc_w: dict[int, int], nonzero: list[int], alpha: int
 ) -> None:
     """The decoded multiset must reproduce the observed vector exactly.
 
@@ -155,11 +145,9 @@ def _check_consistency(
     are checked sparsely: the observed nonzero positions, plus every
     position the decoded multiset touches.
     """
-    capped = code.mode != MODE_MULTISET
-    alpha = code.alpha
     for idx in nonzero:
         expected = acc_w.get(idx, 0)
-        if capped and expected > alpha:
+        if alpha and expected > alpha:
             expected = alpha
         if expected != fv[idx]:
             raise DecodeError("inconsistent feedback: residual counts unexplained by decoded set")

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from math import ceil, comb, log2
 
-from .model import check_budget
+from .model import check_budget, check_epsilon
 
 # build_disperser verifies exhaustively up to this many ell_star-subsets,
 # by sampling beyond it.
@@ -48,8 +48,7 @@ class DisperserParams:
     def __post_init__(self) -> None:
         if self.ell_star < 1:
             raise ValueError(f"ell_star must be >= 1, got {self.ell_star}")
-        if not 0 < self.epsilon <= 0.5:
-            raise ValueError(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
+        check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)

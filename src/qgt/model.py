@@ -11,9 +11,9 @@ All values here are immutable; every operation is a pure function.
 
 The facts every selector family and oracle shares live here, once:
 
-* ``check_universe``, ``check_capacity``, ``check_cap``: the parameter
-  rules for n (a power of two, at least 2), k (1 <= k <= n) and
-  alpha (at least 1);
+* ``check_universe``, ``check_capacity``, ``check_cap``, ``check_epsilon``:
+  the parameter rules for n (a power of two, at least 2), k (1 <= k <=
+  n), alpha (at least 1) and epsilon (in (0, 1/2]);
 * ``singletons``: the n singleton queries, a selector for every width;
 * ``query_mask``: a query as an int with bit v-1 set for element v;
 * ``incidence``: element -> indices of the queries containing it;
@@ -65,6 +65,12 @@ def check_cap(alpha: int) -> None:
     """
     if alpha < 1:
         raise ValueError(f"feedback cap must be >= 1, got {alpha}")
+
+
+def check_epsilon(epsilon: float) -> None:
+    """ValueError unless the selector/disperser slack epsilon lies in (0, 1/2]."""
+    if not 0 < epsilon <= 0.5:
+        raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
 
 
 def singletons(n: int) -> tuple[Query, ...]:

@@ -19,7 +19,8 @@ which names its element without slices; files whose one-element bases
 carry full slices also load.
 Queries are space-separated strictly increasing element indices; an
 empty line is the empty query.  Multiset codes store alpha 0: their cap
-is chosen at encode/readout time.
+is chosen at encode/readout time, and the decoder trusts every value.
+Plain and large codes need alpha >= 2, random codes alpha >= 1.
 
 Parsing is strict: version, header shape, a power-of-two n (any n >= 2
 in random mode), offsets, slice counts and index order are all checked,
@@ -32,13 +33,15 @@ from __future__ import annotations
 from .balanced import id_bits
 from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM
 from .code import Block, Code
-from .model import Query, check_universe
+from .model import Query, check_capacity, check_universe
 
 FORMAT_NAME = "qgtc"
 FORMAT_VERSION = 1
 
 _MODES = (MODE_PLAIN, MODE_LARGE, MODE_MULTISET, MODE_RANDOM)
 _KINDS = (KIND_SUI, KIND_RR, KIND_SSUI)
+# The decoder trusts a value below alpha, and every value when alpha is 0.
+_MIN_ALPHA = {MODE_PLAIN: 2, MODE_LARGE: 2, MODE_RANDOM: 1}
 
 
 class FormatError(ValueError):
@@ -98,10 +101,16 @@ def code_from_text(text: str) -> Code:
             check_universe(n)
         except ValueError as exc:
             raise FormatError(f"line 2: {exc}") from exc
-    if not 1 <= k <= n:
-        raise FormatError(f"line 3: capacity k must satisfy 1 <= k <= n, got {k}")
+    try:
+        check_capacity(n, k)
+    except ValueError as exc:
+        raise FormatError(f"line 3: {exc}") from exc
     if alpha < 0:
         raise FormatError(f"line 4: alpha must be >= 0, got {alpha}")
+    if mode == MODE_MULTISET and alpha:
+        raise FormatError(f"line 4: multiset codes store alpha 0, got {alpha}")
+    if mode != MODE_MULTISET and alpha < _MIN_ALPHA[mode]:
+        raise FormatError(f"line 4: {mode} codes need alpha >= {_MIN_ALPHA[mode]}, got {alpha}")
     header_len = 6
     blocks: list[Block] = []
     for i in range(block_count):

@@ -3,10 +3,10 @@
 A stream sketch keeps one exact (uncapped) counter per query of a
 multiset-mode code.  Inserting or deleting an element touches exactly
 the counters of the queries containing it, so update cost equals the
-element's occurrence count in the code.  Reconstruction caps the
-counters (forming an ordinary feedback vector) and runs the decoder;
-it is exact whenever the live total multiplicity is within both the
-code capacity and the readout cap.
+element's occurrence count in the code.  The counters are the
+readout: reconstruction refuses a live total multiplicity above the
+code capacity or the readout cap, so no counter can exceed the cap, and
+hands the counters to the decoder as they are.
 
 Counters are exact rather than capped because deletions are impossible
 under capped counters; the cap belongs to the readout, not the state.
@@ -29,16 +29,16 @@ from __future__ import annotations
 
 from .code import MODE_MULTISET, Code, build_code_multiset
 from .decode import decode
-from .model import Multiset, next_power_of_two
+from .model import Multiset, check_cap, next_power_of_two
 
 
 class StreamSketch:
     """Exact per-query counters over a multiset-mode code.
 
     Updates are read-modify-write on the counter vector and need
-    exclusive access; reconstruction reads a capped snapshot of the
-    counters, so concurrent reconstructions from the same quiesced
-    sketch are safe.
+    exclusive access; reconstruction reads a snapshot of the counters,
+    so concurrent reconstructions from the same quiesced sketch are
+    safe.
     """
 
     def __init__(self, code: Code, alpha: int | None = None) -> None:
@@ -46,8 +46,7 @@ class StreamSketch:
             raise ValueError("stream sketches require a multiset-mode code")
         self.code = code
         self.alpha = alpha if alpha is not None else code.k
-        if self.alpha < 1:
-            raise ValueError(f"readout cap must be >= 1, got {self.alpha}")
+        check_cap(self.alpha)
         self.counters = [0] * len(code.queries)
         self.total_multiplicity = 0
 
@@ -77,11 +76,12 @@ class StreamSketch:
         raise ValueError(f"unknown operation {op!r} (expected 'I' or 'D')")
 
     def reconstruct(self) -> Multiset:
-        """Decode the current multiset from capped counter readouts.
+        """Decode the current multiset from the counters.
 
         Exactness is promised only while the live total multiplicity is
         within both the code capacity and the readout cap; past that the
-        readouts can alias, so the request is refused outright.
+        readouts can alias, so the request is refused outright.  Within
+        it no counter exceeds the cap, so the counters are the readout.
         """
         limit = min(self.alpha, self.code.k)
         if self.total_multiplicity > limit:
@@ -89,8 +89,7 @@ class StreamSketch:
                 f"capacity exceeded: {self.total_multiplicity} units held, "
                 f"reconstruction supports at most {limit}"
             )
-        fv = tuple(min(c, self.alpha) for c in self.counters)
-        return decode(self.code, fv)
+        return decode(self.code, tuple(self.counters))
 
     def _indices(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.code.n:
@@ -121,21 +120,19 @@ def edge_endpoints(index: int, nu: int) -> tuple[int, int]:
 class GraphSketch:
     """Dynamic edge set of a bounded-degree graph, reconstructable on demand.
 
-    ``capacity`` bounds the number of live edges the reconstruction
-    supports; it defaults to k*nu/2, the most a max-degree-k graph can
-    hold.  Callers maintain the degree bound; the sketch only sees edge
+    The reconstruction supports k*nu/2 live edges, the most a
+    max-degree-k graph can hold (at least 1, at most every edge).
+    Callers maintain the degree bound; the sketch only sees edge
     updates.  ``seed`` changes no byte of the sketch's code.
     """
 
-    def __init__(self, nodes: int, k: int, capacity: int | None = None, seed: int = 0) -> None:
+    def __init__(self, nodes: int, k: int, seed: int = 0) -> None:
         if nodes < 2:
             raise ValueError(f"graph sketches need at least 2 nodes, got {nodes}")
         self.nodes = nodes
         self.k = k
         self.edge_universe = nodes * (nodes - 1) // 2
-        if capacity is None:
-            capacity = max(1, k * nodes // 2)
-        self.capacity = min(capacity, self.edge_universe)
+        self.capacity = min(max(1, k * nodes // 2), self.edge_universe)
         code_n = next_power_of_two(max(2, self.edge_universe))
         code = build_code_multiset(code_n, self.capacity)
         self.sketch = StreamSketch(code)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 # build_disperser is not called here; perfbench/tracer.py wraps it as qgt.sui.build_disperser.
 from .disperser import BipartiteGraph
 from .disperser import build_disperser as build_disperser
-from .model import Query, singletons
+from .model import Query, check_epsilon, singletons
 from .ssui import check_selector_params, max_unselected_count
 
 
@@ -63,8 +63,7 @@ class SuIReport:
 
 def _check_params(n: int, ell: int, epsilon: float, kappa: int, alpha: int) -> None:
     check_selector_params(n, ell, kappa, alpha)
-    if not 0 < epsilon <= 0.5:
-        raise ValueError(f"epsilon must lie in (0, 1/2], got {epsilon}")
+    check_epsilon(epsilon)
 
 
 def compose(strong: tuple[Query, ...], graph: BipartiteGraph) -> tuple[Query, ...]:

@@ -9,12 +9,14 @@ from qgt.model import (
     capped_feedback,
     check_cap,
     check_capacity,
+    check_epsilon,
     check_universe,
     distinguishes,
     feedback_vector,
     multiset_total,
     next_power_of_two,
 )
+from qgt.disperser import DisperserParams
 from qgt.ssui import build_ssui
 from qgt.sui import build_sui, build_sui_rr
 
@@ -73,6 +75,19 @@ def test_check_cap():
     check_cap(9)  # alpha above k: cap never binds, legal at the model level
     with pytest.raises(ValueError, match="feedback cap must be >= 1"):
         check_cap(0)
+
+
+@pytest.mark.parametrize("epsilon", [0, -0.25, 0.51])
+def test_one_epsilon_rule_for_selectors_and_dispersers(epsilon):
+    check_epsilon(0.5)
+    check_epsilon(0.01)
+    for check in (
+        lambda: check_epsilon(epsilon),
+        lambda: build_sui(8, 2, epsilon, 2, 2),
+        lambda: DisperserParams(1, epsilon),
+    ):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1/2\]"):
+            check()
 
 
 @pytest.mark.parametrize(

@@ -74,6 +74,27 @@ def test_non_power_of_two_universe_names_line_2(mode):
         code_from_text(text)
 
 
+@pytest.mark.parametrize(
+    "mode, alpha, message",
+    [
+        ("plain", 1, "plain codes need alpha >= 2, got 1"),
+        ("large", 1, "large codes need alpha >= 2, got 1"),
+        ("multiset", 2, "multiset codes store alpha 0, got 2"),
+        ("random", 0, "random codes need alpha >= 1, got 0"),
+    ],
+)
+def test_alpha_outside_the_mode_rule_names_line_4(mode, alpha, message):
+    text = f"qgtc 1\nn 8\nk 1\nalpha {alpha}\nmode {mode}\nblocks 0\n1\n"
+    with pytest.raises(FormatError, match=f"line 4: {message}"):
+        code_from_text(text)
+
+
+def test_capacity_outside_one_to_n_names_line_3():
+    text = "qgtc 1\nn 8\nk 9\nalpha 2\nmode plain\nblocks 0\n1\n"
+    with pytest.raises(FormatError, match="line 3: capacity k must satisfy 1 <= k <= n, got k=9"):
+        code_from_text(text)
+
+
 def test_random_mode_accepts_any_universe():
     text = "qgtc 1\nn 12\nk 1\nalpha 2\nmode random\nblocks 0\n1 12\n"
     assert code_from_text(text).queries == (frozenset({1, 12}),)

@@ -15,6 +15,11 @@ def test_requires_multiset_code():
         StreamSketch(build_code(16, 2, 2))
 
 
+def test_readout_cap_below_one_rejected():
+    with pytest.raises(ValueError, match="feedback cap must be >= 1, got 0"):
+        StreamSketch(build_code_multiset(16, 3), alpha=0)
+
+
 def test_insert_delete_cancel_exactly():
     sketch = _sketch()
     before = list(sketch.counters)
@@ -153,6 +158,14 @@ def test_edge_index_validation():
         edge_index(0, 2, 4)
     with pytest.raises(ValueError):
         edge_endpoints(7, 4)
+
+
+def test_graph_capacity_is_the_degree_bound_within_the_edge_universe():
+    assert GraphSketch(6, 2).capacity == 6  # k*nu/2
+    assert GraphSketch(4, 5).capacity == 6  # every edge of K4
+    assert GraphSketch(3, 0).capacity == 1  # at least one edge
+    with pytest.raises(TypeError):
+        GraphSketch(6, 2, capacity=3)
 
 
 def test_graph_roundtrip_path():
