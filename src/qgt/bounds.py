@@ -19,12 +19,16 @@ is the definition of solvability itself, checked exhaustively.
 `model.walk_subsets`, keeping each query's count in K and each
 element's number of queries that are not over-full on push and pop; it
 returns the same first witness as the full enumeration.
-`verify_uniqueness` still rebuilds each set's profile from scratch.
+`verify_uniqueness` walks them too, keeping each query's count and an
+additive fingerprint of the set's capped profile (a seeded random step
+per query and capped level, in the manner of Zobrist hashing); only a
+repeated fingerprint costs a comparison of full profiles.
 """
 
 from __future__ import annotations
 
-import itertools
+import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import log2
 
@@ -138,6 +142,15 @@ def find_unjammed_violation(
     return walk_subsets(n, k, push, pop, leaf)
 
 
+FINGERPRINT_SEED = 0x7167_7431  # fixed, so every run draws the same fingerprint steps
+
+
+def _fingerprint_steps(m: int, levels: int) -> list[list[int]]:
+    """Row j holds query j's seeded 62-bit steps for capped levels 1..levels."""
+    rng = random.Random(FINGERPRINT_SEED)
+    return [[rng.getrandbits(62) for _ in range(levels)] for _ in range(m)]
+
+
 def verify_uniqueness(
     queries: tuple[Query, ...],
     n: int,
@@ -145,26 +158,68 @@ def verify_uniqueness(
     alpha: int,
     budget: int = 10_000_000,
 ) -> bool:
-    """True iff the feedback vectors of all sets with |K| <= k are pairwise distinct."""
+    """True iff the feedback vectors of all sets with |K| <= k are pairwise distinct.
+
+    Sets are walked with ``model.walk_subsets``; the empty set, with
+    fingerprint 0, is entered before the walk starts.  A set's
+    fingerprint is the sum, over queries, of the steps for capped
+    levels 1..min(|Q ∩ K|, alpha); push and pop add or remove a query's
+    step whenever its count changes at or below the cap.  Equal vectors
+    give equal fingerprints, so only a repeated fingerprint can mean a
+    repeated vector, and it is confirmed by comparing the two sets' full
+    capped profiles.
+    """
     check_budget(sets_up_to(n, k), budget)
     inc = incidence(queries)
-    # Nonzero positions characterize a vector (all others read 0), so sets are
-    # compared through their sparse capped profiles instead of full m-tuples.
-    seen: set[tuple[tuple[int, int], ...]] = set()
+    queries_of = [inc.get(v, ()) for v in range(n + 1)]
+    cap = min(alpha, k)  # no count in a set of at most k elements exceeds k
+    steps = _fingerprint_steps(len(queries), cap)
     counts = [0] * len(queries)
-    for size in range(k + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            touched: list[int] = []
-            for v in combo:
-                for idx in inc.get(v, ()):
-                    if counts[idx] == 0:
-                        touched.append(idx)
-                    counts[idx] += 1
-            touched.sort()
-            profile = tuple((idx, min(counts[idx], alpha)) for idx in touched)
-            for idx in touched:
-                counts[idx] = 0
-            if profile in seen:
-                return False
-            seen.add(profile)
-    return True
+    chosen: list[int] = []
+    fingerprint = 0
+    first: dict[int, tuple[int, ...]] = {0: ()}  # fingerprint -> first set that had it
+    # fingerprint -> the distinct profiles of every set that had it, once two sets share it
+    shared: dict[int, set[tuple[tuple[int, int], ...]]] = {}
+
+    def profile(members: Iterable[int]) -> tuple[tuple[int, int], ...]:
+        # Nonzero positions characterize a vector (all others read 0), so sets
+        # are compared through their sparse capped profiles, not full m-tuples.
+        hits: dict[int, int] = {}
+        for v in members:
+            for j in queries_of[v]:
+                hits[j] = hits.get(j, 0) + 1
+        return tuple(sorted((j, min(c, alpha)) for j, c in hits.items()))
+
+    def push(e: int) -> None:
+        nonlocal fingerprint
+        for j in queries_of[e]:
+            c = counts[j] + 1
+            counts[j] = c
+            if c <= cap:
+                fingerprint += steps[j][c - 1]
+        chosen.append(e)
+
+    def pop(e: int) -> None:
+        nonlocal fingerprint
+        chosen.pop()
+        for j in queries_of[e]:
+            c = counts[j]
+            counts[j] = c - 1
+            if c <= cap:
+                fingerprint -= steps[j][c - 1]
+
+    def leaf() -> bool | None:
+        earlier = first.get(fingerprint)
+        if earlier is None:
+            first[fingerprint] = tuple(chosen)
+            return None
+        profiles = shared.get(fingerprint)
+        if profiles is None:
+            profiles = shared[fingerprint] = {profile(earlier)}
+        here = profile(chosen)
+        if here in profiles:
+            return True  # two sets with one feedback vector
+        profiles.add(here)
+        return None
+
+    return walk_subsets(n, k, push, pop, leaf) is None

@@ -21,7 +21,8 @@ The facts every selector family and oracle shares live here, once:
   exhaustive search over candidate sets, and the one refusal an oracle
   raises when a search would exceed its budget;
 * ``walk_subsets``: the push/pop walk over those candidate sets that
-  the selector and jamming oracles keep their per-set counts on.
+  the selector, jamming, uniqueness and random-code claim oracles keep
+  their per-set counts on.
 """
 
 from __future__ import annotations

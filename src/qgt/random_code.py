@@ -17,7 +17,10 @@ n/alpha < |K| <= k meets some second-part query in exactly one element.
 A verified code distinguishes any two multisets of at most k elements
 via their symmetric difference.  At small n the union bounds backing
 the claims are loose, so verification is the source of truth and
-callers retry seeds until it passes.
+callers retry seeds until it passes.  The exhaustive check walks the
+candidate sets with ``model.walk_subsets``, keeping each query's count
+and each part's number of queries hit exactly once on push and pop;
+the sampled check counts each seeded draw from scratch.
 
 The natural logarithm in t1/t2 is evaluated in floating point and then
 rounded up.
@@ -25,13 +28,12 @@ rounded up.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from math import ceil, e, log
 
 from .model import Query, check_budget, check_cap, check_capacity, incidence, sets_up_to
-from .model import singletons
+from .model import singletons, walk_subsets
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,63 @@ def _hit_exactly_once(
     return any(c == 1 and lo <= idx < hi for idx, c in counts.items())
 
 
+def _first_missed_set(
+    code: RandomCode,
+    inc: dict[int, tuple[int, ...]],
+    part1: tuple[int, int],
+    part2: tuple[int, int],
+    small_limit: int,
+) -> frozenset[int] | None:
+    """First set, in walk order, that no query of its part meets exactly once.
+
+    Sets of at most ``small_limit`` elements read part 1, larger ones part
+    2.  Each query's count in K and, per part, the number of its queries
+    that meet K exactly once are kept up to date on push and pop.
+    """
+    m = len(code.queries)
+    in1 = [int(part1[0] <= j < part1[1]) for j in range(m)]
+    in2 = [int(part2[0] <= j < part2[1]) for j in range(m)]
+    # a query in neither part never counts, so the walk skips it
+    queries_of = [
+        tuple(j for j in inc.get(v, ()) if in1[j] or in2[j]) for v in range(code.n + 1)
+    ]
+    hits = [0] * m
+    chosen: list[int] = []
+    once1 = once2 = 0  # part-1 and part-2 queries meeting K exactly once
+
+    def push(e: int) -> None:
+        nonlocal once1, once2
+        for j in queries_of[e]:
+            h = hits[j] + 1
+            hits[j] = h
+            if h == 1:
+                once1 += in1[j]
+                once2 += in2[j]
+            elif h == 2:
+                once1 -= in1[j]
+                once2 -= in2[j]
+        chosen.append(e)
+
+    def pop(e: int) -> None:
+        nonlocal once1, once2
+        chosen.pop()
+        for j in queries_of[e]:
+            h = hits[j] - 1
+            hits[j] = h
+            if h == 1:
+                once1 += in1[j]
+                once2 += in2[j]
+            elif h == 0:
+                once1 -= in1[j]
+                once2 -= in2[j]
+
+    def leaf() -> frozenset[int] | None:
+        once = once1 if len(chosen) <= small_limit else once2
+        return None if once else frozenset(chosen)
+
+    return walk_subsets(code.n, code.k, push, pop, leaf)
+
+
 def verify_claims(
     code: RandomCode,
     mode: str = "exhaustive",
@@ -139,21 +198,15 @@ def verify_claims(
 ) -> ClaimReport:
     """Check the three claims; exhaustive over all candidate sets or over sampled ones.
 
-    On the singleton fallback the two parts coincide with the whole code,
-    matching the fact that singletons hit every set exactly once.
+    The exhaustive witness is the first one a full enumeration of the
+    candidate sets finds, size by size.  On the singleton fallback the
+    two parts coincide with the whole code, matching the fact that
+    singletons hit every set exactly once.
     """
     n, k, alpha = code.n, code.k, code.alpha
     if mode == "exhaustive":
         check_budget(sets_up_to(n, k) - 1, budget)
-        universe = range(1, n + 1)
-        candidates = (
-            combo for size in range(1, k + 1) for combo in itertools.combinations(universe, size)
-        )
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        population = list(range(1, n + 1))
-        candidates = (tuple(rng.sample(population, rng.randint(1, k))) for _ in range(trials))
-    else:
+    elif mode != "sampled":
         raise ValueError(f"unknown verification mode {mode!r}")
     witness1 = next((s for s in code.queries if len(s) > alpha), None)
     inc = incidence(code.queries)
@@ -164,16 +217,21 @@ def verify_claims(
         part1 = (0, code.t1)
         part2 = (code.t1, code.t1 + code.t2)
     small_limit = min(k, n // alpha)
-    witness2 = witness3 = None
-    for combo in candidates:
-        small = len(combo) <= small_limit
-        lo, hi = part1 if small else part2
-        if not _hit_exactly_once(lo, hi, inc, combo):
-            if small:
-                witness2 = frozenset(combo)
-            else:
-                witness3 = frozenset(combo)
-            break
+    if mode == "exhaustive":
+        missed = _first_missed_set(code, inc, part1, part2, small_limit)
+    else:
+        rng = random.Random(seed)
+        population = list(range(1, n + 1))
+        missed = None
+        for _ in range(trials):
+            combo = tuple(rng.sample(population, rng.randint(1, k)))
+            lo, hi = part1 if len(combo) <= small_limit else part2
+            if not _hit_exactly_once(lo, hi, inc, combo):
+                missed = frozenset(combo)
+                break
+    small = missed is not None and len(missed) <= small_limit
+    witness2 = missed if small else None
+    witness3 = None if small else missed
     return ClaimReport(
         witness1 is None, witness2 is None, witness3 is None, witness1, witness2, witness3
     )

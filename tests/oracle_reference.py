@@ -1,16 +1,18 @@
-"""Reference scans for the selector and jamming oracles.
+"""Reference scans for the selector, jamming, uniqueness and claim oracles.
 
 These are the plain enumerations the library's push/pop walks replace:
-every candidate set is rebuilt as a bitmask and tested against every
-query.  They are kept only as the reference the differential tests in
-test_oracle_walk.py compare the walks against: value, ``stop_at``
-result, first witness and ``BudgetError`` points must all agree.
+every candidate set is rebuilt from scratch (as a bitmask, a capped
+profile or a count dict) and tested against every query.  They are kept
+only as the reference the differential tests in test_oracle_walk.py
+compare the walks against: value, ``stop_at`` result, verdict, first
+witness and ``BudgetError`` points must all agree.
 """
 
 import itertools
 from math import comb
 
 from qgt.model import check_budget, incidence, query_mask, sets_up_to
+from qgt.random_code import ClaimReport
 
 
 def reference_max_unselected_count(
@@ -79,3 +81,68 @@ def reference_find_unjammed_violation(queries, n, k, alpha, budget=10_000_000):
                 ):
                     return frozenset(combo), x
     return None
+
+
+def reference_verify_uniqueness(queries, n, k, alpha, budget=10_000_000):
+    check_budget(sets_up_to(n, k), budget)
+    inc = incidence(queries)
+    # Nonzero positions characterize a vector (all others read 0), so sets are
+    # compared through their sparse capped profiles instead of full m-tuples.
+    seen = set()
+    counts = [0] * len(queries)
+    for size in range(k + 1):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            touched = []
+            for v in combo:
+                for idx in inc.get(v, ()):
+                    if counts[idx] == 0:
+                        touched.append(idx)
+                    counts[idx] += 1
+            touched.sort()
+            profile = tuple((idx, min(counts[idx], alpha)) for idx in touched)
+            for idx in touched:
+                counts[idx] = 0
+            if profile in seen:
+                return False
+            seen.add(profile)
+    return True
+
+
+def _reference_hit_exactly_once(lo, hi, inc, combo):
+    counts = {}
+    for v in combo:
+        for idx in inc.get(v, ()):
+            counts[idx] = counts.get(idx, 0) + 1
+    return any(c == 1 and lo <= idx < hi for idx, c in counts.items())
+
+
+def reference_verify_claims(code, budget=10_000_000):
+    """The exhaustive mode of ``verify_claims`` as a scan over itertools.combinations."""
+    n, k, alpha = code.n, code.k, code.alpha
+    check_budget(sets_up_to(n, k) - 1, budget)
+    universe = range(1, n + 1)
+    candidates = (
+        combo for size in range(1, k + 1) for combo in itertools.combinations(universe, size)
+    )
+    witness1 = next((s for s in code.queries if len(s) > alpha), None)
+    inc = incidence(code.queries)
+    if code.fallback:
+        part1 = (0, len(code.queries))
+        part2 = part1
+    else:
+        part1 = (0, code.t1)
+        part2 = (code.t1, code.t1 + code.t2)
+    small_limit = min(k, n // alpha)
+    witness2 = witness3 = None
+    for combo in candidates:
+        small = len(combo) <= small_limit
+        lo, hi = part1 if small else part2
+        if not _reference_hit_exactly_once(lo, hi, inc, combo):
+            if small:
+                witness2 = frozenset(combo)
+            else:
+                witness3 = frozenset(combo)
+            break
+    return ClaimReport(
+        witness1 is None, witness2 is None, witness3 is None, witness1, witness2, witness3
+    )
