@@ -93,36 +93,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             k_set, x = witness
             print(f"claim-a: FAIL  element {x} jammed within K={sorted(k_set)}")
             failures += 1
-    if args.sui:
-        ran_any = True
-        failures += _verify_levels(code, args.budget, (KIND_SUI, KIND_RR))
-    if args.ssui:
-        ran_any = True
-        failures += _verify_levels(code, args.budget, (KIND_SSUI,))
+    for flag, kinds in ((args.sui, (KIND_SUI, KIND_RR)), (args.ssui, (KIND_SSUI,))):
+        if flag:
+            ran_any = True
+            failures += _verify_levels(code, args.budget, kinds)
     if not ran_any:
         print("nothing to verify (pass --uniqueness/--claim-a/--sui/--ssui)")
         return EXIT_USAGE
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def _level_groups(code, kinds):
-    """(kind, level, base queries) for each block group of a kind in `kinds`."""
-    for group in code.block_groups:
-        head = group[0]
-        if head.kind in kinds:
-            yield head.kind, head.level, tuple(code.queries[blk.base] for blk in group)
-
-
 def _verify_levels(code, budget: int, kinds) -> int:
-    if code.mode == MODE_RANDOM or not code.blocks:
-        print("selector check: no block layout in this code")
+    """One line per block group of a kind in `kinds` ("sui" and "rr" only in older files)."""
+    groups = [group for group in code.block_groups if group[0].kind in kinds]
+    if not groups:
+        print(f"selector check: no {' or '.join(kinds)} block in this code")
         return 1
     k_pow, cap = level_params(code.k, code.alpha)
     failures = 0
-    for kind, level, queries in _level_groups(code, kinds):
+    for group in groups:
+        kind, level = group[0].kind, group[0].level
+        queries = tuple(code.queries[blk.base] for blk in group)
         try:
             if kind == KIND_SSUI:
-                ok = verify_ssui(queries, code.n, level, k_pow, cap, budget=budget)
+                ok = verify_ssui(queries, code.n, level, 0, 1, budget=budget)
                 print(f"{kind} level {level}: {'pass' if ok else 'FAIL'}")
             else:
                 report = verify_sui(queries, code.n, level, 0.5, k_pow, cap, budget=budget)

@@ -1,43 +1,30 @@
-"""Group-testing code assembly: one selector family with balanced-ID slices.
+"""Group-testing code assembly: one strong selector with balanced-ID slices.
 
 A code is a flat sequence of queries plus a block layout.  Every block
 is one selector query S followed by its 2*log2(n) bit slices R_1(S) ..
 R_2b(S), except that a base of at most one element carries no slices: a
 one-element base already names its element, and an empty one names
-none.  The layout records block kind ("sui", "rr" or "ssui"), the
-selector level it came from, where its base query sits and its slice
-count (0 or 2*log2(n)).  The decoder needs the layout; the feedback
-model does not.
+none.  The layout records block kind, the selector level it came from,
+where its base query sits and its slice count (0 or 2*log2(n)).  The
+decoder needs the layout; the feedback model does not.
 
-Every mode is built by ``_assemble`` as one selector family at level
-kappa, the next power of two of k, with the interference cap from
-``level_params``:
+A base holding one element of the hidden set is trusted in every mode:
+its value is below any cap alpha >= 2, and exact in a multiset readout.
+So one width-k strong selector (every element of every set of at most k
+elements alone in some query) decodes every mode, and ``_assemble``
+builds it by one rule that builds nothing before it decides: with
+(q, d, L) = ``ssui.rs_trunc_size(n, k)``, the truncated Reed-Solomon
+table (first L evaluation points, empty queries dropped) when
+L*q*(1 + 2*log2(n)) < n, else the n singletons.  Every block is kind
+"ssui" at level k.  No code is longer than n, and its length depends on
+neither alpha nor mode: large mode is the plain rule under its own
+header.  The table first wins at n = 2^5, 2^9, 2^11 and 2^12 for
+k = 1, 2, 3 and 4-5.
 
-* cap > 1 (plain and large with alpha >= 3, and every multiset code,
-  whose cap kappa + 1 never binds): the (n, kappa, 1/2, kappa, cap)
-  selector under interference, kind "sui";
-* cap = 1 in plain mode: the Reed-Solomon strong selector
-  (n, kappa, kappa, 1), kind "ssui", when its laid-out length
-  q^2 * (1 + 2*log2(n)) is below n, else the n singletons, still kind
-  "ssui": they are a strong selector for every width;
-* cap = 1 in large mode: the chunked selector (n, kappa, 1/2, kappa, 1),
-  kind "rr".
-
-The plain rule is exact and builds nothing (``ssui.rs_size`` gives q):
-if n >= 2q every table base holds two or more elements, so the table is
-q^2 * (1 + 2*log2(n)) queries; if n < 2q it has q^2 > n^2/4 >= n.  The
-table first wins at n = 2^15, 2^18, 2^18, 2^19, 2^21 and 2^23 for
-kappa = 1, 2, 4, 8, 16 and 32.
-
-The paper stacks levels ell = k, k/2, ... and ends with a strong
-selector or chunked levels.  Here the first level already is the n
-singletons whenever it is a selector under interference (see the
-``sui`` module for why, at every n a code can be built for), and a
-family in which every element has a query of its own isolates every
-element with zero interference, so no later level could decode
-anything more.  No code is longer than n: plain alpha >= 3, large and
-multiset codes are exactly n queries, and a plain alpha = 2 code is the
-n singletons or a shorter table.
+The paper's selectors under interference are the n singletons at every
+n a code can be built for (``sui`` module), so none is built.  Blocks of
+kind "sui" and "rr" appear only in files from earlier builders; they
+still load and decode, and ``qgt verify --sui`` checks them.
 """
 
 from __future__ import annotations
@@ -49,8 +36,12 @@ from .balanced import bit_slices, id_bits
 from .model import Query, as_multiset, check_cap, check_capacity, check_universe, next_power_of_two
 from .model import incidence as _incidence
 from .model import singletons
-from .ssui import build_ssui, rs_size
-from .sui import build_sui, build_sui_rr
+from .ssui import rs_trunc_size, truncated_table
+
+# build_ssui, build_sui and build_sui_rr are not called here; perfbench/tracer.py wraps them
+# as qgt.code globals.
+from .ssui import build_ssui as build_ssui
+from .sui import build_sui as build_sui, build_sui_rr as build_sui_rr
 
 KIND_SUI = "sui"
 KIND_RR = "rr"
@@ -163,54 +154,36 @@ def _check_build_params(n: int, k: int, alpha: int | None = None) -> None:
 
 
 def level_params(k: int, alpha: int) -> tuple[int, int]:
-    """(kappa, cap) of a code's selector levels.
-
-    kappa = next_power_of_two(k).  The interference cap is alpha - 1;
-    below alpha = 2 (multiset codes store alpha 0) it is kappa + 1, a cap
-    that can never bind.
-    """
+    """(kappa, cap) of a "sui" or "rr" group's check; below alpha = 2 the cap never binds."""
     kappa = next_power_of_two(k)
     return kappa, (alpha - 1 if alpha >= 2 else kappa + 1)
 
 
-def _table_wins(n: int, kappa: int) -> bool:
-    """Whether the laid-out (n, kappa, kappa, 1) Reed-Solomon table is shorter than n."""
-    return rs_size(n, kappa, kappa, 1)[0] ** 2 * (1 + id_bits(n)) < n
-
-
 def _assemble(n: int, k: int, alpha: int, mode: str) -> Code:
     """The one selector family of a code, as blocks (module docstring)."""
-    kappa, cap = level_params(k, alpha)
-    if cap > 1:
-        kind, family = KIND_SUI, build_sui(n, kappa, 0.5, kappa, cap).queries
-    elif mode == MODE_LARGE:
-        kind, family = KIND_RR, build_sui_rr(n, kappa, 0.5, kappa, 1).queries
-    elif _table_wins(n, kappa):
-        kind, family = KIND_SSUI, build_ssui(n, kappa, kappa, 1).queries
-    else:
-        kind, family = KIND_SSUI, singletons(n)
-    return _layout(family, kind, kappa, n, k, alpha, mode)
+    q, _, points = rs_trunc_size(n, k)
+    if points * q * (1 + id_bits(n)) < n:
+        return _layout(truncated_table(n, q, points), n, k, alpha, mode)
+    return _layout(singletons(n), n, k, alpha, mode)
 
 
-def _layout(
-    family: tuple[Query, ...], kind: str, level: int, n: int, k: int, alpha: int, mode: str
-) -> Code:
-    """One block per query of `family`; bases of two or more elements carry slices."""
+def _layout(family: tuple[Query, ...], n: int, k: int, alpha: int, mode: str) -> Code:
+    """One "ssui" block at level k per query; bases of two or more elements carry slices."""
     width = id_bits(n)
     queries: list[Query] = []
     blocks: list[Block] = []
     for s in family:
         if len(s) > 1:
-            blocks.append(Block(kind, level, len(queries), width))
+            blocks.append(Block(KIND_SSUI, k, len(queries), width))
             queries.extend(enhance(s, n))
         else:
-            blocks.append(Block(kind, level, len(queries), 0))
+            blocks.append(Block(KIND_SSUI, k, len(queries), 0))
             queries.append(s)
     return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
 
 
 def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
-    """Plain-mode code: the n singletons, or a shorter strong selector at alpha = 2.
+    """Plain-mode code: the truncated width-k table where shorter than n, else the n singletons.
 
     ``seed`` changes no byte of the code: no family a code is built from
     draws anything at random.
@@ -220,23 +193,22 @@ def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
 
 
 def build_code_large(n: int, k: int, alpha: int, seed: int = 0) -> Code:
-    """Large-k code: the n singletons, as a selector or chunked selector level.
+    """Large-k code: the plain family and layout under the ``large`` header.
 
-    ``build_code`` is never longer; large mode stays for the files and
-    callers that name it.  ``seed`` changes no byte of the code.
+    Large mode stays for the files and callers that name it.  ``seed``
+    changes no byte of the code.
     """
     _check_build_params(n, k, alpha)
     return _assemble(n, k, alpha, MODE_LARGE)
 
 
 def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
-    """Multiset code: one selector level, the n singletons.
+    """Multiset code: the plain family and layout, stored with alpha 0.
 
     Decoding assumes the readout cap is at least the total multiplicity,
-    which makes every feedback value exact; the selector therefore only
-    needs isolation, so it is built with an interference cap that can
-    never bind (alpha 0, see level_params).  ``seed`` changes no byte of
-    the code.
+    which makes every feedback value exact; isolation is all the
+    selector needs, as in every mode.  ``seed`` changes no byte of the
+    code.
     """
     _check_build_params(n, k)
     return _assemble(n, k, 0, MODE_MULTISET)

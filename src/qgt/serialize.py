@@ -11,6 +11,8 @@ Code file layout (LF line endings):
     <kind> <level> <base-offset> <slice-count>     (one line per block)
     <query>                                        (one line per query)
 
+Built codes write every block as kind "ssui" at level k; "sui" and "rr"
+blocks appear only in files from earlier builders, and still load.
 Block base offsets are 1-based into the query list; each block owns its
 base query and the `slice-count` queries after it, and together the
 blocks must tile [1..m] exactly (random-mode codes carry no blocks).
@@ -39,7 +41,7 @@ FORMAT_NAME = "qgtc"
 FORMAT_VERSION = 1
 
 _MODES = (MODE_PLAIN, MODE_LARGE, MODE_MULTISET, MODE_RANDOM)
-_KINDS = (KIND_SUI, KIND_RR, KIND_SSUI)
+_KINDS = (KIND_SSUI, KIND_SUI, KIND_RR)
 # The decoder trusts a value below alpha, and every value when alpha is 0.
 _MIN_ALPHA = {MODE_PLAIN: 2, MODE_LARGE: 2, MODE_RANDOM: 1}
 

@@ -5,19 +5,22 @@ family in which, for every K1 of at most ell elements and K2 of at most
 kappa elements, *every* v in K1 appears alone from K1 in some query
 whose interference from K2 (counted without v itself) stays below alpha.
 
-Construction: associate element i with the polynomial over F_q whose
-coefficients are the base-q digits of i-1, with q prime, degree bound
-d = ceil(log_ell n).  For each argument x in [0..q-1] the element joins
-query number x*q + P_i(x) + 1.  Two distinct polynomials of degree at
-most d agree on at most d arguments, which bounds both pairwise
-co-occurrence and, by a counting argument, the number of arguments an
-adversary can jam.  The prime q is raised until the counting argument
-has slack: kappa*d/alpha < q - (ell-1)*d.
+Construction (``rs_table``): element i is the polynomial over F_q, q
+prime, whose coefficients are the base-q digits of i-1, of degree at
+most d; for each argument x it joins query number x*q + P_i(x) + 1.
+Two distinct polynomials agree on at most d arguments, which bounds
+both pairwise co-occurrence and, by a counting argument, the number of
+arguments an adversary can jam.  ``build_ssui`` takes all q arguments,
+with d = ceil(log_ell n) and q raised until the counting argument has
+slack, kappa*d/alpha < q - (ell-1)*d (``rs_size``): q^2 queries, each
+element in q of them.
 
-The family has exactly q^2 queries and every element occurs in exactly
-q of them.  ``rs_size`` is the one home of the sizing (d, the smallest
-admissible prime and the jamming loop), so a family's length is known
-before it is built: ``build_ssui`` and ``strong_selector`` both read it.
+Isolation alone (kappa = 0) needs only the first L = (w-1)*d + 1
+arguments for width w: the w-1 others share at most (w-1)*d of them
+with v.  ``rs_trunc_size`` picks d and the smallest prime q >= L with
+q^(d+1) >= n to minimise L*q; ``truncated_table`` drops that table's
+empty queries.  The code builder and ``strong_selector`` take it where
+it is short enough, else the n singletons.
 """
 
 from __future__ import annotations
@@ -59,8 +62,13 @@ def is_prime(q: int) -> bool:
 
 def smallest_admissible_prime(ell: int, d: int, c: int, n: int) -> int:
     """Smallest prime q with q >= c*ell*d and q^(d+1) >= n."""
-    q = max(2, c * ell * d)
-    while not (is_prime(q) and q ** (d + 1) >= n):
+    return _prime_at_least(c * ell * d, d, n)
+
+
+def _prime_at_least(lo: int, d: int, n: int) -> int:
+    """Smallest prime q with q >= lo and q^(d+1) >= n."""
+    q = max(2, lo, round(n ** (1 / (d + 1))) - 1)  # at most the exact root
+    while not (q ** (d + 1) >= n and is_prime(q)):
         q += 1
     return q
 
@@ -93,13 +101,42 @@ def rs_size(n: int, ell: int, kappa: int, alpha: int) -> tuple[int, int]:
     d = 1
     while max(2, ell) ** d < n:
         d += 1
-    q = smallest_admissible_prime(ell, d, 2, n)  # every table has q >= 2*ell*d
-    # integer form of kappa*d/alpha < q - (ell-1)*d
-    while not kappa * d < alpha * (q - (ell - 1) * d):
-        q += 1
-        while not is_prime(q):
-            q += 1
-    return q, d
+    # every table has q >= 2*ell*d; then kappa*d/alpha < q - (ell-1)*d, in integers
+    return _prime_at_least(max(2 * ell * d, (ell - 1) * d + kappa * d // alpha + 1), d, n), d
+
+
+def rs_trunc_size(n: int, width: int) -> tuple[int, int, int]:
+    """(q, d, L) of the truncated width-`width` table (module docstring).
+
+    L = (width-1)*d + 1, q is the smallest prime >= L with q^(d+1) >= n,
+    and d is the smallest degree minimising L*q.
+    """
+    sizes = []
+    for d in range(1, n.bit_length() + 1):
+        points = (width - 1) * d + 1
+        sizes.append((_prime_at_least(points, d, n), d, points))
+        if sizes[-1][0] == 2 or points ** (d + 1) >= n:
+            break  # q is the smallest prime >= L from here on: a larger d is longer
+    return min(sizes, key=lambda size: size[0] * size[2])
+
+
+def rs_table(n: int, q: int, points: int) -> tuple[Query, ...]:
+    """The table at arguments 0 .. points-1, x-major, empty queries kept.
+
+    With v = c + q*w (c the lowest digit), P_{v+1}(x) = c + x * P_{w+1}(x).
+    """
+    members: list[list[int]] = [[] for _ in range(points * q)]
+    for x in range(points):
+        values = [0] * n  # values[v]: P_{v+1}(x)
+        for v in range(n):
+            values[v] = y = (v % q + x * values[v // q]) % q
+            members[x * q + y].append(v + 1)
+    return tuple(frozenset(m) for m in members)
+
+
+def truncated_table(n: int, q: int, points: int) -> tuple[Query, ...]:
+    """The nonempty queries of the table at the first `points` arguments."""
+    return tuple(s for s in rs_table(n, q, points) if s)
 
 
 @dataclass(frozen=True)
@@ -127,26 +164,20 @@ def build_ssui(n: int, ell: int, kappa: int, alpha: int) -> SSuIFamily:
     """
     check_selector_params(n, ell, kappa, alpha)
     q, d = rs_size(n, ell, kappa, alpha)
-    members: list[list[int]] = [[] for _ in range(q * q)]
-    for i in range(1, n + 1):
-        coeffs = nth_polynomial(i, q, d)
-        for x in range(q):
-            members[x * q + poly_eval(coeffs, x, q)].append(i)
-    queries = tuple(frozenset(m) for m in members)
-    return SSuIFamily(queries, n, ell, kappa, alpha, q, d)
+    return SSuIFamily(rs_table(n, q, q), n, ell, kappa, alpha, q, d)
 
 
 def strong_selector(n: int, width: int) -> tuple[Query, ...]:
     """An (n, width) strong selector: every element of every width-subset is isolated.
 
-    Uses the interference-free polynomial family, except when the n
-    singleton queries are at least as short -- a singleton family is a
-    strong selector for every width.
+    The truncated table when its L*q queries are fewer than n, else the n
+    singletons, a strong selector for every width.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    if width < n and rs_size(n, width, 0, 1)[0] ** 2 < n:
-        return build_ssui(n, width, 0, 1).queries
+    q, _, points = rs_trunc_size(n, width)
+    if points * q < n:
+        return truncated_table(n, q, points)
     return singletons(n)
 
 

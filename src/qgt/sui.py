@@ -14,11 +14,11 @@ strong selector of m queries and |W| >= 1 right nodes.
 
 `build_sui` returns the n singletons instead; they select everything
 with zero interference.  At the default sizing (delta ceil(log2(n)^3))
-the width-2*delta Reed-Solomon table is first shorter than n at
-n = 2^39, where it has q^2 = 711,829^2 = 506,700,525,241 queries; at
-every n = 2^1 .. 2^38 the strong selector, and so any composition with
-it, has at least n queries.  No universe a code is built for comes near
-2^39, so the composition is not on the build path.  `compose`,
+the width-2*delta `ssui.strong_selector` is first shorter than n at
+n = 2^33, where it has L*q = 71,874 * 92,683 = 6,661,497,942 queries;
+at every n = 2^1 .. 2^32 it, and so any composition with it, has at
+least n queries.  No universe a code is built for comes near 2^33, so
+the composition is not on the build path.  `compose`,
 `disperser.build_disperser` and `disperser.verify_dispersion` stay as
 library constructions, checked at tiny n.
 

@@ -70,11 +70,24 @@ def test_verify_uniqueness_pass_and_fail(tmp_path, capsys):
 def test_verify_selector_levels(tmp_path, capsys):
     code_file = tmp_path / "code.qgtc"
     run(capsys, "build", "--n", "16", "--k", "2", "--alpha", "3", "--out", str(code_file))
-    status, out, _ = run(capsys, "verify", "--code", str(code_file), "--sui", "--ssui")
+    status, out, _ = run(capsys, "verify", "--code", str(code_file), "--ssui")
     assert status == 0
-    assert "pass" in out
+    assert out == "ssui level 2: pass\n"
 
 
+def test_verify_selector_levels_of_a_table_code(tmp_path, capsys):
+    code_file = tmp_path / "code.qgtc"
+    run(capsys, "build", "--n", "32", "--k", "1", "--alpha", "2", "--out", str(code_file))
+    status, out, _ = run(
+        capsys, "verify", "--code", str(code_file), "--uniqueness", "--claim-a", "--ssui"
+    )
+    assert status == 0
+    assert "ssui level 1: pass" in out
+    assert "FAIL" not in out
+
+
+# Files from earlier builders: the same families, labelled "sui" in
+# multiset mode and "rr" in large mode at alpha 2, each at level 4.
 @pytest.mark.parametrize(
     "build_args, level_line",
     [
@@ -85,10 +98,40 @@ def test_verify_selector_levels(tmp_path, capsys):
 def test_verify_selector_levels_multiset_and_large(tmp_path, capsys, build_args, level_line):
     code_file = tmp_path / "code.qgtc"
     run(capsys, "build", "--n", "16", "--k", "4", *build_args, "--out", str(code_file))
-    status, out, _ = run(capsys, "verify", "--code", str(code_file), "--sui")
+    status, out, _ = run(capsys, "verify", "--code", str(code_file), "--ssui")
+    assert status == 0
+    assert out == "ssui level 4: pass\n"
+
+    old_kind = level_line.split()[0]
+    old_file = tmp_path / "old.qgtc"
+    old_file.write_text(code_file.read_text().replace("\nssui 4 ", f"\n{old_kind} 4 "))
+    status, out, _ = run(capsys, "verify", "--code", str(old_file), "--sui")
     assert status == 0
     assert level_line in out
     assert "FAIL" not in out
+
+
+def test_verify_without_blocks_of_the_kind_fails(tmp_path, capsys):
+    code_file = tmp_path / "code.qgtc"
+    run(capsys, "build", "--n", "16", "--k", "2", "--alpha", "2", "--out", str(code_file))
+    status, out, _ = run(capsys, "verify", "--code", str(code_file), "--sui")
+    assert status == 1
+    assert out == "selector check: no sui or rr block in this code\n"
+
+    old_file = tmp_path / "old.qgtc"
+    old_file.write_text("qgtc 1\nn 4\nk 1\nalpha 3\nmode plain\nblocks 4\n"
+                        "sui 1 1 0\nsui 1 2 0\nsui 1 3 0\nsui 1 4 0\n1\n2\n3\n4\n")
+    status, out, _ = run(capsys, "verify", "--code", str(old_file), "--ssui")
+    assert status == 1
+    assert out == "selector check: no ssui block in this code\n"
+    status, _, _ = run(capsys, "verify", "--code", str(old_file), "--sui")
+    assert status == 0
+
+    random_file = tmp_path / "random.qgtc"
+    random_file.write_text("qgtc 1\nn 4\nk 1\nalpha 1\nmode random\nblocks 0\n1 2\n3\n")
+    status, out, _ = run(capsys, "verify", "--code", str(random_file), "--ssui")
+    assert status == 1
+    assert out == "selector check: no ssui block in this code\n"
 
 
 @pytest.mark.parametrize(

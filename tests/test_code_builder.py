@@ -6,7 +6,6 @@ import pytest
 
 from qgt.balanced import id_bits, slice_query
 from qgt.code import (
-    _table_wins,
     build,
     build_code,
     build_code_large,
@@ -15,7 +14,7 @@ from qgt.code import (
 )
 from qgt.model import singletons
 from qgt.serialize import code_to_text
-from qgt.ssui import rs_size
+from qgt.ssui import is_prime, rs_size, rs_trunc_size
 
 from rs_table import rs_table_code
 
@@ -89,19 +88,18 @@ def test_alpha_two_collapses_to_terminal_selector_only():
 
 
 def test_level_structure_alpha_three():
-    # the first selector level is the n singletons, which ends the code:
-    # no further level and no strong selector could decode anything more
+    # one strong selector at level k, here the n singletons: the
+    # truncated width-3 table is longer than n below 2^11
     code = build_code(32, 3, 3)
-    assert {(blk.kind, blk.level) for blk in code.blocks} == {("sui", 4)}
+    assert {(blk.kind, blk.level) for blk in code.blocks} == {("ssui", 3)}
     assert code.queries == singletons(32)
     assert all(blk.slices == 0 for blk in code.blocks)
 
 
 def test_duplicate_levels_emitted_once():
-    # at n=1024 the first selector level is the singleton family
+    # at n=1024 the one selector level is the singleton family
     code = build_code(1024, 4, 4)
-    sui_levels = {blk.level for blk in code.blocks if blk.kind == "sui"}
-    assert len(sui_levels) == 1
+    assert {(blk.kind, blk.level) for blk in code.blocks} == {("ssui", 4)}
 
 
 def test_determinism_bit_for_bit():
@@ -128,19 +126,21 @@ def test_cap_below_two_rejected():
         build_code(12, 2, 2)
 
 
-def test_large_mode_rr_queries_are_small():
-    code = build_code_large(32, 8, 2)
-    for blk in code.blocks:
-        if blk.kind == "rr":
-            assert len(code.queries[blk.base]) <= 2
-    assert not any(blk.kind == "ssui" for blk in code.blocks)
+@pytest.mark.parametrize("n, k, alpha", [(32, 8, 2), (32, 1, 2), (32, 1, 3), (512, 2, 2)])
+def test_large_mode_is_the_plain_rule_under_its_header(n, k, alpha):
+    code = build_code_large(n, k, alpha)
+    assert code.mode == "large"
+    assert dataclasses.replace(code, mode="plain") == build_code(n, k, alpha)
+    assert {(blk.kind, blk.level) for blk in code.blocks} == {("ssui", k)}
 
 
-def test_multiset_code_has_no_terminal_selector():
-    code = build_code_multiset(16, 4)
-    assert not any(blk.kind == "ssui" for blk in code.blocks)
+@pytest.mark.parametrize("n, k", [(16, 4), (32, 1), (512, 2)])
+def test_multiset_code_is_the_plain_family_at_alpha_zero(n, k):
+    code = build_code_multiset(n, k)
+    assert {(blk.kind, blk.level) for blk in code.blocks} == {("ssui", k)}
     assert code.alpha == 0
     assert code.mode == "multiset"
+    assert code.queries == build_code(n, k, 2).queries
 
 
 def test_occurrence_accounting():
@@ -179,25 +179,30 @@ def test_k_one_builds_and_decodes():
     from qgt.decode import decode
 
     code = build_code(16, 1, 3)
-    assert {blk.kind for blk in code.blocks} == {"sui"}
+    assert {blk.kind for blk in code.blocks} == {"ssui"}
     assert code.queries == singletons(16)
     for v in range(1, 17):
         assert decode(code, code.feedback([v])) == {v: 1}
+    # from n = 2^5 a k = 1 code is the table at one argument: odd and even
+    table = build_code(32, 1, 3)
+    assert [len(table.queries[blk.base]) for blk in table.blocks] == [16, 16]
+    for v in range(1, 33):
+        assert decode(table, table.feedback([v])) == {v: 1}
 
 
 def test_full_singleton_level_builds_no_discarded_levels(monkeypatch):
     import qgt.code
 
     calls = []
-    build_sui = qgt.code.build_sui
+    original = qgt.code.singletons
 
-    def counting_build_sui(*args, **kwargs):
+    def counting_singletons(*args):
         calls.append(args)
-        return build_sui(*args, **kwargs)
+        return original(*args)
 
-    monkeypatch.setattr(qgt.code, "build_sui", counting_build_sui)
+    monkeypatch.setattr(qgt.code, "singletons", counting_singletons)
     code = build_code_multiset(4096, 16)
-    assert len(calls) == 1
+    assert calls == [(4096,)]
     assert code.queries == singletons(4096)
 
 
@@ -232,19 +237,60 @@ def test_auto_mode_is_gone():
     assert build(32, 2, 2).mode == "plain"
 
 
-# Smallest n = 2^e at which the laid-out (n, kappa, kappa, 1) table is
-# shorter than the n singletons, from rs_size alone (nothing is built).
-CROSSOVER = {1: 15, 2: 18, 4: 18, 8: 19, 16: 21, 32: 23}
+def _table_wins(n, k):
+    q, _, points = rs_trunc_size(n, k)
+    return points * q * (1 + id_bits(n)) < n
 
 
-@pytest.mark.parametrize("kappa, first", sorted(CROSSOVER.items()))
+# Smallest n = 2^e at which the laid-out truncated width-k table is
+# shorter than the n singletons, from rs_trunc_size alone (nothing is built).
+CROSSOVER = {1: 5, 2: 9, 3: 11, 4: 12, 5: 12, 8: 14, 16: 16, 32: 18}
+
+# The same for the full (n, kappa, kappa, 1) table of build_ssui, from rs_size.
+FULL_TABLE_CROSSOVER = {1: 15, 2: 18, 4: 18, 8: 19, 16: 21, 32: 23}
+
+
+@pytest.mark.parametrize("k, first", sorted(CROSSOVER.items()))
+def test_truncated_table_crossover_from_closed_form(k, first):
+    wins = [e for e in range(1, 40) if _table_wins(2**e, k)]
+    assert wins == list(range(first, 40))  # and it keeps winning
+    n = 2**first
+    q, d, points = rs_trunc_size(n, k)
+    assert points == (k - 1) * d + 1 <= q
+    assert is_prime(q) and q ** (d + 1) >= n
+
+
+@pytest.mark.parametrize("kappa, first", sorted(FULL_TABLE_CROSSOVER.items()))
 def test_table_crossover_from_closed_form(kappa, first):
-    wins = [e for e in range(1, 40) if _table_wins(2**e, kappa)]
+    # the full table's length q^2 * (1 + 2*log2 n) is exact once n >= 2q;
+    # where it first beats n the truncated table is far shorter, so the
+    # build rule never needs it
+    def full_length(n):
+        return rs_size(n, kappa, kappa, 1)[0] ** 2 * (1 + id_bits(n))
+
+    wins = [e for e in range(1, 40) if full_length(2**e) < 2**e]
     assert wins[0] == first
     n = 2**first
-    q, _ = rs_size(n, kappa, kappa, 1)
-    assert n >= 2 * q  # every base holds two or more elements: the length is exact
-    assert q * q * (1 + id_bits(n)) < n
+    assert n >= 2 * rs_size(n, kappa, kappa, 1)[0]
+    q, _, points = rs_trunc_size(n, kappa)
+    assert 2 * points * q * (1 + id_bits(n)) < full_length(n)
+
+
+def _reference_trunc_size(n, k):
+    """Brute force over d and q: the smallest L*q, ties to the smaller d."""
+    best = None
+    for d in range(1, n.bit_length() + 2):
+        points = (k - 1) * d + 1
+        q = next(q for q in itertools.count(points) if is_prime(q) and q ** (d + 1) >= n)
+        if best is None or points * q < best[0] * best[2]:
+            best = (q, d, points)
+    return best
+
+
+@pytest.mark.parametrize("e", range(1, 13))
+def test_rs_trunc_size_minimises_the_table_length(e):
+    for k in (1, 2, 3, 4, 5, 8, 16, 50):
+        assert rs_trunc_size(2**e, k) == _reference_trunc_size(2**e, k), (e, k)
 
 
 def test_laid_out_table_length_is_its_closed_form():
@@ -254,30 +300,76 @@ def test_laid_out_table_length_is_its_closed_form():
     assert all(blk.slices == id_bits(1024) for blk in code.blocks)
 
 
+def test_k_one_table_at_2_15_is_62_queries():
+    # two bases (odd and even elements) with 30 slices each
+    assert rs_trunc_size(2**15, 1) == (2, 14, 1)
+    assert len(build_code(2**15, 1, 2)) == 62
+
+
+BUILDERS = {
+    "plain": lambda n, k: build_code(n, k, 2),
+    "large": lambda n, k: build_code_large(n, k, 3),
+    "multiset": build_code_multiset,
+}
+
+
+def _refuse_old_builders(monkeypatch):
+    """Make build_sui, build_sui_rr and build_ssui raise wherever they are looked up."""
+    import qgt
+    import qgt.code
+    import qgt.ssui
+    import qgt.sui
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a code builder called an old selector builder")
+
+    for module in (qgt, qgt.code, qgt.ssui, qgt.sui):
+        for name in ("build_sui", "build_sui_rr", "build_ssui"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
 def test_assemble_takes_the_table_exactly_where_it_wins(monkeypatch):
     import qgt.code
 
-    class Called(Exception):
-        pass
-
     calls = []
 
-    def spy(*args):
-        calls.append(args)
-        raise Called  # the 2^15 table takes seconds to build; the call is the point
+    def spy(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(qgt.code, "build_ssui", spy)
-    assert build_code(2**14, 1, 2).queries == singletons(2**14)
-    assert calls == []
-    with pytest.raises(Called):
-        build_code(2**15, 1, 2)
-    assert calls == [(2**15, 1, 1, 1)]
+        return wrapper
+
+    for name in ("rs_trunc_size", "truncated_table", "singletons"):
+        monkeypatch.setattr(qgt.code, name, spy(name, getattr(qgt.code, name)))
+    _refuse_old_builders(monkeypatch)
+    for builder in BUILDERS.values():
+        for k, first in ((1, 5), (2, 9)):
+            calls.clear()
+            assert builder(2 ** (first - 1), k).queries == singletons(2 ** (first - 1))
+            assert calls == ["rs_trunc_size", "singletons"]  # decided before anything is built
+            calls.clear()
+            assert len(builder(2**first, k)) < 2**first
+            assert calls == ["rs_trunc_size", "truncated_table"]
+
+
+def test_no_builder_calls_the_old_selector_builders(monkeypatch):
+    _refuse_old_builders(monkeypatch)
+    for e in range(1, 10):
+        for k in (1, 2, 3, 4, 8):
+            if k <= 2**e:
+                for mode in BUILDERS:
+                    build(2**e, k, 2 if mode == "plain" else 3, mode)
 
 
 def test_plain_is_never_longer_than_n_or_large():
     for e in range(1, 9):
         n = 2**e
         for k in sorted({k for k in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32, n) if k <= n}):
+            lengths = set()
             for alpha in range(2, k + 4):
                 plain = len(build_code(n, k, alpha))
                 assert plain <= min(n, len(build_code_large(n, k, alpha))), (n, k, alpha)
+                lengths.add(plain)
+            assert len(lengths) == 1, (n, k)  # the length does not depend on alpha

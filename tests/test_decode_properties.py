@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qgt.code import MODE_MULTISET, build_code, build_code_large, build_code_multiset
 from qgt.decode import DecodeError, decode
 
-from rs_table import rs_table_code
+from rs_table import rs_table_code, trunc_table_code
 
 CODES = (
     build_code(4, 4, 3),
@@ -33,6 +33,15 @@ CODES = (
     dataclasses.replace(rs_table_code(16, 4), alpha=3),
     # the table read exactly: multiplicities spelled out through slices
     dataclasses.replace(rs_table_code(16, 1), alpha=0, mode=MODE_MULTISET),
+    # the truncated width-k table, as built from n = 2^5 at k = 1 and laid
+    # out below the n where the builder takes it
+    build_code(32, 1, 2),
+    trunc_table_code(16, 2),
+    trunc_table_code(32, 2),
+    trunc_table_code(16, 3, alpha=3),
+    trunc_table_code(32, 2, alpha=3),
+    trunc_table_code(16, 2, alpha=0, mode=MODE_MULTISET),
+    trunc_table_code(32, 3, alpha=0, mode=MODE_MULTISET),
 )
 CODE_IDS = [f"{c.mode}-{c.n}-{c.k}-{c.alpha}-m{len(c)}" for c in CODES]
 

@@ -13,8 +13,12 @@ from qgt.ssui import (
     nth_polynomial,
     occurrence_counts,
     poly_eval,
+    rs_size,
+    rs_table,
+    rs_trunc_size,
     smallest_admissible_prime,
     strong_selector,
+    truncated_table,
     verify_ssui,
 )
 
@@ -186,6 +190,36 @@ def test_strong_selector_isolates_all_pairs():
         k1_set = frozenset(k1)
         for v in k1:
             assert any(s & k1_set == {v} for s in fam)
+
+
+@pytest.mark.parametrize("n, ell, kappa, alpha", [(16, 2, 4, 2), (32, 1, 1, 1), (64, 2, 0, 1)])
+def test_truncated_table_is_the_first_points_of_the_full_table(n, ell, kappa, alpha):
+    full = build_ssui(n, ell, kappa, alpha)
+    assert rs_table(n, full.q, full.q) == full.queries
+    for points in (1, 2, full.q - 1):
+        assert rs_table(n, full.q, points) == full.queries[: points * full.q]
+        assert truncated_table(n, full.q, points) == tuple(
+            s for s in full.queries[: points * full.q] if s
+        )
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_strong_selector_takes_the_truncated_table_where_it_is_shorter(n, width):
+    q, _, points = rs_trunc_size(n, width)
+    fam = strong_selector(n, width)
+    if points * q < n:
+        assert fam == truncated_table(n, q, points)
+        assert len(fam) <= points * q < n
+    else:
+        assert fam == tuple(frozenset({v}) for v in range(1, n + 1))
+    assert verify_ssui(fam, n, width, 0, 1)
+
+
+def test_rs_size_is_unchanged_by_the_shared_prime_search():
+    # the full table's q, frozen from the trial-division scan
+    for n, ell, d in ((16, 2, 4), (1024, 4, 5), (2**15, 1, 15)):
+        assert rs_size(n, ell, 0, 1) == (_prime_scan_oracle(max(2, 2 * ell * d), n, d), d)
 
 
 def test_build_ssui_rejects_bad_parameters():

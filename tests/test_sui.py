@@ -4,7 +4,7 @@ import pytest
 
 from qgt.disperser import DisperserParams, build_disperser, default_delta
 from qgt.model import singletons
-from qgt.ssui import rs_size
+from qgt.ssui import rs_trunc_size
 from qgt.sui import (
     SuIFamily,
     build_sui,
@@ -133,18 +133,20 @@ def test_default_sizing_always_takes_the_singleton_shortcut(n):
 
 
 def _default_table_length(n):
-    """Queries in the width-2*default_delta(n) Reed-Solomon table, from its closed form."""
-    width = 2 * default_delta(n)
-    q, _ = rs_size(n, width, 0, 1)
-    return q * q
+    """Queries in the width-2*default_delta(n) truncated table, L*q, from its closed form."""
+    q, _, points = rs_trunc_size(n, 2 * default_delta(n))
+    return points * q
 
 
-def test_default_strong_selector_is_first_shorter_than_n_at_2_39():
+def test_default_strong_selector_is_first_shorter_than_n_at_2_33():
     # A composition has len(strong) * |W| >= len(strong) queries, so below
-    # 2^39 it is never shorter than the n singletons build_sui returns.
-    for e in range(1, 39):
+    # 2^33 it is never shorter than the n singletons build_sui returns.
+    for e in range(1, 33):
         assert _default_table_length(2**e) >= 2**e, e
-    assert _default_table_length(2**39) == 506_700_525_241 < 2**39
+    assert rs_trunc_size(2**32, 2 * 32**3) == (65_537, 1, 65_536)
+    assert _default_table_length(2**32) == 2**32 + 2**16  # just above n
+    assert rs_trunc_size(2**33, 2 * 33**3) == (92_683, 1, 71_874)
+    assert _default_table_length(2**33) == 6_661_497_942 < 2**33
 
 
 def test_build_sui_builds_no_strong_selector_or_disperser(monkeypatch):
