@@ -16,10 +16,10 @@ builds it by one rule that builds nothing before it decides: with
 (q, d, L) = ``ssui.rs_trunc_size(n, k)``, the truncated Reed-Solomon
 table (first L evaluation points, empty queries dropped) when
 L*q*(1 + 2*log2(n)) < n, else the n singletons.  Every block is kind
-"ssui" at level k.  No code is longer than n, and its length depends on
-neither alpha nor mode: large mode is the plain rule under its own
-header.  The table first wins at n = 2^5, 2^9, 2^11 and 2^12 for
-k = 1, 2, 3 and 4-5.
+"ssui" at level k.  No code is longer than n, and its length does not
+depend on alpha: large mode is the plain rule under its own header.
+The table first wins at n = 2^5, 2^9, 2^11 and 2^12 for k = 1, 2, 3
+and 4-5.  Multiset codes stay the n singletons (``build_code_multiset``).
 
 The paper's selectors under interference are the n singletons at every
 n a code can be built for (``sui`` module), so none is built.  Blocks of
@@ -203,15 +203,16 @@ def build_code_large(n: int, k: int, alpha: int, seed: int = 0) -> Code:
 
 
 def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
-    """Multiset code: the plain family and layout, stored with alpha 0.
+    """Multiset code: the n singletons, stored with alpha 0.
 
     Decoding assumes the readout cap is at least the total multiplicity,
-    which makes every feedback value exact; isolation is all the
-    selector needs, as in every mode.  ``seed`` changes no byte of the
-    code.
+    which makes every feedback value exact.  The truncated table would
+    decode it too, but a stream sketch rejects deletes of absent elements
+    only on a code holding every element alone (``streaming``).
+    ``seed`` changes no byte of the code.
     """
     _check_build_params(n, k)
-    return _assemble(n, k, 0, MODE_MULTISET)
+    return _layout(singletons(n), n, k, 0, MODE_MULTISET)
 
 
 def build(n: int, k: int, alpha: int, mode: str = MODE_PLAIN) -> Code:

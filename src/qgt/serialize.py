@@ -41,7 +41,7 @@ FORMAT_NAME = "qgtc"
 FORMAT_VERSION = 1
 
 _MODES = (MODE_PLAIN, MODE_LARGE, MODE_MULTISET, MODE_RANDOM)
-_KINDS = (KIND_SSUI, KIND_SUI, KIND_RR)
+_KINDS = (KIND_SUI, KIND_RR, KIND_SSUI)
 # The decoder trusts a value below alpha, and every value when alpha is 0.
 _MIN_ALPHA = {MODE_PLAIN: 2, MODE_LARGE: 2, MODE_RANDOM: 1}
 

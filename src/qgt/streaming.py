@@ -10,13 +10,11 @@ hands the counters to the decoder as they are.
 
 Counters are exact rather than capped because deletions are impossible
 under capped counters; the cap belongs to the readout, not the state.
-Deleting an element that is absent would drive some counter negative
-whenever the code contains a fine-grained query for it; at every n this
-package builds, a multiset code is exactly the n singleton queries, so
-each element has its own counter and every update touches that one
-counter.  Such deletes are rejected and leave the sketch untouched.
-The structure keeps no shadow copy of the multiset, so a delete that no
-counter can witness is the caller's contract to avoid.
+A sketch requires a code holding every element alone in some query
+(every multiset code this package builds is the n singletons), so
+deleting an absent element would drive that query's counter negative;
+such deletes are rejected and leave the sketch untouched.  No shadow
+copy of the multiset is kept.
 
 The graph maintainer reuses the sketch over the edge universe of an
 nu-node graph, with edges numbered row-major: (1,2), (1,3), ...,
@@ -44,6 +42,8 @@ class StreamSketch:
     def __init__(self, code: Code, alpha: int | None = None) -> None:
         if code.mode != MODE_MULTISET:
             raise ValueError("stream sketches require a multiset-mode code")
+        if len({v for s in code.queries if len(s) == 1 for v in s}) < code.n:
+            raise ValueError("stream sketches require a singleton query for every element")
         self.code = code
         self.alpha = alpha if alpha is not None else code.k
         check_cap(self.alpha)

@@ -194,6 +194,19 @@ def test_stream_replay_and_reconstruct(tmp_path, capsys):
     assert out == "9 1\n40 1\n"
 
 
+def test_stream_rejects_delete_of_absent_element(tmp_path, capsys):
+    code_file = tmp_path / "m.qgtc"
+    ops_file = tmp_path / "ops.txt"
+    run(capsys, "build", "--n", "32", "--k", "1", "--mode", "multiset",
+        "--alpha", "2", "--out", str(code_file))
+    ops_file.write_text("I 1\nI 31\nD 3\n")
+    status, out, err = run(
+        capsys, "stream", "--code", str(code_file), "--ops", str(ops_file), "--reconstruct",
+    )
+    assert status == 2 and out == ""
+    assert "delete of absent element 3" in err
+
+
 def test_graph_replay(tmp_path, capsys):
     ops_file = tmp_path / "gops.txt"
     ops_file.write_text("I 1 2\nI 2 3\nD 1 2\nI 5 6\n")

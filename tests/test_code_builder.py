@@ -134,13 +134,14 @@ def test_large_mode_is_the_plain_rule_under_its_header(n, k, alpha):
     assert {(blk.kind, blk.level) for blk in code.blocks} == {("ssui", k)}
 
 
-@pytest.mark.parametrize("n, k", [(16, 4), (32, 1), (512, 2)])
-def test_multiset_code_is_the_plain_family_at_alpha_zero(n, k):
+@pytest.mark.parametrize("n, k", [(16, 4), (32, 1), (512, 2), (2048, 3), (4096, 5)])
+def test_multiset_code_is_the_n_singletons_at_alpha_zero(n, k):
+    # a stream sketch's delete check needs every element alone in a query
     code = build_code_multiset(n, k)
     assert {(blk.kind, blk.level) for blk in code.blocks} == {("ssui", k)}
     assert code.alpha == 0
     assert code.mode == "multiset"
-    assert code.queries == build_code(n, k, 2).queries
+    assert code.queries == singletons(n)
 
 
 def test_occurrence_accounting():
@@ -344,14 +345,17 @@ def test_assemble_takes_the_table_exactly_where_it_wins(monkeypatch):
     for name in ("rs_trunc_size", "truncated_table", "singletons"):
         monkeypatch.setattr(qgt.code, name, spy(name, getattr(qgt.code, name)))
     _refuse_old_builders(monkeypatch)
-    for builder in BUILDERS.values():
+    for mode in ("plain", "large"):
         for k, first in ((1, 5), (2, 9)):
             calls.clear()
-            assert builder(2 ** (first - 1), k).queries == singletons(2 ** (first - 1))
+            assert BUILDERS[mode](2 ** (first - 1), k).queries == singletons(2 ** (first - 1))
             assert calls == ["rs_trunc_size", "singletons"]  # decided before anything is built
             calls.clear()
-            assert len(builder(2**first, k)) < 2**first
+            assert len(BUILDERS[mode](2**first, k)) < 2**first
             assert calls == ["rs_trunc_size", "truncated_table"]
+    calls.clear()
+    assert len(BUILDERS["multiset"](2**5, 1)) == 2**5
+    assert calls == ["singletons"]
 
 
 def test_no_builder_calls_the_old_selector_builders(monkeypatch):

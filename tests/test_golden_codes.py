@@ -46,11 +46,13 @@ GOLDEN = [
     ("multiset", (1024, 8), "7606ddbc4fbb79a7ff05a1842d71e2e6c3f8db854bf97e40da2d7e3ff2147581"),
     ("multiset", (4096, 16), "aa699613e35b8f16589ef292c997411506044256a64598d96bad847d9e24d1b1"),
     ("multiset", (64, 5), "275a201f729eeaddb93cc254c87bfe1f422d4d08582818d30beef7627be58977"),
+    # ... where plain and large mode take the table
+    ("multiset", (2048, 3), "1ffedb456d04ad7151ebc6724d7877bc00df6c1d0e9093fad22af0332550b55d"),
     # The truncated table: k = 1 from n = 2^5, k = 2 from 2^9, k = 3 from
-    # 2^11, k = 5 from 2^12, in every mode
+    # 2^11, k = 5 from 2^12, in plain and large mode
     ("plain", (32, 1, 2), "ef73be155a368d80f006bf1735f70cef0d53e3054ae2cb10868fc10885e0f30d"),
     ("plain", (512, 2, 2), "f4eef4fcd0f59eed3d90cc8ba3fe32b113ef5bb28aacce65cf1365ba3a8a1053"),
-    ("multiset", (2048, 3), "5d37723ceceb05e7ee00c20245df1c6fc9476ceb5388f14d3fa262ca0fedf2eb"),
+    ("large", (2048, 3, 2), "d8bb5456238cbc995c6a9a24680384a44cdd21549f02e8f1f33ce64fa5a5e5af"),
     ("large", (4096, 5, 3), "61cbe8b41d2d3aa0b6e585376d7c7ca2c46018f9b0a765b0ca3abccd24727d2e"),
 ]
 

@@ -195,7 +195,13 @@ def test_strong_selector_isolates_all_pairs():
 @pytest.mark.parametrize("n, ell, kappa, alpha", [(16, 2, 4, 2), (32, 1, 1, 1), (64, 2, 0, 1)])
 def test_truncated_table_is_the_first_points_of_the_full_table(n, ell, kappa, alpha):
     full = build_ssui(n, ell, kappa, alpha)
-    assert rs_table(n, full.q, full.q) == full.queries
+    # element i sits in query x*q + P_i(x) for the i-th polynomial P_i
+    reference = [set() for _ in range(full.q**2)]
+    for i in range(1, n + 1):
+        coeffs = nth_polynomial(i, full.q, full.d)
+        for x in range(full.q):
+            reference[x * full.q + poly_eval(coeffs, x, full.q)].add(i)
+    assert full.queries == tuple(map(frozenset, reference))
     for points in (1, 2, full.q - 1):
         assert rs_table(n, full.q, points) == full.queries[: points * full.q]
         assert truncated_table(n, full.q, points) == tuple(

@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from qgt.code import build_code, build_code_multiset
+from qgt.code import MODE_MULTISET, build_code, build_code_multiset
 from qgt.streaming import GraphSketch, StreamSketch, edge_endpoints, edge_index, parse_ops
 
 
@@ -53,10 +54,21 @@ def test_delete_absent_element_rejected_and_state_unchanged():
     assert sketch.counters == snapshot
 
 
+# The last four are where plain mode takes the truncated table instead.
+WITNESS_CODES = {
+    "multiset-64-4": (64, 4),
+    "multiset-4096-16": (4096, 16),
+    "multiset-32-1": (32, 1),
+    "multiset-512-2": (512, 2),
+    "multiset-2048-3": (2048, 3),
+    "multiset-4096-5": (4096, 5),
+}
+
+
 @pytest.mark.parametrize(
     "code",
-    [build_code_multiset(64, 4), build_code_multiset(4096, 16), GraphSketch(64, 3).sketch.code],
-    ids=["multiset-64-4", "multiset-4096-16", "graph-64-3"],
+    [*(build_code_multiset(*args) for args in WITNESS_CODES.values()), GraphSketch(64, 3).sketch.code],
+    ids=[*WITNESS_CODES, "graph-64-3"],
 )
 def test_every_element_witnesses_its_own_delete(code):
     # A delete of an absent element is caught only through a query that
@@ -68,6 +80,26 @@ def test_every_element_witnesses_its_own_delete(code):
         with pytest.raises(ValueError, match="absent"):
             sketch.delete(v)
     assert sketch.counters == [0] * len(code) and sketch.total_multiplicity == 0
+
+
+def test_delete_covered_by_other_elements_rejected():
+    # on the truncated table these counters would cover every query of 3,
+    # and deleting 3 would leave the column of 29
+    sketch = StreamSketch(build_code_multiset(32, 1))
+    sketch.insert(1)
+    sketch.insert(31)
+    snapshot = list(sketch.counters)
+    with pytest.raises(ValueError, match="delete of absent element 3"):
+        sketch.delete(3)
+    assert sketch.counters == snapshot and sketch.total_multiplicity == 2
+    sketch.delete(31)
+    assert sketch.reconstruct() == {1: 1}
+
+
+def test_code_without_a_singleton_per_element_rejected():
+    table = dataclasses.replace(build_code(32, 1, 2), alpha=0, mode=MODE_MULTISET)
+    with pytest.raises(ValueError, match="singleton query for every element"):
+        StreamSketch(table)
 
 
 def test_reconstruct_empty():
