@@ -51,7 +51,6 @@ from .serialize import code_from_text, code_to_text, fv_from_text, fv_to_text
 from .ssui import (
     SSuIFamily,
     build_ssui,
-    nth_polynomial,
     smallest_admissible_prime,
     strong_selector,
     verify_ssui,
@@ -109,7 +108,6 @@ __all__ = [
     "fv_to_text",
     "lower_bound",
     "multiset_total",
-    "nth_polynomial",
     "sets_up_to",
     "slice_query",
     "smallest_admissible_prime",

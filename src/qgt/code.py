@@ -20,6 +20,8 @@ L*q*(1 + 2*log2(n)) < n, else the n singletons.  Every block is kind
 depend on alpha: large mode is the plain rule under its own header.
 The table first wins at n = 2^5, 2^9, 2^11 and 2^12 for k = 1, 2, 3
 and 4-5.  Multiset codes stay the n singletons (``build_code_multiset``).
+A code file names the family a built code was laid out from, and loading
+lays it out again (``serialize``).
 
 The paper's selectors under interference are the n singletons at every
 n a code can be built for (``sui`` module), so none is built.  Blocks of
@@ -159,10 +161,17 @@ def level_params(k: int, alpha: int) -> tuple[int, int]:
     return kappa, (alpha - 1 if alpha >= 2 else kappa + 1)
 
 
+def table_params(n: int, k: int) -> tuple[int, int, int] | None:
+    """(q, d, L) of the truncated width-k table where the build rule takes it, else None."""
+    q, d, points = rs_trunc_size(n, k)
+    return (q, d, points) if points * q * (1 + id_bits(n)) < n else None
+
+
 def _assemble(n: int, k: int, alpha: int, mode: str) -> Code:
     """The one selector family of a code, as blocks (module docstring)."""
-    q, _, points = rs_trunc_size(n, k)
-    if points * q * (1 + id_bits(n)) < n:
+    params = table_params(n, k)
+    if params is not None:
+        q, _, points = params
         return _layout(truncated_table(n, q, points), n, k, alpha, mode)
     return _layout(singletons(n), n, k, alpha, mode)
 
@@ -180,6 +189,29 @@ def _layout(family: tuple[Query, ...], n: int, k: int, alpha: int, mode: str) ->
             blocks.append(Block(KIND_SSUI, k, len(queries), 0))
             queries.append(s)
     return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
+
+
+def is_layout(code: Code, family: tuple[Query, ...]) -> bool:
+    """Whether ``code == _layout(family, code.n, code.k, code.alpha, code.mode)``.
+
+    Checks block by block, without laying the family out: making the
+    Block objects would cost more than the comparison.
+    """
+    if len(code.blocks) != len(family):
+        return False
+    width = id_bits(code.n)
+    queries = code.queries
+    at = 0
+    for blk, s in zip(code.blocks, family):
+        slices = width if len(s) > 1 else 0
+        if (blk.kind, blk.level, blk.base, blk.slices) != (KIND_SSUI, code.k, at, slices):
+            return False
+        if queries[at] != s:
+            return False
+        if slices and list(queries[at + 1 : at + 1 + slices]) != bit_slices(s, code.n):
+            return False
+        at += 1 + slices
+    return at == len(queries)
 
 
 def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:

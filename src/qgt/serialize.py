@@ -1,6 +1,26 @@
 """Bit-exact text serialization for codes and feedback vectors.
 
-Code file layout (LF line endings):
+A code the builder lays out is written as its rule (LF line endings):
+
+    qgtc 2
+    n <int>
+    k <int>
+    alpha <int>
+    mode <plain|large|multiset>
+    family singletons | family rs <q> <d> <L>
+
+and loading lays the family out again exactly as the builder does
+(``code._layout``).  ``family singletons`` is the n singleton queries;
+``family rs`` is the truncated width-k Reed-Solomon table, accepted only
+with the (q, d, L) of ``ssui.rs_trunc_size(n, k)`` and only where the
+build rule takes it (``code.table_params``), so a six-line file cannot
+name a table the builder would not build.  Nothing follows the family
+line.  The writer picks this form from the code's content alone: a code
+equal to one of those two layouts, under its own header, is written
+this way, so equal codes always give equal bytes.
+
+Every other code (random codes, hand-laid tables, files from earlier
+builders) is written as a list:
 
     qgtc 1
     n <int>
@@ -11,7 +31,7 @@ Code file layout (LF line endings):
     <kind> <level> <base-offset> <slice-count>     (one line per block)
     <query>                                        (one line per query)
 
-Built codes write every block as kind "ssui" at level k; "sui" and "rr"
+Built codes label every block kind "ssui" at level k; "sui" and "rr"
 blocks appear only in files from earlier builders, and still load.
 Block base offsets are 1-based into the query list; each block owns its
 base query and the `slice-count` queries after it, and together the
@@ -25,40 +45,69 @@ is chosen at encode/readout time, and the decoder trusts every value.
 Plain and large codes need alpha >= 2, random codes alpha >= 1.
 
 Parsing is strict: version, header shape, a power-of-two n (any n >= 2
-in random mode), offsets, slice counts and index order are all checked,
-and errors name the offending line.  parse(serialize(c)) reproduces the
-code exactly; equal query lines parse to one shared set.
+in random mode), the family line, offsets, slice counts and index order
+are all checked, and errors name the offending line.
+parse(serialize(c)) reproduces the code exactly; in a list, equal query
+lines parse to one shared set.
 """
 
 from __future__ import annotations
 
 from .balanced import id_bits
 from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM
-from .code import Block, Code
-from .model import Query, check_capacity, check_universe
+from .code import Block, Code, _layout, is_layout, table_params
+from .model import Query, check_capacity, check_universe, is_power_of_two, singletons
+from .ssui import truncated_table
 
 FORMAT_NAME = "qgtc"
-FORMAT_VERSION = 1
+LIST_VERSION = 1
+FAMILY_VERSION = 2
 
 _MODES = (MODE_PLAIN, MODE_LARGE, MODE_MULTISET, MODE_RANDOM)
 _KINDS = (KIND_SUI, KIND_RR, KIND_SSUI)
 # The decoder trusts a value below alpha, and every value when alpha is 0.
 _MIN_ALPHA = {MODE_PLAIN: 2, MODE_LARGE: 2, MODE_RANDOM: 1}
+_SINGLETONS = ["family", "singletons"]
 
 
 class FormatError(ValueError):
     pass
 
 
+def _rs_words(n: int, k: int) -> list[str] | None:
+    """The `family rs` line of the table the build rule takes at (n, k), split; else None."""
+    params = table_params(n, k)
+    return None if params is None else ["family", "rs", *map(str, params)]
+
+
+def _family(words: list[str], n: int) -> tuple[Query, ...]:
+    """The queries a valid `family` line names."""
+    if words == _SINGLETONS:
+        return singletons(n)
+    q, _, points = map(int, words[2:])
+    return truncated_table(n, q, points)
+
+
+def _family_words(code: Code) -> list[str] | None:
+    """The `family` line of a code equal to a built layout, split; else None."""
+    n, k = code.n, code.k
+    if code.mode == MODE_RANDOM or n < 2 or not is_power_of_two(n):
+        return None  # no layout exists: slice widths need a power-of-two n
+    if len(code.blocks) == len(code.queries) == n:
+        words = _SINGLETONS
+    else:
+        words = _rs_words(n, k) if k >= 1 else None  # a table has width k >= 1
+    if words is None or not is_layout(code, _family(words, n)):
+        return None
+    return words
+
+
 def code_to_text(code: Code) -> str:
-    lines = [
-        f"{FORMAT_NAME} {FORMAT_VERSION}",
-        f"n {code.n}",
-        f"k {code.k}",
-        f"alpha {code.alpha}",
-        f"mode {code.mode}",
-        f"blocks {len(code.blocks)}",
-    ]
+    header = [f"n {code.n}", f"k {code.k}", f"alpha {code.alpha}", f"mode {code.mode}"]
+    words = _family_words(code)
+    if words is not None:
+        return "\n".join([f"{FORMAT_NAME} {FAMILY_VERSION}", *header, " ".join(words)]) + "\n"
+    lines = [f"{FORMAT_NAME} {LIST_VERSION}", *header, f"blocks {len(code.blocks)}"]
     for blk in code.blocks:
         lines.append(f"{blk.kind} {blk.level} {blk.base + 1} {blk.slices}")
     for s in code.queries:
@@ -78,13 +127,8 @@ def _header_int(lines: list[str], lineno: int, key: str) -> int:
         raise FormatError(f"line {lineno + 1}: non-integer value for '{key}'") from exc
 
 
-def code_from_text(text: str) -> Code:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("line 1: empty input")
-    magic = lines[0].split()
-    if magic != [FORMAT_NAME, str(FORMAT_VERSION)]:
-        raise FormatError(f"line 1: unsupported format header {lines[0]!r}")
+def _header(lines: list[str]) -> tuple[int, int, int, str]:
+    """(n, k, alpha, mode) from lines 2-5, checked against the mode's rules."""
     n = _header_int(lines, 1, "n")
     k = _header_int(lines, 2, "k")
     alpha = _header_int(lines, 3, "alpha")
@@ -93,9 +137,6 @@ def code_from_text(text: str) -> Code:
     mode = lines[4][5:].strip()
     if mode not in _MODES:
         raise FormatError(f"line 5: unknown mode {mode!r}")
-    block_count = _header_int(lines, 5, "blocks")
-    if mode == MODE_RANDOM and block_count:
-        raise FormatError("line 6: random-mode codes carry no blocks")
     if n < 2:
         raise FormatError(f"line 2: universe size must be >= 2, got {n}")
     if mode != MODE_RANDOM:
@@ -113,6 +154,48 @@ def code_from_text(text: str) -> Code:
         raise FormatError(f"line 4: multiset codes store alpha 0, got {alpha}")
     if mode != MODE_MULTISET and alpha < _MIN_ALPHA[mode]:
         raise FormatError(f"line 4: {mode} codes need alpha >= {_MIN_ALPHA[mode]}, got {alpha}")
+    return n, k, alpha, mode
+
+
+def code_from_text(text: str) -> Code:
+    lines = text.splitlines()
+    if not lines:
+        raise FormatError("line 1: empty input")
+    magic = lines[0].split()
+    if magic not in ([FORMAT_NAME, str(LIST_VERSION)], [FORMAT_NAME, str(FAMILY_VERSION)]):
+        raise FormatError(f"line 1: unsupported format header {lines[0]!r}")
+    n, k, alpha, mode = _header(lines)
+    if magic[1] == str(FAMILY_VERSION):
+        return _family_from_lines(lines, n, k, alpha, mode)
+    return _list_from_lines(lines, n, k, alpha, mode)
+
+
+def _family_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) -> Code:
+    if len(lines) < 6:
+        raise FormatError("line 6: missing 'family' line")
+    if mode == MODE_RANDOM:
+        raise FormatError("line 6: random-mode codes carry no family")
+    words = lines[5].split()
+    rs_words = _rs_words(n, k)
+    if words != _SINGLETONS and words != rs_words:
+        if words[:2] == ["family", "rs"]:
+            raise FormatError(
+                f"line 6: {lines[5]!r} is not the table the build rule takes at n = {n}, k = {k}"
+            )
+        if words[:1] == ["family"]:
+            raise FormatError(f"line 6: unknown family {' '.join(words[1:])!r}")
+        raise FormatError(
+            f"line 6: expected 'family singletons' or 'family rs <q> <d> <L>', got {lines[5]!r}"
+        )
+    if len(lines) > 6:
+        raise FormatError(f"line 7: nothing may follow the family line, got {lines[6]!r}")
+    return _layout(_family(words, n), n, k, alpha, mode)
+
+
+def _list_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) -> Code:
+    block_count = _header_int(lines, 5, "blocks")
+    if mode == MODE_RANDOM and block_count:
+        raise FormatError("line 6: random-mode codes carry no blocks")
     header_len = 6
     blocks: list[Block] = []
     for i in range(block_count):

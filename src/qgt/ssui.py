@@ -73,29 +73,6 @@ def _prime_at_least(lo: int, d: int, n: int) -> int:
     return q
 
 
-def nth_polynomial(i: int, q: int, d: int) -> tuple[int, ...]:
-    """Coefficient vector of the i-th polynomial, lexicographic by base-q digits.
-
-    Index j of the result is the coefficient of x^j; the digits are those
-    of i-1, so i=1 is the zero polynomial and i=q+1 is x.
-    """
-    if not 1 <= i <= q ** (d + 1):
-        raise ValueError(f"polynomial index {i} outside [1..q^(d+1)]")
-    value = i - 1
-    coeffs = []
-    for _ in range(d + 1):
-        coeffs.append(value % q)
-        value //= q
-    return tuple(coeffs)
-
-
-def poly_eval(coeffs: tuple[int, ...], x: int, q: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % q
-    return acc
-
-
 def rs_size(n: int, ell: int, kappa: int, alpha: int) -> tuple[int, int]:
     """(q, d) of the (n, ell, kappa, alpha) table; with kappa = 0, q is admissible as is."""
     d = 1

@@ -10,6 +10,10 @@ keeping the slice path and fat bases under test:
   ``ssui.build_ssui``, every one of its q^2 queries;
 * ``trunc_table_code``: the truncated width-k table the builder takes
   where it wins (``ssui.rs_trunc_size``, empty queries dropped).
+
+``nth_polynomial`` and ``poly_eval`` spell out the table's definition,
+element i in query x*q + P_i(x): they are the reference that
+``ssui.rs_table``'s digit recursion is checked against.
 """
 
 from qgt.code import MODE_PLAIN, _layout, level_params
@@ -26,3 +30,26 @@ def trunc_table_code(n: int, k: int, alpha: int = 2, mode: str = MODE_PLAIN):
     q, _, points = rs_trunc_size(n, k)
     family = truncated_table(n, q, points)
     return _layout(family, n, k, alpha, mode)
+
+
+def nth_polynomial(i: int, q: int, d: int) -> tuple[int, ...]:
+    """Coefficient vector of the i-th polynomial, lexicographic by base-q digits.
+
+    Index j of the result is the coefficient of x^j; the digits are those
+    of i-1, so i=1 is the zero polynomial and i=q+1 is x.
+    """
+    if not 1 <= i <= q ** (d + 1):
+        raise ValueError(f"polynomial index {i} outside [1..q^(d+1)]")
+    value = i - 1
+    coeffs = []
+    for _ in range(d + 1):
+        coeffs.append(value % q)
+        value //= q
+    return tuple(coeffs)
+
+
+def poly_eval(coeffs: tuple[int, ...], x: int, q: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % q
+    return acc

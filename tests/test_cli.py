@@ -5,6 +5,8 @@ import pytest
 from qgt.cli import main
 from qgt.serialize import code_from_text
 
+from list_form import list_text
+
 
 def run(capsys, *argv):
     status = main(list(argv))
@@ -104,7 +106,9 @@ def test_verify_selector_levels_multiset_and_large(tmp_path, capsys, build_args,
 
     old_kind = level_line.split()[0]
     old_file = tmp_path / "old.qgtc"
-    old_file.write_text(code_file.read_text().replace("\nssui 4 ", f"\n{old_kind} 4 "))
+    # the built file is one family line; relabel its list form's block lines
+    listed = list_text(code_from_text(code_file.read_text()))
+    old_file.write_text(listed.replace("\nssui 4 ", f"\n{old_kind} 4 "))
     status, out, _ = run(capsys, "verify", "--code", str(old_file), "--sui")
     assert status == 0
     assert level_line in out

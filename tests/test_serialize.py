@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import pytest
 
-from qgt.code import Code, build_code, build_code_large, build_code_multiset
+from qgt.code import KIND_SUI, Block, Code, build_code, build_code_large, build_code_multiset
 from qgt.decode import decode
+from qgt.random_code import build_random_code
 from qgt.serialize import (
     FormatError,
     code_from_text,
@@ -14,7 +16,8 @@ from qgt.serialize import (
     parse_set_spec,
 )
 
-from rs_table import rs_table_code
+from list_form import list_text
+from rs_table import rs_table_code, trunc_table_code
 
 
 @pytest.mark.parametrize(
@@ -44,12 +47,10 @@ def test_large_roundtrip():
 
 def test_header_shape():
     text = code_to_text(build_code(16, 2, 2))
+    assert text == "qgtc 2\nn 16\nk 2\nalpha 2\nmode plain\nfamily singletons\n"
+    text = code_to_text(trunc_table_code(16, 2))  # a table the build rule does not take
     lines = text.splitlines()
-    assert lines[0] == "qgtc 1"
-    assert lines[1] == "n 16"
-    assert lines[2] == "k 2"
-    assert lines[3] == "alpha 2"
-    assert lines[4] == "mode plain"
+    assert lines[:5] == ["qgtc 1", "n 16", "k 2", "alpha 2", "mode plain"]
     assert lines[5].startswith("blocks ")
     assert text.endswith("\n")
 
@@ -61,7 +62,8 @@ def test_empty_query_line_parses_to_empty_set():
 
 
 def test_parsed_code_shares_equal_queries():
-    code = build_code_multiset(64, 4)
+    code = trunc_table_code(32, 2)
+    assert len(set(code.queries)) < len(code.queries)
     parsed = code_from_text(code_to_text(code))
     assert parsed == code
     assert len({id(s) for s in parsed.queries}) == len(set(parsed.queries))
@@ -108,7 +110,7 @@ def test_repeated_malformed_line_names_first_occurrence():
 
 def test_version_mismatch():
     with pytest.raises(FormatError, match="unsupported format"):
-        code_from_text("qgtc 2\nn 8\nk 1\nalpha 1\nmode plain\nblocks 0\n")
+        code_from_text("qgtc 3\nn 8\nk 1\nalpha 2\nmode plain\nfamily singletons\n")
 
 
 def test_malformed_header():
@@ -131,7 +133,7 @@ def test_out_of_range_index_rejected():
 
 
 def test_tampered_offset_names_the_line():
-    good = code_to_text(build_code(16, 2, 2))
+    good = list_text(build_code(16, 2, 2))
     lines = good.splitlines()
     first_block_line = 6
     parts = lines[first_block_line].split()
@@ -217,3 +219,117 @@ def test_parse_set_spec():
         parse_set_spec("3:0")
     with pytest.raises(FormatError):
         parse_set_spec("x")
+
+
+# Round trips over the builder sweep: every mode, n = 2^1 .. 2^12, k in
+# SWEEP_K and k = n, and each cap in {2, 3, 5, k + 2} up to n = 2^10 (one
+# cap above: a cap changes the header only).
+SWEEP_K = (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32)
+
+
+@pytest.mark.parametrize("e", range(1, 13))
+def test_every_built_code_round_trips_as_its_family_line(e):
+    n = 2**e
+    for k in sorted({k for k in (*SWEEP_K, n) if k <= n}):
+        codes = [build_code_multiset(n, k)]
+        for alpha in sorted({2, 3, 5, k + 2}) if n <= 1024 else (2,):
+            codes += [build_code(n, k, alpha), build_code_large(n, k, alpha)]
+        for code in codes:
+            text = code_to_text(code)
+            assert len(text.splitlines()) == 6 and text.startswith("qgtc 2\n"), (n, k)
+            parsed = code_from_text(text)
+            assert parsed == code
+            assert code_to_text(parsed) == text
+
+
+def _random_code(n, k, alpha, seed):
+    return Code(build_random_code(n, k, alpha, seed).queries, (), n, k, alpha, "random")
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        rs_table_code(16, 2),  # the full table
+        trunc_table_code(16, 2),  # a table where the build rule takes the singletons
+        trunc_table_code(32, 3, alpha=0, mode="multiset"),
+        code_from_text(FULL_SLICE_SINGLETONS),
+        *(_random_code(n, k, alpha, seed) for n, k, alpha in [(8, 2, 1), (12, 2, 3), (32, 3, 8)]
+          for seed in range(2)),
+    ],
+)
+def test_codes_the_builder_does_not_lay_out_stay_lists(code):
+    text = code_to_text(code)
+    assert text == list_text(code)
+    parsed = code_from_text(text)
+    assert parsed == code
+    assert code_to_text(parsed) == text
+
+
+def test_a_code_differing_from_its_family_in_one_field_is_a_list():
+    table = build_code(32, 1, 2)
+    assert code_to_text(table) == "qgtc 2\nn 32\nk 1\nalpha 2\nmode plain\nfamily rs 2 4 1\n"
+    base = table.blocks[1].base
+    relabelled = dataclasses.replace(
+        table, blocks=(table.blocks[0], Block(KIND_SUI, 1, base, table.blocks[1].slices))
+    )
+    slices = list(table.queries)
+    slices[base + 2] = frozenset()  # a tampered slice: it held 2, 6, 10, ...
+    tampered = dataclasses.replace(table, queries=tuple(slices))
+    singles = build_code(16, 2, 2)
+    moved = dataclasses.replace(singles, queries=singles.queries[::-1])
+    for code in (relabelled, tampered, moved, dataclasses.replace(table, k=2)):
+        assert code_to_text(code) == list_text(code)
+
+
+def test_multiset_relabelled_table_round_trips():
+    code = dataclasses.replace(build_code(32, 1, 2), alpha=0, mode="multiset")
+    text = code_to_text(code)
+    assert text == "qgtc 2\nn 32\nk 1\nalpha 0\nmode multiset\nfamily rs 2 4 1\n"
+    assert code_from_text(text) == code
+    assert decode(code, code.feedback({7: 3})) == {7: 3}
+
+
+FAMILY_HEADER = "qgtc 2\nn 32\nk 1\nalpha 2\nmode plain\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("family rs 3 4 1\n", "line 6: 'family rs 3 4 1' is not the table the build rule takes"),
+        ("family rs 2 4 2\n", "line 6: 'family rs 2 4 2' is not the table the build rule takes"),
+        ("family rs 2 4\n", "line 6: 'family rs 2 4' is not the table the build rule takes"),
+        ("family powersum 37 2\n", "line 6: unknown family 'powersum 37 2'"),
+        ("family\n", "line 6: unknown family ''"),
+        ("blocks 0\n", "line 6: expected 'family singletons' or 'family rs <q> <d> <L>'"),
+        ("", "line 6: missing 'family' line"),
+        ("family singletons\n1\n", "line 7: nothing may follow the family line"),
+        ("family rs 2 4 1\n\n", "line 7: nothing may follow the family line"),
+    ],
+)
+def test_bad_family_file_names_the_line(body, message):
+    assert code_from_text(FAMILY_HEADER + "family rs 2 4 1\n") == build_code(32, 1, 2)
+    with pytest.raises(FormatError, match=message):
+        code_from_text(FAMILY_HEADER + body)
+
+
+def test_table_family_only_where_the_build_rule_takes_it():
+    # rs_trunc_size(16, 2) is (5, 1, 2), but at n = 16 the build rule takes the singletons
+    text = "qgtc 2\nn 16\nk 2\nalpha 2\nmode plain\nfamily rs 5 1 2\n"
+    with pytest.raises(FormatError, match="line 6: .* not the table the build rule takes"):
+        code_from_text(text)
+
+
+def test_family_file_header_checks_name_their_lines():
+    bad = {
+        "n 12": "line 2: .*power of two",
+        "k 33": "line 3: capacity",
+        "alpha 1": "line 4: plain codes need alpha >= 2",
+        "mode random": "line 6: random-mode codes carry no family",
+    }
+    for line, message in bad.items():
+        key = line.split()[0]
+        lines = [line if row.startswith(key + " ") else row for row in FAMILY_HEADER.splitlines()]
+        with pytest.raises(FormatError, match=message):
+            code_from_text("\n".join(lines) + "\nfamily singletons\n")
+    with pytest.raises(FormatError, match="line 6: expected 'blocks <value>'"):
+        code_from_text(FAMILY_HEADER.replace("qgtc 2", "qgtc 1") + "family singletons\n")

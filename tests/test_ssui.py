@@ -10,9 +10,7 @@ from qgt.ssui import (
     cooccurrence_bound_holds,
     is_prime,
     max_unselected_count,
-    nth_polynomial,
     occurrence_counts,
-    poly_eval,
     rs_size,
     rs_table,
     rs_trunc_size,
@@ -21,6 +19,8 @@ from qgt.ssui import (
     truncated_table,
     verify_ssui,
 )
+
+from rs_table import nth_polynomial, poly_eval
 
 
 def _prime_scan_oracle(lower: int, floor_pow: int, d: int) -> int:
