@@ -191,29 +191,6 @@ def _layout(family: tuple[Query, ...], n: int, k: int, alpha: int, mode: str) ->
     return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
 
 
-def is_layout(code: Code, family: tuple[Query, ...]) -> bool:
-    """Whether ``code == _layout(family, code.n, code.k, code.alpha, code.mode)``.
-
-    Checks block by block, without laying the family out: making the
-    Block objects would cost more than the comparison.
-    """
-    if len(code.blocks) != len(family):
-        return False
-    width = id_bits(code.n)
-    queries = code.queries
-    at = 0
-    for blk, s in zip(code.blocks, family):
-        slices = width if len(s) > 1 else 0
-        if (blk.kind, blk.level, blk.base, blk.slices) != (KIND_SSUI, code.k, at, slices):
-            return False
-        if queries[at] != s:
-            return False
-        if slices and list(queries[at + 1 : at + 1 + slices]) != bit_slices(s, code.n):
-            return False
-        at += 1 + slices
-    return at == len(queries)
-
-
 def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
     """Plain-mode code: the truncated width-k table where shorter than n, else the n singletons.
 

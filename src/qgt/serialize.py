@@ -15,9 +15,12 @@ and loading lays the family out again exactly as the builder does
 with the (q, d, L) of ``ssui.rs_trunc_size(n, k)`` and only where the
 build rule takes it (``code.table_params``), so a six-line file cannot
 name a table the builder would not build.  Nothing follows the family
-line.  The writer picks this form from the code's content alone: a code
-equal to one of those two layouts, under its own header, is written
-this way, so equal codes always give equal bytes.
+line.  Loading lays the code out, so a family file needs n <= 2^18 and a
+layout of at most 2^22 set entries (``FAMILY_MAX_N``,
+``FAMILY_MAX_ENTRIES``).  The writer picks this form from the code's
+content alone: a code within those caps and equal to one of the two
+layouts, under its own header, is written this way, so equal codes
+always give equal bytes.
 
 Every other code (random codes, hand-laid tables, files from earlier
 builders) is written as a list:
@@ -53,9 +56,11 @@ lines parse to one shared set.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+
 from .balanced import id_bits
 from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM
-from .code import Block, Code, _layout, is_layout, table_params
+from .code import Block, Code, _layout, table_params
 from .model import Query, check_capacity, check_universe, is_power_of_two, singletons
 from .ssui import truncated_table
 
@@ -67,46 +72,55 @@ _MODES = (MODE_PLAIN, MODE_LARGE, MODE_MULTISET, MODE_RANDOM)
 _KINDS = (KIND_SUI, KIND_RR, KIND_SSUI)
 # The decoder trusts a value below alpha, and every value when alpha is 0.
 _MIN_ALPHA = {MODE_PLAIN: 2, MODE_LARGE: 2, MODE_RANDOM: 1}
-_SINGLETONS = ["family", "singletons"]
+# A family file lays out its code on load, so its size is capped; a larger
+# built code is written as a list, whose load is bounded by its length.
+# The largest files the caps admit, the n = 2^18 singletons (the largest
+# universe on the ROADMAP grid) and the n = 2^14, k = 9 table (4.18 million
+# set entries), each load in about 1 s at under 170 MB peak RSS.
+FAMILY_MAX_N = 1 << 18
+FAMILY_MAX_ENTRIES = 1 << 22
 
 
 class FormatError(ValueError):
     pass
 
 
-def _rs_words(n: int, k: int) -> list[str] | None:
-    """The `family rs` line of the table the build rule takes at (n, k), split; else None."""
-    params = table_params(n, k)
-    return None if params is None else ["family", "rs", *map(str, params)]
+def _families(n: int, k: int) -> Iterator[tuple[str, int, Callable[[], tuple[Query, ...]]]]:
+    """(line, entries, family) of each family the build rule lays out at (n, k).
+
+    The singletons come first, then the table where the rule takes it.
+    ``entries`` is the number of set entries the layout holds (for the
+    table, an upper bound: each of its L points puts every element in one
+    base, and each base element in log2(n) of its slices); ``family()``
+    makes the queries.
+    """
+    yield "family singletons", n, lambda: singletons(n)
+    params = table_params(n, k) if k >= 1 else None  # a table has width k >= 1
+    if params is not None:
+        q, d, points = params
+        entries = points * n * (1 + id_bits(n) // 2)
+        yield f"family rs {q} {d} {points}", entries, lambda: truncated_table(n, q, points)
 
 
-def _family(words: list[str], n: int) -> tuple[Query, ...]:
-    """The queries a valid `family` line names."""
-    if words == _SINGLETONS:
-        return singletons(n)
-    q, _, points = map(int, words[2:])
-    return truncated_table(n, q, points)
-
-
-def _family_words(code: Code) -> list[str] | None:
-    """The `family` line of a code equal to a built layout, split; else None."""
+def _family_line(code: Code) -> str | None:
+    """The `family` line of a code equal to a built layout within the caps above; else None."""
     n, k = code.n, code.k
-    if code.mode == MODE_RANDOM or n < 2 or not is_power_of_two(n):
-        return None  # no layout exists: slice widths need a power-of-two n
-    if len(code.blocks) == len(code.queries) == n:
-        words = _SINGLETONS
-    else:
-        words = _rs_words(n, k) if k >= 1 else None  # a table has width k >= 1
-    if words is None or not is_layout(code, _family(words, n)):
-        return None
-    return words
+    if code.mode == MODE_RANDOM or not 2 <= n <= FAMILY_MAX_N or not is_power_of_two(n):
+        return None  # no layout exists (slice widths need a power-of-two n), or it is too large
+    for line, entries, family in _families(n, k):
+        if entries > FAMILY_MAX_ENTRIES:
+            continue
+        queries = family()
+        if len(queries) == len(code.blocks) and _layout(queries, n, k, code.alpha, code.mode) == code:
+            return line
+    return None
 
 
 def code_to_text(code: Code) -> str:
     header = [f"n {code.n}", f"k {code.k}", f"alpha {code.alpha}", f"mode {code.mode}"]
-    words = _family_words(code)
-    if words is not None:
-        return "\n".join([f"{FORMAT_NAME} {FAMILY_VERSION}", *header, " ".join(words)]) + "\n"
+    family = _family_line(code)
+    if family is not None:
+        return "\n".join([f"{FORMAT_NAME} {FAMILY_VERSION}", *header, family]) + "\n"
     lines = [f"{FORMAT_NAME} {LIST_VERSION}", *header, f"blocks {len(code.blocks)}"]
     for blk in code.blocks:
         lines.append(f"{blk.kind} {blk.level} {blk.base + 1} {blk.slices}")
@@ -175,9 +189,14 @@ def _family_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) 
         raise FormatError("line 6: missing 'family' line")
     if mode == MODE_RANDOM:
         raise FormatError("line 6: random-mode codes carry no family")
+    if n > FAMILY_MAX_N:  # checked before table_params, whose prime search grows with n and k
+        raise FormatError(f"line 2: a family file needs n <= {FAMILY_MAX_N}, got {n}")
     words = lines[5].split()
-    rs_words = _rs_words(n, k)
-    if words != _SINGLETONS and words != rs_words:
+    line = " ".join(words)
+    for name, entries, family in _families(n, k):
+        if name == line:
+            break
+    else:
         if words[:2] == ["family", "rs"]:
             raise FormatError(
                 f"line 6: {lines[5]!r} is not the table the build rule takes at n = {n}, k = {k}"
@@ -187,9 +206,14 @@ def _family_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) 
         raise FormatError(
             f"line 6: expected 'family singletons' or 'family rs <q> <d> <L>', got {lines[5]!r}"
         )
+    if entries > FAMILY_MAX_ENTRIES:
+        raise FormatError(
+            f"line 2: {line!r} at n = {n} lays out up to {entries} set entries, "
+            f"above the family form's {FAMILY_MAX_ENTRIES}"
+        )
     if len(lines) > 6:
         raise FormatError(f"line 7: nothing may follow the family line, got {lines[6]!r}")
-    return _layout(_family(words, n), n, k, alpha, mode)
+    return _layout(family(), n, k, alpha, mode)
 
 
 def _list_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) -> Code:

@@ -6,17 +6,15 @@ import pytest
 
 from qgt.balanced import id_bits, slice_query
 from qgt.code import (
-    _layout,
     build,
     build_code,
     build_code_large,
     build_code_multiset,
     enhance,
-    is_layout,
 )
 from qgt.model import singletons
 from qgt.serialize import code_to_text
-from qgt.ssui import is_prime, rs_size, rs_trunc_size, truncated_table
+from qgt.ssui import is_prime, rs_size, rs_trunc_size
 
 from rs_table import rs_table_code
 
@@ -379,25 +377,3 @@ def test_plain_is_never_longer_than_n_or_large():
                 assert plain <= min(n, len(build_code_large(n, k, alpha))), (n, k, alpha)
                 lengths.add(plain)
             assert len(lengths) == 1, (n, k)  # the length does not depend on alpha
-
-
-def test_is_layout_is_equality_with_the_laid_out_family():
-    table = build_code(32, 1, 2)
-    q, _, points = rs_trunc_size(32, 1)
-    family = truncated_table(32, q, points)
-    laid = table.queries
-    variants = [
-        dataclasses.replace(table, queries=(*laid, frozenset())),  # a trailing query
-        dataclasses.replace(table, queries=laid[:-1]),  # the last slice missing
-        dataclasses.replace(table, queries=(laid[0], *laid[10:0:-1], *laid[11:])),  # slices reversed
-        dataclasses.replace(table, blocks=table.blocks[:1]),
-        dataclasses.replace(table, blocks=table.blocks[::-1]),
-        dataclasses.replace(table, k=2),
-    ]
-    assert is_layout(table, family)
-    for code in variants:
-        assert not is_layout(code, family)
-        assert _layout(family, code.n, code.k, code.alpha, code.mode) != code
-    singles = build_code_multiset(16, 2)
-    assert is_layout(singles, singletons(16))
-    assert not is_layout(singles, singletons(16)[::-1])

@@ -5,6 +5,7 @@ import pytest
 
 from qgt.code import KIND_SUI, Block, Code, build_code, build_code_large, build_code_multiset
 from qgt.decode import decode
+from qgt import serialize
 from qgt.random_code import build_random_code
 from qgt.serialize import (
     FormatError,
@@ -277,7 +278,8 @@ def test_a_code_differing_from_its_family_in_one_field_is_a_list():
     tampered = dataclasses.replace(table, queries=tuple(slices))
     singles = build_code(16, 2, 2)
     moved = dataclasses.replace(singles, queries=singles.queries[::-1])
-    for code in (relabelled, tampered, moved, dataclasses.replace(table, k=2)):
+    cut = dataclasses.replace(table, queries=table.queries[:11])  # blocks run past the queries
+    for code in (relabelled, tampered, moved, cut, dataclasses.replace(table, k=2)):
         assert code_to_text(code) == list_text(code)
 
 
@@ -317,6 +319,34 @@ def test_table_family_only_where_the_build_rule_takes_it():
     text = "qgtc 2\nn 16\nk 2\nalpha 2\nmode plain\nfamily rs 5 1 2\n"
     with pytest.raises(FormatError, match="line 6: .* not the table the build rule takes"):
         code_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "header, family, message",
+    [
+        ("n 1152921504606846976\nk 576460752303423488", "singletons", "line 2: .*n <= 262144"),
+        ("n 524288\nk 1", "singletons", "line 2: .*n <= 262144"),
+        # the table the build rule takes at (2^18, 4): about 65 million set entries
+        ("n 262144\nk 4", "rs 13 4 13", "line 2: .* lays out up to 64749568 set entries"),
+    ],
+)
+def test_family_file_too_large_to_lay_out_names_line_2(header, family, message):
+    with pytest.raises(FormatError, match=message):
+        code_from_text(f"qgtc 2\n{header}\nalpha 2\nmode plain\nfamily {family}\n")
+
+
+def test_built_code_above_the_family_caps_is_a_list(monkeypatch):
+    singles, table = build_code_multiset(64, 2), build_code(32, 1, 2)
+    monkeypatch.setattr(serialize, "FAMILY_MAX_N", 32)
+    monkeypatch.setattr(serialize, "FAMILY_MAX_ENTRIES", 32 * 5)  # the table holds 32 * (1 + 5)
+    for code in (singles, table):
+        text = code_to_text(code)
+        assert text == list_text(code)
+        assert code_from_text(text) == code
+    with pytest.raises(FormatError, match="line 2: .*n <= 32, got 64"):
+        code_from_text("qgtc 2\nn 64\nk 2\nalpha 0\nmode multiset\nfamily singletons\n")
+    with pytest.raises(FormatError, match="line 2: 'family rs 2 4 1' at n = 32 lays out up to 192"):
+        code_from_text(FAMILY_HEADER + "family rs 2 4 1\n")
 
 
 def test_family_file_header_checks_name_their_lines():
