@@ -20,8 +20,17 @@ L*q*(1 + 2*log2(n)) < n, else the n singletons.  Every block is kind
 depend on alpha: large mode is the plain rule under its own header.
 The table first wins at n = 2^5, 2^9, 2^11 and 2^12 for k = 1, 2, 3
 and 4-5.  Multiset codes stay the n singletons (``build_code_multiset``).
-A code file names the family a built code was laid out from, and loading
-lays it out again (``serialize``).
+
+A built code stays its rule: its ``queries`` and ``blocks`` are
+read-only sequences over a ``Layout`` (the family, n and k), and no set
+or block is made when it is built, written or loaded (``serialize``).
+Every layout is uniform (a table the rule takes has q < n/3, so each of
+its L*q bases holds at least two elements and carries all its slices),
+so the incidence of an element, the block at a position and base
+membership have closed forms, and decoding reads only those.  The sets
+and blocks are laid out once, on the first access that needs them all.
+Codes from anywhere else (random codes, hand-laid tables, list files)
+hold plain tuples.
 
 The paper's selectors under interference are the n singletons at every
 n a code can be built for (``sui`` module), so none is built.  Blocks of
@@ -31,6 +40,7 @@ still load and decode, and ``qgt verify --sui`` checks them.
 
 from __future__ import annotations
 
+from collections.abc import Callable, ItemsView, KeysView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,9 +80,266 @@ class Block:
 
 
 @dataclass(frozen=True)
+class Layout:
+    """One built family laid out as "ssui" blocks at level k, kept as its rule.
+
+    ``family`` is None for the n singletons (position p is the 0-slice
+    block of element p+1) or the (q, d, L) of the truncated width-k
+    table.  Table block b = x*q + y starts at b*(1 + 2*log2 n); its base
+    holds the v with P_v(x) = y, P_v the polynomial whose coefficients
+    are the base-q digits of v-1 (``ssui.rs_table``), and its slice j
+    keeps those whose balanced-identifier bit j is one
+    (``balanced.slice_table``).
+    """
+
+    family: tuple[int, int, int] | None
+    n: int
+    k: int
+
+    def __post_init__(self) -> None:
+        if self.family is not None and self.n < 2 * self.family[0]:
+            raise ValueError(f"a table layout needs n >= 2q, got n={self.n}, q={self.family[0]}")
+
+    @cached_property
+    def bits(self) -> int:
+        return id_bits(self.n) // 2
+
+    @cached_property
+    def stride(self) -> int:
+        """Queries per block: 1, or a base and its 2*log2(n) slices."""
+        return 1 if self.family is None else 1 + 2 * self.bits
+
+    @cached_property
+    def block_count(self) -> int:
+        return self.n if self.family is None else self.family[0] * self.family[2]
+
+    def __len__(self) -> int:
+        return self.block_count * self.stride
+
+    @property
+    def occurrence_max(self) -> int:
+        """Queries per element: each of the L bases holding it and log2(n) of their slices."""
+        return 1 if self.family is None else self.family[2] * (1 + self.bits)
+
+    def block_at(self, position: int) -> Block | None:
+        """The block based at `position`, or None."""
+        index, offset = divmod(position, self.stride)
+        if offset or not 0 <= index < self.block_count:
+            return None
+        return Block(KIND_SSUI, self.k, position, self.stride - 1)
+
+    def _digits(self, v: int) -> list[int]:
+        """Base-q digits of v-1, highest first: P_v's coefficients in Horner order."""
+        q = self.family[0]
+        u, digits = v - 1, []
+        while u:
+            u, c = divmod(u, q)
+            digits.append(c)
+        return digits[::-1]
+
+    def _value(self, digits: list[int], x: int) -> int:
+        """P_v(x) over F_q, by Horner's rule on v's digits (``_digits``)."""
+        q = self.family[0]
+        y = 0
+        for c in digits:
+            y = (y * x + c) % q
+        return y
+
+    def _bit_set(self, v: int, j: int) -> bool:
+        """Whether balanced-identifier bit j+1 of v is one (slice table entry j)."""
+        b = self.bits
+        return not (v - 1) >> j & 1 if j < b else bool((v - 1) >> (j - b) & 1)
+
+    def holds(self, position: int, v: int) -> bool:
+        """Whether the query at `position` holds element v."""
+        if not (1 <= v <= self.n and 0 <= position < len(self)):
+            return False
+        if self.family is None:
+            return position == v - 1
+        index, offset = divmod(position, self.stride)
+        x, y = divmod(index, self.family[0])
+        on_base = self._value(self._digits(v), x) == y
+        return on_base and (offset == 0 or self._bit_set(v, offset - 1))
+
+    def incidence(self, v: int) -> tuple[int, ...]:
+        """Indices of the queries holding v, ascending; KeyError outside [1..n]."""
+        if not (isinstance(v, int) and 1 <= v <= self.n):
+            raise KeyError(v)
+        if self.family is None:
+            return (v - 1,)
+        q, _, points = self.family
+        offsets = [0, *(1 + j for j in range(2 * self.bits) if self._bit_set(v, j))]
+        digits = self._digits(v)
+        stride = self.stride
+        out: list[int] = []
+        for x in range(points):
+            start = (x * q + self._value(digits, x)) * stride
+            out.extend([start + o for o in offsets])
+        return tuple(out)
+
+    def all_queries(self) -> tuple[Query, ...]:
+        """Every query, laid out: the family's sets and their slices (``enhance``)."""
+        if self.family is None:
+            return singletons(self.n)
+        q, _, points = self.family
+        bases = truncated_table(self.n, q, points)
+        return tuple(s for base in bases for s in enhance(base, self.n))
+
+    def all_blocks(self) -> tuple[Block, ...]:
+        stride, k = self.stride, self.k
+        return tuple(Block(KIND_SSUI, k, b * stride, stride - 1) for b in range(self.block_count))
+
+
+class _LayoutSequence(Sequence):
+    """A read-only sequence over a layout, laid out once on the first access to its items.
+
+    Equal to a tuple with the same items (and hashed like it); two views
+    with the same key compare equal without laying anything out.
+    """
+
+    __slots__ = ("layout", "_len", "_items")
+
+    def __init__(self, layout: Layout) -> None:
+        self.layout = layout
+        self._len = self._length()
+        self._items: tuple | None = None
+
+    def _length(self) -> int:
+        raise NotImplementedError
+
+    def _key(self) -> object:
+        raise NotImplementedError
+
+    def _make(self) -> tuple:
+        raise NotImplementedError
+
+    def _all(self) -> tuple:
+        if self._items is None:
+            self._items = self._make()
+        return self._items
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _LayoutSequence):
+            if type(other) is type(self) and self._key() == other._key():
+                return True
+            if self._len != other._len:
+                return False
+            other = other._all()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self._len == len(other) and self._all() == other
+
+    def __hash__(self) -> int:
+        return hash(self._all())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.layout!r})"
+
+
+class LayoutQueries(_LayoutSequence):
+    """The queries of a layout: they depend on the family and n, not on k."""
+
+    __slots__ = ()
+
+    def _length(self) -> int:
+        return len(self.layout)
+
+    def _key(self) -> object:
+        return self.layout.family, self.layout.n
+
+    def _make(self) -> tuple[Query, ...]:
+        return self.layout.all_queries()
+
+
+class LayoutBlocks(_LayoutSequence):
+    """The blocks of a layout, at level k."""
+
+    __slots__ = ()
+
+    def _length(self) -> int:
+        return self.layout.block_count
+
+    def _key(self) -> object:
+        return self.layout
+
+    def _make(self) -> tuple[Block, ...]:
+        return self.layout.all_blocks()
+
+
+class _Filled(dict):
+    """key -> fill(key), each computed on its first lookup and kept, then read at dict speed."""
+
+    def __init__(self, fill: Callable[[int], object]) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _LayoutIncidence(_Filled):
+    """element -> indices of the layout queries holding it, each filled on its first lookup.
+
+    A full mapping over [1..n] (every element of a layout is in some
+    query): ``len``, iteration, ``in``, ``get``, the views and ``==``
+    cover every element.  ``dict.get`` would skip ``__missing__``, so
+    ``get`` is redefined.
+    """
+
+    def __init__(self, layout: Layout) -> None:
+        super().__init__(layout.incidence)
+        self.layout = layout
+
+    def __len__(self) -> int:
+        return self.layout.n
+
+    def __iter__(self):
+        return iter(range(1, self.layout.n + 1))
+
+    def __contains__(self, v: object) -> bool:
+        return isinstance(v, int) and 1 <= v <= self.layout.n
+
+    def get(self, v, default=None):
+        return self[v] if v in self else default
+
+    def keys(self):
+        return KeysView(self)
+
+    def items(self):
+        return ItemsView(self)
+
+    def values(self):
+        return ValuesView(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return dict(self.items()) == dict(other.items())
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.layout!r})"
+
+
+def _layout_of(queries: Sequence[Query]) -> Layout | None:
+    return queries.layout if type(queries) is LayoutQueries else None
+
+
+@dataclass(frozen=True)
 class Code:
-    queries: tuple[Query, ...]
-    blocks: tuple[Block, ...]
+    queries: Sequence[Query]  # a tuple, or LayoutQueries on a built code
+    blocks: Sequence[Block]  # a tuple, or LayoutBlocks on a built code
     n: int
     k: int
     alpha: int  # 0: no value is capped (multiset codes; the cap is chosen at encode time)
@@ -82,9 +349,13 @@ class Code:
         return len(self.queries)
 
     @cached_property
-    def incidence(self) -> dict[int, tuple[int, ...]]:
-        """element -> indices of the queries containing it (see model.incidence)."""
-        return _incidence(self.queries)
+    def incidence(self) -> Mapping[int, tuple[int, ...]]:
+        """element -> indices of the queries containing it (see model.incidence).
+
+        On a layout every element has an entry, computed on its first lookup.
+        """
+        layout = _layout_of(self.queries)
+        return _incidence(self.queries) if layout is None else _LayoutIncidence(layout)
 
     @cached_property
     def block_groups(self) -> tuple[tuple[Block, ...], ...]:
@@ -100,14 +371,33 @@ class Code:
         return tuple(tuple(g) for g in groups)
 
     @cached_property
-    def base_block(self) -> dict[int, Block]:
-        """base query index -> its block."""
-        return {blk.base: blk for blk in self.blocks}
+    def block_at(self) -> Mapping[int, Block | None]:
+        """position -> the block whose base sits there, None elsewhere (filled on use)."""
+        blocks = self.blocks
+        if type(blocks) is LayoutBlocks:
+            return _Filled(blocks.layout.block_at)
+        return _Filled({blk.base: blk for blk in blocks}.get)
+
+    def query_holds(self, position: int, v: int) -> bool:
+        """Whether the query at `position` holds v (in closed form on a layout)."""
+        layout = _layout_of(self.queries)
+        return v in self.queries[position] if layout is None else layout.holds(position, v)
+
+    @cached_property
+    def sole_elements(self) -> Mapping[int, int | None]:
+        """position -> the one element of the query there, or None (filled on use)."""
+        queries = self.queries
+        layout = _layout_of(queries)
+        if layout is not None and layout.family is None:
+            return _Filled(lambda position: position + 1)  # the singletons
+        return _Filled(lambda p: min(queries[p]) if len(queries[p]) == 1 else None)
 
     @property
     def occurrence_max(self) -> int:
-        inc = self.incidence
-        return max((len(ix) for ix in inc.values()), default=0)
+        layout = _layout_of(self.queries)
+        if layout is not None:
+            return layout.occurrence_max
+        return max((len(ix) for ix in self.incidence.values()), default=0)
 
     def feedback(self, hidden, alpha: int | None = None) -> tuple[int, ...]:
         """Feedback vector via the incidence index (fast path).
@@ -125,7 +415,11 @@ class Code:
         inc = self.incidence
         touched: list[int] = []
         for v, mult in counts.items():
-            for idx in inc.get(v, ()):
+            try:
+                indices = inc[v]
+            except KeyError:  # in no query of a list code
+                continue
+            for idx in indices:
                 if buf[idx] == 0:
                     touched.append(idx)
                 buf[idx] += mult
@@ -169,26 +463,13 @@ def table_params(n: int, k: int) -> tuple[int, int, int] | None:
 
 def _assemble(n: int, k: int, alpha: int, mode: str) -> Code:
     """The one selector family of a code, as blocks (module docstring)."""
-    params = table_params(n, k)
-    if params is not None:
-        q, _, points = params
-        return _layout(truncated_table(n, q, points), n, k, alpha, mode)
-    return _layout(singletons(n), n, k, alpha, mode)
+    return _layout(table_params(n, k), n, k, alpha, mode)
 
 
-def _layout(family: tuple[Query, ...], n: int, k: int, alpha: int, mode: str) -> Code:
-    """One "ssui" block at level k per query; bases of two or more elements carry slices."""
-    width = id_bits(n)
-    queries: list[Query] = []
-    blocks: list[Block] = []
-    for s in family:
-        if len(s) > 1:
-            blocks.append(Block(KIND_SSUI, k, len(queries), width))
-            queries.extend(enhance(s, n))
-        else:
-            blocks.append(Block(KIND_SSUI, k, len(queries), 0))
-            queries.append(s)
-    return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
+def _layout(family: tuple[int, int, int] | None, n: int, k: int, alpha: int, mode: str) -> Code:
+    """The code of one family (None: the n singletons; else the table's (q, d, L)) as its rule."""
+    layout = Layout(family, n, k)
+    return Code(LayoutQueries(layout), LayoutBlocks(layout), n, k, alpha, mode)
 
 
 def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
@@ -221,7 +502,7 @@ def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
     ``seed`` changes no byte of the code.
     """
     _check_build_params(n, k)
-    return _layout(singletons(n), n, k, 0, MODE_MULTISET)
+    return _layout(None, n, k, 0, MODE_MULTISET)
 
 
 def build(n: int, k: int, alpha: int, mode: str = MODE_PLAIN) -> Code:

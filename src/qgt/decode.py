@@ -69,8 +69,8 @@ def decode_detailed(code: Code, fv: tuple[int, ...] | list[int]) -> tuple[Multis
     acc_w: dict[int, int] = {}
     inc = code.incidence
     nonzero = list(itertools.compress(range(len(fv)), fv))
-    base_block = code.base_block
-    candidates = [base_block[idx] for idx in nonzero if idx in base_block]
+    block_at, sole_elements = code.block_at, code.sole_elements
+    candidates = [blk for idx in nonzero if (blk := block_at[idx]) is not None]
     progress = True
     while progress and candidates:
         progress = False
@@ -87,7 +87,10 @@ def decode_detailed(code: Code, fv: tuple[int, ...] | list[int]) -> tuple[Multis
                 raise DecodeError("inconsistent feedback: over-explained query")
             if residue == 0:
                 continue
-            v = _read_block(code, blk, fv, acc_w, residue, stats)
+            if blk.slices:
+                v = _read_slices(code, blk, fv, acc_w, residue, stats)
+            else:  # a base of at most one element names it
+                v = sole_elements[blk.base]
             if v is None or v in acc:
                 continue
             if len(acc) >= code.k:
@@ -101,7 +104,7 @@ def decode_detailed(code: Code, fv: tuple[int, ...] | list[int]) -> tuple[Multis
     return dict(sorted(acc.items())), stats
 
 
-def _read_block(
+def _read_slices(
     code: Code,
     blk: Block,
     fv: tuple[int, ...] | list[int],
@@ -109,10 +112,7 @@ def _read_block(
     residue: int,
     stats: DecodeStats,
 ) -> int | None:
-    """Recover the single new element a good block isolates, or None to skip."""
-    if not blk.slices:
-        base = code.queries[blk.base]
-        return next(iter(base)) if len(base) == 1 else None
+    """Recover the single new element a good sliced block isolates, or None to skip."""
     bits_lsb_first = []
     for j in range(1, blk.slices + 1):
         idx = blk.base + j
@@ -130,7 +130,7 @@ def _read_block(
     v = decode_balanced(word, code.n)
     if v is None:
         return None
-    if v not in code.queries[blk.base]:
+    if not code.query_holds(blk.base, v):
         return None
     return v
 

@@ -9,18 +9,19 @@ A code the builder lays out is written as its rule (LF line endings):
     mode <plain|large|multiset>
     family singletons | family rs <q> <d> <L>
 
-and loading lays the family out again exactly as the builder does
-(``code._layout``).  ``family singletons`` is the n singleton queries;
+and loading returns that rule (``code._layout``): no set or block is
+made, so reading, writing and loading a built code cost O(1) plus the
+(q, d, L) search.  ``family singletons`` is the n singleton queries;
 ``family rs`` is the truncated width-k Reed-Solomon table, accepted only
 with the (q, d, L) of ``ssui.rs_trunc_size(n, k)`` and only where the
 build rule takes it (``code.table_params``), so a six-line file cannot
 name a table the builder would not build.  Nothing follows the family
-line.  Loading lays the code out, so a family file needs n <= 2^18 and a
-layout of at most 2^22 set entries (``FAMILY_MAX_N``,
-``FAMILY_MAX_ENTRIES``).  The writer picks this form from the code's
-content alone: a code within those caps and equal to one of the two
-layouts, under its own header, is written this way, so equal codes
-always give equal bytes.
+line, and a family file needs n <= 2^18 (``FAMILY_MAX_N``).  The writer
+picks this form from the code's content alone: a code with n <= 2^18
+equal to one of the two layouts, under its own header, is written this
+way, so equal codes always give equal bytes.  A code whose queries and
+blocks are still one layout at its (n, k) is matched by its family
+without laying anything out.
 
 Every other code (random codes, hand-laid tables, files from earlier
 builders) is written as a list:
@@ -48,21 +49,21 @@ is chosen at encode/readout time, and the decoder trusts every value.
 Plain and large codes need alpha >= 2, random codes alpha >= 1.
 
 Parsing is strict: version, header shape, a power-of-two n (any n >= 2
-in random mode), the family line, offsets, slice counts and index order
-are all checked, and errors name the offending line.
+in random mode), the family line, offsets, slice counts, index order and
+every slice (it must be its base cut by ``balanced.slice_table``) are
+all checked, and errors name the offending line.
 parse(serialize(c)) reproduces the code exactly; in a list, equal query
 lines parse to one shared set.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
-from .balanced import id_bits
+from .balanced import id_bits, slice_table
 from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM
-from .code import Block, Code, _layout, table_params
-from .model import Query, check_capacity, check_universe, is_power_of_two, singletons
-from .ssui import truncated_table
+from .code import Block, Code, LayoutBlocks, LayoutQueries, _layout, table_params
+from .model import Query, check_capacity, check_universe, is_power_of_two
 
 FORMAT_NAME = "qgtc"
 LIST_VERSION = 1
@@ -72,46 +73,49 @@ _MODES = (MODE_PLAIN, MODE_LARGE, MODE_MULTISET, MODE_RANDOM)
 _KINDS = (KIND_SUI, KIND_RR, KIND_SSUI)
 # The decoder trusts a value below alpha, and every value when alpha is 0.
 _MIN_ALPHA = {MODE_PLAIN: 2, MODE_LARGE: 2, MODE_RANDOM: 1}
-# A family file lays out its code on load, so its size is capped; a larger
-# built code is written as a list, whose load is bounded by its length.
-# The largest files the caps admit, the n = 2^18 singletons (the largest
-# universe on the ROADMAP grid) and the n = 2^14, k = 9 table (4.18 million
-# set entries), each load in about 1 s at under 170 MB peak RSS.
+# A family file needs n at most the largest universe on the ROADMAP grid.
+# The parser checks it before table_params, whose prime search grows with n,
+# and a larger built code is written as a list.
 FAMILY_MAX_N = 1 << 18
-FAMILY_MAX_ENTRIES = 1 << 22
 
 
 class FormatError(ValueError):
     pass
 
 
-def _families(n: int, k: int) -> Iterator[tuple[str, int, Callable[[], tuple[Query, ...]]]]:
-    """(line, entries, family) of each family the build rule lays out at (n, k).
+def _families(n: int, k: int) -> Iterator[tuple[str, tuple[int, int, int] | None]]:
+    """(line, family) of each family the build rule lays out at (n, k), for ``code._layout``.
 
-    The singletons come first, then the table where the rule takes it.
-    ``entries`` is the number of set entries the layout holds (for the
-    table, an upper bound: each of its L points puts every element in one
-    base, and each base element in log2(n) of its slices); ``family()``
-    makes the queries.
+    The singletons (family None) come first, then the table's (q, d, L)
+    where the rule takes it.
     """
-    yield "family singletons", n, lambda: singletons(n)
+    yield "family singletons", None
     params = table_params(n, k) if k >= 1 else None  # a table has width k >= 1
     if params is not None:
         q, d, points = params
-        entries = points * n * (1 + id_bits(n) // 2)
-        yield f"family rs {q} {d} {points}", entries, lambda: truncated_table(n, q, points)
+        yield f"family rs {q} {d} {points}", params
 
 
 def _family_line(code: Code) -> str | None:
-    """The `family` line of a code equal to a built layout within the caps above; else None."""
+    """The `family` line of a code equal to a built layout with n <= FAMILY_MAX_N; else None.
+
+    A code whose queries and blocks are one layout at (n, k) is matched by
+    its family alone; any other is compared with each layout.
+    """
     n, k = code.n, code.k
     if code.mode == MODE_RANDOM or not 2 <= n <= FAMILY_MAX_N or not is_power_of_two(n):
-        return None  # no layout exists (slice widths need a power-of-two n), or it is too large
-    for line, entries, family in _families(n, k):
-        if entries > FAMILY_MAX_ENTRIES:
-            continue
-        queries = family()
-        if len(queries) == len(code.blocks) and _layout(queries, n, k, code.alpha, code.mode) == code:
+        return None  # no layout exists (slice widths need a power-of-two n), or n is too large
+    queries, blocks = code.queries, code.blocks
+    if (
+        isinstance(queries, LayoutQueries)
+        and isinstance(blocks, LayoutBlocks)
+        and queries.layout == blocks.layout
+        and (blocks.layout.n, blocks.layout.k) == (n, k)
+    ):
+        family = blocks.layout.family
+        return next((line for line, f in _families(n, k) if f == family), None)
+    for line, family in _families(n, k):
+        if _layout(family, n, k, code.alpha, code.mode) == code:
             return line
     return None
 
@@ -193,7 +197,7 @@ def _family_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) 
         raise FormatError(f"line 2: a family file needs n <= {FAMILY_MAX_N}, got {n}")
     words = lines[5].split()
     line = " ".join(words)
-    for name, entries, family in _families(n, k):
+    for name, family in _families(n, k):
         if name == line:
             break
     else:
@@ -206,14 +210,9 @@ def _family_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) 
         raise FormatError(
             f"line 6: expected 'family singletons' or 'family rs <q> <d> <L>', got {lines[5]!r}"
         )
-    if entries > FAMILY_MAX_ENTRIES:
-        raise FormatError(
-            f"line 2: {line!r} at n = {n} lays out up to {entries} set entries, "
-            f"above the family form's {FAMILY_MAX_ENTRIES}"
-        )
     if len(lines) > 6:
         raise FormatError(f"line 7: nothing may follow the family line, got {lines[6]!r}")
-    return _layout(family(), n, k, alpha, mode)
+    return _layout(family, n, k, alpha, mode)
 
 
 def _list_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) -> Code:
@@ -287,7 +286,21 @@ def _list_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) ->
         raise FormatError(
             f"block layout covers {expected_next} queries but the body has {m}"
         )
+    _check_slices(queries, blocks, n, body_start)
     return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
+
+
+def _check_slices(queries: list[Query], blocks: list[Block], n: int, body_start: int) -> None:
+    """Every slice must be its base cut by the slice table, or a decode could misread it."""
+    table = slice_table(n) if any(blk.slices for blk in blocks) else ()
+    for blk in blocks:
+        base = queries[blk.base]
+        for j in range(1, blk.slices + 1):
+            if queries[blk.base + j] != base & table[j - 1]:
+                raise FormatError(
+                    f"line {body_start + blk.base + j + 1}: slice {j} of the base on line "
+                    f"{body_start + blk.base + 1} is not its bit slice"
+                )
 
 
 def fv_to_text(fv: tuple[int, ...] | list[int]) -> str:

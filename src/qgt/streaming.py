@@ -25,7 +25,9 @@ real edge are simply never touched.
 
 from __future__ import annotations
 
-from .code import MODE_MULTISET, Code, build_code_multiset
+from math import isqrt
+
+from .code import MODE_MULTISET, Code, LayoutQueries, build_code_multiset
 from .decode import decode
 from .model import Multiset, check_cap, next_power_of_two
 
@@ -42,7 +44,7 @@ class StreamSketch:
     def __init__(self, code: Code, alpha: int | None = None) -> None:
         if code.mode != MODE_MULTISET:
             raise ValueError("stream sketches require a multiset-mode code")
-        if len({v for s in code.queries if len(s) == 1 for v in s}) < code.n:
+        if not _every_element_alone(code):
             raise ValueError("stream sketches require a singleton query for every element")
         self.code = code
         self.alpha = alpha if alpha is not None else code.k
@@ -94,7 +96,15 @@ class StreamSketch:
     def _indices(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.code.n:
             raise ValueError(f"element {v} outside universe [1..{self.code.n}]")
-        return self.code.incidence.get(v, ())
+        return self.code.incidence[v]  # every element is in a query: it has one alone
+
+
+def _every_element_alone(code: Code) -> bool:
+    """Whether every element is alone in some query; on the singletons layout, from its family."""
+    queries = code.queries
+    if isinstance(queries, LayoutQueries) and queries.layout.family is None:
+        return True
+    return len({v for s in queries if len(s) == 1 for v in s}) >= code.n
 
 
 def edge_index(u: int, v: int, nu: int) -> int:
@@ -109,12 +119,15 @@ def edge_endpoints(index: int, nu: int) -> tuple[int, int]:
     total = nu * (nu - 1) // 2
     if not 1 <= index <= total:
         raise ValueError(f"edge index {index} outside [1..{total}]")
-    u = 1
-    remaining = index
-    while remaining > nu - u:
-        remaining -= nu - u
-        u += 1
-    return u, u + remaining
+    # Rows 1 .. t hold t*(2*nu - 1 - t)/2 edges; the row before u is the
+    # largest t with fewer than `index`: the smaller root of
+    # t^2 - (2*nu - 1)*t + 2*(index - 1) = 0, rounded down.  isqrt rounds
+    # the discriminant's root down, so t can come out one too large.
+    b = 2 * nu - 1
+    t = (b - isqrt(b * b - 8 * (index - 1))) // 2
+    if t * (b - t) // 2 >= index:
+        t -= 1
+    return t + 1, t + 1 + index - t * (b - t) // 2
 
 
 class GraphSketch:

@@ -3,8 +3,9 @@
 ``build_code`` lays the truncated width-k table out only where it is
 shorter than the n singletons (first at n = 2^5 for k = 1, 2^9 for
 k = 2), so at the small n these tests reach it mostly builds
-singletons.  These helpers lay tables out through ``code._layout``,
-keeping the slice path and fat bases under test:
+singletons.  These helpers lay tables out through the eager reference
+layout (``layout_reference.eager_layout``), keeping the slice path and
+fat bases under test:
 
 * ``rs_table_code``: the full (n, kappa, kappa, 1) table of
   ``ssui.build_ssui``, every one of its q^2 queries;
@@ -16,20 +17,22 @@ element i in query x*q + P_i(x): they are the reference that
 ``ssui.rs_table``'s digit recursion is checked against.
 """
 
-from qgt.code import MODE_PLAIN, _layout, level_params
+from qgt.code import MODE_PLAIN, level_params
 from qgt.ssui import build_ssui, rs_trunc_size, truncated_table
+
+from layout_reference import eager_layout
 
 
 def rs_table_code(n: int, k: int, alpha: int = 2):
     kappa, _ = level_params(k, alpha)
     family = build_ssui(n, kappa, kappa, 1).queries
-    return _layout(family, n, k, alpha, MODE_PLAIN)
+    return eager_layout(family, n, k, alpha, MODE_PLAIN)
 
 
 def trunc_table_code(n: int, k: int, alpha: int = 2, mode: str = MODE_PLAIN):
     q, _, points = rs_trunc_size(n, k)
     family = truncated_table(n, q, points)
-    return _layout(family, n, k, alpha, mode)
+    return eager_layout(family, n, k, alpha, mode)
 
 
 def nth_polynomial(i: int, q: int, d: int) -> tuple[int, ...]:

@@ -203,8 +203,10 @@ def test_full_singleton_level_builds_no_discarded_levels(monkeypatch):
 
     monkeypatch.setattr(qgt.code, "singletons", counting_singletons)
     code = build_code_multiset(4096, 16)
-    assert calls == [(4096,)]
+    assert calls == []  # a built code stays its rule
     assert code.queries == singletons(4096)
+    assert code.queries == singletons(4096)
+    assert calls == [(4096,)]  # laid out once, on the first full access
 
 
 @pytest.mark.parametrize(
@@ -348,14 +350,19 @@ def test_assemble_takes_the_table_exactly_where_it_wins(monkeypatch):
     for mode in ("plain", "large"):
         for k, first in ((1, 5), (2, 9)):
             calls.clear()
-            assert BUILDERS[mode](2 ** (first - 1), k).queries == singletons(2 ** (first - 1))
-            assert calls == ["rs_trunc_size", "singletons"]  # decided before anything is built
+            code = BUILDERS[mode](2 ** (first - 1), k)
+            assert calls == ["rs_trunc_size"]  # decided, and nothing laid out
+            assert code.queries == singletons(2 ** (first - 1))
+            assert calls == ["rs_trunc_size", "singletons"]
             calls.clear()
-            assert len(BUILDERS[mode](2**first, k)) < 2**first
+            code = BUILDERS[mode](2**first, k)
+            assert len(code) < 2**first
+            assert calls == ["rs_trunc_size"]
+            assert len(code.queries[0]) > 1
             assert calls == ["rs_trunc_size", "truncated_table"]
     calls.clear()
     assert len(BUILDERS["multiset"](2**5, 1)) == 2**5
-    assert calls == ["singletons"]
+    assert calls == []
 
 
 def test_no_builder_calls_the_old_selector_builders(monkeypatch):

@@ -1,0 +1,142 @@
+"""Built codes stay their rule: the lazy layout against the eager reference.
+
+``code._layout`` makes no set or block; queries and blocks are laid out
+on the first access that needs them all, and incidence, the block at a
+position, base membership and the sole element of a 0-slice block are
+read in closed form.  Over the builder sweep the laid-out code must equal
+the eager reference layout of the same family, and every closed form
+must agree with what the laid-out sets say.
+"""
+
+import pytest
+
+import qgt
+import qgt.balanced
+import qgt.code
+import qgt.model
+import qgt.ssui
+from qgt.code import Layout, LayoutBlocks, LayoutQueries, build_code, build_code_large
+from qgt.code import build_code_multiset, table_params
+from qgt.decode import decode
+from qgt.model import incidence, singletons
+from qgt.serialize import code_from_text, code_to_text
+from qgt.ssui import truncated_table
+
+from layout_reference import eager_layout
+
+SWEEP_K = (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32)
+
+
+def _sweep(e):
+    n = 2**e
+    for k in sorted({k for k in (*SWEEP_K, n) if k <= n}):
+        yield build_code(n, k, 2)
+        yield build_code_large(n, k, 3)
+        yield build_code_multiset(n, k)
+
+
+def _reference(code):
+    family = code.queries.layout.family
+    sets = singletons(code.n) if family is None else truncated_table(code.n, family[0], family[2])
+    return eager_layout(sets, code.n, code.k, code.alpha, code.mode)
+
+
+def _check_closed_forms(code, ref):
+    """Incidence, occurrence_max, the block at each position, membership and sole elements."""
+    n = code.n
+    assert code.occurrence_max == ref.occurrence_max
+    model_inc = incidence(ref.queries)
+    assert all(code.incidence[v] == model_inc[v] for v in range(1, n + 1)), (n, code.k)
+    for p, s in enumerate(ref.queries):
+        blk = ref.block_at[p]
+        assert code.block_at[p] == blk
+        if blk is not None and not blk.slices:
+            assert code.sole_elements[p] == next(iter(s))
+        # a few members, and a few elements of the next query that are not members
+        members = sorted(s)
+        others = sorted(ref.queries[(p + 1) % len(ref.queries)] - s)
+        assert all(code.query_holds(p, v) for v in members[:4] + members[-4:])
+        assert not any(code.query_holds(p, v) for v in others[:4] + others[-4:])
+
+
+@pytest.mark.parametrize("e", range(1, 13))
+def test_lazy_layout_matches_the_eager_reference(e):
+    checked = set()
+    for code in _sweep(e):
+        ref = _reference(code)
+        assert len(code) == len(ref.queries) and len(code.blocks) == len(ref.blocks)
+        if code.blocks.layout not in checked:  # plain and large share their layout
+            checked.add(code.blocks.layout)
+            _check_closed_forms(code, ref)
+        assert tuple(code.queries) == ref.queries and tuple(code.blocks) == ref.blocks
+        assert code == ref and ref == code and hash(code) == hash(ref)
+
+
+def test_membership_is_exact_on_small_tables():
+    for n, k in ((32, 1), (512, 2)):
+        code = build_code(n, k, 2)
+        ref = _reference(code)
+        for p, s in enumerate(ref.queries):
+            assert {v for v in range(0, n + 2) if code.query_holds(p, v)} == s
+
+
+def test_incidence_is_a_full_mapping_filled_on_use():
+    code = build_code(32, 1, 2)
+    inc = code.incidence
+    assert dict.__len__(inc) == 0  # nothing is computed at build
+    assert inc.get(5) == code.queries.layout.incidence(5)  # get fills, unlike dict.get
+    assert dict.__len__(inc) == 1
+    assert inc.get(0) is None and inc.get(33, ()) == () and 33 not in inc
+    with pytest.raises(KeyError):
+        inc[33]
+    assert len(inc) == 32 and list(inc) == list(range(1, 33))
+    assert inc == incidence(tuple(code.queries)) and incidence(tuple(code.queries)) == inc
+    assert dict(inc) == dict(inc.items()) and len(inc.values()) == 32
+
+
+def test_equality_and_hash_follow_content():
+    four, eight = build_code_multiset(64, 4), build_code_multiset(64, 8)
+    assert four.queries == eight.queries  # the singletons do not depend on k
+    assert four.blocks != eight.blocks and four != eight
+    assert four.queries == singletons(64) and singletons(64) == four.queries
+    assert hash(four.queries) == hash(singletons(64))
+    assert four.queries != list(singletons(64))  # a tuple never equals a list
+    parsed = code_from_text(code_to_text(four))
+    assert type(parsed.queries) is LayoutQueries and type(parsed.blocks) is LayoutBlocks
+    assert parsed == four and hash(parsed) == hash(four)
+    assert {four: 1}[build_code_multiset(64, 4)] == 1
+
+
+def test_a_table_layout_needs_every_base_to_hold_two_elements():
+    with pytest.raises(ValueError, match="n >= 2q"):
+        Layout((17, 2, 9), 16, 5)
+    # every table the build rule takes has q < n / (1 + 2 log2 n)
+    for e in range(1, 19):
+        for k in (1, 2, 3, 4, 5, 8, 16, 32):
+            params = table_params(2**e, k) if k <= 2**e else None
+            assert params is None or 2**e >= 2 * params[0]
+
+
+def _refuse_layouts(monkeypatch):
+    """Make every maker of sets or slices raise wherever it is looked up."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a built code was laid out")
+
+    for module in (qgt, qgt.code, qgt.model, qgt.ssui, qgt.balanced):
+        for name in ("singletons", "truncated_table", "rs_table", "bit_slices", "enhance"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "n, k", [(1024, 4), (1024, 16), (2048, 3), (4096, 5), (32768, 1), (262144, 4)]
+)
+def test_building_writing_loading_and_decoding_lay_nothing_out(monkeypatch, n, k):
+    _refuse_layouts(monkeypatch)
+    hidden = {v: 1 for v in range(n // k // 2, n + 1, n // k)[:k]}
+    for code in (build_code(n, k, 2), build_code_large(n, k, 3), build_code_multiset(n, k)):
+        parsed = code_from_text(code_to_text(code))
+        assert parsed == code and code_to_text(parsed) == code_to_text(code)
+        assert decode(parsed, parsed.feedback(hidden)) == hidden
+        assert code.occurrence_max == parsed.occurrence_max

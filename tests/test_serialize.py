@@ -326,8 +326,6 @@ def test_table_family_only_where_the_build_rule_takes_it():
     [
         ("n 1152921504606846976\nk 576460752303423488", "singletons", "line 2: .*n <= 262144"),
         ("n 524288\nk 1", "singletons", "line 2: .*n <= 262144"),
-        # the table the build rule takes at (2^18, 4): about 65 million set entries
-        ("n 262144\nk 4", "rs 13 4 13", "line 2: .* lays out up to 64749568 set entries"),
     ],
 )
 def test_family_file_too_large_to_lay_out_names_line_2(header, family, message):
@@ -335,18 +333,38 @@ def test_family_file_too_large_to_lay_out_names_line_2(header, family, message):
         code_from_text(f"qgtc 2\n{header}\nalpha 2\nmode plain\nfamily {family}\n")
 
 
+def test_the_largest_table_family_file_loads_as_its_rule():
+    # the table the build rule takes at (2^18, 4): its layout holds about
+    # 65 million set entries, and loading makes none of them
+    text = "qgtc 2\nn 262144\nk 4\nalpha 2\nmode plain\nfamily rs 13 4 13\n"
+    code = code_from_text(text)
+    assert len(code) == 13 * 13 * 37 and code.occurrence_max == 13 * 19
+    assert code == build_code(262144, 4, 2) and code_to_text(code) == text
+    hidden = {1: 1, 99_999: 1, 200_000: 1, 262_144: 1}
+    assert decode(code, code.feedback(hidden)) == hidden
+
+
 def test_built_code_above_the_family_caps_is_a_list(monkeypatch):
     singles, table = build_code_multiset(64, 2), build_code(32, 1, 2)
     monkeypatch.setattr(serialize, "FAMILY_MAX_N", 32)
-    monkeypatch.setattr(serialize, "FAMILY_MAX_ENTRIES", 32 * 5)  # the table holds 32 * (1 + 5)
-    for code in (singles, table):
-        text = code_to_text(code)
-        assert text == list_text(code)
-        assert code_from_text(text) == code
+    text = code_to_text(singles)
+    assert text == list_text(singles)
+    assert code_from_text(text) == singles
+    assert code_to_text(table) == FAMILY_HEADER + "family rs 2 4 1\n"  # n = 32 is within the cap
     with pytest.raises(FormatError, match="line 2: .*n <= 32, got 64"):
         code_from_text("qgtc 2\nn 64\nk 2\nalpha 0\nmode multiset\nfamily singletons\n")
-    with pytest.raises(FormatError, match="line 2: 'family rs 2 4 1' at n = 32 lays out up to 192"):
-        code_from_text(FAMILY_HEADER + "family rs 2 4 1\n")
+
+
+def test_list_file_with_a_tampered_slice_names_its_line():
+    table = build_code(32, 1, 2)
+    base = table.blocks[1].base
+    slices = list(table.queries)
+    slices[base + 2] = frozenset()  # it held 2, 6, 10, ...
+    text = list_text(dataclasses.replace(table, queries=tuple(slices)))
+    # header, blocks line and 2 block lines, then the queries from line 9
+    with pytest.raises(FormatError, match=f"line {9 + base + 2}: slice 2 of the base on line {9 + base} "):
+        code_from_text(text)
+    assert code_from_text(list_text(table)) == table
 
 
 def test_family_file_header_checks_name_their_lines():

@@ -181,6 +181,11 @@ def test_edge_index_bijection_up_to_64():
         for u in range(1, nu + 1):
             for v in range(u + 1, nu + 1):
                 assert edge_endpoints(edge_index(u, v, nu), nu) == (u, v)
+    # the closed form at larger graphs: the first and last edge of every row
+    for nu in (65, 1000, 4096):
+        for u in range(1, nu):
+            for v in (u + 1, nu):
+                assert edge_endpoints(edge_index(u, v, nu), nu) == (u, v)
 
 
 def test_edge_index_validation():

@@ -2,7 +2,7 @@
 
 The builder takes the table only where it is shorter than n (first at
 n = 2^5 for k = 1 and 2^9 for k = 2), so these tests lay it out through
-``code._layout`` at small n, where every set and multiset within
+the eager reference layout at small n, where every set and multiset within
 capacity can be enumerated.  Each set of at most k elements decodes to
 itself at caps 2, 3 and 5, and ``verify_uniqueness`` passes; each
 multiset of total at most k decodes to itself from an exact readout.
