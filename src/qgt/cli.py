@@ -29,7 +29,7 @@ from .serialize import (
     multiset_to_text,
     parse_set_spec,
 )
-from .ssui import verify_ssui
+from .ssui import check_ssui_budget, verify_ssui
 from .streaming import GraphSketch, StreamSketch, parse_ops
 from .sui import verify_sui
 
@@ -113,12 +113,15 @@ def _verify_levels(code, budget: int, kinds) -> int:
     failures = 0
     for group in groups:
         kind, level = group[0].kind, group[0].level
-        queries = tuple(code.queries[blk.base] for blk in group)
         try:
             if kind == KIND_SSUI:
+                # Refuse before the bases are read: reading one lays out a built code.
+                check_ssui_budget(code.n, level, 0, budget)
+                queries = tuple(code.queries[blk.base] for blk in group)
                 ok = verify_ssui(queries, code.n, level, 0, 1, budget=budget)
                 print(f"{kind} level {level}: {'pass' if ok else 'FAIL'}")
             else:
+                queries = tuple(code.queries[blk.base] for blk in group)
                 report = verify_sui(queries, code.n, level, 0.5, k_pow, cap, budget=budget)
                 ok = report.passed
                 print(

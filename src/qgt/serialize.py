@@ -20,8 +20,8 @@ line, and a family file needs n <= 2^18 (``FAMILY_MAX_N``).  The writer
 picks this form from the code's content alone: a code with n <= 2^18
 equal to one of the two layouts, under its own header, is written this
 way, so equal codes always give equal bytes.  A code whose queries and
-blocks are still one layout at its (n, k) is matched by its family
-without laying anything out.
+blocks are still a layout compares with a layout without laying
+anything out.
 
 Every other code (random codes, hand-laid tables, files from earlier
 builders) is written as a list:
@@ -62,7 +62,7 @@ from collections.abc import Iterator
 
 from .balanced import id_bits, slice_table
 from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM
-from .code import Block, Code, LayoutBlocks, LayoutQueries, _layout, table_params
+from .code import Block, Code, _layout, table_params
 from .model import Query, check_capacity, check_universe, is_power_of_two
 
 FORMAT_NAME = "qgtc"
@@ -99,21 +99,11 @@ def _families(n: int, k: int) -> Iterator[tuple[str, tuple[int, int, int] | None
 def _family_line(code: Code) -> str | None:
     """The `family` line of a code equal to a built layout with n <= FAMILY_MAX_N; else None.
 
-    A code whose queries and blocks are one layout at (n, k) is matched by
-    its family alone; any other is compared with each layout.
+    Comparing a code that is still a layout with a layout lays nothing out.
     """
     n, k = code.n, code.k
     if code.mode == MODE_RANDOM or not 2 <= n <= FAMILY_MAX_N or not is_power_of_two(n):
         return None  # no layout exists (slice widths need a power-of-two n), or n is too large
-    queries, blocks = code.queries, code.blocks
-    if (
-        isinstance(queries, LayoutQueries)
-        and isinstance(blocks, LayoutBlocks)
-        and queries.layout == blocks.layout
-        and (blocks.layout.n, blocks.layout.k) == (n, k)
-    ):
-        family = blocks.layout.family
-        return next((line for line, f in _families(n, k) if f == family), None)
     for line, family in _families(n, k):
         if _layout(family, n, k, code.alpha, code.mode) == code:
             return line

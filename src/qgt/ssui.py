@@ -292,6 +292,11 @@ def max_unselected_count(
     return worst
 
 
+def check_ssui_budget(n: int, ell: int, kappa: int, budget: int) -> None:
+    """BudgetError if ``verify_ssui`` at (n, ell, kappa) would enumerate more than ``budget`` cases."""
+    check_budget(sets_up_to(n, ell) * sets_up_to(n, kappa), budget)
+
+
 def verify_ssui(
     queries: tuple[Query, ...],
     n: int,
@@ -301,7 +306,7 @@ def verify_ssui(
     budget: int = 10_000_000,
 ) -> bool:
     """Exhaustively check the strong-selection property (no unselected element ever)."""
-    check_budget(sets_up_to(n, ell) * sets_up_to(n, kappa), budget)
+    check_ssui_budget(n, ell, kappa, budget)
     return max_unselected_count(queries, n, ell, kappa, alpha, budget, stop_at=1) == 0
 
 

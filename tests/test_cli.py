@@ -255,6 +255,23 @@ def test_budget_refusal_exits_nonzero(tmp_path, capsys):
     assert "too large" in err
 
 
+@pytest.mark.parametrize("flag", ["--ssui", "--uniqueness", "--claim-a"])
+def test_verify_refuses_a_large_family_file_before_laying_it_out(
+    tmp_path, capsys, monkeypatch, flag
+):
+    import qgt.code
+
+    def refuse(self):
+        raise AssertionError("the queries were laid out")
+
+    monkeypatch.setattr(qgt.code.LayoutQueries, "_make", refuse)
+    code_file = tmp_path / "code.qgtc"
+    code_file.write_text("qgtc 2\nn 262144\nk 4\nalpha 3\nmode plain\nfamily rs 13 4 13\n")
+    status, out, err = run(capsys, "verify", "--code", str(code_file), flag)
+    assert status == 1
+    assert "too large" in out + err
+
+
 def test_random_unknown_verify_mode(tmp_path, capsys):
     status, _, err = run(
         capsys, "random", "--n", "32", "--k", "2", "--alpha", "4",
