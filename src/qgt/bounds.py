@@ -22,7 +22,10 @@ returns the same first witness as the full enumeration.
 `verify_uniqueness` walks them too, keeping each query's count and an
 additive fingerprint of the set's capped profile (a seeded random step
 per query and capped level, in the manner of Zobrist hashing); only a
-repeated fingerprint costs a comparison of full profiles.
+repeated fingerprint costs a comparison of full profiles.  Both walk
+only `model.active_elements`: by the inert-element lemma in `model`,
+the sets they skip can neither hold the first witness nor collide
+where their active parts do not.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import log2
 
-from .model import Query, check_budget, check_cap, check_capacity, incidence, query_mask
-from .model import sets_up_to, walk_subsets
+from .model import Query, active_elements, check_budget, check_cap, check_capacity, incidence
+from .model import query_mask, sets_up_to, walk_subsets
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,9 @@ def find_unjammed_violation(
 
     Sets are visited in the order of ``model.walk_subsets`` (size by
     size, each size lexicographic) and x is the smallest violating
-    element, so the witness is the first one a full enumeration finds.
+    element, so the witness is the first one a full enumeration finds:
+    that witness holds no inert element, so walking the active elements
+    alone still reaches it first.
     """
     check_budget(sets_up_to(n, k), budget)
     masks = [query_mask(s) for s in queries]
@@ -139,7 +144,7 @@ def find_unjammed_violation(
             return None
         return frozenset(chosen), next(x for x in chosen if roomy[x] == 0)
 
-    return walk_subsets(n, k, push, pop, leaf)
+    return walk_subsets(active_elements(queries, n), k, push, pop, leaf)
 
 
 FINGERPRINT_SEED = 0x7167_7431  # fixed, so every run draws the same fingerprint steps
@@ -167,7 +172,9 @@ def verify_uniqueness(
     step whenever its count changes at or below the cap.  Equal vectors
     give equal fingerprints, so only a repeated fingerprint can mean a
     repeated vector, and it is confirmed by comparing the two sets' full
-    capped profiles.
+    capped profiles.  Only sets of active elements are walked: any two
+    colliding sets leave two colliding sets of active elements once
+    their shared inert elements are dropped.
     """
     check_budget(sets_up_to(n, k), budget)
     inc = incidence(queries)
@@ -222,4 +229,4 @@ def verify_uniqueness(
         profiles.add(here)
         return None
 
-    return walk_subsets(n, k, push, pop, leaf) is None
+    return walk_subsets(active_elements(queries, n), k, push, pop, leaf) is None

@@ -22,12 +22,34 @@ The facts every selector family and oracle shares live here, once:
   raises when a search would exceed its budget;
 * ``walk_subsets``: the push/pop walk over those candidate sets that
   the selector, jamming, uniqueness and random-code claim oracles keep
-  their per-set counts on.
+  their per-set counts on;
+* ``active_elements``: the elements an oracle's walk must visit.
+
+Inert elements.  An element v is *inert* in a query family when it lies
+in at least one query and every query holding it is exactly {v}.  The
+lemma the oracles share: an inert element never changes another
+element's count.  Adding v to a set K changes |Q ∩ K| only for the
+queries {v}, which hold no other element; and each of them counts v
+alone, 0 or 1, within every cap alpha >= 1, so v is read exactly for
+every K.  Hence a set's verdict follows from the set without its
+inert elements, and each oracle walks only ``active_elements``:
+
+* a jammed set minus its inert elements is still jammed, with the same
+  jammed element, and smaller, so the first jamming witness in size
+  order holds no inert element;
+* two sets with one feedback vector agree on every inert element (its
+  singleton reads it), so dropping the shared inert part leaves two
+  distinct colliding sets of active elements;
+* an inert element is always isolated and isolates as before without
+  it, so a set's unselected count, when no K2 can jam a query, equals
+  that of its active part, which the walk reaches no later;
+* a set holding an element inert in the part a random-code claim reads
+  is met exactly once there, by that element's singleton.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from math import comb
 from typing import TypeVar
 
@@ -112,36 +134,51 @@ def check_budget(count: int, budget: int) -> None:
 
 
 def walk_subsets(
-    n: int,
+    elements: Sequence[int],
     max_size: int,
     push: Callable[[int], None],
     pop: Callable[[int], None],
     leaf: Callable[[], T | None],
 ) -> T | None:
-    """Depth-first walk over the nonempty subsets of [1..n] of at most max_size elements.
+    """Depth-first walk over the nonempty subsets of ``elements`` of at most max_size elements.
 
-    Sets are visited size by size, each size in lexicographic order: the
-    order of ``itertools.combinations(range(1, n + 1), size)`` for size =
-    1, 2, ...  ``push(e)`` runs as e joins the current set and ``pop(e)``
-    as it leaves, so a caller keeps its per-set counts up to date instead
-    of rebuilding them; ``leaf()`` runs at each set of the current size.
-    Returns the first ``leaf()`` result that is not None, else None.
+    ``elements`` is sorted.  Sets are visited size by size, each size in
+    lexicographic order: the order of ``itertools.combinations(elements,
+    size)`` for size = 1 .. min(max_size, len(elements)).  ``push(e)``
+    runs as e joins the current set and ``pop(e)`` as it leaves, so a
+    caller keeps its per-set counts up to date instead of rebuilding
+    them; ``leaf()`` runs at each set of the current size.  Returns the
+    first ``leaf()`` result that is not None, else None.
     """
+    count = len(elements)
 
     def descend(start: int, left: int) -> T | None:
-        for e in range(start, n - left + 2):
+        for i in range(start, count - left + 1):
+            e = elements[i]
             push(e)
-            found = leaf() if left == 1 else descend(e + 1, left - 1)
+            found = leaf() if left == 1 else descend(i + 1, left - 1)
             pop(e)
             if found is not None:
                 return found
         return None
 
-    for size in range(1, max_size + 1):
-        found = descend(1, size)
+    for size in range(1, min(max_size, count) + 1):
+        found = descend(0, size)
         if found is not None:
             return found
     return None
+
+
+def active_elements(queries: Iterable[Query], n: int) -> list[int]:
+    """[1..n] without its inert elements (module docstring), ascending."""
+    inert = set()
+    shared = set()  # elements of some query of two or more elements
+    for s in queries:
+        if len(s) == 1:
+            inert |= s
+        else:
+            shared |= s
+    return [v for v in range(1, n + 1) if v not in inert or v in shared]
 
 
 def as_multiset(hidden: Iterable[int] | Mapping[int, int], n: int | None = None) -> Multiset:

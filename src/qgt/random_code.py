@@ -20,7 +20,10 @@ the claims are loose, so verification is the source of truth and
 callers retry seeds until it passes.  The exhaustive check walks the
 candidate sets with ``model.walk_subsets``, keeping each query's count
 and each part's number of queries hit exactly once on push and pop;
-the sampled check counts each seeded draw from scratch.
+it skips the elements inert in every part it reads, since by the
+inert-element lemma in ``model`` a set holding one is met exactly once
+by that element's singleton.  The sampled check counts each seeded
+draw from scratch.
 
 The natural logarithm in t1/t2 is evaluated in floating point and then
 rounded up.
@@ -32,8 +35,8 @@ import random
 from dataclasses import dataclass
 from math import ceil, e, log
 
-from .model import Query, check_budget, check_cap, check_capacity, incidence, sets_up_to
-from .model import singletons, walk_subsets
+from .model import Query, active_elements, check_budget, check_cap, check_capacity, incidence
+from .model import sets_up_to, singletons, walk_subsets
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,9 @@ def _first_missed_set(
 
     Sets of at most ``small_limit`` elements read part 1, larger ones part
     2.  Each query's count in K and, per part, the number of its queries
-    that meet K exactly once are kept up to date on push and pop.
+    that meet K exactly once are kept up to date on push and pop.  Only
+    elements active in some part the walk reads are walked: an element
+    inert in every such part is met once by its singleton in any set.
     """
     m = len(code.queries)
     in1 = [int(part1[0] <= j < part1[1]) for j in range(m)]
@@ -186,7 +191,12 @@ def _first_missed_set(
         once = once1 if len(chosen) <= small_limit else once2
         return None if once else frozenset(chosen)
 
-    return walk_subsets(code.n, code.k, push, pop, leaf)
+    # the parts the walk reads: part 1 for sets of 1 .. small_limit elements, part 2 above
+    read = [part1] if small_limit >= 1 else []
+    if code.k > small_limit:
+        read.append(part2)
+    active = {v for lo, hi in read for v in active_elements(code.queries[lo:hi], code.n)}
+    return walk_subsets(sorted(active), code.k, push, pop, leaf)
 
 
 def verify_claims(

@@ -31,7 +31,7 @@ from math import comb
 
 from .model import BudgetError as BudgetError  # re-exported: qgt.ssui.BudgetError
 from .model import Query, check_budget, check_universe, incidence, query_mask, sets_up_to
-from .model import singletons, walk_subsets
+from .model import active_elements, singletons, walk_subsets
 
 
 def check_selector_params(n: int, ell: int, kappa: int, alpha: int) -> None:
@@ -188,6 +188,13 @@ def max_unselected_count(
     kept too, so a K1 with nothing to jam costs O(1); the collapsed K2
     scan, unchanged, runs only at the others.
 
+    When every query is thin, no K2 scan runs and K1 is walked over
+    ``model.active_elements`` only: by the inert-element lemma in
+    ``model``, a K1 counts as many unselected elements as its active
+    part, which the walk reaches no later, so the maximum and the
+    ``stop_at`` result are unchanged.  Otherwise the walk covers [1..n],
+    since each K2 scan is charged once per visited K1.
+
     ``stop_at`` allows early exit once the count reaches a threshold.
     The enumeration, including the collapsed K2 scans, is charged against
     ``budget``.
@@ -288,7 +295,8 @@ def max_unselected_count(
                 return worst
         return None
 
-    walk_subsets(n, ell, push, pop, leaf)
+    universe = active_elements(queries, n) if all(thin) else range(1, n + 1)
+    walk_subsets(universe, ell, push, pop, leaf)
     return worst
 
 

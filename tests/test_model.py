@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from qgt.balanced import id_bits
 from qgt.code import build_code, build_code_large, build_code_multiset
 from qgt.model import (
+    active_elements,
     as_multiset,
     capped_feedback,
     check_cap,
@@ -15,6 +18,7 @@ from qgt.model import (
     feedback_vector,
     multiset_total,
     next_power_of_two,
+    walk_subsets,
 )
 from qgt.disperser import DisperserParams
 from qgt.ssui import build_ssui
@@ -164,3 +168,41 @@ def test_one_budget_rule_behind_every_oracle():
     check_budget(16, 16)
     with pytest.raises(BudgetError, match="instance too large for exhaustive oracle"):
         check_budget(17, 16)
+
+
+def _walk_order(elements, max_size):
+    """Every set ``walk_subsets`` visits, in order, read off its push/pop trail."""
+    current, visited = [], []
+    walk_subsets(elements, max_size, current.append, lambda e: current.pop(),
+                 lambda: visited.append(tuple(current)))
+    return visited
+
+
+@given(st.sets(st.integers(1, 12), max_size=7), st.integers(0, 9))
+def test_walk_subsets_follows_combinations_size_by_size(elements, max_size):
+    elements = sorted(elements)
+    expected = [
+        combo
+        for size in range(1, min(max_size, len(elements)) + 1)
+        for combo in itertools.combinations(elements, size)
+    ]
+    assert _walk_order(elements, max_size) == expected
+
+
+def test_walk_subsets_over_no_elements_visits_nothing():
+    assert _walk_order([], 3) == []
+    assert _walk_order(range(1, 5), 0) == []
+
+
+def test_walk_subsets_stops_at_the_number_of_elements():
+    assert _walk_order([2, 5], 4) == [(2,), (5,), (2, 5)]
+    assert _walk_order(range(1, 4), 9)[-1] == (1, 2, 3)
+
+
+def test_active_elements_drops_only_inert_elements():
+    queries = [frozenset({1}), frozenset({1}), frozenset({2}), frozenset({2, 3}),
+               frozenset(), frozenset({5})]
+    # 1 and 5: only their own singletons (1 twice); 2 also shares {2, 3}; 4: no query
+    assert active_elements(queries, 6) == [2, 3, 4, 6]
+    assert active_elements([], 4) == [1, 2, 3, 4]
+    assert active_elements([frozenset({v}) for v in range(1, 9)], 8) == []

@@ -7,6 +7,11 @@ under interference and the one-full-query family check whole verdicts.
 The uniqueness walk is also run with every fingerprint step forced to 0,
 so that every set shares one fingerprint and each verdict rests on the
 comparison of full capped profiles.
+
+The walks skip inert elements (``model.active_elements``), so the random
+families mix private singleton queries, elements in no query and random
+queries, checking that the skip changes no value, witness or refusal;
+the built codes of the benchmark's oracle grid check it at n = 32.
 """
 
 import pytest
@@ -16,9 +21,10 @@ from hypothesis import strategies as st
 import qgt.bounds
 from qgt.bounds import find_unjammed_violation, verify_uniqueness
 from qgt.code import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, build, level_params
-from qgt.model import BudgetError, sets_up_to, singletons
-from qgt.random_code import RandomCode, verify_claims
+from qgt.model import BudgetError, active_elements, sets_up_to, singletons
+from qgt.random_code import RandomCode, build_random_code, verify_claims
 from qgt.ssui import build_ssui, max_unselected_count
+from qgt.sui import build_sui
 
 from oracle_reference import (
     reference_find_unjammed_violation,
@@ -39,12 +45,22 @@ def _outcome(oracle, *args, **kwargs):
 
 @st.composite
 def _family(draw):
+    """Random queries at n <= 8, mixed with private singletons (some repeated), shuffled.
+
+    Half the time the random queries avoid the private elements, which
+    then stay inert; elements in no query occur throughout.
+    """
     n = draw(st.integers(1, 8))
+    private = sorted(draw(st.sets(st.integers(1, n), max_size=n)))
+    queries = [frozenset((v,)) for v in private for _ in range(draw(st.integers(1, 2)))]
+    others = [v for v in range(1, n + 1) if v not in private]
+    if others and draw(st.booleans()):
+        pool, size = st.sampled_from(others), len(others)
+    else:
+        pool, size = st.integers(1, n), n
     count = draw(st.integers(0, 8))
-    queries = tuple(
-        frozenset(draw(st.sets(st.integers(1, n), max_size=n))) for _ in range(count)
-    )
-    return queries, n
+    queries += [frozenset(draw(st.sets(pool, max_size=size))) for _ in range(count)]
+    return tuple(draw(st.permutations(queries))), n
 
 
 @given(_family(), st.data())
@@ -222,3 +238,59 @@ def test_one_full_query_family_matches_reference_scan():
         assert max_unselected_count(full, 8, 2, kappa, alpha) == reference_max_unselected_count(
             full, 8, 2, kappa, alpha
         )
+
+
+def test_max_unselected_with_a_jammable_query_keeps_the_full_universe():
+    # {5..8} is not thin, so K2 scans run and each costs comb(4, 2) = 6 per visited K1:
+    # 20 K1 sets of at most 2 elements hold exactly one of 5..8, of which only 4
+    # avoid the inert 1..4.  Walking the active elements alone would charge 24.
+    queries = singletons(4) + (frozenset({5, 6, 7, 8}),)
+    assert active_elements(queries, 8) == [5, 6, 7, 8]
+    full = sets_up_to(8, 2) + 20 * 6
+    for budget in (full - 1, full):
+        for stop_at in (None, 1):
+            args = (queries, 8, 2, 2, 1, budget, stop_at)
+            assert _outcome(max_unselected_count, *args) == _outcome(
+                reference_max_unselected_count, *args
+            )
+    assert _outcome(max_unselected_count, queries, 8, 2, 2, 1, full - 1) is BudgetError
+    assert max_unselected_count(queries, 8, 2, 2, 1, full) == 2  # K1 = {5, 6}: neither isolated
+
+
+@pytest.mark.parametrize("singletons_in", [1, 2])
+def test_claims_with_singletons_in_one_part_match_reference_scan(singletons_in):
+    # n // alpha = 2 < k, so sets of 1 or 2 elements read part 1 and sets of 3 read
+    # part 2; an element is inert in its singleton's part only, so both are walked
+    n, k, alpha = 8, 3, 4
+    other = (frozenset({1, 2}), frozenset({3, 4, 5}))
+    parts = (singletons(n), other) if singletons_in == 1 else (other, singletons(n))
+    queries = parts[0] + parts[1]
+    code = RandomCode(queries, n, k, alpha, 0, len(parts[0]), len(parts[1]), False)
+    for budget in _budgets(sets_up_to(n, k) - 1):
+        assert _outcome(verify_claims, code, budget=budget) == _outcome(
+            reference_verify_claims, code, budget=budget
+        )
+    assert not verify_claims(code).passed
+
+
+ORACLE_GRID = [(32, k, alpha) for k in (1, 2, 3) for alpha in (2, 3)]
+
+
+@pytest.mark.parametrize("n,k,alpha", ORACLE_GRID)
+def test_oracle_grid_codes_match_reference_scans(n, k, alpha):
+    code = build(n, k, alpha, MODE_PLAIN)
+    args = (code.queries, n, k, alpha)
+    assert verify_uniqueness(*args) == reference_verify_uniqueness(*args) is True
+    assert _verdicts(code, find_unjammed_violation, max_unselected_count) == _verdicts(
+        code, reference_find_unjammed_violation, reference_max_unselected_count
+    )
+
+
+def test_oracle_grid_selector_and_random_code_match_reference_scans():
+    queries = build_sui(32, 4, 0.25, 4, 4).queries
+    for stop_at in (None, 1):
+        assert max_unselected_count(
+            queries, 32, 4, 4, 4, stop_at=stop_at
+        ) == reference_max_unselected_count(queries, 32, 4, 4, 4, stop_at=stop_at)
+    code = build_random_code(32, 3, 8, seed=1)
+    assert verify_claims(code) == reference_verify_claims(code)
