@@ -25,6 +25,11 @@ nonzero ``code.alpha``, and raises on any mismatch with the input: it
 returns at most k distinct elements that reproduce the vector exactly,
 or raises.  Only blocks with a nonzero base value can fire, so each
 sweep visits the few touched blocks, not the whole code.
+
+The decoder reads the vector only at its nonzero positions and at the
+positions the decoded elements touch.  On a dense vector the scan for
+the nonzero positions is the one O(m) step; a caller that already
+tracks them (a stream sketch) passes them as ``nonzero`` and skips it.
 """
 
 from __future__ import annotations
@@ -53,12 +58,21 @@ class DecodeStats:
         return self.good_checks + self.slice_reads
 
 
-def decode(code: Code, fv: tuple[int, ...] | list[int]) -> Multiset:
-    result, _ = decode_detailed(code, fv)
+def decode(code: Code, fv: tuple[int, ...] | list[int], *, nonzero: list[int] | None = None) -> Multiset:
+    result, _ = decode_detailed(code, fv, nonzero=nonzero)
     return result
 
 
-def decode_detailed(code: Code, fv: tuple[int, ...] | list[int]) -> tuple[Multiset, DecodeStats]:
+def decode_detailed(
+    code: Code, fv: tuple[int, ...] | list[int], *, nonzero: list[int] | None = None
+) -> tuple[Multiset, DecodeStats]:
+    """Decode ``fv``; ``nonzero``, when given, lists its nonzero positions ascending.
+
+    Positions left out of ``nonzero`` are read as zero, so the caller
+    vouches that it names every nonzero entry; each listed position is
+    checked (in range, ascending, reads nonzero) in O(len(nonzero)).
+    Without it the decoder scans all of ``fv`` for them.
+    """
     if code.mode == MODE_RANDOM or not code.blocks:
         raise DecodeError("code has no block layout; only constructed codes are decodable")
     if len(fv) != len(code.queries):
@@ -68,7 +82,10 @@ def decode_detailed(code: Code, fv: tuple[int, ...] | list[int]) -> tuple[Multis
     acc: Multiset = {}
     acc_w: dict[int, int] = {}
     inc = code.incidence
-    nonzero = list(itertools.compress(range(len(fv)), fv))
+    if nonzero is None:
+        nonzero = list(itertools.compress(range(len(fv)), fv))
+    else:
+        _check_nonzero(fv, nonzero)
     block_at, sole_elements = code.block_at, code.sole_elements
     candidates = [blk for idx in nonzero if (blk := block_at[idx]) is not None]
     progress = True
@@ -135,15 +152,27 @@ def _read_slices(
     return v
 
 
+def _check_nonzero(fv: tuple[int, ...] | list[int], nonzero: list[int]) -> None:
+    """A caller's nonzero positions must be ascending, in range and read nonzero."""
+    prev = -1
+    for idx in nonzero:
+        if not prev < idx < len(fv) or not fv[idx]:
+            raise DecodeError(
+                f"nonzero positions must ascend within [0, {len(fv)}) and read nonzero; got {idx}"
+            )
+        prev = idx
+
+
 def _check_consistency(
     fv: tuple[int, ...] | list[int], acc_w: dict[int, int], nonzero: list[int], alpha: int
 ) -> None:
     """The decoded multiset must reproduce the observed vector exactly.
 
     acc_w already holds the uncapped counts of the decoded multiset at
-    every query it touches; everything else must read zero.  Positions
-    are checked sparsely: the observed nonzero positions, plus every
-    position the decoded multiset touches.
+    every query it touches, each positive; everything else must read
+    zero.  Only the nonzero positions are read: once each reads its
+    decoded count, each is a touched position, and the multiset touches
+    no other exactly when it touches as many positions as there are.
     """
     for idx in nonzero:
         expected = acc_w.get(idx, 0)
@@ -151,6 +180,5 @@ def _check_consistency(
             expected = alpha
         if expected != fv[idx]:
             raise DecodeError("inconsistent feedback: residual counts unexplained by decoded set")
-    for idx, w in acc_w.items():
-        if w > 0 and fv[idx] == 0:
-            raise DecodeError("inconsistent feedback: residual counts unexplained by decoded set")
+    if len(acc_w) != len(nonzero):
+        raise DecodeError("inconsistent feedback: residual counts unexplained by decoded set")

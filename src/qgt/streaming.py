@@ -2,11 +2,15 @@
 
 A stream sketch keeps one exact (uncapped) counter per query of a
 multiset-mode code.  Inserting or deleting an element touches exactly
-the counters of the queries containing it, so update cost equals the
-element's occurrence count in the code.  The counters are the
-readout: reconstruction refuses a live total multiplicity above the
-code capacity or the readout cap, so no counter can exceed the cap, and
-hands the counters to the decoder as they are.
+the counters of the queries containing it, so update cost is
+O(occurrences): the element's occurrence count in the code.  The
+counters are the readout: reconstruction refuses a live total
+multiplicity above the code capacity or the readout cap, so no counter
+can exceed the cap.  The sketch also keeps the positions of its nonzero
+counters, changed only when a counter moves between 0 and 1, and hands
+them to the decoder with the counters, so a reconstruction costs
+O(live support) -- the positions the live elements touch -- and never
+reads all m counters.
 
 Counters are exact rather than capped because deletions are impossible
 under capped counters; the cap belongs to the readout, not the state.
@@ -35,10 +39,10 @@ from .model import Multiset, check_cap, next_power_of_two
 class StreamSketch:
     """Exact per-query counters over a multiset-mode code.
 
-    Updates are read-modify-write on the counter vector and need
-    exclusive access; reconstruction reads a snapshot of the counters,
-    so concurrent reconstructions from the same quiesced sketch are
-    safe.
+    ``counters`` holds one count per query and ``live`` the positions
+    where it is nonzero.  An update costs O(occurrences) of its
+    element; a reconstruction costs O(live support), reading only the
+    live positions and those the decoded elements touch.
     """
 
     def __init__(self, code: Code, alpha: int | None = None) -> None:
@@ -50,23 +54,33 @@ class StreamSketch:
         self.alpha = alpha if alpha is not None else code.k
         check_cap(self.alpha)
         self.counters = [0] * len(code.queries)
+        self.live: set[int] = set()
         self.total_multiplicity = 0
 
     def insert(self, v: int) -> int:
         """Add one unit of v; returns the number of counters touched."""
         indices = self._indices(v)
+        counters = self.counters
         for idx in indices:
-            self.counters[idx] += 1
+            count = counters[idx]
+            if not count:
+                self.live.add(idx)
+            counters[idx] = count + 1
         self.total_multiplicity += 1
         return len(indices)
 
     def delete(self, v: int) -> int:
         """Remove one unit of v; rejects deletes that would corrupt the counters."""
         indices = self._indices(v)
-        if any(self.counters[idx] == 0 for idx in indices):
-            raise ValueError(f"delete of absent element {v}")
+        counters = self.counters
         for idx in indices:
-            self.counters[idx] -= 1
+            if not counters[idx]:
+                raise ValueError(f"delete of absent element {v}")
+        for idx in indices:
+            count = counters[idx] - 1
+            if not count:
+                self.live.discard(idx)
+            counters[idx] = count
         self.total_multiplicity -= 1
         return len(indices)
 
@@ -83,7 +97,8 @@ class StreamSketch:
         Exactness is promised only while the live total multiplicity is
         within both the code capacity and the readout cap; past that the
         readouts can alias, so the request is refused outright.  Within
-        it no counter exceeds the cap, so the counters are the readout.
+        it no counter exceeds the cap, so the counters are the readout,
+        and ``live`` lists every position the decoder must read.
         """
         limit = min(self.alpha, self.code.k)
         if self.total_multiplicity > limit:
@@ -91,7 +106,7 @@ class StreamSketch:
                 f"capacity exceeded: {self.total_multiplicity} units held, "
                 f"reconstruction supports at most {limit}"
             )
-        return decode(self.code, tuple(self.counters))
+        return decode(self.code, self.counters, nonzero=sorted(self.live))
 
     def _indices(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.code.n:

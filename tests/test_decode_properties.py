@@ -3,9 +3,11 @@
 For an arbitrary feedback vector the decoder either raises DecodeError
 or returns a multiset of at most k distinct elements whose encoding is
 exactly that vector; every set of at most k elements decodes to itself.
+Handed the vector's nonzero positions, it gives the same answer.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -110,3 +112,39 @@ def test_multiset_code_refuses_more_than_k_distinct_elements():
     fv = code.feedback({1: 1, 2: 2, 3: 1, 4: 1})
     with pytest.raises(DecodeError, match="more than k=3"):
         decode(code, fv)
+
+
+def _outcome(code, fv, **kwargs):
+    try:
+        return decode(code, fv, **kwargs)
+    except DecodeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "code, top",
+    [(build_code_multiset(4, 2), 3), (build_code(8, 2, 2), 2)],
+    ids=["multiset-4-2", "plain-8-2-2"],
+)
+def test_every_vector_of_a_tiny_code_raises_or_is_reproduced_exactly(code, top):
+    decoded = 0
+    for fv in itertools.product(range(top + 1), repeat=len(code)):
+        got = _outcome(code, fv)
+        if isinstance(got, dict):
+            assert len(got) <= code.k
+            assert code.feedback(got) == fv
+            decoded += 1
+        nonzero = [i for i, c in enumerate(fv) if c]
+        assert _outcome(code, list(fv), nonzero=nonzero) == got
+    assert decoded
+
+
+@pytest.mark.parametrize("nonzero", [[3], [0, 0], [1, 0], [-1], [0, 4]])
+def test_nonzero_positions_must_ascend_in_range_and_read_nonzero(nonzero):
+    with pytest.raises(DecodeError, match="nonzero positions must ascend"):
+        decode(build_code_multiset(4, 2), (1, 0, 0, 0), nonzero=nonzero)
+
+
+def test_positions_left_out_of_nonzero_read_as_zero():
+    code = build_code_multiset(4, 2)
+    assert decode(code, (1, 0, 0, 2), nonzero=[0]) == {1: 1}

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qgt.code import MODE_MULTISET, build_code, build_code_multiset
+from qgt.decode import decode
 from qgt.streaming import GraphSketch, StreamSketch, edge_endpoints, edge_index, parse_ops
 
 
@@ -168,6 +169,101 @@ def test_overfull_sketch_flagged():
         sketch.reconstruct()
     sketch.delete(3)
     assert sketch.reconstruct() == {1: 1, 2: 1}
+
+
+def _outcome(func, *args, **kwargs):
+    """A call's result, or the type of what it raised."""
+    try:
+        return func(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _assert_sparse_agrees_with_dense(sketch):
+    counters = sketch.counters
+    assert sorted(sketch.live) == [i for i, c in enumerate(counters) if c]
+    dense = _outcome(decode, sketch.code, tuple(counters))
+    assert _outcome(decode, sketch.code, counters, nonzero=sorted(sketch.live)) == dense
+    if sketch.total_multiplicity > min(sketch.alpha, sketch.code.k):
+        with pytest.raises(ValueError, match="capacity exceeded"):
+            sketch.reconstruct()
+    else:
+        assert _outcome(sketch.reconstruct) == dense
+
+
+def _replay_against_dense(sketch, apply, n, steps, seed):
+    """Seeded inserts and deletes hovering just past the reconstruction limit.
+
+    Repeated elements, rejected deletes of absent elements and overfull
+    states all occur; after every op the tracked live positions and the
+    sparse readout must agree with a full scan of the counters.
+    """
+    rng = random.Random(seed)
+    limit = min(sketch.alpha, sketch.code.k)
+    held: list[int] = []
+    rejected = overfull = 0
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.1:
+            v = rng.randint(1, n)
+            if v in held:
+                held.remove(v)
+                apply("D", v)
+            else:
+                counters, live = list(sketch.counters), set(sketch.live)
+                with pytest.raises(ValueError, match="absent"):
+                    apply("D", v)
+                assert sketch.counters == counters and sketch.live == live
+                rejected += 1
+        elif held and (len(held) > limit + 1 or roll < 0.4):
+            apply("D", held.pop(rng.randrange(len(held))))
+        else:
+            v = rng.choice(held) if held and roll > 0.85 else rng.randint(1, n)
+            held.append(v)
+            apply("I", v)
+        overfull += len(held) > limit
+        _assert_sparse_agrees_with_dense(sketch)
+    assert rejected and overfull
+
+
+@pytest.mark.parametrize("n, k, steps", [(64, 4, 300), (4096, 16, 400)])
+def test_sparse_readout_agrees_with_dense_decode(n, k, steps):
+    sketch = StreamSketch(build_code_multiset(n, k))
+    _replay_against_dense(sketch, sketch.apply, n, steps, seed=n + k)
+
+
+def test_graph_sparse_readout_agrees_with_dense_decode():
+    graph = GraphSketch(64, 3)
+
+    def apply(op, index):
+        graph.apply(op, *edge_endpoints(index, graph.nodes))
+
+    _replay_against_dense(graph.sketch, apply, graph.edge_universe, 800, seed=3)
+
+
+class _CountingList(list):
+    """A list that counts the items read from it, by index or by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+def test_reconstruct_reads_only_the_live_counters():
+    sketch = StreamSketch(build_code_multiset(2**20, 16))
+    for v in (5, 77, 77, 4096, 2**20):
+        sketch.insert(v)
+    live = sum(map(bool, sketch.counters))
+    sketch.counters = _CountingList(sketch.counters)
+    assert sketch.reconstruct() == {5: 1, 77: 2, 4096: 1, 2**20: 1}
+    assert 0 < sketch.counters.reads <= 8 * live
 
 
 def test_edge_index_table():
