@@ -29,6 +29,7 @@ from .decode import DecodeError, DecodeStats, decode, decode_detailed
 from .disperser import BipartiteGraph, DisperserParams, build_disperser, verify_dispersion
 from .model import (
     BudgetError,
+    Feedback,
     FeedbackVector,
     Multiset,
     Query,
@@ -69,6 +70,7 @@ __all__ = [
     "DecodeError",
     "DecodeStats",
     "DisperserParams",
+    "Feedback",
     "FeedbackVector",
     "GraphSketch",
     "Multiset",

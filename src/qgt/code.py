@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .balanced import bit_slices, id_bits
-from .model import Query, as_multiset, check_cap, check_capacity, check_universe, next_power_of_two
+from .model import Feedback, Query, as_multiset, check_cap, check_capacity, check_universe, next_power_of_two
+from .model import _Sparse
 from .model import incidence as _incidence
 from .model import singletons
 from .ssui import rs_trunc_size, truncated_table
@@ -399,35 +400,37 @@ class Code:
             return layout.occurrence_max
         return max((len(ix) for ix in self.incidence.values()), default=0)
 
-    def feedback(self, hidden, alpha: int | None = None) -> tuple[int, ...]:
-        """Feedback vector via the incidence index (fast path).
+    def feedback(self, hidden, alpha: int | None = None) -> Feedback:
+        """Feedback vector via the incidence index, kept as its nonzero entries.
 
-        ``alpha`` defaults to the code's own cap; a code storing alpha 0
-        (every multiset code) gives uncapped counts, equivalent to any
-        admissible cap at or above the total multiplicity.
+        Costs O(support): the queries the hidden elements lie in, never
+        the whole code.  ``alpha`` defaults to the code's own cap; a code
+        storing alpha 0 (every multiset code) gives uncapped counts,
+        equivalent to any admissible cap at or above the total
+        multiplicity.
         """
         counts = as_multiset(hidden, self.n)
         if alpha is None:
             alpha = self.alpha or None
         if alpha is not None:
             check_cap(alpha)
-        buf = [0] * len(self.queries)
+        # positions come from the index and multiplicities are >= 1, so every
+        # entry is an in-range position holding a positive int
+        entries = _Sparse()
+        get = entries.get
         inc = self.incidence
-        touched: list[int] = []
         for v, mult in counts.items():
             try:
                 indices = inc[v]
             except KeyError:  # in no query of a list code
                 continue
             for idx in indices:
-                if buf[idx] == 0:
-                    touched.append(idx)
-                buf[idx] += mult
+                entries[idx] = get(idx, 0) + mult
         if alpha is not None:
-            for idx in touched:
-                if buf[idx] > alpha:
-                    buf[idx] = alpha
-        return tuple(buf)
+            for idx, value in entries.items():
+                if value > alpha:
+                    entries[idx] = alpha
+        return Feedback._built(len(self.queries), entries)
 
 
 def enhance(s: Query, n: int) -> list[Query]:

@@ -27,19 +27,21 @@ or raises.  Only blocks with a nonzero base value can fire, so each
 sweep visits the few touched blocks, not the whole code.
 
 The decoder reads the vector only at its nonzero positions and at the
-positions the decoded elements touch.  On a dense vector the scan for
-the nonzero positions is the one O(m) step; a caller that already
-tracks them (a stream sketch) passes them as ``nonzero`` and skips it.
+positions the decoded elements touch.  A ``Feedback`` (what
+``Code.feedback``, ``fv_from_text`` and a stream sketch hand over)
+lists those positions itself, so its decode costs O(support), not
+O(m).  Any other sequence is scanned once for them, the one O(m) step.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .balanced import decode_balanced
 from .code import MODE_RANDOM, Block, Code
-from .model import Multiset
+from .model import Feedback, Multiset
 
 
 class DecodeError(ValueError):
@@ -58,21 +60,13 @@ class DecodeStats:
         return self.good_checks + self.slice_reads
 
 
-def decode(code: Code, fv: tuple[int, ...] | list[int], *, nonzero: list[int] | None = None) -> Multiset:
-    result, _ = decode_detailed(code, fv, nonzero=nonzero)
+def decode(code: Code, fv: Sequence[int]) -> Multiset:
+    result, _ = decode_detailed(code, fv)
     return result
 
 
-def decode_detailed(
-    code: Code, fv: tuple[int, ...] | list[int], *, nonzero: list[int] | None = None
-) -> tuple[Multiset, DecodeStats]:
-    """Decode ``fv``; ``nonzero``, when given, lists its nonzero positions ascending.
-
-    Positions left out of ``nonzero`` are read as zero, so the caller
-    vouches that it names every nonzero entry; each listed position is
-    checked (in range, ascending, reads nonzero) in O(len(nonzero)).
-    Without it the decoder scans all of ``fv`` for them.
-    """
+def decode_detailed(code: Code, fv: Sequence[int]) -> tuple[Multiset, DecodeStats]:
+    """Decode ``fv``: a ``Feedback`` in O(support), any other sequence after an O(m) scan."""
     if code.mode == MODE_RANDOM or not code.blocks:
         raise DecodeError("code has no block layout; only constructed codes are decodable")
     if len(fv) != len(code.queries):
@@ -82,30 +76,35 @@ def decode_detailed(
     acc: Multiset = {}
     acc_w: dict[int, int] = {}
     inc = code.incidence
-    if nonzero is None:
-        nonzero = list(itertools.compress(range(len(fv)), fv))
+    if type(fv) is Feedback:  # an exact type test: isinstance against an ABC subclass is slower
+        values = fv.entries  # reads 0 at any other position
+        nonzero = sorted(values)
     else:
-        _check_nonzero(fv, nonzero)
+        values = fv
+        nonzero = list(itertools.compress(range(len(fv)), fv))
     block_at, sole_elements = code.block_at, code.sole_elements
     candidates = [blk for idx in nonzero if (blk := block_at[idx]) is not None]
     progress = True
     while progress and candidates:
         progress = False
         stats.sweeps += 1
+        stats.good_checks += len(candidates)  # a sweep checks every candidate, or raises
         for blk in candidates:
-            stats.good_checks += 1
-            base_fv = fv[blk.base]
+            base_fv = values[blk.base]
             if alpha and base_fv >= alpha:
                 continue  # at the cap: the true count may be anything above it
             residue = base_fv - acc_w.get(blk.base, 0)
             if residue < 0:
                 # below the cap the value is exact, so decoded weight can
                 # never legitimately exceed it
-                raise DecodeError("inconsistent feedback: over-explained query")
+                raise DecodeError(
+                    f"inconsistent feedback: over-explained query at position {blk.base}: "
+                    f"reads {base_fv}, decoded count {acc_w.get(blk.base, 0)}"
+                )
             if residue == 0:
                 continue
             if blk.slices:
-                v = _read_slices(code, blk, fv, acc_w, residue, stats)
+                v = _read_slices(code, blk, values, acc_w, residue, stats)
             else:  # a base of at most one element names it
                 v = sole_elements[blk.base]
             if v is None or v in acc:
@@ -117,14 +116,14 @@ def decode_detailed(
                 acc_w[idx] = acc_w.get(idx, 0) + residue
             stats.decoded += 1
             progress = True
-    _check_consistency(fv, acc_w, nonzero, alpha)
+    _check_consistency(values, acc_w, nonzero, alpha)
     return dict(sorted(acc.items())), stats
 
 
 def _read_slices(
     code: Code,
     blk: Block,
-    fv: tuple[int, ...] | list[int],
+    values: Sequence[int] | Mapping[int, int],
     acc_w: dict[int, int],
     residue: int,
     stats: DecodeStats,
@@ -134,9 +133,12 @@ def _read_slices(
     for j in range(1, blk.slices + 1):
         idx = blk.base + j
         stats.slice_reads += 1
-        raw = fv[idx] - acc_w.get(idx, 0)
+        raw = values[idx] - acc_w.get(idx, 0)
         if raw < 0:
-            raise DecodeError("inconsistent feedback: over-explained slice")
+            raise DecodeError(
+                f"inconsistent feedback: over-explained slice at position {idx}: "
+                f"reads {values[idx]}, decoded count {acc_w.get(idx, 0)}"
+            )
         if raw == 0:
             bits_lsb_first.append(0)
         elif raw == residue:
@@ -152,19 +154,8 @@ def _read_slices(
     return v
 
 
-def _check_nonzero(fv: tuple[int, ...] | list[int], nonzero: list[int]) -> None:
-    """A caller's nonzero positions must be ascending, in range and read nonzero."""
-    prev = -1
-    for idx in nonzero:
-        if not prev < idx < len(fv) or not fv[idx]:
-            raise DecodeError(
-                f"nonzero positions must ascend within [0, {len(fv)}) and read nonzero; got {idx}"
-            )
-        prev = idx
-
-
 def _check_consistency(
-    fv: tuple[int, ...] | list[int], acc_w: dict[int, int], nonzero: list[int], alpha: int
+    values: Sequence[int] | Mapping[int, int], acc_w: dict[int, int], nonzero: list[int], alpha: int
 ) -> None:
     """The decoded multiset must reproduce the observed vector exactly.
 
@@ -173,12 +164,28 @@ def _check_consistency(
     zero.  Only the nonzero positions are read: once each reads its
     decoded count, each is a touched position, and the multiset touches
     no other exactly when it touches as many positions as there are.
+    Uncapped (alpha 0), a ``Feedback``'s entries must equal acc_w, which
+    one dict comparison checks.  Only a failure looks further, for the
+    first position that disagrees.
     """
+    if not alpha and values == acc_w:
+        return
     for idx in nonzero:
         expected = acc_w.get(idx, 0)
         if alpha and expected > alpha:
             expected = alpha
-        if expected != fv[idx]:
-            raise DecodeError("inconsistent feedback: residual counts unexplained by decoded set")
-    if len(acc_w) != len(nonzero):
-        raise DecodeError("inconsistent feedback: residual counts unexplained by decoded set")
+        if expected != values[idx]:
+            break
+    else:
+        if len(acc_w) == len(nonzero):
+            return
+
+    def decoded(position: int) -> int:
+        count = acc_w.get(position, 0)
+        return min(count, alpha) if alpha else count
+
+    first = min(p for p in {*nonzero, *acc_w} if decoded(p) != values[p])
+    raise DecodeError(
+        "inconsistent feedback: residual counts unexplained by decoded set: "
+        f"position {first} reads {values[first]}, decoded count {decoded(first)}"
+    )

@@ -23,7 +23,10 @@ The facts every selector family and oracle shares live here, once:
 * ``walk_subsets``: the push/pop walk over those candidate sets that
   the selector, jamming, uniqueness and random-code claim oracles keep
   their per-set counts on;
-* ``active_elements``: the elements an oracle's walk must visit.
+* ``active_elements``: the elements an oracle's walk must visit;
+* ``Feedback``: a feedback vector kept as its nonzero entries, the form
+  ``Code.feedback`` returns and the decoder reads in O(support), while
+  ``feedback_vector``, the reference oracle, returns a plain tuple.
 
 Inert elements.  An element v is *inert* in a query family when it lies
 in at least one query and every query holding it is exactly {v}.  The
@@ -57,6 +60,98 @@ Query = frozenset[int]
 Multiset = dict[int, int]
 FeedbackVector = tuple[int, ...]
 T = TypeVar("T")
+
+
+class _Sparse(dict):
+    """position -> nonzero value; an absent position reads 0 (and is not stored)."""
+
+    __slots__ = ()
+
+    def __missing__(self, position: int) -> int:
+        return 0
+
+
+class Feedback(Sequence):
+    """A read-only feedback vector of ``length`` values, kept as its nonzero entries.
+
+    ``entries`` maps each nonzero position to its value and reads 0 at
+    any other position, so the support is exactly its keys; it is not
+    to be modified.  The constructor copies a position -> value mapping
+    and refuses a position that is not an int in [0, length) and a
+    value that is not a positive int.
+
+    It is equal to, and hashes like, the tuple of its values.  ``len``,
+    indexing by a position in range and comparing two ``Feedback``s
+    cost O(1) or O(support); iteration, slices, negative indices and
+    comparing with a tuple build that tuple once and keep it.
+    """
+
+    __slots__ = ("entries", "_len", "_dense")
+
+    def __init__(self, length: int, entries: Mapping[int, int]) -> None:
+        if type(length) is not int or length < 0:
+            raise ValueError(f"feedback length must be an int >= 0, got {length!r}")
+        # a _Sparse is made only inside this package, for the vector: kept, not copied
+        sparse = entries if type(entries) is _Sparse else _Sparse(entries)
+        for position, value in sparse.items():
+            if type(position) is not int or type(value) is not int or not 0 <= position < length or value < 1:
+                _refuse_entry(length, position, value)
+        self.entries = sparse
+        self._len = length
+        self._dense: tuple[int, ...] | None = None
+
+    @classmethod
+    def _built(cls, length: int, entries: _Sparse) -> Feedback:
+        """A vector over entries made to the constructor's rules by this package (``Code.feedback``)."""
+        fv = cls.__new__(cls)
+        fv.entries = entries
+        fv._len = length
+        fv._dense = None
+        return fv
+
+    def dense(self) -> tuple[int, ...]:
+        """Every value in order, built on the first call and kept."""
+        if self._dense is None:
+            buf = [0] * self._len
+            for position, value in self.entries.items():
+                buf[position] = value
+            self._dense = tuple(buf)
+        return self._dense
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if type(index) is int and 0 <= index < self._len:
+            return self.entries[index]
+        return self.dense()[index]
+
+    def __iter__(self):
+        return iter(self.dense())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Feedback:
+            return self._len == other._len and self.entries == other.entries
+        if isinstance(other, tuple):
+            return self._len == len(other) and self.dense() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.dense())
+
+    def __repr__(self) -> str:
+        return f"Feedback({self._len}, {dict(sorted(self.entries.items()))})"
+
+
+def _refuse_entry(length: int, position: object, value: object) -> None:
+    """Raise for the first rule a feedback entry breaks (``Feedback``)."""
+    if type(position) is not int:
+        raise TypeError(f"feedback position must be an int, got {position!r}")
+    if not 0 <= position < length:
+        raise ValueError(f"feedback position {position} outside [0, {length})")
+    if type(value) is not int:
+        raise TypeError(f"feedback value at position {position} must be an int, got {value!r}")
+    raise ValueError(f"feedback value at position {position} must be positive, got {value}")
 
 
 def is_power_of_two(n: int) -> bool:

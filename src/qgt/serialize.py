@@ -58,12 +58,12 @@ lines parse to one shared set.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .balanced import id_bits, slice_table
 from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM
 from .code import Block, Code, _layout, table_params
-from .model import Query, check_capacity, check_universe, is_power_of_two
+from .model import Feedback, Query, check_capacity, check_universe, is_power_of_two
 
 FORMAT_NAME = "qgtc"
 LIST_VERSION = 1
@@ -293,19 +293,21 @@ def _check_slices(queries: list[Query], blocks: list[Block], n: int, body_start:
                 )
 
 
-def fv_to_text(fv: tuple[int, ...] | list[int]) -> str:
+def fv_to_text(fv: Sequence[int]) -> str:
+    """The dense line: every value, zeros included, space-separated."""
     return " ".join(str(x) for x in fv) + "\n"
 
 
-def fv_from_text(text: str) -> tuple[int, ...]:
+def fv_from_text(text: str) -> Feedback:
+    """Parse a dense line into a ``Feedback``, so decoding it costs O(support)."""
     tokens = text.split()
     try:
-        values = tuple(int(t) for t in tokens)
+        values = [int(t) for t in tokens]
     except ValueError as exc:
         raise FormatError(f"malformed feedback vector: {exc}") from exc
     if any(v < 0 for v in values):
         raise FormatError("malformed feedback vector: negative value")
-    return values
+    return Feedback(len(values), {idx: v for idx, v in enumerate(values) if v})
 
 
 def multiset_to_text(counts: dict[int, int]) -> str:

@@ -8,9 +8,9 @@ counters are the readout: reconstruction refuses a live total
 multiplicity above the code capacity or the readout cap, so no counter
 can exceed the cap.  The sketch also keeps the positions of its nonzero
 counters, changed only when a counter moves between 0 and 1, and hands
-them to the decoder with the counters, so a reconstruction costs
-O(live support) -- the positions the live elements touch -- and never
-reads all m counters.
+the decoder a ``Feedback`` of just those counters, so a reconstruction
+costs O(live support) -- the positions the live elements touch -- and
+never reads all m counters.
 
 Counters are exact rather than capped because deletions are impossible
 under capped counters; the cap belongs to the readout, not the state.
@@ -33,7 +33,7 @@ from math import isqrt
 
 from .code import MODE_MULTISET, Code, LayoutQueries, build_code_multiset
 from .decode import decode
-from .model import Multiset, check_cap, next_power_of_two
+from .model import Feedback, Multiset, _Sparse, check_cap, next_power_of_two
 
 
 class StreamSketch:
@@ -106,7 +106,10 @@ class StreamSketch:
                 f"capacity exceeded: {self.total_multiplicity} units held, "
                 f"reconstruction supports at most {limit}"
             )
-        return decode(self.code, self.counters, nonzero=sorted(self.live))
+        counters, entries = self.counters, _Sparse()
+        for idx in self.live:
+            entries[idx] = counters[idx]
+        return decode(self.code, Feedback(len(counters), entries))
 
     def _indices(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.code.n:

@@ -3,19 +3,25 @@
 For an arbitrary feedback vector the decoder either raises DecodeError
 or returns a multiset of at most k distinct elements whose encoding is
 exactly that vector; every set of at most k elements decodes to itself.
-Handed the vector's nonzero positions, it gives the same answer.
+Kept as its nonzero entries (a ``Feedback``), a vector decodes exactly
+as its dense tuple does, and ``Code.feedback`` equals the reference
+``feedback_vector`` in every way a tuple is read.
 """
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgt.code import MODE_MULTISET, build_code, build_code_large, build_code_multiset
+from qgt.code import MODE_MULTISET, _LayoutSequence, build_code, build_code_large, build_code_multiset
 from qgt.decode import DecodeError, decode
+from qgt.model import Feedback, feedback_vector
+from qgt.serialize import code_from_text
 
+from list_form import list_text
 from rs_table import rs_table_code, trunc_table_code
 
 CODES = (
@@ -114,11 +120,15 @@ def test_multiset_code_refuses_more_than_k_distinct_elements():
         decode(code, fv)
 
 
-def _outcome(code, fv, **kwargs):
+def _outcome(code, fv):
     try:
-        return decode(code, fv, **kwargs)
+        return decode(code, fv)
     except DecodeError as exc:
         return type(exc), str(exc)
+
+
+def _sparse(fv):
+    return Feedback(len(fv), {i: c for i, c in enumerate(fv) if c})
 
 
 @pytest.mark.parametrize(
@@ -134,17 +144,162 @@ def test_every_vector_of_a_tiny_code_raises_or_is_reproduced_exactly(code, top):
             assert len(got) <= code.k
             assert code.feedback(got) == fv
             decoded += 1
-        nonzero = [i for i, c in enumerate(fv) if c]
-        assert _outcome(code, list(fv), nonzero=nonzero) == got
+        assert _outcome(code, _sparse(fv)) == got
+        assert _outcome(code, list(fv)) == got
     assert decoded
 
 
-@pytest.mark.parametrize("nonzero", [[3], [0, 0], [1, 0], [-1], [0, 4]])
-def test_nonzero_positions_must_ascend_in_range_and_read_nonzero(nonzero):
-    with pytest.raises(DecodeError, match="nonzero positions must ascend"):
-        decode(build_code_multiset(4, 2), (1, 0, 0, 0), nonzero=nonzero)
+# Codes whose encodings are compared with the reference oracle: the
+# 1,024 singletons, the 380-query truncated table at (512, 2), a list
+# file parsed back into plain tuples, and a multiset code.
+AGREEMENT_CODES = (
+    build_code(1024, 4, 2),
+    build_code(512, 2, 2),
+    code_from_text(list_text(dataclasses.replace(rs_table_code(16, 2), alpha=3))),
+    build_code_multiset(64, 4),
+)
+AGREEMENT_IDS = [f"{c.mode}-{c.n}-{c.k}-{c.alpha}-m{len(c)}" for c in AGREEMENT_CODES]
 
 
-def test_positions_left_out_of_nonzero_read_as_zero():
-    code = build_code_multiset(4, 2)
-    assert decode(code, (1, 0, 0, 2), nonzero=[0]) == {1: 1}
+def _hidden_sets(code, rng):
+    """The empty set, sets within capacity, multisets, and overfull multisets."""
+    yield {}
+    for size in range(1, code.k + 2):
+        for _ in range(6):
+            elements = rng.sample(range(1, code.n + 1), size)
+            yield {v: rng.choice((1, 1, 2, 3, 5)) for v in elements}
+
+
+@pytest.mark.parametrize("code", AGREEMENT_CODES, ids=AGREEMENT_IDS)
+def test_feedback_agrees_with_the_reference_vector(code):
+    rng = random.Random(len(code))
+    m = len(code)
+    for hidden in _hidden_sets(code, rng):
+        for alpha in (None, 1, 2, 4):
+            fv = code.feedback(hidden, alpha)
+            ref = feedback_vector(code.queries, hidden, alpha or code.alpha or 10**6)
+            assert type(fv) is Feedback and type(ref) is tuple
+            assert fv == ref and ref == fv and not fv != ref
+            assert hash(fv) == hash(ref)
+            assert len(fv) == m
+            assert tuple(fv) == ref and list(fv) == list(ref)
+            assert list(reversed(fv)) == list(reversed(ref))
+            positions = [0, m - 1, *fv.entries, *rng.sample(range(m), 8)]
+            for i in positions:
+                assert fv[i] == ref[i] and fv[i - m] == ref[i - m]
+            for start, stop, step in ((0, m, 1), (3, m // 2, 1), (None, None, -1), (1, None, 7)):
+                assert fv[start:stop:step] == ref[start:stop:step]
+            assert fv == code.feedback(hidden, alpha)
+            assert set(fv.entries) == {i for i, c in enumerate(ref) if c}
+
+
+@pytest.mark.parametrize("code", AGREEMENT_CODES, ids=AGREEMENT_IDS)
+def test_sparse_and_dense_vectors_decode_alike(code):
+    rng = random.Random(len(code) + 1)
+    for hidden in _hidden_sets(code, rng):
+        fv = code.feedback(hidden)
+        assert _outcome(code, fv) == _outcome(code, tuple(fv))
+        # perturbed: a value moved at a touched or an untouched position
+        dense = list(fv)
+        for idx in (*list(fv.entries)[:2], rng.randrange(len(code))):
+            dense[idx] = dense[idx] - 1 if dense[idx] else 2
+            assert _outcome(code, _sparse(dense)) == _outcome(code, tuple(dense))
+
+
+def test_feedback_reads_zero_off_its_entries():
+    fv = Feedback(4, {3: 2, 0: 1})
+    assert fv == (1, 0, 0, 2) and fv[1] == 0 and fv[-1] == 2
+    assert fv.entries == {0: 1, 3: 2} and 1 not in fv.entries
+    assert repr(fv) == "Feedback(4, {0: 1, 3: 2})"
+    assert decode(build_code_multiset(4, 2), fv) == {1: 1, 4: 2}
+    assert Feedback(0, {}) == ()
+    with pytest.raises(IndexError):
+        fv[4]
+    with pytest.raises(IndexError):
+        fv[-5]
+
+
+@pytest.mark.parametrize(
+    "length, entries, error, message",
+    [
+        (4, {4: 1}, ValueError, "position 4 outside"),
+        (4, {-1: 1}, ValueError, "position -1 outside"),
+        (4, {1.0: 1}, TypeError, "position must be an int"),
+        (4, {"1": 1}, TypeError, "position must be an int"),
+        (4, {True: 1}, TypeError, "position must be an int"),
+        (4, {0: 0}, ValueError, "must be positive"),
+        (4, {0: 1, 2: -3}, ValueError, "position 2 must be positive"),
+        (4, {0: 1.5}, TypeError, "must be an int"),
+        (4, {0: "1"}, TypeError, "must be an int"),
+        (-1, {}, ValueError, "length must be"),
+        (4.0, {}, ValueError, "length must be"),
+    ],
+    ids=[
+        "position-past-the-end",
+        "position-negative",
+        "position-float",
+        "position-str",
+        "position-bool",
+        "value-zero",
+        "value-negative",
+        "value-float",
+        "value-str",
+        "length-negative",
+        "length-float",
+    ],
+)
+def test_feedback_refuses_bad_entries(length, entries, error, message):
+    with pytest.raises(error, match=message):
+        Feedback(length, entries)
+
+
+def test_consistency_error_names_the_first_disagreeing_position():
+    code = build_code(16, 3, 2)  # the singletons: a 2 sits at the cap and decodes nothing
+    for fv in (Feedback(16, {9: 1, 5: 2}), (0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)):
+        with pytest.raises(
+            DecodeError,
+            match=r"^inconsistent feedback: residual counts unexplained by decoded set: "
+            r"position 5 reads 2, decoded count 0$",
+        ):
+            decode(code, fv)
+
+
+def test_consistency_error_names_a_touched_position_that_reads_zero():
+    code = dataclasses.replace(rs_table_code(16, 2), alpha=3)
+    fv = list(code.feedback({6: 1}))
+    touched = [i for i, c in enumerate(fv) if c]
+    fv[touched[-1]] = 0  # a slice of a later base: the first base still decodes 6
+    with pytest.raises(DecodeError, match=rf"position {touched[-1]} reads 0, decoded count 1$"):
+        decode(code, _sparse(fv))
+
+
+def test_over_explained_query_names_its_base():
+    code = dataclasses.replace(rs_table_code(16, 2), alpha=3)
+    fv = list(code.feedback({6: 2}))
+    bases = [b.base for b in code.blocks if fv[b.base]]
+    fv[bases[-1]] = 1  # the first base decodes 6 twice; the last reads only 1
+    with pytest.raises(
+        DecodeError,
+        match=rf"^inconsistent feedback: over-explained query at position {bases[-1]}: "
+        r"reads 1, decoded count 2$",
+    ):
+        decode(code, _sparse(fv))
+
+
+@pytest.mark.parametrize(
+    "code, hidden",
+    [
+        (build_code_multiset(2**20, 16), {5: 3, 77: 1, 4096: 2, 2**19 + 1: 1, 2**20: 9}),
+        (build_code(2**18, 4, 3), {3: 1, 70000: 1, 200000: 2, 2**18: 1}),
+    ],
+    ids=["multiset-2^20-16", "plain-2^18-4-3"],
+)
+def test_round_trip_never_builds_a_dense_vector(code, hidden, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a dense vector or a laid-out code was built")
+
+    monkeypatch.setattr(Feedback, "dense", refuse)
+    monkeypatch.setattr(_LayoutSequence, "_all", refuse)
+    fv = code.feedback(hidden)
+    assert len(fv) == len(code) and len(fv.entries) <= len(hidden) * code.occurrence_max
+    assert decode(code, fv) == hidden

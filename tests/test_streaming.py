@@ -5,6 +5,7 @@ import pytest
 
 from qgt.code import MODE_MULTISET, build_code, build_code_multiset
 from qgt.decode import decode
+from qgt.model import Feedback
 from qgt.streaming import GraphSketch, StreamSketch, edge_endpoints, edge_index, parse_ops
 
 
@@ -183,7 +184,8 @@ def _assert_sparse_agrees_with_dense(sketch):
     counters = sketch.counters
     assert sorted(sketch.live) == [i for i, c in enumerate(counters) if c]
     dense = _outcome(decode, sketch.code, tuple(counters))
-    assert _outcome(decode, sketch.code, counters, nonzero=sorted(sketch.live)) == dense
+    sparse = Feedback(len(counters), {idx: counters[idx] for idx in sketch.live})
+    assert _outcome(decode, sketch.code, sparse) == dense
     if sketch.total_multiplicity > min(sketch.alpha, sketch.code.k):
         with pytest.raises(ValueError, match="capacity exceeded"):
             sketch.reconstruct()
