@@ -385,12 +385,28 @@ class Code:
         return v in self.queries[position] if layout is None else layout.holds(position, v)
 
     @cached_property
+    def is_singletons(self) -> bool:
+        """Whether the code is the n singletons kept as their rule: query p is {p+1}, a 0-slice block.
+
+        Read off the queries' and blocks' layout, so a list of singletons
+        (a hand-laid or ``qgtc 1`` code) reads False and takes the
+        general paths.
+        """
+        layout = _layout_of(self.queries)
+        blocks = self.blocks
+        return (
+            layout is not None
+            and layout.family is None
+            and type(blocks) is LayoutBlocks
+            and blocks.layout == layout
+        )
+
+    @cached_property
     def sole_elements(self) -> Mapping[int, int | None]:
         """position -> the one element of the query there, or None (filled on use)."""
         queries = self.queries
-        layout = _layout_of(queries)
-        if layout is not None and layout.family is None:
-            return _Filled(lambda position: position + 1)  # the singletons
+        if self.is_singletons:
+            return _Filled(lambda position: position + 1)
         return _Filled(lambda p: min(queries[p]) if len(queries[p]) == 1 else None)
 
     @property

@@ -31,6 +31,16 @@ positions the decoded elements touch.  A ``Feedback`` (what
 ``Code.feedback``, ``fv_from_text`` and a stream sketch hand over)
 lists those positions itself, so its decode costs O(support), not
 O(m).  Any other sequence is scanned once for them, the one O(m) step.
+
+On the n singletons kept as their rule (``Code.is_singletons``: every
+multiset code, and every plain code below the table's threshold) a
+``Feedback`` is read in closed form, with no sweep.  Position p holds
+element p+1 alone, so each trusted value is that element's
+multiplicity, and each value at the cap is a count nothing can
+explain.  The read gives the sweep's outcomes exactly: the same
+multiset, or the same ``DecodeError`` with the same message (more than
+k trusted positions, else the first position at the cap).  It counts
+one sweep, checking each nonzero position once.
 """
 
 from __future__ import annotations
@@ -67,16 +77,21 @@ def decode(code: Code, fv: Sequence[int]) -> Multiset:
 
 def decode_detailed(code: Code, fv: Sequence[int]) -> tuple[Multiset, DecodeStats]:
     """Decode ``fv``: a ``Feedback`` in O(support), any other sequence after an O(m) scan."""
-    if code.mode == MODE_RANDOM or not code.blocks:
+    # an exact type test: isinstance against an ABC subclass is slower
+    singletons = type(fv) is Feedback and code.is_singletons
+    if code.mode == MODE_RANDOM or not (singletons or code.blocks):
         raise DecodeError("code has no block layout; only constructed codes are decodable")
-    if len(fv) != len(code.queries):
-        raise DecodeError(f"feedback vector length {len(fv)} != code length {len(code.queries)}")
+    m = code.n if singletons else len(code.queries)
+    if len(fv) != m:
+        raise DecodeError(f"feedback vector length {len(fv)} != code length {m}")
     alpha = code.alpha  # 0: no value is capped
+    if singletons:
+        return _read_singletons(fv.entries, code.k, alpha)
     stats = DecodeStats()
     acc: Multiset = {}
     acc_w: dict[int, int] = {}
     inc = code.incidence
-    if type(fv) is Feedback:  # an exact type test: isinstance against an ABC subclass is slower
+    if type(fv) is Feedback:
         values = fv.entries  # reads 0 at any other position
         nonzero = sorted(values)
     else:
@@ -118,6 +133,27 @@ def decode_detailed(code: Code, fv: Sequence[int]) -> tuple[Multiset, DecodeStat
             progress = True
     _check_consistency(values, acc_w, nonzero, alpha)
     return dict(sorted(acc.items())), stats
+
+
+def _read_singletons(values: Mapping[int, int], k: int, alpha: int) -> tuple[Multiset, DecodeStats]:
+    """The sweep's outcome on the n singletons, read off a ``Feedback``'s entries.
+
+    Position p holds element p+1 alone, so a trusted value (below a
+    nonzero ``alpha``) is that element's multiplicity; the sweep fires
+    each such position once and raises on a (k+1)-th.  A position at the
+    cap decodes nothing, so the consistency check then fails at the first
+    one, reading 0 decoded there.
+    """
+    positions = sorted(values)
+    trusted = [p for p in positions if values[p] < alpha] if alpha else positions
+    if len(trusted) > k:
+        raise DecodeError(f"decoded more than k={k} elements")
+    if len(trusted) != len(positions):
+        first = next(p for p in positions if values[p] >= alpha)
+        raise _unexplained(first, values[first], 0)
+    result = {p + 1: values[p] for p in positions}
+    stats = DecodeStats(sweeps=1 if positions else 0, good_checks=len(positions), decoded=len(result))
+    return result, stats
 
 
 def _read_slices(
@@ -185,7 +221,11 @@ def _check_consistency(
         return min(count, alpha) if alpha else count
 
     first = min(p for p in {*nonzero, *acc_w} if decoded(p) != values[p])
-    raise DecodeError(
+    raise _unexplained(first, values[first], decoded(first))
+
+
+def _unexplained(position: int, reads: int, decoded: int) -> DecodeError:
+    return DecodeError(
         "inconsistent feedback: residual counts unexplained by decoded set: "
-        f"position {first} reads {values[first]}, decoded count {decoded(first)}"
+        f"position {position} reads {reads}, decoded count {decoded}"
     )

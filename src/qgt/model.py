@@ -52,6 +52,7 @@ inert elements, and each oracle walks only ``active_elements``:
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from math import comb
 from typing import TypeVar
@@ -280,18 +281,23 @@ def as_multiset(hidden: Iterable[int] | Mapping[int, int], n: int | None = None)
     """Normalize a hidden set description into an element -> multiplicity dict.
 
     Accepts an iterable of elements (multiplicity one each, duplicates
-    accumulate) or a mapping with positive multiplicities.  With ``n``
-    given, indices are range-checked against [1..n].
+    accumulate) or a mapping with positive multiplicities.  Elements and
+    multiplicities are integers (``operator.index``): a float or a str
+    raises TypeError rather than being truncated.  With ``n`` given,
+    indices are range-checked against [1..n].
     """
     counts: Multiset = {}
+    index = operator.index
     if isinstance(hidden, Mapping):
         for v, m in hidden.items():
+            v, m = index(v), index(m)
             if m < 1:
                 raise ValueError(f"multiplicity of element {v} must be >= 1, got {m}")
-            counts[int(v)] = counts.get(int(v), 0) + int(m)
+            counts[v] = counts.get(v, 0) + m
     else:
         for v in hidden:
-            counts[int(v)] = counts.get(int(v), 0) + 1
+            v = index(v)
+            counts[v] = counts.get(v, 0) + 1
     if n is not None:
         for v in counts:
             if not 1 <= v <= n:

@@ -10,7 +10,9 @@ can exceed the cap.  The sketch also keeps the positions of its nonzero
 counters, changed only when a counter moves between 0 and 1, and hands
 the decoder a ``Feedback`` of just those counters, so a reconstruction
 costs O(live support) -- the positions the live elements touch -- and
-never reads all m counters.
+never reads all m counters.  On the n singletons as built (every
+multiset code this package builds), the decoder reads that vector in
+closed form (``decode``): a live counter is its element's multiplicity.
 
 Counters are exact rather than capped because deletions are impossible
 under capped counters; the cap belongs to the readout, not the state.
@@ -24,14 +26,18 @@ The graph maintainer reuses the sketch over the edge universe of an
 nu-node graph, with edges numbered row-major: (1,2), (1,3), ...,
 (1,nu), (2,3), ...  The edge universe is rounded up to the next power
 of two to meet the code's universe restriction; indices past the last
-real edge are simply never touched.
+real edge are simply never touched.  A reconstruction lists the edges
+in index order, as the decoder returns them, and turns each index into
+its endpoints once: the sketch keeps the endpoints of every edge it has
+reconstructed, never a table over the whole edge universe.
 """
 
 from __future__ import annotations
 
+import operator
 from math import isqrt
 
-from .code import MODE_MULTISET, Code, LayoutQueries, build_code_multiset
+from .code import MODE_MULTISET, Code, _Filled, build_code_multiset
 from .decode import decode
 from .model import Feedback, Multiset, _Sparse, check_cap, next_power_of_two
 
@@ -99,6 +105,12 @@ class StreamSketch:
         readouts can alias, so the request is refused outright.  Within
         it no counter exceeds the cap, so the counters are the readout,
         and ``live`` lists every position the decoder must read.
+
+        The live counters go to the decoder unchecked (``Feedback._built``):
+        each live position indexes a counter, and the counter there is at
+        least 1, because an update adds a position to ``live`` as its
+        counter leaves 0 and drops it as the counter returns to 0 (the
+        invariant ``tests/test_streaming.py`` checks after every op).
         """
         limit = min(self.alpha, self.code.k)
         if self.total_multiplicity > limit:
@@ -106,23 +118,27 @@ class StreamSketch:
                 f"capacity exceeded: {self.total_multiplicity} units held, "
                 f"reconstruction supports at most {limit}"
             )
-        counters, entries = self.counters, _Sparse()
-        for idx in self.live:
-            entries[idx] = counters[idx]
-        return decode(self.code, Feedback(len(counters), entries))
+        counters = self.counters
+        entries = _Sparse({idx: counters[idx] for idx in self.live})
+        return decode(self.code, Feedback._built(len(counters), entries))
 
     def _indices(self, v: int) -> tuple[int, ...]:
+        # refused before the lookup: the incidence cache would take 2.0 for 2 once 2 is cached
+        if type(v) is not int:
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise TypeError(f"element must be an int, got {v!r}") from None
         if not 1 <= v <= self.code.n:
             raise ValueError(f"element {v} outside universe [1..{self.code.n}]")
         return self.code.incidence[v]  # every element is in a query: it has one alone
 
 
 def _every_element_alone(code: Code) -> bool:
-    """Whether every element is alone in some query; on the singletons layout, from its family."""
-    queries = code.queries
-    if isinstance(queries, LayoutQueries) and queries.layout.family is None:
+    """Whether every element is alone in some query; on the singletons layout, from its rule."""
+    if code.is_singletons:
         return True
-    return len({v for s in queries if len(s) == 1 for v in s}) >= code.n
+    return len({v for s in code.queries if len(s) == 1 for v in s}) >= code.n
 
 
 def edge_index(u: int, v: int, nu: int) -> int:
@@ -167,6 +183,8 @@ class GraphSketch:
         code_n = next_power_of_two(max(2, self.edge_universe))
         code = build_code_multiset(code_n, self.capacity)
         self.sketch = StreamSketch(code)
+        # edge index -> endpoints, each filled on its first reconstruction
+        self._endpoints = _Filled(lambda i: edge_endpoints(i, nodes))
 
     def add_edge(self, u: int, v: int) -> int:
         return self.sketch.insert(self._index(u, v))
@@ -182,12 +200,13 @@ class GraphSketch:
         raise ValueError(f"unknown operation {op!r} (expected 'I' or 'D')")
 
     def reconstruct(self) -> list[tuple[int, int]]:
+        """The live edges in index order (decode returns its elements sorted)."""
         found = self.sketch.reconstruct()
-        edges = []
-        for idx, mult in sorted(found.items()):
+        endpoints, edges = self._endpoints, []
+        for idx, mult in found.items():
             if mult != 1:
                 raise ValueError(f"edge multiplicity {mult} at index {idx}; graph edges must be 0/1")
-            edges.append(edge_endpoints(idx, self.nodes))
+            edges.append(endpoints[idx])
         return edges
 
     def _index(self, u: int, v: int) -> int:

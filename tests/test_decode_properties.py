@@ -149,6 +149,28 @@ def test_every_vector_of_a_tiny_code_raises_or_is_reproduced_exactly(code, top):
     assert decoded
 
 
+@pytest.mark.parametrize(
+    "code, top",
+    [(build_code(8, 2, 2), 2), (build_code(8, 3, 3), 3), (build_code_multiset(4, 3), 4)],
+    ids=["plain-8-2-2", "plain-8-3-3", "multiset-4-3"],
+)
+def test_singletons_read_gives_the_sweeps_outcome(code, top):
+    # the list-form twin holds the same singletons as plain tuples, so it takes the sweep
+    twin = code_from_text(list_text(code))
+    assert code.is_singletons and not twin.is_singletons
+    assert twin.queries == code.queries and twin.blocks == code.blocks
+    errors = set()
+    for fv in itertools.product(range(top + 1), repeat=len(code)):
+        sparse = _sparse(fv)
+        got = _outcome(code, sparse)
+        assert got == _outcome(twin, sparse)
+        if not isinstance(got, dict):
+            errors.add(got[1].split(":")[0])
+    # a capped code meets both errors; uncapped, only a (k+1)-th element raises
+    expected = {f"decoded more than k={code.k} elements"}
+    assert errors == (expected | {"inconsistent feedback"} if code.alpha else expected)
+
+
 # Codes whose encodings are compared with the reference oracle: the
 # 1,024 singletons, the 380-query truncated table at (512, 2), a list
 # file parsed back into plain tuples, and a multiset code.

@@ -55,6 +55,15 @@ def test_as_multiset_normalization():
         as_multiset({2: 0})
     with pytest.raises(ValueError):
         as_multiset([9], n=8)
+    # integers are taken as they are, never truncated
+    assert as_multiset({True: 2, 3: True}) == {1: 2, 3: 1}
+    for bad in ([2.5], ["2"], {2.5: 1}, {"2": 1}, {2: 1.7}, {2: "1"}, {2: 1.0}):
+        with pytest.raises(TypeError):
+            as_multiset(bad)
+    code = build_code_multiset(8, 2)
+    for bad in ({2.5: 1}, {2: 1.7}, [2.0]):
+        with pytest.raises(TypeError):
+            code.feedback(bad)
 
 
 def test_check_universe():

@@ -56,6 +56,24 @@ def test_delete_absent_element_rejected_and_state_unchanged():
     assert sketch.counters == snapshot
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["float-first", "int-first"])
+def test_non_int_element_refused_whatever_the_cache_holds(cached):
+    # an element's incidence is cached on its first update, and 2.0 hashes like 2
+    sketch = StreamSketch(build_code_multiset(8, 2))
+    if cached:
+        sketch.insert(2)
+    counters, live = list(sketch.counters), set(sketch.live)
+    for update in (sketch.insert, sketch.delete):
+        with pytest.raises(TypeError, match="element must be an int, got 2.0"):
+            update(2.0)
+    assert sketch.counters == counters and sketch.live == live
+    if not cached:
+        sketch.insert(2)
+    assert sketch.reconstruct() == {2: 1}
+    sketch.insert(True)  # a bool is an int, as operator.index takes it
+    assert sketch.reconstruct() == {1: 1, 2: 1}
+
+
 # The last four are where plain mode takes the truncated table instead.
 WITNESS_CODES = {
     "multiset-64-4": (64, 4),
@@ -339,6 +357,24 @@ def test_random_graphs_reconstruct(nu=12, max_degree=3, rounds=300):
             degree[u] += 1
             degree[v] += 1
     assert g.reconstruct() == sorted(shadow)
+
+
+@pytest.mark.parametrize("nu", [2, 3, 5, 64])
+def test_graph_reconstruct_names_edges_by_their_endpoints_in_index_order(nu):
+    g = GraphSketch(nu, 1)
+    for index in range(1, g.edge_universe + 1):
+        u, v = edge_endpoints(index, nu)
+        g.add_edge(u, v)
+        assert g.reconstruct() == [(u, v)]
+        g.remove_edge(u, v)
+    rng = random.Random(nu)
+    for _ in range(5):
+        edges = {edge_endpoints(i, nu) for i in rng.sample(range(1, g.edge_universe + 1), g.capacity)}
+        for u, v in edges:
+            g.add_edge(v, u)
+        assert g.reconstruct() == sorted(edges)
+        for u, v in edges:
+            g.remove_edge(u, v)
 
 
 def test_graph_minimum_nodes():
