@@ -22,21 +22,28 @@ returns the same first witness as the full enumeration.
 `verify_uniqueness` walks them too, keeping each query's count and an
 additive fingerprint of the set's capped profile (a seeded random step
 per query and capped level, in the manner of Zobrist hashing); only a
-repeated fingerprint costs a comparison of full profiles.  Both walk
-only `model.active_elements`: by the inert-element lemma in `model`,
-the sets they skip can neither hold the first witness nor collide
-where their active parts do not.
+repeated fingerprint costs a comparison of full profiles.  It keeps
+only the set of fingerprints seen; when one repeats, the first set that
+had it is rebuilt by walking ranks (`model.subset_at`) until one has
+that fingerprint.  Both walk only the active elements: by the
+inert-element lemma in `model`, the sets they skip can neither hold
+the first witness nor collide where their active parts do not.  Both
+read their index from `model.oracle_index`, checking its active
+elements first: with none, as on the n singletons, the verdict is
+immediate and nothing is built, and on a built code's queries a later
+call reuses the index the first one built.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import log2
 
-from .model import Query, active_elements, check_budget, check_cap, check_capacity, incidence
-from .model import query_mask, sets_up_to, walk_subsets
+from .model import Query, check_budget, check_cap, check_capacity, oracle_index, sets_up_to
+from .model import subset_at, walk_subsets
 
 
 @dataclass(frozen=True)
@@ -92,9 +99,10 @@ def find_unjammed_violation(
     alone still reaches it first.
     """
     check_budget(sets_up_to(n, k), budget)
-    masks = [query_mask(s) for s in queries]
-    inc = incidence(queries)
-    queries_of = [inc.get(v, ()) for v in range(n + 1)]
+    index = oracle_index(queries, n)
+    if not index.active:
+        return None
+    masks, queries_of = index.masks, index.queries_of
     full = alpha + 1  # a query holding more elements of K than this is over-full
     hits = [0] * len(queries)  # |Q ∩ K|
     roomy = [0] * (n + 1)  # queries containing v that are not over-full
@@ -144,7 +152,7 @@ def find_unjammed_violation(
             return None
         return frozenset(chosen), next(x for x in chosen if roomy[x] == 0)
 
-    return walk_subsets(active_elements(queries, n), k, push, pop, leaf)
+    return walk_subsets(index.active, k, push, pop, leaf)
 
 
 FINGERPRINT_SEED = 0x7167_7431  # fixed, so every run draws the same fingerprint steps
@@ -172,19 +180,29 @@ def verify_uniqueness(
     step whenever its count changes at or below the cap.  Equal vectors
     give equal fingerprints, so only a repeated fingerprint can mean a
     repeated vector, and it is confirmed by comparing the two sets' full
-    capped profiles.  Only sets of active elements are walked: any two
-    colliding sets leave two colliding sets of active elements once
-    their shared inert elements are dropped.
+    capped profiles.  Only the fingerprints are kept, so memory grows by
+    one int per new fingerprint.  The first set that had a repeated
+    fingerprint is rebuilt once, by computing each set's fingerprint
+    from scratch in rank order until one matches; that costs time in
+    the first set's rank, and only where a fingerprint repeats: once in
+    a code that fails, whose first repeat is almost surely its verdict,
+    and at a 62-bit hash collision otherwise.
+    Only sets of active elements are walked: any two colliding sets
+    leave two colliding sets of active elements once their shared inert
+    elements are dropped.
     """
     check_budget(sets_up_to(n, k), budget)
-    inc = incidence(queries)
-    queries_of = [inc.get(v, ()) for v in range(n + 1)]
+    index = oracle_index(queries, n)
+    active = index.active
+    if not active:
+        return True
+    queries_of = index.queries_of
     cap = min(alpha, k)  # no count in a set of at most k elements exceeds k
     steps = _fingerprint_steps(len(queries), cap)
     counts = [0] * len(queries)
     chosen: list[int] = []
     fingerprint = 0
-    first: dict[int, tuple[int, ...]] = {0: ()}  # fingerprint -> first set that had it
+    seen = {0}  # the fingerprint of every set walked so far, the empty set's first
     # fingerprint -> the distinct profiles of every set that had it, once two sets share it
     shared: dict[int, set[tuple[tuple[int, int], ...]]] = {}
 
@@ -215,18 +233,25 @@ def verify_uniqueness(
             if c <= cap:
                 fingerprint -= steps[j][c - 1]
 
+    def first_profile(target: int) -> tuple[tuple[int, int], ...]:
+        # the profile of the first set in walk order with this fingerprint, rebuilt by rank
+        for rank in itertools.count():
+            here = profile(subset_at(active, rank))
+            if sum(sum(steps[j][:level]) for j, level in here) == target:
+                return here
+
     def leaf() -> bool | None:
-        earlier = first.get(fingerprint)
-        if earlier is None:
-            first[fingerprint] = tuple(chosen)
+        size = len(seen)
+        seen.add(fingerprint)
+        if len(seen) > size:
             return None
         profiles = shared.get(fingerprint)
         if profiles is None:
-            profiles = shared[fingerprint] = {profile(earlier)}
+            profiles = shared[fingerprint] = {first_profile(fingerprint)}
         here = profile(chosen)
         if here in profiles:
             return True  # two sets with one feedback vector
         profiles.add(here)
         return None
 
-    return walk_subsets(active_elements(queries, n), k, push, pop, leaf) is None
+    return walk_subsets(active, k, push, pop, leaf) is None

@@ -12,6 +12,7 @@ import argparse
 import random
 import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -117,12 +118,10 @@ def _verify_levels(code, budget: int, kinds) -> int:
             if kind == KIND_SSUI:
                 # Refuse before the bases are read: reading one lays out a built code.
                 check_ssui_budget(code.n, level, 0, budget)
-                queries = tuple(code.queries[blk.base] for blk in group)
-                ok = verify_ssui(queries, code.n, level, 0, 1, budget=budget)
+                ok = verify_ssui(_bases(code, group), code.n, level, 0, 1, budget=budget)
                 print(f"{kind} level {level}: {'pass' if ok else 'FAIL'}")
             else:
-                queries = tuple(code.queries[blk.base] for blk in group)
-                report = verify_sui(queries, code.n, level, 0.5, k_pow, cap, budget=budget)
+                report = verify_sui(_bases(code, group), code.n, level, 0.5, k_pow, cap, budget=budget)
                 ok = report.passed
                 print(
                     f"{kind} level {level}: max unselected {report.max_unselected} "
@@ -134,6 +133,13 @@ def _verify_levels(code, budget: int, kinds) -> int:
             continue
         failures += 0 if ok else 1
     return failures
+
+
+def _bases(code: Code, group) -> Sequence:
+    """The base queries of a block group; a singletons code's one group is its queries, kept as the rule."""
+    if code.is_singletons:
+        return code.queries
+    return tuple(code.queries[blk.base] for blk in group)
 
 
 def _cmd_random(args: argparse.Namespace) -> int:

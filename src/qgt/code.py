@@ -40,13 +40,13 @@ still load and decode, and ``qgt verify --sui`` checks them.
 
 from __future__ import annotations
 
-from collections.abc import Callable, ItemsView, KeysView, Mapping, Sequence, ValuesView
+from collections.abc import ItemsView, KeysView, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 
 from .balanced import bit_slices, id_bits
 from .model import Feedback, Query, as_multiset, check_cap, check_capacity, check_universe, next_power_of_two
-from .model import _Sparse
+from .model import RuleQueries, _Filled, _Sparse
 from .model import incidence as _incidence
 from .model import singletons
 from .ssui import rs_trunc_size, truncated_table
@@ -246,10 +246,28 @@ class _LayoutSequence(Sequence):
         return f"{type(self).__name__}({self.layout!r})"
 
 
-class LayoutQueries(_LayoutSequence):
-    """The queries of a layout: they depend on the family and n, not on k."""
+class LayoutQueries(_LayoutSequence, RuleQueries):
+    """The queries of a layout: they depend on the family and n, not on k.
 
-    __slots__ = ()
+    Over its own n it names its active elements from the rule and keeps
+    the oracles' index (``model.oracle_index``).
+    """
+
+    __slots__ = ("_index",)
+
+    def __init__(self, layout: Layout) -> None:
+        super().__init__(layout)
+        self._index = None
+
+    @property
+    def universe(self) -> int:
+        return self.layout.n
+
+    def rule_active(self) -> list[int]:
+        # On the singletons every element is inert.  A table's base at x holds, in each
+        # run of q consecutive elements, exactly one v per value y of P_v(x) (the lowest
+        # digit runs over F_q); n >= 2q gives every base two runs, so no element is inert.
+        return [] if self.layout.family is None else list(range(1, self.layout.n + 1))
 
     def _length(self) -> int:
         return len(self.layout)
@@ -274,18 +292,6 @@ class LayoutBlocks(_LayoutSequence):
 
     def _make(self) -> tuple[Block, ...]:
         return self.layout.all_blocks()
-
-
-class _Filled(dict):
-    """key -> fill(key), each computed on its first lookup and kept, then read at dict speed."""
-
-    def __init__(self, fill: Callable[[int], object]) -> None:
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key: int) -> object:
-        value = self[key] = self.fill(key)
-        return value
 
 
 class _LayoutIncidence(_Filled):

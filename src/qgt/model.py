@@ -23,7 +23,14 @@ The facts every selector family and oracle shares live here, once:
 * ``walk_subsets``: the push/pop walk over those candidate sets that
   the selector, jamming, uniqueness and random-code claim oracles keep
   their per-set counts on;
-* ``active_elements``: the elements an oracle's walk must visit;
+* ``active_elements``: the elements an oracle's walk must visit, named
+  from the rule on a ``RuleQueries`` (a built code's queries) over its
+  own universe, with no query laid out;
+* ``OracleIndex``, ``oracle_index``: the one prelude the four walking
+  oracles share (active elements, each element's queries, query masks),
+  each part built on first use and kept on a ``RuleQueries``, so every
+  later oracle call on one built code's queries builds nothing;
+* ``subset_at``: the set at a given rank in ``walk_subsets``'s order;
 * ``Feedback``: a feedback vector kept as its nonzero entries, the form
   ``Code.feedback`` returns and the decoder reads in O(support), while
   ``feedback_vector``, the reference oracle, returns a plain tuple.
@@ -48,12 +55,24 @@ inert elements, and each oracle walks only ``active_elements``:
   that of its active part, which the walk reaches no later;
 * a set holding an element inert in the part a random-code claim reads
   is met exactly once there, by that element's singleton.
+
+With no active element, every verdict follows at once: every element
+is inert and every nonempty query is a singleton, so no set is jammed,
+no two sets collide, no query can be jammed and no element goes
+unselected, and every set is met exactly once.  Each oracle therefore
+reads ``OracleIndex.active`` right after its budget check and returns
+there on the n singletons, building nothing else.  The rest of the
+index costs one pass over the queries and an (n+1)-entry list; a mask
+is built only for a query an oracle asks for, which no walk does for a
+query of one element, so the index never holds the m*n bits of every
+query's mask.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import cached_property
 from math import comb
 from typing import TypeVar
 
@@ -265,8 +284,68 @@ def walk_subsets(
     return None
 
 
+def subset_at(elements: Sequence[int], rank: int) -> list[int]:
+    """The set of sorted ``elements`` at ``rank`` in ``walk_subsets``'s order; rank 0 is the empty set."""
+    count = len(elements)
+    rank -= 1
+    size = 0
+    while rank >= 0:
+        size += 1
+        rank -= comb(count, size)
+    rank += comb(count, size)  # the rank among the sets of `size` elements, lexicographic
+    chosen: list[int] = []
+    start = 0
+    for left in range(size, 0, -1):
+        # the sets whose next element is elements[start] come before those with a later one
+        while rank >= (block := comb(count - start - 1, left - 1)):
+            rank -= block
+            start += 1
+        chosen.append(elements[start])
+        start += 1
+    return chosen
+
+
+class _Filled(dict):
+    """key -> fill(key), each computed on its first lookup and kept, then read at dict speed."""
+
+    def __init__(self, fill: Callable[[int], object]) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self.fill(key)
+        return value
+
+
+class RuleQueries(Sequence):
+    """A query family kept as its rule over its own universe [1..universe] (``code.LayoutQueries``).
+
+    ``rule_active()`` names the family's active elements over that
+    universe without laying out a query.  A subclass gives each
+    instance an ``_index`` slot, None until ``oracle_index`` over its
+    own universe keeps an ``OracleIndex`` there.
+    """
+
+    __slots__ = ()
+    universe: int
+    _index: OracleIndex | None
+
+    def rule_active(self) -> list[int]:
+        raise NotImplementedError
+
+
+def _own_rule(queries: Iterable[Query], n: int) -> bool:
+    return isinstance(queries, RuleQueries) and queries.universe == n
+
+
 def active_elements(queries: Iterable[Query], n: int) -> list[int]:
-    """[1..n] without its inert elements (module docstring), ascending."""
+    """[1..n] without its inert elements (module docstring), ascending.
+
+    From the rule on a ``RuleQueries`` over its own universe; otherwise
+    one pass over the queries.
+    """
+    if _own_rule(queries, n):
+        return queries.rule_active()
     inert = set()
     shared = set()  # elements of some query of two or more elements
     for s in queries:
@@ -275,6 +354,51 @@ def active_elements(queries: Iterable[Query], n: int) -> list[int]:
         else:
             shared |= s
     return [v for v in range(1, n + 1) if v not in inert or v in shared]
+
+
+class OracleIndex:
+    """What the walking oracles read of one query family over [1..n], each part built on first use.
+
+    * ``active``: ``active_elements(queries, n)``;
+    * ``queries_of[v]``: the indices of the queries holding v, ascending,
+      for v in [0..n] (``()`` for 0 and for an element in no query);
+    * ``masks[j]``: ``query_mask`` of query j, built on its first lookup.
+
+    Build it with ``oracle_index``, which keeps it on a built code's
+    queries.
+    """
+
+    def __init__(self, queries: Sequence[Query], n: int) -> None:
+        self.queries = queries
+        self.n = n
+
+    @cached_property
+    def active(self) -> list[int]:
+        return active_elements(self.queries, self.n)
+
+    @cached_property
+    def queries_of(self) -> list[tuple[int, ...]]:
+        inc = incidence(self.queries)
+        return [inc.get(v, ()) for v in range(self.n + 1)]
+
+    @cached_property
+    def masks(self) -> Mapping[int, int]:
+        queries = self.queries
+        return _Filled(lambda j: query_mask(queries[j]))
+
+
+def oracle_index(queries: Sequence[Query], n: int) -> OracleIndex:
+    """The ``OracleIndex`` of a family over [1..n].
+
+    Kept on a ``RuleQueries`` over its own universe, so later calls on
+    one built code's queries reuse it; built anew for any other family
+    or universe.
+    """
+    if not _own_rule(queries, n):
+        return OracleIndex(queries, n)
+    if queries._index is None:
+        queries._index = OracleIndex(queries, n)
+    return queries._index
 
 
 def as_multiset(hidden: Iterable[int] | Mapping[int, int], n: int | None = None) -> Multiset:

@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from math import ceil, e, log
 
-from .model import Query, active_elements, check_budget, check_cap, check_capacity, incidence
+from .model import Query, active_elements, check_budget, check_cap, check_capacity, oracle_index
 from .model import sets_up_to, singletons, walk_subsets
 
 
@@ -125,19 +125,18 @@ class ClaimReport:
 
 
 def _hit_exactly_once(
-    lo: int, hi: int, inc: dict[int, tuple[int, ...]], combo: tuple[int, ...]
+    lo: int, hi: int, queries_of: list[tuple[int, ...]], combo: tuple[int, ...]
 ) -> bool:
     """Does some query with index in [lo, hi) meet the set in exactly one element?"""
     counts: dict[int, int] = {}
     for v in combo:
-        for idx in inc.get(v, ()):
+        for idx in queries_of[v]:
             counts[idx] = counts.get(idx, 0) + 1
     return any(c == 1 and lo <= idx < hi for idx, c in counts.items())
 
 
 def _first_missed_set(
     code: RandomCode,
-    inc: dict[int, tuple[int, ...]],
     part1: tuple[int, int],
     part2: tuple[int, int],
     small_limit: int,
@@ -149,14 +148,22 @@ def _first_missed_set(
     that meet K exactly once are kept up to date on push and pop.  Only
     elements active in some part the walk reads are walked: an element
     inert in every such part is met once by its singleton in any set.
+    With none, as on the singleton fallback, no set is missed, and the
+    index (``model.oracle_index``) is not built.
     """
+    # the parts the walk reads: part 1 for sets of 1 .. small_limit elements, part 2 above
+    read = [part1] if small_limit >= 1 else []
+    if code.k > small_limit:
+        read.append(part2)
+    active = sorted({v for lo, hi in read for v in active_elements(code.queries[lo:hi], code.n)})
+    if not active:
+        return None
     m = len(code.queries)
     in1 = [int(part1[0] <= j < part1[1]) for j in range(m)]
     in2 = [int(part2[0] <= j < part2[1]) for j in range(m)]
     # a query in neither part never counts, so the walk skips it
-    queries_of = [
-        tuple(j for j in inc.get(v, ()) if in1[j] or in2[j]) for v in range(code.n + 1)
-    ]
+    index = oracle_index(code.queries, code.n)
+    queries_of = [tuple(j for j in ix if in1[j] or in2[j]) for ix in index.queries_of]
     hits = [0] * m
     chosen: list[int] = []
     once1 = once2 = 0  # part-1 and part-2 queries meeting K exactly once
@@ -191,12 +198,7 @@ def _first_missed_set(
         once = once1 if len(chosen) <= small_limit else once2
         return None if once else frozenset(chosen)
 
-    # the parts the walk reads: part 1 for sets of 1 .. small_limit elements, part 2 above
-    read = [part1] if small_limit >= 1 else []
-    if code.k > small_limit:
-        read.append(part2)
-    active = {v for lo, hi in read for v in active_elements(code.queries[lo:hi], code.n)}
-    return walk_subsets(sorted(active), code.k, push, pop, leaf)
+    return walk_subsets(active, code.k, push, pop, leaf)
 
 
 def verify_claims(
@@ -219,7 +221,6 @@ def verify_claims(
     elif mode != "sampled":
         raise ValueError(f"unknown verification mode {mode!r}")
     witness1 = next((s for s in code.queries if len(s) > alpha), None)
-    inc = incidence(code.queries)
     if code.fallback:
         part1 = (0, len(code.queries))
         part2 = part1
@@ -228,15 +229,16 @@ def verify_claims(
         part2 = (code.t1, code.t1 + code.t2)
     small_limit = min(k, n // alpha)
     if mode == "exhaustive":
-        missed = _first_missed_set(code, inc, part1, part2, small_limit)
+        missed = _first_missed_set(code, part1, part2, small_limit)
     else:
+        queries_of = oracle_index(code.queries, n).queries_of
         rng = random.Random(seed)
         population = list(range(1, n + 1))
         missed = None
         for _ in range(trials):
             combo = tuple(rng.sample(population, rng.randint(1, k)))
             lo, hi = part1 if len(combo) <= small_limit else part2
-            if not _hit_exactly_once(lo, hi, inc, combo):
+            if not _hit_exactly_once(lo, hi, queries_of, combo):
                 missed = frozenset(combo)
                 break
     small = missed is not None and len(missed) <= small_limit

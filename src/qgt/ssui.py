@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .model import BudgetError as BudgetError  # re-exported: qgt.ssui.BudgetError
-from .model import Query, check_budget, check_universe, incidence, query_mask, sets_up_to
-from .model import active_elements, singletons, walk_subsets
+from .model import Query, check_budget, check_universe, oracle_index, query_mask, sets_up_to
+from .model import singletons, walk_subsets
 
 
 def check_selector_params(n: int, ell: int, kappa: int, alpha: int) -> None:
@@ -188,12 +188,16 @@ def max_unselected_count(
     kept too, so a K1 with nothing to jam costs O(1); the collapsed K2
     scan, unchanged, runs only at the others.
 
-    When every query is thin, no K2 scan runs and K1 is walked over
-    ``model.active_elements`` only: by the inert-element lemma in
-    ``model``, a K1 counts as many unselected elements as its active
-    part, which the walk reaches no later, so the maximum and the
-    ``stop_at`` result are unchanged.  Otherwise the walk covers [1..n],
-    since each K2 scan is charged once per visited K1.
+    The index comes from ``model.oracle_index``, and its active
+    elements are read first.  With none, every query holds at most one
+    element, so every query is thin and every element is isolated: the
+    result is 0 at once, with no index, mask or per-query table built
+    (the n singletons).  When every query is thin, no K2 scan runs and
+    K1 is walked over the active elements only: by the inert-element
+    lemma in ``model``, a K1 counts as many unselected elements as its
+    active part, which the walk reaches no later, so the maximum and
+    the ``stop_at`` result are unchanged.  Otherwise the walk covers
+    [1..n], since each K2 scan is charged once per visited K1.
 
     ``stop_at`` allows early exit once the count reaches a threshold.
     The enumeration, including the collapsed K2 scans, is charged against
@@ -201,9 +205,10 @@ def max_unselected_count(
     """
     spent = sets_up_to(n, ell)
     check_budget(spent, budget)
-    masks = [query_mask(s) for s in queries]
-    inc = incidence(queries)
-    queries_of = [inc.get(v, ()) for v in range(n + 1)]
+    index = oracle_index(queries, n)
+    if not index.active:
+        return 0
+    masks, queries_of = index.masks, index.queries_of
     thin = [len(s) <= alpha or kappa < alpha for s in queries]
     hits = [0] * len(queries)  # |Q ∩ K1|
     owner = [0] * len(queries)  # sum of Q ∩ K1: its one element when hits == 1
@@ -295,7 +300,7 @@ def max_unselected_count(
                 return worst
         return None
 
-    universe = active_elements(queries, n) if all(thin) else range(1, n + 1)
+    universe = index.active if all(thin) else range(1, n + 1)
     walk_subsets(universe, ell, push, pop, leaf)
     return worst
 

@@ -37,9 +37,9 @@ from __future__ import annotations
 import operator
 from math import isqrt
 
-from .code import MODE_MULTISET, Code, _Filled, build_code_multiset
+from .code import MODE_MULTISET, Code, build_code_multiset
 from .decode import decode
-from .model import Feedback, Multiset, _Sparse, check_cap, next_power_of_two
+from .model import Feedback, Multiset, _Filled, _Sparse, check_cap, next_power_of_two
 
 
 class StreamSketch:

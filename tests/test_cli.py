@@ -272,6 +272,23 @@ def test_verify_refuses_a_large_family_file_before_laying_it_out(
     assert "too large" in out + err
 
 
+def test_verify_the_2_18_singletons_lays_out_no_query(tmp_path, capsys, monkeypatch):
+    import qgt.code
+
+    def refuse(self):
+        raise AssertionError("the queries were laid out")
+
+    monkeypatch.setattr(qgt.code.LayoutQueries, "_make", refuse)
+    code_file = tmp_path / "code.qgtc"
+    code_file.write_text("qgtc 2\nn 262144\nk 2\nalpha 0\nmode multiset\nfamily singletons\n")
+    status, out, _ = run(
+        capsys, "verify", "--code", str(code_file), "--uniqueness", "--claim-a", "--ssui",
+        "--budget", "100000000000",
+    )
+    assert status == 0
+    assert out == "uniqueness: pass\nclaim-a: pass (no jammed element)\nssui level 2: pass\n"
+
+
 def test_random_unknown_verify_mode(tmp_path, capsys):
     status, _, err = run(
         capsys, "random", "--n", "32", "--k", "2", "--alpha", "4",

@@ -12,6 +12,14 @@ The walks skip inert elements (``model.active_elements``), so the random
 families mix private singleton queries, elements in no query and random
 queries, checking that the skip changes no value, witness or refusal;
 the built codes of the benchmark's oracle grid check it at n = 32.
+
+On a built code's queries the oracles read the active elements from the
+rule and share one kept index (``model.oracle_index``): every walking
+oracle must give the same outcome there, on the same queries as a plain
+tuple and in the reference scan, under every budget; a second call must
+build nothing, a call over another universe must not read the kept
+index, and the n = 2^18 singletons must be checked with no query laid
+out.
 """
 
 import pytest
@@ -19,11 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgt.bounds
+import qgt.model
 from qgt.bounds import find_unjammed_violation, verify_uniqueness
-from qgt.code import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, build, level_params
-from qgt.model import BudgetError, active_elements, sets_up_to, singletons
+from qgt.code import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, _LayoutSequence, build, build_code_multiset
+from qgt.code import level_params
+from qgt.model import BudgetError, active_elements, oracle_index, sets_up_to, singletons, subset_at
+from qgt.model import walk_subsets
 from qgt.random_code import RandomCode, build_random_code, verify_claims
-from qgt.ssui import build_ssui, max_unselected_count
+from qgt.ssui import build_ssui, max_unselected_count, verify_ssui
 from qgt.sui import build_sui
 
 from oracle_reference import (
@@ -32,7 +43,7 @@ from oracle_reference import (
     reference_verify_claims,
     reference_verify_uniqueness,
 )
-from rs_table import rs_table_code
+from rs_table import rs_table_code, trunc_table_code
 
 
 def _outcome(oracle, *args, **kwargs):
@@ -147,8 +158,8 @@ def test_verify_uniqueness_with_forced_collisions_keeps_verdicts(queries, n, k, 
         )
 
 
-@pytest.mark.parametrize("n,k,alpha", [(8, 3, 1), (8, 2, 3), (8, 4, 9), (16, 3, 2)])
-def test_fingerprint_table_is_m_by_capped_levels(n, k, alpha):
+def _fingerprint_tables(queries, n, k, alpha):
+    """The (m, levels) of every fingerprint table one verify_uniqueness call draws."""
     sizes = []
     original = qgt.bounds._fingerprint_steps
 
@@ -156,12 +167,47 @@ def test_fingerprint_table_is_m_by_capped_levels(n, k, alpha):
         sizes.append((m, levels))
         return original(m, levels)
 
-    queries = build(n, k, max(2, alpha), MODE_PLAIN).queries
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qgt.bounds, "_fingerprint_steps", spy)
         verify_uniqueness(queries, n, k, alpha)
-    assert sizes == [(len(queries), min(alpha, k))]
-    assert original(3, 2) == original(3, 2)  # one fixed seed
+    return sizes
+
+
+# tables whose bases hold two or more elements, so every element is active
+TABLES = {
+    "trunc-8-1": (lambda: trunc_table_code(8, 1).queries, 8),
+    "trunc-16-2": (lambda: trunc_table_code(16, 2).queries, 16),
+    "rs-32-3": (lambda: rs_table_code(32, 3).queries, 32),
+    "built-32-1-2": (lambda: build(32, 1, 2, MODE_PLAIN).queries, 32),
+}
+
+
+@pytest.mark.parametrize(  # caps below, at and above k
+    "family,k,alpha",
+    [("trunc-8-1", 3, 1), ("trunc-16-2", 2, 3), ("rs-32-3", 3, 9), ("built-32-1-2", 2, 2)],
+)
+def test_fingerprint_table_is_m_by_capped_levels(family, k, alpha):
+    make, n = TABLES[family]
+    queries = make()
+    assert active_elements(queries, n) == list(range(1, n + 1))
+    assert _fingerprint_tables(queries, n, k, alpha) == [(len(queries), min(alpha, k))]
+    assert qgt.bounds._fingerprint_steps(3, 2) == qgt.bounds._fingerprint_steps(3, 2)  # one fixed seed
+
+
+@pytest.mark.parametrize(
+    "queries,n",
+    [
+        (build(16, 3, 2, MODE_PLAIN).queries, 16),
+        (singletons(16), 16),
+        # q > n: every base of the full table holds at most one element
+        (rs_table_code(8, 2).queries, 8),
+        (rs_table_code(16, 3).queries, 16),
+    ],
+    ids=["built-16-3-2", "singletons-16", "rs-8-2", "rs-16-3"],
+)
+def test_a_family_with_no_active_element_draws_no_fingerprint_table(queries, n):
+    assert active_elements(queries, n) == []
+    assert _fingerprint_tables(queries, n, 3, 2) == []
 
 
 @given(_family(), st.data())
@@ -294,3 +340,100 @@ def test_oracle_grid_selector_and_random_code_match_reference_scans():
         ) == reference_max_unselected_count(queries, 32, 4, 4, 4, stop_at=stop_at)
     code = build_random_code(32, 3, 8, seed=1)
     assert verify_claims(code) == reference_verify_claims(code)
+
+
+@pytest.mark.parametrize(
+    "elements,max_size", [((), 3), ((2,), 1), ((1, 4, 5, 9), 3), (tuple(range(1, 8)), 7)]
+)
+def test_subset_at_inverts_the_walk_order(elements, max_size):
+    order, chosen = [[]], []
+    walk_subsets(elements, max_size, chosen.append, lambda e: chosen.pop(), lambda: order.append(list(chosen)))
+    assert [subset_at(elements, rank) for rank in range(len(order))] == order
+
+
+def _outcomes(queries, n, k, alpha, kappa, cap, oracles):
+    """Each walking oracle's outcome on one family, under every budget around its own count."""
+    uniqueness, unjammed, unselected, claims = oracles
+    code = RandomCode(queries, n, k, alpha, 0, len(queries), 0, True)
+    out = []
+    for budget in _budgets(sets_up_to(n, k)):
+        out.append(_outcome(uniqueness, queries, n, k, alpha, budget))
+        out.append(_outcome(unjammed, queries, n, k, alpha, budget))
+        out.append(_outcome(claims, code, budget=budget - 1))  # the empty set is not checked
+        # the selector levels' check, then `qgt verify --ssui`'s
+        out.append(_outcome(unselected, queries, n, k, kappa, cap, budget))
+        out.append(_outcome(unselected, queries, n, k, 0, 1, budget))
+    return out
+
+
+OURS = (verify_uniqueness, find_unjammed_violation, max_unselected_count, verify_claims)
+REFERENCE = (
+    reference_verify_uniqueness,
+    reference_find_unjammed_violation,
+    reference_max_unselected_count,
+    reference_verify_claims,
+)
+
+
+@pytest.mark.parametrize(
+    "mode,n,k,alpha", BUILT + [(MODE_PLAIN, n, k, alpha) for n, k, alpha in ORACLE_GRID]
+)
+def test_built_queries_tuples_and_reference_scans_agree(mode, n, k, alpha):
+    code = build(n, k, alpha, mode)
+    args = (n, k, max(1, alpha), *level_params(k, alpha))
+    on_code = _outcomes(code.queries, *args, OURS)
+    assert on_code == _outcomes(tuple(code.queries), *args, OURS)
+    assert on_code == _outcomes(tuple(code.queries), *args, REFERENCE)
+
+
+def test_a_second_call_on_a_built_code_builds_no_index(monkeypatch):
+    calls = []
+    for name in ("incidence", "query_mask"):
+        original = getattr(qgt.model, name)
+        monkeypatch.setattr(qgt.model, name, lambda *a, f=original, name=name: calls.append(name) or f(*a))
+    queries = build(32, 1, 2, MODE_PLAIN).queries  # a table: every element is active
+
+    def run():
+        # a cap of 1 crowds the bases for k = 3, and kappa >= alpha makes them jammable,
+        # so both the jamming walk and the K2 scans read query masks
+        return (
+            verify_uniqueness(queries, 32, 2, 2),
+            find_unjammed_violation(queries, 32, 3, 1),
+            max_unselected_count(queries, 32, 2, 1, 1),
+        )
+
+    first = run()
+    assert sorted(set(calls)) == ["incidence", "query_mask"]
+    calls.clear()
+    assert run() == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("code", [build_code_multiset(32, 2), build(32, 1, 2, MODE_PLAIN)])
+def test_another_universe_does_not_read_the_kept_index(code):
+    queries = code.queries
+    kept = oracle_index(queries, 32)
+    verify_uniqueness(queries, 32, 2, 1)  # builds the kept index's parts
+    for n in (16, 64):  # over [1..64], 33..64 lie in no query; over [1..16], 17..32 lie outside
+        assert oracle_index(queries, n) is not kept
+        assert active_elements(queries, n) == active_elements(tuple(queries), n)
+        args = (n, 2, 1, *level_params(2, 1))
+        assert _outcomes(queries, *args, OURS) == _outcomes(tuple(queries), *args, REFERENCE)
+    assert oracle_index(queries, 32) is kept
+
+
+def test_oracles_on_the_2_18_singletons_lay_out_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the queries were laid out")
+
+    n = 2**18
+    queries = build_code_multiset(n, 2).queries
+    monkeypatch.setattr(_LayoutSequence, "_all", refuse)
+    assert active_elements(queries, n) == []
+    budget = 10**11
+    assert verify_uniqueness(queries, n, 2, 1, budget) is True
+    assert find_unjammed_violation(queries, n, 2, 1, budget) is None
+    assert verify_ssui(queries, n, 2, 0, 1, budget) is True
+    assert max_unselected_count(queries, n, 2, 4, 3, budget) == 0
+    with pytest.raises(BudgetError):  # the budget is still checked first
+        verify_uniqueness(queries, n, 2, 1)
