@@ -23,26 +23,24 @@ returns the same first witness as the full enumeration.
 additive fingerprint of the set's capped profile (a seeded random step
 per query and capped level, in the manner of Zobrist hashing); only a
 repeated fingerprint costs a comparison of full profiles.  It keeps
-only the set of fingerprints seen; when one repeats, the first set that
-had it is rebuilt by walking ranks (`model.subset_at`) until one has
-that fingerprint.  Both walk only the active elements: by the
+only the fingerprints, each with the rank in walk order of the first
+set that had it, and rebuilds that set (`model.subset_at`) only when
+the fingerprint repeats.  Both walk only the active elements: by the
 inert-element lemma in `model`, the sets they skip can neither hold
 the first witness nor collide where their active parts do not.  Both
-read their index from `model.oracle_index`, checking its active
-elements first: with none, as on the n singletons, the verdict is
-immediate and nothing is built, and on a built code's queries a later
-call reuses the index the first one built.
+build a `model.OracleIndex` and read its active elements first: with
+none, as on the n singletons, the verdict is immediate and nothing
+else is built.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import log2
 
-from .model import Query, check_budget, check_cap, check_capacity, oracle_index, sets_up_to
+from .model import OracleIndex, Query, check_budget, check_cap, check_capacity, sets_up_to
 from .model import subset_at, walk_subsets
 
 
@@ -99,7 +97,7 @@ def find_unjammed_violation(
     alone still reaches it first.
     """
     check_budget(sets_up_to(n, k), budget)
-    index = oracle_index(queries, n)
+    index = OracleIndex(queries, n)
     if not index.active:
         return None
     masks, queries_of = index.masks, index.queries_of
@@ -180,19 +178,15 @@ def verify_uniqueness(
     step whenever its count changes at or below the cap.  Equal vectors
     give equal fingerprints, so only a repeated fingerprint can mean a
     repeated vector, and it is confirmed by comparing the two sets' full
-    capped profiles.  Only the fingerprints are kept, so memory grows by
-    one int per new fingerprint.  The first set that had a repeated
-    fingerprint is rebuilt once, by computing each set's fingerprint
-    from scratch in rank order until one matches; that costs time in
-    the first set's rank, and only where a fingerprint repeats: once in
-    a code that fails, whose first repeat is almost surely its verdict,
-    and at a 62-bit hash collision otherwise.
+    capped profiles.  A fingerprint is kept with the rank of the first
+    set that had it, which is rebuilt from that rank only on a repeat,
+    so memory grows by one fingerprint and one rank per new fingerprint.
     Only sets of active elements are walked: any two colliding sets
     leave two colliding sets of active elements once their shared inert
     elements are dropped.
     """
     check_budget(sets_up_to(n, k), budget)
-    index = oracle_index(queries, n)
+    index = OracleIndex(queries, n)
     active = index.active
     if not active:
         return True
@@ -202,7 +196,8 @@ def verify_uniqueness(
     counts = [0] * len(queries)
     chosen: list[int] = []
     fingerprint = 0
-    seen = {0}  # the fingerprint of every set walked so far, the empty set's first
+    rank = 0  # of the current set in walk order; the empty set is 0
+    first = {0: 0}  # fingerprint -> rank of the first set that had it
     # fingerprint -> the distinct profiles of every set that had it, once two sets share it
     shared: dict[int, set[tuple[tuple[int, int], ...]]] = {}
 
@@ -233,21 +228,15 @@ def verify_uniqueness(
             if c <= cap:
                 fingerprint -= steps[j][c - 1]
 
-    def first_profile(target: int) -> tuple[tuple[int, int], ...]:
-        # the profile of the first set in walk order with this fingerprint, rebuilt by rank
-        for rank in itertools.count():
-            here = profile(subset_at(active, rank))
-            if sum(sum(steps[j][:level]) for j, level in here) == target:
-                return here
-
     def leaf() -> bool | None:
-        size = len(seen)
-        seen.add(fingerprint)
-        if len(seen) > size:
+        nonlocal rank
+        rank += 1
+        earlier = first.setdefault(fingerprint, rank)
+        if earlier == rank:
             return None
         profiles = shared.get(fingerprint)
         if profiles is None:
-            profiles = shared[fingerprint] = {first_profile(fingerprint)}
+            profiles = shared[fingerprint] = {profile(subset_at(active, earlier))}
         here = profile(chosen)
         if here in profiles:
             return True  # two sets with one feedback vector

@@ -249,25 +249,18 @@ class _LayoutSequence(Sequence):
 class LayoutQueries(_LayoutSequence, RuleQueries):
     """The queries of a layout: they depend on the family and n, not on k.
 
-    Over its own n it names its active elements from the rule and keeps
-    the oracles' index (``model.oracle_index``).
+    Over its own n it names its active elements from the rule.
     """
 
-    __slots__ = ("_index",)
+    __slots__ = ()
 
-    def __init__(self, layout: Layout) -> None:
-        super().__init__(layout)
-        self._index = None
-
-    @property
-    def universe(self) -> int:
-        return self.layout.n
-
-    def rule_active(self) -> list[int]:
+    def rule_active(self, n: int) -> list[int] | None:
+        if n != self.layout.n:
+            return None
         # On the singletons every element is inert.  A table's base at x holds, in each
         # run of q consecutive elements, exactly one v per value y of P_v(x) (the lowest
         # digit runs over F_q); n >= 2q gives every base two runs, so no element is inert.
-        return [] if self.layout.family is None else list(range(1, self.layout.n + 1))
+        return [] if self.layout.family is None else list(range(1, n + 1))
 
     def _length(self) -> int:
         return len(self.layout)

@@ -26,10 +26,9 @@ The facts every selector family and oracle shares live here, once:
 * ``active_elements``: the elements an oracle's walk must visit, named
   from the rule on a ``RuleQueries`` (a built code's queries) over its
   own universe, with no query laid out;
-* ``OracleIndex``, ``oracle_index``: the one prelude the four walking
-  oracles share (active elements, each element's queries, query masks),
-  each part built on first use and kept on a ``RuleQueries``, so every
-  later oracle call on one built code's queries builds nothing;
+* ``OracleIndex``: the one prelude the four walking oracles share
+  (active elements, each element's queries, query masks), each part
+  built on its first use within one oracle call;
 * ``subset_at``: the set at a given rank in ``walk_subsets``'s order;
 * ``Feedback``: a feedback vector kept as its nonzero entries, the form
   ``Code.feedback`` returns and the decoder reads in O(support), while
@@ -61,7 +60,8 @@ is inert and every nonempty query is a singleton, so no set is jammed,
 no two sets collide, no query can be jammed and no element goes
 unselected, and every set is met exactly once.  Each oracle therefore
 reads ``OracleIndex.active`` right after its budget check and returns
-there on the n singletons, building nothing else.  The rest of the
+there on the n singletons, building nothing else (the selector check,
+whose cap is not validated, only at alpha >= 1).  The rest of the
 index costs one pass over the queries and an (n+1)-entry list; a mask
 is built only for a query an oracle asks for, which no walk does for a
 query of one element, so the index never holds the m*n bits of every
@@ -318,24 +318,14 @@ class _Filled(dict):
 
 
 class RuleQueries(Sequence):
-    """A query family kept as its rule over its own universe [1..universe] (``code.LayoutQueries``).
-
-    ``rule_active()`` names the family's active elements over that
-    universe without laying out a query.  A subclass gives each
-    instance an ``_index`` slot, None until ``oracle_index`` over its
-    own universe keeps an ``OracleIndex`` there.
-    """
+    """A query family kept as its rule over its own universe (``code.LayoutQueries``)."""
 
     __slots__ = ()
-    universe: int
-    _index: OracleIndex | None
 
-    def rule_active(self) -> list[int]:
+    def rule_active(self, n: int) -> list[int] | None:
+        """The family's active elements over [1..n], named without laying out a query;
+        None unless [1..n] is the universe the family was built for."""
         raise NotImplementedError
-
-
-def _own_rule(queries: Iterable[Query], n: int) -> bool:
-    return isinstance(queries, RuleQueries) and queries.universe == n
 
 
 def active_elements(queries: Iterable[Query], n: int) -> list[int]:
@@ -344,8 +334,10 @@ def active_elements(queries: Iterable[Query], n: int) -> list[int]:
     From the rule on a ``RuleQueries`` over its own universe; otherwise
     one pass over the queries.
     """
-    if _own_rule(queries, n):
-        return queries.rule_active()
+    if isinstance(queries, RuleQueries):
+        named = queries.rule_active(n)
+        if named is not None:
+            return named
     inert = set()
     shared = set()  # elements of some query of two or more elements
     for s in queries:
@@ -364,8 +356,7 @@ class OracleIndex:
       for v in [0..n] (``()`` for 0 and for an element in no query);
     * ``masks[j]``: ``query_mask`` of query j, built on its first lookup.
 
-    Build it with ``oracle_index``, which keeps it on a built code's
-    queries.
+    Each oracle call builds its own.
     """
 
     def __init__(self, queries: Sequence[Query], n: int) -> None:
@@ -385,20 +376,6 @@ class OracleIndex:
     def masks(self) -> Mapping[int, int]:
         queries = self.queries
         return _Filled(lambda j: query_mask(queries[j]))
-
-
-def oracle_index(queries: Sequence[Query], n: int) -> OracleIndex:
-    """The ``OracleIndex`` of a family over [1..n].
-
-    Kept on a ``RuleQueries`` over its own universe, so later calls on
-    one built code's queries reuse it; built anew for any other family
-    or universe.
-    """
-    if not _own_rule(queries, n):
-        return OracleIndex(queries, n)
-    if queries._index is None:
-        queries._index = OracleIndex(queries, n)
-    return queries._index
 
 
 def as_multiset(hidden: Iterable[int] | Mapping[int, int], n: int | None = None) -> Multiset:

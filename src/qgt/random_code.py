@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from math import ceil, e, log
 
-from .model import Query, active_elements, check_budget, check_cap, check_capacity, oracle_index
+from .model import OracleIndex, Query, active_elements, check_budget, check_cap, check_capacity
 from .model import sets_up_to, singletons, walk_subsets
 
 
@@ -149,7 +149,7 @@ def _first_missed_set(
     elements active in some part the walk reads are walked: an element
     inert in every such part is met once by its singleton in any set.
     With none, as on the singleton fallback, no set is missed, and the
-    index (``model.oracle_index``) is not built.
+    index (``model.OracleIndex``) is not built.
     """
     # the parts the walk reads: part 1 for sets of 1 .. small_limit elements, part 2 above
     read = [part1] if small_limit >= 1 else []
@@ -162,7 +162,7 @@ def _first_missed_set(
     in1 = [int(part1[0] <= j < part1[1]) for j in range(m)]
     in2 = [int(part2[0] <= j < part2[1]) for j in range(m)]
     # a query in neither part never counts, so the walk skips it
-    index = oracle_index(code.queries, code.n)
+    index = OracleIndex(code.queries, code.n)
     queries_of = [tuple(j for j in ix if in1[j] or in2[j]) for ix in index.queries_of]
     hits = [0] * m
     chosen: list[int] = []
@@ -231,7 +231,7 @@ def verify_claims(
     if mode == "exhaustive":
         missed = _first_missed_set(code, part1, part2, small_limit)
     else:
-        queries_of = oracle_index(code.queries, n).queries_of
+        queries_of = OracleIndex(code.queries, n).queries_of
         rng = random.Random(seed)
         population = list(range(1, n + 1))
         missed = None

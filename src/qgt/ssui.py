@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .model import BudgetError as BudgetError  # re-exported: qgt.ssui.BudgetError
-from .model import Query, check_budget, check_universe, oracle_index, query_mask, sets_up_to
+from .model import OracleIndex, Query, check_budget, check_universe, query_mask, sets_up_to
 from .model import singletons, walk_subsets
 
 
@@ -188,9 +188,9 @@ def max_unselected_count(
     kept too, so a K1 with nothing to jam costs O(1); the collapsed K2
     scan, unchanged, runs only at the others.
 
-    The index comes from ``model.oracle_index``, and its active
-    elements are read first.  With none, every query holds at most one
-    element, so every query is thin and every element is isolated: the
+    The index is a ``model.OracleIndex``, and its active elements are
+    read first.  With none, every query holds at most one element, so at
+    alpha >= 1 every query is thin and every element is isolated: the
     result is 0 at once, with no index, mask or per-query table built
     (the n singletons).  When every query is thin, no K2 scan runs and
     K1 is walked over the active elements only: by the inert-element
@@ -205,8 +205,8 @@ def max_unselected_count(
     """
     spent = sets_up_to(n, ell)
     check_budget(spent, budget)
-    index = oracle_index(queries, n)
-    if not index.active:
+    index = OracleIndex(queries, n)
+    if not index.active and alpha >= 1:
         return 0
     masks, queries_of = index.masks, index.queries_of
     thin = [len(s) <= alpha or kappa < alpha for s in queries]

@@ -14,12 +14,12 @@ queries, checking that the skip changes no value, witness or refusal;
 the built codes of the benchmark's oracle grid check it at n = 32.
 
 On a built code's queries the oracles read the active elements from the
-rule and share one kept index (``model.oracle_index``): every walking
-oracle must give the same outcome there, on the same queries as a plain
-tuple and in the reference scan, under every budget; a second call must
-build nothing, a call over another universe must not read the kept
-index, and the n = 2^18 singletons must be checked with no query laid
-out.
+rule (``RuleQueries.rule_active``): every walking oracle must give the
+same outcome there, on the same queries as a plain tuple and in the
+reference scan, under every budget; a call over another universe must
+not read the rule, the immediate verdicts with no active element must
+keep the reference's verdicts at cap 0, and the n = 2^18
+singletons must be checked with no query laid out.
 """
 
 import pytest
@@ -31,7 +31,7 @@ import qgt.model
 from qgt.bounds import find_unjammed_violation, verify_uniqueness
 from qgt.code import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, _LayoutSequence, build, build_code_multiset
 from qgt.code import level_params
-from qgt.model import BudgetError, active_elements, oracle_index, sets_up_to, singletons, subset_at
+from qgt.model import BudgetError, active_elements, sets_up_to, singletons, subset_at
 from qgt.model import walk_subsets
 from qgt.random_code import RandomCode, build_random_code, verify_claims
 from qgt.ssui import build_ssui, max_unselected_count, verify_ssui
@@ -386,40 +386,43 @@ def test_built_queries_tuples_and_reference_scans_agree(mode, n, k, alpha):
     assert on_code == _outcomes(tuple(code.queries), *args, REFERENCE)
 
 
-def test_a_second_call_on_a_built_code_builds_no_index(monkeypatch):
-    calls = []
-    for name in ("incidence", "query_mask"):
-        original = getattr(qgt.model, name)
-        monkeypatch.setattr(qgt.model, name, lambda *a, f=original, name=name: calls.append(name) or f(*a))
-    queries = build(32, 1, 2, MODE_PLAIN).queries  # a table: every element is active
-
-    def run():
-        # a cap of 1 crowds the bases for k = 3, and kappa >= alpha makes them jammable,
-        # so both the jamming walk and the K2 scans read query masks
-        return (
-            verify_uniqueness(queries, 32, 2, 2),
-            find_unjammed_violation(queries, 32, 3, 1),
-            max_unselected_count(queries, 32, 2, 1, 1),
-        )
-
-    first = run()
-    assert sorted(set(calls)) == ["incidence", "query_mask"]
-    calls.clear()
-    assert run() == first
-    assert calls == []
-
-
 @pytest.mark.parametrize("code", [build_code_multiset(32, 2), build(32, 1, 2, MODE_PLAIN)])
-def test_another_universe_does_not_read_the_kept_index(code):
+def test_another_universe_is_not_read_from_the_rule(code):
     queries = code.queries
-    kept = oracle_index(queries, 32)
-    verify_uniqueness(queries, 32, 2, 1)  # builds the kept index's parts
+    assert queries.rule_active(32) == active_elements(tuple(queries), 32)
     for n in (16, 64):  # over [1..64], 33..64 lie in no query; over [1..16], 17..32 lie outside
-        assert oracle_index(queries, n) is not kept
+        assert queries.rule_active(n) is None
         assert active_elements(queries, n) == active_elements(tuple(queries), n)
         args = (n, 2, 1, *level_params(2, 1))
         assert _outcomes(queries, *args, OURS) == _outcomes(tuple(queries), *args, REFERENCE)
-    assert oracle_index(queries, 32) is kept
+
+
+@pytest.mark.parametrize("queries", [singletons(8), build_code_multiset(8, 2).queries])
+def test_no_active_element_keeps_the_verdicts_at_cap_zero(queries):
+    # At alpha = 0 a singleton query is not thin, so the selector walk must still run
+    # and find the elements jammed at interference 0, as the reference scan does.
+    assert find_unjammed_violation(queries, 8, 2, 0) is reference_find_unjammed_violation(
+        queries, 8, 2, 0
+    ) is None
+    for kappa in (0, 1):
+        assert max_unselected_count(queries, 8, 2, kappa, 0) == reference_max_unselected_count(
+            queries, 8, 2, kappa, 0
+        )
+    assert max_unselected_count(queries, 8, 2, 0, 0) > 0
+    assert verify_ssui(queries, 8, 2, 0, 0) is False
+
+
+def test_a_repeat_rebuilds_the_first_set_from_its_rank(monkeypatch):
+    # Capped at 1, {1, 2} and {1, 3} both read 1 on all three queries: the first repeat
+    # in walk order (the empty set, {1}, {2}, {3}, {1, 2}, {1, 3}) rebuilds rank 4.
+    # 4 is inert, so it is not walked and takes no rank.
+    queries = (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}), frozenset({4}))
+    ranks = []
+    monkeypatch.setattr(qgt.bounds, "subset_at", lambda e, r: ranks.append(r) or subset_at(e, r))
+    assert verify_uniqueness(queries, 4, 2, 1) is False
+    assert ranks == [4]
+    assert subset_at(active_elements(queries, 4), 4) == [1, 2]
+    assert reference_verify_uniqueness(queries, 4, 2, 1) is False
 
 
 def test_oracles_on_the_2_18_singletons_lay_out_nothing(monkeypatch):
