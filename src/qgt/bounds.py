@@ -30,7 +30,8 @@ inert-element lemma in `model`, the sets they skip can neither hold
 the first witness nor collide where their active parts do not.  Both
 build a `model.OracleIndex` and read its active elements first: with
 none, as on the n singletons, the verdict is immediate and nothing
-else is built.
+else is built.  Both refuse a negative cap with a ValueError; cap 0
+stays legal.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ def find_unjammed_violation(
     that witness holds no inert element, so walking the active elements
     alone still reaches it first.
     """
+    check_cap(alpha, least=0)
     check_budget(sets_up_to(n, k), budget)
     index = OracleIndex(queries, n)
     if not index.active:
@@ -185,6 +187,7 @@ def verify_uniqueness(
     leave two colliding sets of active elements once their shared inert
     elements are dropped.
     """
+    check_cap(alpha, least=0)
     check_budget(sets_up_to(n, k), budget)
     index = OracleIndex(queries, n)
     active = index.active

@@ -11,6 +11,21 @@ on failure the builder reseeds (seed+1, seed+2, ...) up to a retry cap
 and raises rather than silently returning an unverified graph.  The
 construction is pluggable: anything exposing the same adjacency shape
 can be swapped in.
+
+Costs.  A draw with |W| = 1, which the default degree and delta give
+whenever ell_star <= log2 n, is the closed form: every edge goes to the
+one right node, so all n rows are one shared tuple, O(n) in all.  A
+draw with |W| > 1 makes one seeded ``randrange`` per edge.  Each attempt
+builds its graph once, with its final seed and attempt count, and a
+verified attempt returns that same object.  Construction checks each
+row by its length and its C-level ``min``/``max`` (one row when all
+rows are equal, as in the closed form), scanning entry by entry only
+to name the first bad one.  The left masks are computed once
+per graph, from each row's distinct entries (at |W| = 1 every mask is
+1), and kept on the graph, so the builder's own verify and every later
+``verify_dispersion`` of the returned graph share them.  A verify then
+costs one OR per member of each subset it checks: C(n, ell_star)
+subsets exhaustively, ``trials`` sampled.
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil, comb, log2
 
 from .model import check_budget, check_epsilon
@@ -61,24 +77,25 @@ class BipartiteGraph:
     attempts: int = field(default=1, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.adjacency) != self.n_left:
+        rows, degree = self.adjacency, self.degree
+        if len(rows) != self.n_left:
             raise ValueError("adjacency must list every left node")
-        for nbrs in self.adjacency:
-            if len(nbrs) != self.degree:
-                raise ValueError("every left node must record exactly `degree` edges")
-            for w in nbrs:
-                if not 1 <= w <= self.n_right:
-                    raise ValueError(f"right index {w} outside [1..{self.n_right}]")
+        # Rows all equal to the first (a closed-form draw) are checked once.
+        distinct = rows[:1] if rows and rows.count(rows[0]) == len(rows) else rows
+        if distinct and (
+            set(map(len, distinct)) != {degree}
+            or degree and not (1 <= min(map(min, distinct)) and max(map(max, distinct)) <= self.n_right)
+        ):
+            _refuse_rows(rows, degree, self.n_right)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Per left node, its right neighbors as a bitmask: computed on first use and kept."""
+        return _masks_of(self)
 
     def left_masks(self) -> list[int]:
         """Per left node, the set of right neighbors as a bitmask (duplicates collapse)."""
-        out = []
-        for nbrs in self.adjacency:
-            m = 0
-            for w in nbrs:
-                m |= 1 << (w - 1)
-            out.append(m)
-        return out
+        return list(self.masks)
 
     def right_neighborhoods(self) -> list[frozenset[int]]:
         """For each right node (1-based), the set of left nodes adjacent to it."""
@@ -93,16 +110,40 @@ class BipartiteGraph:
         return self.n_left * self.degree
 
 
+def _refuse_rows(rows, degree: int, n_right: int) -> None:
+    """Raise for the first row, in order, that is not `degree` entries in [1..n_right]."""
+    for nbrs in rows:
+        if len(nbrs) != degree:
+            raise ValueError("every left node must record exactly `degree` edges")
+        for w in nbrs:
+            if not 1 <= w <= n_right:
+                raise ValueError(f"right index {w} outside [1..{n_right}]")
+
+
+def _masks_of(graph: BipartiteGraph) -> tuple[int, ...]:
+    """Each row's distinct right neighbors as a bitmask; bit w-1 stands for node w."""
+    if graph.n_right == 1:  # every entry is 1, checked on construction
+        return (1 if graph.degree else 0,) * graph.n_left
+    masks = []
+    for nbrs in graph.adjacency:
+        m = 0
+        for w in set(nbrs):
+            m |= 1 << (w - 1)
+        masks.append(m)
+    return tuple(masks)
+
+
 def right_size(ell_star: int, degree: int, delta: int) -> int:
     return max(1, ceil(ell_star * degree / delta))
 
 
-def _draw(n: int, n_right: int, degree: int, seed: int) -> BipartiteGraph:
-    rng = random.Random(seed)
-    adjacency = tuple(
-        tuple(rng.randrange(1, n_right + 1) for _ in range(degree)) for _ in range(n)
-    )
-    return BipartiteGraph(n, n_right, degree, adjacency, seed=seed)
+def _draw(n: int, n_right: int, degree: int, seed: int, attempts: int) -> BipartiteGraph:
+    if n_right == 1:  # randrange(1, 2) can only return 1
+        adjacency = ((1,) * degree,) * n
+    else:
+        draw = random.Random(seed).randrange
+        adjacency = tuple(tuple([draw(1, n_right + 1) for _ in range(degree)]) for _ in range(n))
+    return BipartiteGraph(n, n_right, degree, adjacency, seed=seed, attempts=attempts)
 
 
 def verify_dispersion(
@@ -121,7 +162,7 @@ def verify_dispersion(
     """
     # |N(L)| >= (1-eps)|W|  <=>  missing right nodes <= eps*|W|
     allowed_missing = epsilon * graph.n_right
-    masks = graph.left_masks()
+    masks = graph.masks
     ell_star = min(ell_star, graph.n_left)
     if mode == "exhaustive":
         check_budget(comb(graph.n_left, ell_star), budget)
@@ -153,7 +194,7 @@ def build_disperser(n: int, params: DisperserParams) -> BipartiteGraph:
     exhaustive = comb(n, min(params.ell_star, n)) <= _EXHAUSTIVE_BUDGET
     for attempt in range(params.max_retries):
         seed = params.seed + attempt
-        graph = _draw(n, n_right, degree, seed)
+        graph = _draw(n, n_right, degree, seed, attempt + 1)
         ok = verify_dispersion(
             graph,
             params.ell_star,
@@ -163,10 +204,7 @@ def build_disperser(n: int, params: DisperserParams) -> BipartiteGraph:
             seed=seed,
         )
         if ok:
-            return BipartiteGraph(
-                graph.n_left, graph.n_right, graph.degree, graph.adjacency,
-                seed=seed, attempts=attempt + 1,
-            )
+            return graph
     raise ValueError(
         f"no dispersing graph found in {params.max_retries} attempts "
         f"(n={n}, ell_star={params.ell_star}, epsilon={params.epsilon}, |W|={n_right})"

@@ -13,7 +13,8 @@ The facts every selector family and oracle shares live here, once:
 
 * ``check_universe``, ``check_capacity``, ``check_cap``, ``check_epsilon``:
   the parameter rules for n (a power of two, at least 2), k (1 <= k <=
-  n), alpha (at least 1) and epsilon (in (0, 1/2]);
+  n), alpha (at least 1; at least 0 in the walking oracles) and epsilon
+  (in (0, 1/2]);
 * ``singletons``: the n singleton queries, a selector for every width;
 * ``query_mask``: a query as an int with bit v-1 set for element v;
 * ``incidence``: element -> indices of the queries containing it;
@@ -60,12 +61,16 @@ is inert and every nonempty query is a singleton, so no set is jammed,
 no two sets collide, no query can be jammed and no element goes
 unselected, and every set is met exactly once.  Each oracle therefore
 reads ``OracleIndex.active`` right after its budget check and returns
-there on the n singletons, building nothing else (the selector check,
-whose cap is not validated, only at alpha >= 1).  The rest of the
-index costs one pass over the queries and an (n+1)-entry list; a mask
-is built only for a query an oracle asks for, which no walk does for a
-query of one element, so the index never holds the m*n bits of every
-query's mask.
+there on the n singletons, building nothing else (the selector check
+only at alpha >= 1).  The rest of the index costs one pass over the
+queries and an (n+1)-entry list; a mask is built only for a query an
+oracle asks for, which no walk does for a query of one element, so the
+index never holds the m*n bits of every query's mask.
+
+The lemma needs alpha >= 0: at alpha = -1 even an inert element's own
+singleton is over-full on every set that holds it.  So the jamming,
+uniqueness and selector oracles refuse a negative cap
+(``check_cap(alpha, least=0)``) before anything else.
 """
 
 from __future__ import annotations
@@ -196,13 +201,15 @@ def check_capacity(n: int, k: int) -> None:
         raise ValueError(f"capacity k must satisfy 1 <= k <= n, got k={k}, n={n}")
 
 
-def check_cap(alpha: int) -> None:
-    """ValueError unless the feedback cap alpha is at least 1.
+def check_cap(alpha: int, least: int = 1) -> None:
+    """ValueError unless the feedback cap alpha is at least ``least``.
 
     alpha > k is legal: the cap then never binds (full count feedback).
+    The walking oracles pass ``least=0``: at cap 0 every reading is 0,
+    and their verdicts stay exact.
     """
-    if alpha < 1:
-        raise ValueError(f"feedback cap must be >= 1, got {alpha}")
+    if alpha < least:
+        raise ValueError(f"feedback cap must be >= {least}, got {alpha}")
 
 
 def check_epsilon(epsilon: float) -> None:

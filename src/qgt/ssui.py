@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .model import BudgetError as BudgetError  # re-exported: qgt.ssui.BudgetError
-from .model import OracleIndex, Query, check_budget, check_universe, query_mask, sets_up_to
+from .model import OracleIndex, Query, check_budget, check_cap, check_universe, query_mask, sets_up_to
 from .model import singletons, walk_subsets
 
 
@@ -201,8 +201,10 @@ def max_unselected_count(
 
     ``stop_at`` allows early exit once the count reaches a threshold.
     The enumeration, including the collapsed K2 scans, is charged against
-    ``budget``.
+    ``budget``.  A negative alpha is refused with a ValueError; alpha 0
+    is legal.
     """
+    check_cap(alpha, least=0)
     spent = sets_up_to(n, ell)
     check_budget(spent, budget)
     index = OracleIndex(queries, n)

@@ -4,13 +4,19 @@
 shorter than the n singletons (first at n = 2^5 for k = 1, 2^9 for
 k = 2), so at the small n these tests reach it mostly builds
 singletons.  These helpers lay tables out through the eager reference
-layout (``layout_reference.eager_layout``), keeping the slice path and
-fat bases under test:
+layout (``layout_reference.eager_layout``), keeping the slice path under
+test:
 
 * ``rs_table_code``: the full (n, kappa, kappa, 1) table of
   ``ssui.build_ssui``, every one of its q^2 queries;
 * ``trunc_table_code``: the truncated width-k table the builder takes
   where it wins (``ssui.rs_trunc_size``, empty queries dropped).
+
+At n = 8 and n = 16, ``rs_table_code`` has q > n: each base holds at
+most one element, so no element is active and the oracles give their
+verdicts without walking.  The fat bases, and the walks over them, are
+``trunc_table_code``, ``rs_table_code(32, k)`` and the built (32, 1, k)
+tables.
 
 ``nth_polynomial`` and ``poly_eval`` spell out the table's definition,
 element i in query x*q + P_i(x): they are the reference that

@@ -276,9 +276,10 @@ def test_verify_the_2_18_singletons_lays_out_no_query(tmp_path, capsys, monkeypa
     import qgt.code
 
     def refuse(self):
-        raise AssertionError("the queries were laid out")
+        raise AssertionError("the queries or blocks were laid out")
 
     monkeypatch.setattr(qgt.code.LayoutQueries, "_make", refuse)
+    monkeypatch.setattr(qgt.code.LayoutBlocks, "_make", refuse)
     code_file = tmp_path / "code.qgtc"
     code_file.write_text("qgtc 2\nn 262144\nk 2\nalpha 0\nmode multiset\nfamily singletons\n")
     status, out, _ = run(

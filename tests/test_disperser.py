@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from qgt.disperser import (
@@ -111,3 +114,75 @@ def test_sampled_dispersion_fails_at_a_pinned_draw(seed, first_failing_draw):
 def test_unknown_dispersion_mode_raises():
     with pytest.raises(ValueError, match="unknown verification mode"):
         verify_dispersion(ONE_BAD_PAIR, 2, 0.25, mode="guess")
+
+
+# Recorded before the draws took the closed form at |W| = 1 and each graph
+# was built once: every seeded graph, |W|, seed, attempt count and error of
+# the sweep below, hashed in order.
+DRAW_PIN = "6b61f5cc1a172ed517dfebd05a3bda5be8a0055e7b29db66a30a3636a4f86b60"
+
+
+def test_seeded_draws_are_pinned():
+    digest = hashlib.sha256()
+    for n, ell, eps, (deg, delta), s in itertools.product(
+        (2, 4, 8, 16, 32, 64), (1, 2, 3, 4), (0.25, 0.5), ((None, None), (16, 8), (6, 3), (4, 2)), (0, 1, 7)
+    ):
+        try:
+            g = build_disperser(n, DisperserParams(ell, eps, degree=deg, delta=delta, seed=s))
+            out = f"{dump_graph(g)}{g.n_right} {g.seed} {g.attempts}"
+        except ValueError as exc:
+            out = f"ValueError: {exc}"
+        digest.update(f"{(n, ell, eps, deg, delta, s)}\n{out}\n".encode())
+    assert digest.hexdigest() == DRAW_PIN
+
+
+def test_degree_zero_finds_no_dispersing_graph():
+    params = DisperserParams(ell_star=1, epsilon=0.25, degree=0, delta=1, max_retries=2)
+    with pytest.raises(ValueError) as info:
+        build_disperser(8, params)
+    assert str(info.value) == "no dispersing graph found in 2 attempts (n=8, ell_star=1, epsilon=0.25, |W|=1)"
+
+
+def test_list_rows_are_accepted():
+    g = BipartiteGraph(3, 3, 2, [[1, 3], [2, 2], [3, 1]])
+    assert g.masks == (0b101, 0b010, 0b101)
+    assert dump_graph(g) == "1 3\n2 2\n3 1\n"
+    assert verify_dispersion(g, 2, 0.25) is False  # nodes 1 and 3 both miss node 2
+    assert verify_dispersion(g, 2, 0.5) is True
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        (((1, 2), (2, 3), (0, 1)), "right index 3 outside [1..2]"),
+        (((1, 2), (0, 1), (2,)), "right index 0 outside [1..2]"),
+        (((1, 2), (2,), (0, 1)), "every left node must record exactly `degree` edges"),
+        (((1, 1, 1), (1, 2), (1, 2)), "every left node must record exactly `degree` edges"),
+        (((2, 3),) * 3, "right index 3 outside [1..2]"),
+        ([[1, 2], [1, 2], [2, 0]], "right index 0 outside [1..2]"),
+    ],
+)
+def test_the_first_bad_row_is_named(rows, message):
+    with pytest.raises(ValueError) as info:
+        BipartiteGraph(3, 2, 2, rows)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(("n", "params"), [
+    (32, DisperserParams(ell_star=1, epsilon=0.25, seed=1)),
+    (32, DisperserParams(ell_star=4, epsilon=0.25, degree=16, delta=8, seed=0)),
+])
+def test_a_returned_graph_keeps_its_masks(monkeypatch, n, params):
+    import qgt.disperser
+
+    built = []
+    masks_of = qgt.disperser._masks_of
+    monkeypatch.setattr(qgt.disperser, "_masks_of", lambda graph: built.append(graph) or masks_of(graph))
+    g = build_disperser(n, params)
+    assert len(built) == g.attempts and built[-1] is g  # one mask table per attempt, the last one returned
+    assert verify_dispersion(g, params.ell_star, params.epsilon)
+    assert verify_dispersion(g, params.ell_star, params.epsilon, mode="sampled", trials=20)
+    fresh = g.left_masks()
+    fresh[0] = -1
+    assert g.left_masks() == list(g.masks) != fresh
+    assert len(built) == g.attempts

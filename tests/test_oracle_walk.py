@@ -18,7 +18,8 @@ rule (``RuleQueries.rule_active``): every walking oracle must give the
 same outcome there, on the same queries as a plain tuple and in the
 reference scan, under every budget; a call over another universe must
 not read the rule, the immediate verdicts with no active element must
-keep the reference's verdicts at cap 0, and the n = 2^18
+keep the reference's verdicts at cap 0, a negative cap must be refused,
+and the n = 2^18
 singletons must be checked with no query laid out.
 """
 
@@ -410,6 +411,25 @@ def test_no_active_element_keeps_the_verdicts_at_cap_zero(queries):
         )
     assert max_unselected_count(queries, 8, 2, 0, 0) > 0
     assert verify_ssui(queries, 8, 2, 0, 0) is False
+
+
+# A negative cap breaks the inert-element lemma: at alpha = -1 every query holding an
+# element of K is over-full, so the reference finds {1} jammed on the singletons, where
+# a walk over the active elements would find nothing.  Each walking oracle refuses it.
+def test_find_unjammed_violation_refuses_a_negative_cap():
+    assert reference_find_unjammed_violation(singletons(8), 8, 2, -1) == ({1}, 1)
+    with pytest.raises(ValueError, match=r"feedback cap must be >= 0, got -1"):
+        find_unjammed_violation(singletons(8), 8, 2, -1)
+
+
+def test_verify_uniqueness_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match=r"feedback cap must be >= 0, got -2"):
+        verify_uniqueness(singletons(8), 8, 2, -2)
+
+
+def test_max_unselected_count_refuses_a_negative_cap():
+    with pytest.raises(ValueError, match=r"feedback cap must be >= 0, got -1"):
+        max_unselected_count(singletons(8), 8, 2, 1, -1)
 
 
 def test_a_repeat_rebuilds_the_first_set_from_its_rank(monkeypatch):
