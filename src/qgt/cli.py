@@ -12,7 +12,6 @@ import argparse
 import random
 import sys
 import time
-from collections.abc import Sequence
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -106,21 +105,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _verify_levels(code, budget: int, kinds) -> int:
     """One line per block group of a kind in `kinds` ("sui" and "rr" only in older files)."""
-    groups = [group for group in _groups(code) if group[0] in kinds]
+    groups = [(index, kind, level) for index, (kind, level) in enumerate(code.group_keys) if kind in kinds]
     if not groups:
         print(f"selector check: no {' or '.join(kinds)} block in this code")
         return 1
     k_pow, cap = level_params(code.k, code.alpha)
     failures = 0
-    for kind, level, blocks in groups:
+    for index, kind, level in groups:
         try:
             if kind == KIND_SSUI:
                 # Refuse before the bases are read: reading one lays out a built code.
                 check_ssui_budget(code.n, level, 0, budget)
-                ok = verify_ssui(_bases(code, blocks), code.n, level, 0, 1, budget=budget)
+                ok = verify_ssui(code.group_bases(index), code.n, level, 0, 1, budget=budget)
                 print(f"{kind} level {level}: {'pass' if ok else 'FAIL'}")
             else:
-                report = verify_sui(_bases(code, blocks), code.n, level, 0.5, k_pow, cap, budget=budget)
+                report = verify_sui(code.group_bases(index), code.n, level, 0.5, k_pow, cap, budget=budget)
                 ok = report.passed
                 print(
                     f"{kind} level {level}: max unselected {report.max_unselected} "
@@ -132,23 +131,6 @@ def _verify_levels(code, budget: int, kinds) -> int:
             continue
         failures += 0 if ok else 1
     return failures
-
-
-def _groups(code: Code) -> list[tuple[str, int, tuple | None]]:
-    """(kind, level, blocks) per block group; None for a singletons code's one "ssui" group at level k.
-
-    That group is read off the layout, so no block is laid out.
-    """
-    if code.is_singletons:
-        return [(KIND_SSUI, code.blocks.layout.k, None)]
-    return [(group[0].kind, group[0].level, group) for group in code.block_groups]
-
-
-def _bases(code: Code, blocks: tuple | None) -> Sequence:
-    """The base queries of a block group; a singletons code's one group is its queries, kept as the rule."""
-    if blocks is None:
-        return code.queries
-    return tuple(code.queries[blk.base] for blk in blocks)
 
 
 def _cmd_random(args: argparse.Namespace) -> int:

@@ -371,6 +371,24 @@ class Code:
         return tuple(tuple(g) for g in groups)
 
     @cached_property
+    def group_keys(self) -> tuple[tuple[str, int], ...]:
+        """(kind, level) of each block group, in order.
+
+        A layout's blocks are one "ssui" group at level k, read off the
+        layout without laying out a block.
+        """
+        blocks = self.blocks
+        if type(blocks) is LayoutBlocks:
+            return ((KIND_SSUI, blocks.layout.k),)
+        return tuple((group[0].kind, group[0].level) for group in self.block_groups)
+
+    def group_bases(self, index: int) -> Sequence[Query]:
+        """The base queries of block group `index`; the singletons' one group is their queries, kept as the rule."""
+        if self.is_singletons:
+            return self.queries
+        return tuple(self.queries[blk.base] for blk in self.block_groups[index])
+
+    @cached_property
     def block_at(self) -> Mapping[int, Block | None]:
         """position -> the block whose base sits there, None elsewhere (filled on use)."""
         blocks = self.blocks

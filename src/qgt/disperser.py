@@ -17,12 +17,11 @@ whenever ell_star <= log2 n, is the closed form: every edge goes to the
 one right node, so all n rows are one shared tuple, O(n) in all.  A
 draw with |W| > 1 makes one seeded ``randrange`` per edge.  Each attempt
 builds its graph once, with its final seed and attempt count, and a
-verified attempt returns that same object.  Construction checks each
-row by its length and its C-level ``min``/``max`` (one row when all
-rows are equal, as in the closed form), scanning entry by entry only
-to name the first bad one.  The left masks are computed once
-per graph, from each row's distinct entries (at |W| = 1 every mask is
-1), and kept on the graph, so the builder's own verify and every later
+verified attempt returns that same object.  Construction checks the
+rows' lengths and the set of their entries at C speed, scanning entry
+by entry only to name the first bad one.  The left masks are computed
+once per graph, from each row's distinct entries, and kept on the
+graph, so the builder's own verify and every later
 ``verify_dispersion`` of the returned graph share them.  A verify then
 costs one OR per member of each subset it checks: C(n, ell_star)
 subsets exhaustively, ``trials`` sampled.
@@ -77,16 +76,11 @@ class BipartiteGraph:
     attempts: int = field(default=1, compare=False)
 
     def __post_init__(self) -> None:
-        rows, degree = self.adjacency, self.degree
+        rows = self.adjacency
         if len(rows) != self.n_left:
             raise ValueError("adjacency must list every left node")
-        # Rows all equal to the first (a closed-form draw) are checked once.
-        distinct = rows[:1] if rows and rows.count(rows[0]) == len(rows) else rows
-        if distinct and (
-            set(map(len, distinct)) != {degree}
-            or degree and not (1 <= min(map(min, distinct)) and max(map(max, distinct)) <= self.n_right)
-        ):
-            _refuse_rows(rows, degree, self.n_right)
+        if rows and not _rows_fit(rows, self.degree, self.n_right):
+            _refuse_rows(rows, self.degree, self.n_right)
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -110,6 +104,18 @@ class BipartiteGraph:
         return self.n_left * self.degree
 
 
+def _rows_fit(rows, degree: int, n_right: int) -> bool:
+    """Whether every row is `degree` entries in [1..n_right], read off their lengths and distinct entries.
+
+    False, never an error, on entries that do not hash or compare: the
+    scan in `_refuse_rows` then raises as it reaches them.
+    """
+    try:
+        return set(map(len, rows)) == {degree} and all(1 <= w <= n_right for w in set().union(*rows))
+    except TypeError:
+        return False
+
+
 def _refuse_rows(rows, degree: int, n_right: int) -> None:
     """Raise for the first row, in order, that is not `degree` entries in [1..n_right]."""
     for nbrs in rows:
@@ -122,8 +128,6 @@ def _refuse_rows(rows, degree: int, n_right: int) -> None:
 
 def _masks_of(graph: BipartiteGraph) -> tuple[int, ...]:
     """Each row's distinct right neighbors as a bitmask; bit w-1 stands for node w."""
-    if graph.n_right == 1:  # every entry is 1, checked on construction
-        return (1 if graph.degree else 0,) * graph.n_left
     masks = []
     for nbrs in graph.adjacency:
         m = 0
@@ -141,8 +145,10 @@ def _draw(n: int, n_right: int, degree: int, seed: int, attempts: int) -> Bipart
     if n_right == 1:  # randrange(1, 2) can only return 1
         adjacency = ((1,) * degree,) * n
     else:
-        draw = random.Random(seed).randrange
-        adjacency = tuple(tuple([draw(1, n_right + 1) for _ in range(degree)]) for _ in range(n))
+        rng = random.Random(seed)
+        adjacency = tuple(
+            tuple(rng.randrange(1, n_right + 1) for _ in range(degree)) for _ in range(n)
+        )
     return BipartiteGraph(n, n_right, degree, adjacency, seed=seed, attempts=attempts)
 
 

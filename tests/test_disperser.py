@@ -160,6 +160,8 @@ def test_list_rows_are_accepted():
         (((1, 1, 1), (1, 2), (1, 2)), "every left node must record exactly `degree` edges"),
         (((2, 3),) * 3, "right index 3 outside [1..2]"),
         ([[1, 2], [1, 2], [2, 0]], "right index 0 outside [1..2]"),
+        (((1, 2), (1, float("nan")), (1, 2)), "right index nan outside [1..2]"),
+        (((1, 2), (0, 1), ("a", 1)), "right index 0 outside [1..2]"),
     ],
 )
 def test_the_first_bad_row_is_named(rows, message):

@@ -15,7 +15,7 @@ import qgt.balanced
 import qgt.code
 import qgt.model
 import qgt.ssui
-from qgt.code import Layout, LayoutBlocks, LayoutQueries, build_code, build_code_large
+from qgt.code import KIND_SSUI, Layout, LayoutBlocks, LayoutQueries, build_code, build_code_large
 from qgt.code import build_code_multiset, table_params
 from qgt.decode import decode
 from qgt.model import incidence, singletons
@@ -64,12 +64,14 @@ def test_lazy_layout_matches_the_eager_reference(e):
     checked = set()
     for code in _sweep(e):
         ref = _reference(code)
+        assert code.group_keys == ref.group_keys == ((KIND_SSUI, code.k),)
         assert len(code) == len(ref.queries) and len(code.blocks) == len(ref.blocks)
         if code.blocks.layout not in checked:  # plain and large share their layout
             checked.add(code.blocks.layout)
             _check_closed_forms(code, ref)
         assert tuple(code.queries) == ref.queries and tuple(code.blocks) == ref.blocks
         assert code == ref and ref == code and hash(code) == hash(ref)
+        assert tuple(code.group_bases(0)) == ref.group_bases(0)
 
 
 def test_membership_is_exact_on_small_tables():
