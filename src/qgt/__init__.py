@@ -19,6 +19,7 @@ from .bounds import (
 from .code import (
     Block,
     Code,
+    Listed,
     build,
     build_code,
     build_code_large,
@@ -73,6 +74,7 @@ __all__ = [
     "Feedback",
     "FeedbackVector",
     "GraphSketch",
+    "Listed",
     "Multiset",
     "Query",
     "RandomCode",

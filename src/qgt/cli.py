@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import random_code as random_mod
-from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_RANDOM, Code, build
+from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_RANDOM, Code, Listed, build
 from .code import MODE_PLAIN, level_params
 from .decode import DecodeError, decode_detailed
 from .model import BudgetError, multiset_total
@@ -116,10 +116,10 @@ def _verify_levels(code, budget: int, kinds) -> int:
             if kind == KIND_SSUI:
                 # Refuse before the bases are read: reading one lays out a built code.
                 check_ssui_budget(code.n, level, 0, budget)
-                ok = verify_ssui(code.group_bases(index), code.n, level, 0, 1, budget=budget)
+                ok = verify_ssui(code.family.group_bases(index), code.n, level, 0, 1, budget=budget)
                 print(f"{kind} level {level}: {'pass' if ok else 'FAIL'}")
             else:
-                report = verify_sui(code.group_bases(index), code.n, level, 0.5, k_pow, cap, budget=budget)
+                report = verify_sui(code.family.group_bases(index), code.n, level, 0.5, k_pow, cap, budget=budget)
                 ok = report.passed
                 print(
                     f"{kind} level {level}: max unselected {report.max_unselected} "
@@ -135,7 +135,7 @@ def _verify_levels(code, budget: int, kinds) -> int:
 
 def _cmd_random(args: argparse.Namespace) -> int:
     code = random_mod.build_random_code(args.n, args.k, args.alpha, args.seed)
-    wrapped = Code(code.queries, (), args.n, args.k, args.alpha, MODE_RANDOM)
+    wrapped = Code(Listed(code.queries, ()), args.n, args.k, args.alpha, MODE_RANDOM)
     _write_out(code_to_text(wrapped), args.out)
     status = EXIT_OK
     if args.verify is not None:
@@ -162,9 +162,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         parts = line.split()
         if len(parts) not in (3, 4):
             raise FormatError(f"grid line {lineno}: expected 'n k alpha [mode]'")
-        n, k, alpha = int(parts[0]), int(parts[1]), int(parts[2])
         mode = parts[3] if len(parts) == 4 else MODE_PLAIN
-        print(bench_row(n, k, alpha, mode, seed=args.seed))
+        try:
+            row = bench_row(int(parts[0]), int(parts[1]), int(parts[2]), mode, seed=args.seed)
+        except (DecodeError, BudgetError):
+            raise  # a failed decode keeps its own exit status
+        except ValueError as exc:  # a non-integer, an unknown mode or a parameter the builder refuses
+            raise FormatError(f"grid line {lineno}: {exc}") from exc
+        print(row)
     return EXIT_OK
 
 

@@ -1,12 +1,13 @@
 """Group-testing code assembly: one strong selector with balanced-ID slices.
 
-A code is a flat sequence of queries plus a block layout.  Every block
-is one selector query S followed by its 2*log2(n) bit slices R_1(S) ..
-R_2b(S), except that a base of at most one element carries no slices: a
-one-element base already names its element, and an empty one names
-none.  The layout records block kind, the selector level it came from,
-where its base query sits and its slice count (0 or 2*log2(n)).  The
-decoder needs the layout; the feedback model does not.
+A code is one query family under a header (n, k, alpha, mode).  The
+family's queries come in blocks: one selector query S followed by its
+2*log2(n) bit slices R_1(S) .. R_2b(S), except that a base of at most
+one element carries no slices: a one-element base already names its
+element, and an empty one names none.  A block records its kind, the
+selector level it came from, where its base query sits and its slice
+count (0 or 2*log2(n)).  The decoder needs the blocks; the feedback
+model does not.
 
 A base holding one element of the hidden set is trusted in every mode:
 its value is below any cap alpha >= 2, and exact in a multiset readout.
@@ -21,16 +22,29 @@ depend on alpha: large mode is the plain rule under its own header.
 The table first wins at n = 2^5, 2^9, 2^11 and 2^12 for k = 1, 2, 3
 and 4-5.  Multiset codes stay the n singletons (``build_code_multiset``).
 
-A built code stays its rule: its ``queries`` and ``blocks`` are
-read-only sequences over a ``Layout`` (the family, n and k), and no set
-or block is made when it is built, written or loaded (``serialize``).
-Every layout is uniform (a table the rule takes has q < n/3, so each of
-its L*q bases holds at least two elements and carries all its slices),
-so the incidence of an element, the block at a position and base
-membership have closed forms, and decoding reads only those.  The sets
-and blocks are laid out once, on the first access that needs them all.
-Codes from anywhere else (random codes, hand-laid tables, list files)
-hold plain tuples.
+Three families, one interface.  ``Singletons(n)`` is the n singletons,
+query p the 0-slice block of element p+1.  ``SlicedTable(n, q, d, L)``
+is the truncated table, each base followed by its slices.
+``Listed(queries, blocks)`` holds any other code's queries and blocks
+as given: hand-laid tables, list files and random codes.  Each family
+gives its length ``m``; ``incidence``, element -> positions of the
+queries holding it, and ``block_at``, position -> the slice count of
+the block based there or None, both filled on use; ``holds(p, v)``;
+``active(n)``, the elements an oracle walks; its queries, and its
+blocks at a level; its ``line`` in a family file (None for
+``Listed``); ``alone(n)``, whether every element of [1..n] is alone in
+some query; and ``decode(code, values, nonzero)``: a closed form on the
+singletons, the block sweep (``decode.sweep``) on the other two.
+``Code`` holds one family and delegates to it.
+
+A built code stays its rule: the two built families are read-only
+sequences of their queries, and no set or block is made when a code is
+built, written or loaded (``serialize``).  Every table the rule takes
+has q < n/3, so each of its L*q bases holds at least two elements and
+carries all its slices: incidence, the block at a position and base
+membership have closed forms, and decoding reads only those.  The
+queries are laid out once, on the first access to an item, and the
+blocks on the first read of ``Code.blocks``.
 
 The paper's selectors under interference are the n singletons at every
 n a code can be built for (``sui`` module), so none is built.  Blocks of
@@ -40,16 +54,20 @@ still load and decode, and ``qgt verify --sui`` checks them.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, KeysView, Mapping, Sequence, ValuesView
+import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from .balanced import bit_slices, id_bits
-from .model import Feedback, Query, as_multiset, check_cap, check_capacity, check_universe, next_power_of_two
-from .model import RuleQueries, _Filled, _Sparse
+from .balanced import bit_slices, encode_balanced, id_bits
+from .decode import DecodeError, DecodeStats, sweep, unexplained
+from .model import Feedback, Multiset, Query, active_elements, as_multiset, check_cap, check_capacity
+from .model import _Filled, _Sparse, check_universe, next_power_of_two, singletons
 from .model import incidence as _incidence
-from .model import singletons
 from .ssui import rs_trunc_size, truncated_table
+
+# The modes live in model, where the decoder reads MODE_RANDOM; serialize and cli read them here.
+from .model import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM as MODE_RANDOM
 
 # build_ssui, build_sui and build_sui_rr are not called here; perfbench/tracer.py wraps them
 # as qgt.code globals.
@@ -59,11 +77,6 @@ from .sui import build_sui as build_sui, build_sui_rr as build_sui_rr
 KIND_SUI = "sui"
 KIND_RR = "rr"
 KIND_SSUI = "ssui"
-
-MODE_PLAIN = "plain"
-MODE_LARGE = "large"
-MODE_MULTISET = "multiset"
-MODE_RANDOM = "random"
 
 
 @dataclass(frozen=True)
@@ -80,358 +93,367 @@ class Block:
     slices: int
 
 
-@dataclass(frozen=True)
-class Layout:
-    """One built family laid out as "ssui" blocks at level k, kept as its rule.
+def _grouped(blocks: Sequence[Block]) -> tuple[tuple[Block, ...], ...]:
+    """Blocks grouped into consecutive runs of equal (kind, level)."""
+    return tuple(tuple(run) for _, run in itertools.groupby(blocks, key=lambda blk: (blk.kind, blk.level)))
 
-    ``family`` is None for the n singletons (position p is the 0-slice
-    block of element p+1) or the (q, d, L) of the truncated width-k
-    table.  Table block b = x*q + y starts at b*(1 + 2*log2 n); its base
-    holds the v with P_v(x) = y, P_v the polynomial whose coefficients
-    are the base-q digits of v-1 (``ssui.rs_table``), and its slice j
-    keeps those whose balanced-identifier bit j is one
+
+class _Family:
+    """What ``Code`` reads of a query family (module docstring), answered here from its queries.
+
+    Each family overrides what its rule answers without laying them out.
+    """
+
+    line: str | None = None  # its line in a family file; None: written as a list
+    m: int
+    queries: Sequence[Query]
+
+    def __len__(self) -> int:
+        return self.m
+
+    def holds(self, position: int, v: int) -> bool:
+        """Whether the query at `position` holds v."""
+        return v in self.queries[position]
+
+    def active(self, n: int) -> list[int]:
+        return active_elements(self.queries, n)
+
+    def alone(self, n: int) -> bool:
+        """Whether every element of [1..n] is alone in some query: one pass over the queries."""
+        return len({v for s in self.queries if len(s) == 1 for v in s}) >= n
+
+    decode = sweep  # the block sweep, reading the family's block_at, holds and incidence
+
+
+class _Built(_Family, Sequence):
+    """A family the build rule lays out, kept as its rule over [1..n]: ``Singletons``, ``SlicedTable``.
+
+    A read-only sequence of its queries, laid out once on the first
+    access to an item (``_make``).  It is equal to a tuple with the same
+    items, and hashed like it; two families with one line over one n
+    compare equal without laying anything out.  Its blocks are
+    ``block_count`` "ssui" blocks of ``stride`` queries each: a base and
+    its ``stride - 1`` slices.  Incidence and membership are read off
+    ``_positions(v)``: the positions of the queries holding v in [1..n],
+    ascending.
+    """
+
+    def __init__(self, n: int, stride: int, block_count: int) -> None:
+        self.n = n
+        self.stride = stride
+        self.block_count = block_count
+        self.m = stride * block_count
+
+    @cached_property
+    def _items(self) -> tuple[Query, ...]:
+        return self._make()
+
+    @property
+    def queries(self) -> Sequence[Query]:
+        return self
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self) and (self.n, self.line) == (other.n, other.line):
+            return True
+        if not isinstance(other, (tuple, _Built)):
+            return NotImplemented
+        return len(self) == len(other) and self._items == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n}, {self.line!r})"
+
+    @cached_property
+    def incidence(self) -> Mapping[int, tuple[int, ...]]:
+        return _Incidence(self)
+
+    @cached_property
+    def block_at(self) -> Mapping[int, int | None]:
+        """position -> the slice count of the block based there, or None (filled on use)."""
+        stride, m = self.stride, self.m
+        return _Filled(lambda p: stride - 1 if not p % stride and 0 <= p < m else None)
+
+    def blocks(self, level: int) -> tuple[Block, ...]:
+        """Every block laid out, each "ssui" at `level`."""
+        stride = self.stride
+        return tuple(Block(KIND_SSUI, level, b * stride, stride - 1) for b in range(self.block_count))
+
+    def group_keys(self, level: int) -> tuple[tuple[str, int], ...]:
+        """(kind, level) of each block group, in order: one "ssui" group, named without laying out a block."""
+        return ((KIND_SSUI, level),)
+
+    def active(self, n: int) -> list[int]:
+        """Over a universe other than its own: one pass over the laid-out queries."""
+        return active_elements(self._items, n)
+
+
+class _Incidence(dict):
+    """element -> positions of a built family's queries holding it, each filled on its first lookup.
+
+    A full mapping over [1..n] (every element of a built family is in
+    some query): ``len``, iteration, ``in``, ``get``, the views and
+    ``==`` cover every element.  ``get``, the views and ``==`` are
+    ``Mapping``'s, which read through iteration and lookup; ``dict``'s
+    would see only the filled entries, and ``dict.get`` would skip
+    ``__missing__``.
+    """
+
+    def __init__(self, family: _Built) -> None:
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        if v not in self:
+            raise KeyError(v)
+        value = self[v] = self.family._positions(v)
+        return value
+
+    def __len__(self) -> int:
+        return self.family.n
+
+    def __iter__(self):
+        return iter(range(1, self.family.n + 1))
+
+    def __contains__(self, v: object) -> bool:
+        return isinstance(v, int) and 1 <= v <= self.family.n
+
+    get, keys, items, values = Mapping.get, Mapping.keys, Mapping.items, Mapping.values
+    __eq__ = Mapping.__eq__
+
+
+class Singletons(_Built):
+    """The n singleton queries: query p is {p+1}, a block with no slices."""
+
+    line = "family singletons"
+    occurrence_max = 1
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n, 1, n)
+
+    @classmethod
+    def at(cls, n: int, k: int) -> Singletons:
+        """The singletons, a selector of every width k."""
+        return cls(n)
+
+    def _make(self) -> tuple[Query, ...]:
+        return singletons(self.n)
+
+    def _positions(self, v: int) -> tuple[int, ...]:
+        return (v - 1,)
+
+    def holds(self, position: int, v: int) -> bool:
+        return 1 <= v <= self.n and position == v - 1
+
+    def active(self, n: int) -> list[int]:
+        # every element is inert: its one query holds it alone
+        return [] if n == self.n else super().active(n)
+
+    def alone(self, n: int) -> bool:
+        return n <= self.n  # element v is alone in query v-1
+
+    def group_bases(self, index: int) -> Sequence[Query]:
+        """The base queries of block group `index`: the queries, kept as the rule."""
+        return self
+
+    def decode(
+        self, code: Code, values: Sequence[int] | Mapping[int, int], nonzero: list[int]
+    ) -> tuple[Multiset, DecodeStats]:
+        """The block sweep's outcome, read off the nonzero values in closed form.
+
+        Query p holds element p+1 alone, so a trusted value (below a
+        nonzero ``alpha``) is that element's multiplicity; the sweep
+        fires each such position once and raises on a (k+1)-th.  A
+        position at the cap decodes nothing, so the consistency check
+        then fails at the first one, reading 0 decoded there.  The read
+        gives the same multiset, or the same ``DecodeError`` with the
+        same message, and counts one sweep checking each nonzero
+        position once.
+        """
+        k, alpha = code.k, code.alpha
+        trusted = [p for p in nonzero if values[p] < alpha] if alpha else nonzero
+        if len(trusted) > k:
+            raise DecodeError(f"decoded more than k={k} elements")
+        if len(trusted) != len(nonzero):
+            first = next(p for p in nonzero if values[p] >= alpha)
+            raise unexplained(first, values[first], 0)
+        result = {p + 1: values[p] for p in nonzero}
+        stats = DecodeStats(sweeps=1 if nonzero else 0, good_checks=len(nonzero), decoded=len(result))
+        return result, stats
+
+
+class SlicedTable(_Built):
+    """The truncated width-k Reed-Solomon table (q, d, L), each base followed by its slices.
+
+    Block b = x*q + y starts at b*(1 + 2*log2 n); its base holds the v
+    with P_v(x) = y, P_v the polynomial whose coefficients are the
+    base-q digits of v-1 (``ssui.rs_table``), and its slice j keeps
+    those whose balanced-identifier bit j is one
     (``balanced.slice_table``).
     """
 
-    family: tuple[int, int, int] | None
-    n: int
-    k: int
+    def __init__(self, n: int, q: int, d: int, points: int) -> None:
+        if n < 2 * q:
+            raise ValueError(f"a table layout needs n >= 2q, got n={n}, q={q}")
+        self.q, self.points = q, points
+        self.line = f"family rs {q} {d} {points}"
+        bits = id_bits(n) // 2
+        # queries per element: each of the L bases holding it and log2(n) of their slices
+        self.occurrence_max = points * (1 + bits)
+        super().__init__(n, 1 + 2 * bits, q * points)
 
-    def __post_init__(self) -> None:
-        if self.family is not None and self.n < 2 * self.family[0]:
-            raise ValueError(f"a table layout needs n >= 2q, got n={self.n}, q={self.family[0]}")
+    @classmethod
+    def at(cls, n: int, k: int) -> SlicedTable | None:
+        """The table where the build rule takes it at (n, k) (``table_params``), else None."""
+        params = table_params(n, k) if k >= 1 else None  # a table has width k >= 1
+        return None if params is None else cls(n, *params)
 
-    @cached_property
-    def bits(self) -> int:
-        return id_bits(self.n) // 2
-
-    @cached_property
-    def stride(self) -> int:
-        """Queries per block: 1, or a base and its 2*log2(n) slices."""
-        return 1 if self.family is None else 1 + 2 * self.bits
-
-    @cached_property
-    def block_count(self) -> int:
-        return self.n if self.family is None else self.family[0] * self.family[2]
-
-    def __len__(self) -> int:
-        return self.block_count * self.stride
-
-    @property
-    def occurrence_max(self) -> int:
-        """Queries per element: each of the L bases holding it and log2(n) of their slices."""
-        return 1 if self.family is None else self.family[2] * (1 + self.bits)
-
-    def block_at(self, position: int) -> Block | None:
-        """The block based at `position`, or None."""
-        index, offset = divmod(position, self.stride)
-        if offset or not 0 <= index < self.block_count:
-            return None
-        return Block(KIND_SSUI, self.k, position, self.stride - 1)
-
-    def _digits(self, v: int) -> list[int]:
-        """Base-q digits of v-1, highest first: P_v's coefficients in Horner order."""
-        q = self.family[0]
-        u, digits = v - 1, []
+    def _value(self, v: int, x: int) -> int:
+        """P_v(x) over F_q, by Horner's rule on P_v's coefficients, the base-q digits of v-1."""
+        q, u, digits = self.q, v - 1, []
         while u:
             u, c = divmod(u, q)
             digits.append(c)
-        return digits[::-1]
-
-    def _value(self, digits: list[int], x: int) -> int:
-        """P_v(x) over F_q, by Horner's rule on v's digits (``_digits``)."""
-        q = self.family[0]
         y = 0
-        for c in digits:
+        for c in reversed(digits):
             y = (y * x + c) % q
         return y
 
-    def _bit_set(self, v: int, j: int) -> bool:
-        """Whether balanced-identifier bit j+1 of v is one (slice table entry j)."""
-        b = self.bits
-        return not (v - 1) >> j & 1 if j < b else bool((v - 1) >> (j - b) & 1)
-
-    def holds(self, position: int, v: int) -> bool:
-        """Whether the query at `position` holds element v."""
-        if not (1 <= v <= self.n and 0 <= position < len(self)):
-            return False
-        if self.family is None:
-            return position == v - 1
-        index, offset = divmod(position, self.stride)
-        x, y = divmod(index, self.family[0])
-        on_base = self._value(self._digits(v), x) == y
-        return on_base and (offset == 0 or self._bit_set(v, offset - 1))
-
-    def incidence(self, v: int) -> tuple[int, ...]:
-        """Indices of the queries holding v, ascending; KeyError outside [1..n]."""
-        if not (isinstance(v, int) and 1 <= v <= self.n):
-            raise KeyError(v)
-        if self.family is None:
-            return (v - 1,)
-        q, _, points = self.family
-        offsets = [0, *(1 + j for j in range(2 * self.bits) if self._bit_set(v, j))]
-        digits = self._digits(v)
-        stride = self.stride
+    def _positions(self, v: int) -> tuple[int, ...]:
+        q, stride = self.q, self.stride
+        # v's base, then slice j where v's balanced-identifier bit j is one (word[-j])
+        offsets = [0, *[j for j, bit in enumerate(encode_balanced(v, self.n)[::-1], 1) if bit]]
         out: list[int] = []
-        for x in range(points):
-            start = (x * q + self._value(digits, x)) * stride
+        for x in range(self.points):
+            start = (x * q + self._value(v, x)) * stride
             out.extend([start + o for o in offsets])
         return tuple(out)
 
-    def all_queries(self) -> tuple[Query, ...]:
-        """Every query, laid out: the family's sets and their slices (``enhance``)."""
-        if self.family is None:
-            return singletons(self.n)
-        q, _, points = self.family
-        bases = truncated_table(self.n, q, points)
-        return tuple(s for base in bases for s in enhance(base, self.n))
-
-    def all_blocks(self) -> tuple[Block, ...]:
-        stride, k = self.stride, self.k
-        return tuple(Block(KIND_SSUI, k, b * stride, stride - 1) for b in range(self.block_count))
-
-
-class _LayoutSequence(Sequence):
-    """A read-only sequence over a layout, laid out once on the first access to its items.
-
-    Equal to a tuple with the same items (and hashed like it); two views
-    with the same key compare equal without laying anything out.
-    """
-
-    __slots__ = ("layout", "_len", "_items")
-
-    def __init__(self, layout: Layout) -> None:
-        self.layout = layout
-        self._len = self._length()
-        self._items: tuple | None = None
-
-    def _length(self) -> int:
-        raise NotImplementedError
-
-    def _key(self) -> object:
-        raise NotImplementedError
-
-    def _make(self) -> tuple:
-        raise NotImplementedError
-
-    def _all(self) -> tuple:
-        if self._items is None:
-            self._items = self._make()
-        return self._items
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        return self._all()[index]
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _LayoutSequence):
-            if type(other) is type(self) and self._key() == other._key():
-                return True
-            if self._len != other._len:
-                return False
-            other = other._all()
-        elif not isinstance(other, tuple):
-            return NotImplemented
-        return self._len == len(other) and self._all() == other
-
-    def __hash__(self) -> int:
-        return hash(self._all())
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.layout!r})"
-
-
-class LayoutQueries(_LayoutSequence, RuleQueries):
-    """The queries of a layout: they depend on the family and n, not on k.
-
-    Over its own n it names its active elements from the rule.
-    """
-
-    __slots__ = ()
-
-    def rule_active(self, n: int) -> list[int] | None:
-        if n != self.layout.n:
-            return None
-        # On the singletons every element is inert.  A table's base at x holds, in each
-        # run of q consecutive elements, exactly one v per value y of P_v(x) (the lowest
-        # digit runs over F_q); n >= 2q gives every base two runs, so no element is inert.
-        return [] if self.layout.family is None else list(range(1, n + 1))
-
-    def _length(self) -> int:
-        return len(self.layout)
-
-    def _key(self) -> object:
-        return self.layout.family, self.layout.n
+    def holds(self, position: int, v: int) -> bool:
+        """Whether the query at `position` holds v, from one value of P_v."""
+        if not (1 <= v <= self.n and 0 <= position < self.m):
+            return False
+        index, offset = divmod(position, self.stride)
+        x, y = divmod(index, self.q)
+        return self._value(v, x) == y and (offset == 0 or encode_balanced(v, self.n)[-offset] == 1)
 
     def _make(self) -> tuple[Query, ...]:
-        return self.layout.all_queries()
+        """Every query: the table's bases and their slices (``enhance``)."""
+        return tuple(s for base in truncated_table(self.n, self.q, self.points) for s in enhance(base, self.n))
+
+    def group_bases(self, index: int) -> tuple[Query, ...]:
+        """The bases of the one block group, laid out (``ssui.truncated_table``)."""
+        return truncated_table(self.n, self.q, self.points)
+
+    def active(self, n: int) -> list[int]:
+        # A base at x holds, in each run of q consecutive elements, exactly one v per value
+        # y of P_v(x) (the lowest digit runs over F_q); n >= 2q gives every base two runs,
+        # so no element is inert.
+        return list(range(1, n + 1)) if n == self.n else super().active(n)
 
 
-class LayoutBlocks(_LayoutSequence):
-    """The blocks of a layout, at level k."""
+class Listed(_Family):
+    """Any other code's queries and blocks, as given: hand-laid tables, list files and random codes."""
 
-    __slots__ = ()
+    def __init__(self, queries: Sequence[Query], blocks: Sequence[Block]) -> None:
+        self.queries = queries
+        self._blocks = blocks
+        self.m = len(queries)
 
-    def _length(self) -> int:
-        return self.layout.block_count
+    def blocks(self, level: int) -> Sequence[Block]:
+        """The blocks as given, whatever `level`."""
+        return self._blocks
 
-    def _key(self) -> object:
-        return self.layout
+    @cached_property
+    def incidence(self) -> dict[int, tuple[int, ...]]:
+        """``model.incidence``: an element in no query has no entry."""
+        return _incidence(self.queries)
 
-    def _make(self) -> tuple[Block, ...]:
-        return self.layout.all_blocks()
+    @cached_property
+    def block_at(self) -> Mapping[int, int | None]:
+        return _Filled({blk.base: blk.slices for blk in self._blocks}.get)
+
+    @property
+    def occurrence_max(self) -> int:
+        return max((len(ix) for ix in self.incidence.values()), default=0)
+
+    def group_keys(self, level: int) -> tuple[tuple[str, int], ...]:
+        return tuple((group[0].kind, group[0].level) for group in _grouped(self._blocks))
+
+    def group_bases(self, index: int) -> tuple[Query, ...]:
+        return tuple(self.queries[blk.base] for blk in _grouped(self._blocks)[index])
 
 
-class _LayoutIncidence(_Filled):
-    """element -> indices of the layout queries holding it, each filled on its first lookup.
+# The family classes a family file can name, each parsed back by ``at(n, k)``.
+FAMILIES = (Singletons, SlicedTable)
 
-    A full mapping over [1..n] (every element of a layout is in some
-    query): ``len``, iteration, ``in``, ``get``, the views and ``==``
-    cover every element.  ``dict.get`` would skip ``__missing__``, so
-    ``get`` is redefined.
+
+@dataclass(frozen=True, eq=False)
+class Code:
+    """A query family under its header; every method reads the family.
+
+    Two codes are equal when their headers are and they lay out the same
+    queries and blocks; two codes of one built family compare equal
+    without laying anything out.  A hash reads only the header and the
+    length.
     """
 
-    def __init__(self, layout: Layout) -> None:
-        super().__init__(layout.incidence)
-        self.layout = layout
-
-    def __len__(self) -> int:
-        return self.layout.n
-
-    def __iter__(self):
-        return iter(range(1, self.layout.n + 1))
-
-    def __contains__(self, v: object) -> bool:
-        return isinstance(v, int) and 1 <= v <= self.layout.n
-
-    def get(self, v, default=None):
-        return self[v] if v in self else default
-
-    def keys(self):
-        return KeysView(self)
-
-    def items(self):
-        return ItemsView(self)
-
-    def values(self):
-        return ValuesView(self)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        return dict(self.items()) == dict(other.items())
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.layout!r})"
-
-
-def _layout_of(queries: Sequence[Query]) -> Layout | None:
-    return queries.layout if type(queries) is LayoutQueries else None
-
-
-@dataclass(frozen=True)
-class Code:
-    queries: Sequence[Query]  # a tuple, or LayoutQueries on a built code
-    blocks: Sequence[Block]  # a tuple, or LayoutBlocks on a built code
+    family: _Family
     n: int
     k: int
     alpha: int  # 0: no value is capped (multiset codes; the cap is chosen at encode time)
     mode: str
 
     def __len__(self) -> int:
-        return len(self.queries)
+        return self.family.m
+
+    @property
+    def queries(self) -> Sequence[Query]:
+        """A tuple, or the built family itself, laid out on the first access to an item."""
+        return self.family.queries
+
+    @cached_property
+    def blocks(self) -> Sequence[Block]:
+        return self.family.blocks(self.k)
 
     @cached_property
     def incidence(self) -> Mapping[int, tuple[int, ...]]:
-        """element -> indices of the queries containing it (see model.incidence).
-
-        On a layout every element has an entry, computed on its first lookup.
-        """
-        layout = _layout_of(self.queries)
-        return _incidence(self.queries) if layout is None else _LayoutIncidence(layout)
+        """element -> indices of the queries containing it (the family's, filled on use on a built code)."""
+        return self.family.incidence
 
     @cached_property
     def block_groups(self) -> tuple[tuple[Block, ...], ...]:
         """Blocks grouped into consecutive runs of equal (kind, level)."""
-        groups: list[list[Block]] = []
-        key: tuple[str, int] | None = None
-        for blk in self.blocks:
-            blk_key = (blk.kind, blk.level)
-            if blk_key != key:
-                groups.append([])
-                key = blk_key
-            groups[-1].append(blk)
-        return tuple(tuple(g) for g in groups)
+        return _grouped(self.blocks)
 
     @cached_property
     def group_keys(self) -> tuple[tuple[str, int], ...]:
-        """(kind, level) of each block group, in order.
-
-        A layout's blocks are one "ssui" group at level k, read off the
-        layout without laying out a block.
-        """
-        blocks = self.blocks
-        if type(blocks) is LayoutBlocks:
-            return ((KIND_SSUI, blocks.layout.k),)
-        return tuple((group[0].kind, group[0].level) for group in self.block_groups)
-
-    def group_bases(self, index: int) -> Sequence[Query]:
-        """The base queries of block group `index`; the singletons' one group is their queries, kept as the rule."""
-        if self.is_singletons:
-            return self.queries
-        return tuple(self.queries[blk.base] for blk in self.block_groups[index])
-
-    @cached_property
-    def block_at(self) -> Mapping[int, Block | None]:
-        """position -> the block whose base sits there, None elsewhere (filled on use)."""
-        blocks = self.blocks
-        if type(blocks) is LayoutBlocks:
-            return _Filled(blocks.layout.block_at)
-        return _Filled({blk.base: blk for blk in blocks}.get)
-
-    def query_holds(self, position: int, v: int) -> bool:
-        """Whether the query at `position` holds v (in closed form on a layout)."""
-        layout = _layout_of(self.queries)
-        return v in self.queries[position] if layout is None else layout.holds(position, v)
-
-    @cached_property
-    def is_singletons(self) -> bool:
-        """Whether the code is the n singletons kept as their rule: query p is {p+1}, a 0-slice block.
-
-        Read off the queries' and blocks' layout, so a list of singletons
-        (a hand-laid or ``qgtc 1`` code) reads False and takes the
-        general paths.
-        """
-        layout = _layout_of(self.queries)
-        blocks = self.blocks
-        return (
-            layout is not None
-            and layout.family is None
-            and type(blocks) is LayoutBlocks
-            and blocks.layout == layout
-        )
-
-    @cached_property
-    def sole_elements(self) -> Mapping[int, int | None]:
-        """position -> the one element of the query there, or None (filled on use)."""
-        queries = self.queries
-        if self.is_singletons:
-            return _Filled(lambda position: position + 1)
-        return _Filled(lambda p: min(queries[p]) if len(queries[p]) == 1 else None)
+        """(kind, level) of each block group, in order (the family's, at level k)."""
+        return self.family.group_keys(self.k)
 
     @property
     def occurrence_max(self) -> int:
-        layout = _layout_of(self.queries)
-        if layout is not None:
-            return layout.occurrence_max
-        return max((len(ix) for ix in self.incidence.values()), default=0)
+        return self.family.occurrence_max
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Code):
+            return NotImplemented
+        if (self.n, self.k, self.alpha, self.mode) != (other.n, other.k, other.alpha, other.mode):
+            return False
+        line = self.family.line
+        if line is not None and line == other.family.line:
+            return True  # one built family over one n
+        return self.queries == other.queries and self.blocks == other.blocks
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k, self.alpha, self.mode, len(self)))
 
     def feedback(self, hidden, alpha: int | None = None) -> Feedback:
         """Feedback vector via the incidence index, kept as its nonzero entries.
@@ -463,7 +485,7 @@ class Code:
             for idx, value in entries.items():
                 if value > alpha:
                     entries[idx] = alpha
-        return Feedback._built(len(self.queries), entries)
+        return Feedback._built(self.family.m, entries)
 
 
 def enhance(s: Query, n: int) -> list[Query]:
@@ -498,14 +520,9 @@ def table_params(n: int, k: int) -> tuple[int, int, int] | None:
 
 
 def _assemble(n: int, k: int, alpha: int, mode: str) -> Code:
-    """The one selector family of a code, as blocks (module docstring)."""
-    return _layout(table_params(n, k), n, k, alpha, mode)
-
-
-def _layout(family: tuple[int, int, int] | None, n: int, k: int, alpha: int, mode: str) -> Code:
-    """The code of one family (None: the n singletons; else the table's (q, d, L)) as its rule."""
-    layout = Layout(family, n, k)
-    return Code(LayoutQueries(layout), LayoutBlocks(layout), n, k, alpha, mode)
+    """The one selector family of a code (module docstring)."""
+    table = SlicedTable.at(n, k)
+    return Code(Singletons(n) if table is None else table, n, k, alpha, mode)
 
 
 def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
@@ -538,7 +555,7 @@ def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
     ``seed`` changes no byte of the code.
     """
     _check_build_params(n, k)
-    return _layout(None, n, k, 0, MODE_MULTISET)
+    return Code(Singletons(n), n, k, 0, MODE_MULTISET)
 
 
 def build(n: int, k: int, alpha: int, mode: str = MODE_PLAIN) -> Code:

@@ -30,28 +30,29 @@ The decoder reads the vector only at its nonzero positions and at the
 positions the decoded elements touch.  A ``Feedback`` (what
 ``Code.feedback``, ``fv_from_text`` and a stream sketch hand over)
 lists those positions itself, so its decode costs O(support), not
-O(m).  Any other sequence is scanned once for them, the one O(m) step.
+O(m).  Any other sequence is scanned once for them, the one O(m) step,
+and refused as ``Feedback`` refuses it: a value that is not an int, or
+is negative (``Feedback.read``).
 
-On the n singletons kept as their rule (``Code.is_singletons``: every
-multiset code, and every plain code below the table's threshold) a
-``Feedback`` is read in closed form, with no sweep.  Position p holds
-element p+1 alone, so each trusted value is that element's
-multiplicity, and each value at the cap is a count nothing can
-explain.  The read gives the sweep's outcomes exactly: the same
-multiset, or the same ``DecodeError`` with the same message (more than
-k trusted positions, else the first position at the cap).  It counts
-one sweep, checking each nonzero position once.
+Each query family decodes itself (``code``): ``decode_detailed`` checks
+the vector's length and hands its values and nonzero positions to the
+code's family.  The sweep above, ``sweep``, is the decode of the sliced
+table and of listed codes; it reads the family's ``block_at``,
+``holds`` and ``incidence``.  The n singletons read a vector in closed
+form (``Singletons.decode``).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .balanced import decode_balanced
-from .code import MODE_RANDOM, Block, Code
-from .model import Feedback, Multiset
+from .model import MODE_RANDOM, Feedback, Multiset
+
+if TYPE_CHECKING:  # code imports this module for the families' decodes
+    from .code import Code, Listed, SlicedTable
 
 
 class DecodeError(ValueError):
@@ -71,61 +72,61 @@ class DecodeStats:
 
 
 def decode(code: Code, fv: Sequence[int]) -> Multiset:
-    result, _ = decode_detailed(code, fv)
-    return result
+    return decode_detailed(code, fv)[0]
 
 
 def decode_detailed(code: Code, fv: Sequence[int]) -> tuple[Multiset, DecodeStats]:
-    """Decode ``fv``: a ``Feedback`` in O(support), any other sequence after an O(m) scan."""
-    # an exact type test: isinstance against an ABC subclass is slower
-    singletons = type(fv) is Feedback and code.is_singletons
-    if code.mode == MODE_RANDOM or not (singletons or code.blocks):
+    """Decode ``fv`` by the code's family: a ``Feedback`` in O(support), another sequence after an O(m) scan."""
+    if code.mode == MODE_RANDOM or not code.group_keys:
         raise DecodeError("code has no block layout; only constructed codes are decodable")
-    m = code.n if singletons else len(code.queries)
-    if len(fv) != m:
-        raise DecodeError(f"feedback vector length {len(fv)} != code length {m}")
-    alpha = code.alpha  # 0: no value is capped
-    if singletons:
-        return _read_singletons(fv.entries, code.k, alpha)
+    if len(fv) != code.family.m:
+        raise DecodeError(f"feedback vector length {len(fv)} != code length {code.family.m}")
+    values, nonzero = Feedback.read(fv)
+    return code.family.decode(code, values, nonzero)
+
+
+def sweep(
+    family: SlicedTable | Listed, code: Code, values: Sequence[int] | Mapping[int, int], nonzero: list[int]
+) -> tuple[Multiset, DecodeStats]:
+    """The block sweep to a fixed point (module docstring) over the blocks of ``code``'s family.
+
+    ``values`` reads the value at each position, and ``nonzero`` lists
+    the positions where it is not 0, ascending (``Feedback.read``).
+    """
+    k, alpha = code.k, code.alpha  # alpha 0: no value is capped
     stats = DecodeStats()
     acc: Multiset = {}
     acc_w: dict[int, int] = {}
-    inc = code.incidence
-    if type(fv) is Feedback:
-        values = fv.entries  # reads 0 at any other position
-        nonzero = sorted(values)
-    else:
-        values = fv
-        nonzero = list(itertools.compress(range(len(fv)), fv))
-    block_at, sole_elements = code.block_at, code.sole_elements
-    candidates = [blk for idx in nonzero if (blk := block_at[idx]) is not None]
+    inc, block_at = family.incidence, family.block_at
+    candidates = [(base, slices) for base in nonzero if (slices := block_at[base]) is not None]
     progress = True
     while progress and candidates:
         progress = False
         stats.sweeps += 1
         stats.good_checks += len(candidates)  # a sweep checks every candidate, or raises
-        for blk in candidates:
-            base_fv = values[blk.base]
+        for base, slices in candidates:
+            base_fv = values[base]
             if alpha and base_fv >= alpha:
                 continue  # at the cap: the true count may be anything above it
-            residue = base_fv - acc_w.get(blk.base, 0)
+            residue = base_fv - acc_w.get(base, 0)
             if residue < 0:
                 # below the cap the value is exact, so decoded weight can
                 # never legitimately exceed it
                 raise DecodeError(
-                    f"inconsistent feedback: over-explained query at position {blk.base}: "
-                    f"reads {base_fv}, decoded count {acc_w.get(blk.base, 0)}"
+                    f"inconsistent feedback: over-explained query at position {base}: "
+                    f"reads {base_fv}, decoded count {acc_w.get(base, 0)}"
                 )
             if residue == 0:
                 continue
-            if blk.slices:
-                v = _read_slices(code, blk, values, acc_w, residue, stats)
+            if slices:
+                v = _read_slices(code, base, slices, values, acc_w, residue, stats)
             else:  # a base of at most one element names it
-                v = sole_elements[blk.base]
+                s = family.queries[base]
+                v = min(s) if len(s) == 1 else None
             if v is None or v in acc:
                 continue
-            if len(acc) >= code.k:
-                raise DecodeError(f"decoded more than k={code.k} elements")
+            if len(acc) >= k:
+                raise DecodeError(f"decoded more than k={k} elements")
             acc[v] = residue
             for idx in inc[v]:
                 acc_w[idx] = acc_w.get(idx, 0) + residue
@@ -135,30 +136,10 @@ def decode_detailed(code: Code, fv: Sequence[int]) -> tuple[Multiset, DecodeStat
     return dict(sorted(acc.items())), stats
 
 
-def _read_singletons(values: Mapping[int, int], k: int, alpha: int) -> tuple[Multiset, DecodeStats]:
-    """The sweep's outcome on the n singletons, read off a ``Feedback``'s entries.
-
-    Position p holds element p+1 alone, so a trusted value (below a
-    nonzero ``alpha``) is that element's multiplicity; the sweep fires
-    each such position once and raises on a (k+1)-th.  A position at the
-    cap decodes nothing, so the consistency check then fails at the first
-    one, reading 0 decoded there.
-    """
-    positions = sorted(values)
-    trusted = [p for p in positions if values[p] < alpha] if alpha else positions
-    if len(trusted) > k:
-        raise DecodeError(f"decoded more than k={k} elements")
-    if len(trusted) != len(positions):
-        first = next(p for p in positions if values[p] >= alpha)
-        raise _unexplained(first, values[first], 0)
-    result = {p + 1: values[p] for p in positions}
-    stats = DecodeStats(sweeps=1 if positions else 0, good_checks=len(positions), decoded=len(result))
-    return result, stats
-
-
 def _read_slices(
     code: Code,
-    blk: Block,
+    base: int,
+    slices: int,
     values: Sequence[int] | Mapping[int, int],
     acc_w: dict[int, int],
     residue: int,
@@ -166,8 +147,8 @@ def _read_slices(
 ) -> int | None:
     """Recover the single new element a good sliced block isolates, or None to skip."""
     bits_lsb_first = []
-    for j in range(1, blk.slices + 1):
-        idx = blk.base + j
+    for j in range(1, slices + 1):
+        idx = base + j
         stats.slice_reads += 1
         raw = values[idx] - acc_w.get(idx, 0)
         if raw < 0:
@@ -183,11 +164,7 @@ def _read_slices(
             return None  # superposition of several unknown elements
     word = tuple(reversed(bits_lsb_first))
     v = decode_balanced(word, code.n)
-    if v is None:
-        return None
-    if not code.query_holds(blk.base, v):
-        return None
-    return v
+    return v if v is not None and code.family.holds(base, v) else None
 
 
 def _check_consistency(
@@ -221,10 +198,10 @@ def _check_consistency(
         return min(count, alpha) if alpha else count
 
     first = min(p for p in {*nonzero, *acc_w} if decoded(p) != values[p])
-    raise _unexplained(first, values[first], decoded(first))
+    raise unexplained(first, values[first], decoded(first))
 
 
-def _unexplained(position: int, reads: int, decoded: int) -> DecodeError:
+def unexplained(position: int, reads: int, decoded: int) -> DecodeError:
     return DecodeError(
         "inconsistent feedback: residual counts unexplained by decoded set: "
         f"position {position} reads {reads}, decoded count {decoded}"

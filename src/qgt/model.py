@@ -25,15 +25,20 @@ The facts every selector family and oracle shares live here, once:
   the selector, jamming, uniqueness and random-code claim oracles keep
   their per-set counts on;
 * ``active_elements``: the elements an oracle's walk must visit, named
-  from the rule on a ``RuleQueries`` (a built code's queries) over its
-  own universe, with no query laid out;
+  by a built family (a built code's queries, ``code.Singletons`` or
+  ``code.SlicedTable``) from its rule over its own universe, with no
+  query laid out;
 * ``OracleIndex``: the one prelude the four walking oracles share
   (active elements, each element's queries, query masks), each part
   built on its first use within one oracle call;
 * ``subset_at``: the set at a given rank in ``walk_subsets``'s order;
 * ``Feedback``: a feedback vector kept as its nonzero entries, the form
   ``Code.feedback`` returns and the decoder reads in O(support), while
-  ``feedback_vector``, the reference oracle, returns a plain tuple.
+  ``feedback_vector``, the reference oracle, returns a plain tuple;
+  ``Feedback.read`` hands the decoder any vector's values and nonzero
+  positions, refusing in a plain sequence what a ``Feedback`` refuses;
+* ``MODE_PLAIN``, ``MODE_LARGE``, ``MODE_MULTISET``, ``MODE_RANDOM``:
+  the modes a code's header names.
 
 Inert elements.  An element v is *inert* in a query family when it lies
 in at least one query and every query holding it is exactly {v}.  The
@@ -75,6 +80,7 @@ uniqueness and selector oracles refuse a negative cap
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cached_property
@@ -85,6 +91,11 @@ Query = frozenset[int]
 Multiset = dict[int, int]
 FeedbackVector = tuple[int, ...]
 T = TypeVar("T")
+
+MODE_PLAIN = "plain"
+MODE_LARGE = "large"
+MODE_MULTISET = "multiset"
+MODE_RANDOM = "random"
 
 
 class _Sparse(dict):
@@ -124,6 +135,23 @@ class Feedback(Sequence):
         self.entries = sparse
         self._len = length
         self._dense: tuple[int, ...] | None = None
+
+    @classmethod
+    def read(cls, values: Sequence[int]) -> tuple[Sequence[int] | Mapping[int, int], list[int]]:
+        """What the decoder reads of ``values``: a value at each position, and the nonzero positions ascending.
+
+        A ``Feedback`` gives its entries in O(support).  Any other
+        sequence is read as it is, after one scan for its nonzero
+        positions that refuses what the constructor refuses: a value
+        that is not an int, or is negative.
+        """
+        if type(values) is cls:
+            return values.entries, sorted(values.entries)
+        positions = list(itertools.compress(range(len(values)), values))
+        nonzero = list(map(values.__getitem__, positions))
+        if not (set(map(type, nonzero)) <= {int} and min(nonzero, default=1) >= 1):
+            cls(len(values), dict(zip(positions, nonzero)))  # raises for the first entry it refuses
+        return values, positions
 
     @classmethod
     def _built(cls, length: int, entries: _Sparse) -> Feedback:
@@ -324,27 +352,16 @@ class _Filled(dict):
         return value
 
 
-class RuleQueries(Sequence):
-    """A query family kept as its rule over its own universe (``code.LayoutQueries``)."""
-
-    __slots__ = ()
-
-    def rule_active(self, n: int) -> list[int] | None:
-        """The family's active elements over [1..n], named without laying out a query;
-        None unless [1..n] is the universe the family was built for."""
-        raise NotImplementedError
-
-
 def active_elements(queries: Iterable[Query], n: int) -> list[int]:
     """[1..n] without its inert elements (module docstring), ascending.
 
-    From the rule on a ``RuleQueries`` over its own universe; otherwise
-    one pass over the queries.
+    A built family's queries (``code.Singletons``, ``code.SlicedTable``)
+    name them through their ``active`` method, from the rule over their
+    own universe; any other sequence takes one pass over the queries.
     """
-    if isinstance(queries, RuleQueries):
-        named = queries.rule_active(n)
-        if named is not None:
-            return named
+    active = getattr(queries, "active", None)
+    if active is not None:
+        return active(n)
     inert = set()
     shared = set()  # elements of some query of two or more elements
     for s in queries:

@@ -9,18 +9,20 @@ A code the builder lays out is written as its rule (LF line endings):
     mode <plain|large|multiset>
     family singletons | family rs <q> <d> <L>
 
-and loading returns that rule (``code._layout``): no set or block is
-made, so reading, writing and loading a built code cost O(1) plus the
-(q, d, L) search.  ``family singletons`` is the n singleton queries;
+and loading returns that rule, a ``code.Singletons`` or
+``code.SlicedTable``: no set or block is made, so reading, writing and
+loading a built code cost O(1) plus the (q, d, L) search.  The parser
+matches the line against the family of each class in ``code.FAMILIES``
+at (n, k) (``at``): ``family singletons`` is the n singleton queries;
 ``family rs`` is the truncated width-k Reed-Solomon table, accepted only
 with the (q, d, L) of ``ssui.rs_trunc_size(n, k)`` and only where the
 build rule takes it (``code.table_params``), so a six-line file cannot
 name a table the builder would not build.  Nothing follows the family
 line, and a family file needs n <= 2^18 (``FAMILY_MAX_N``).  The writer
 picks this form from the code's content alone: a code with n <= 2^18
-equal to one of the two layouts, under its own header, is written this
-way, so equal codes always give equal bytes.  A code whose queries and
-blocks are still a layout compares with a layout without laying
+equal to one of those families, under its own header, is written this
+way, so equal codes always give equal bytes.  A built family's code
+reads its own line, and compares with that family without laying
 anything out.
 
 Every other code (random codes, hand-laid tables, files from earlier
@@ -58,11 +60,11 @@ lines parse to one shared set.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .balanced import id_bits, slice_table
 from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM
-from .code import Block, Code, _layout, table_params
+from .code import FAMILIES, Block, Code, Listed
 from .model import Feedback, Query, check_capacity, check_universe, is_power_of_two
 
 FORMAT_NAME = "qgtc"
@@ -83,30 +85,15 @@ class FormatError(ValueError):
     pass
 
 
-def _families(n: int, k: int) -> Iterator[tuple[str, tuple[int, int, int] | None]]:
-    """(line, family) of each family the build rule lays out at (n, k), for ``code._layout``.
-
-    The singletons (family None) come first, then the table's (q, d, L)
-    where the rule takes it.
-    """
-    yield "family singletons", None
-    params = table_params(n, k) if k >= 1 else None  # a table has width k >= 1
-    if params is not None:
-        q, d, points = params
-        yield f"family rs {q} {d} {points}", params
-
-
 def _family_line(code: Code) -> str | None:
-    """The `family` line of a code equal to a built layout with n <= FAMILY_MAX_N; else None.
-
-    Comparing a code that is still a layout with a layout lays nothing out.
-    """
+    """The `family` line of a code equal to a built family with n <= FAMILY_MAX_N; else None."""
     n, k = code.n, code.k
     if code.mode == MODE_RANDOM or not 2 <= n <= FAMILY_MAX_N or not is_power_of_two(n):
-        return None  # no layout exists (slice widths need a power-of-two n), or n is too large
-    for line, family in _families(n, k):
-        if _layout(family, n, k, code.alpha, code.mode) == code:
-            return line
+        return None  # no family exists (slice widths need a power-of-two n), or n is too large
+    for cls in FAMILIES:
+        family = cls.at(n, k)
+        if family is not None and Code(family, n, k, code.alpha, code.mode) == code:
+            return family.line
     return None
 
 
@@ -187,8 +174,9 @@ def _family_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) 
         raise FormatError(f"line 2: a family file needs n <= {FAMILY_MAX_N}, got {n}")
     words = lines[5].split()
     line = " ".join(words)
-    for name, family in _families(n, k):
-        if name == line:
+    for cls in FAMILIES:
+        family = cls.at(n, k)
+        if family is not None and family.line == line:
             break
     else:
         if words[:2] == ["family", "rs"]:
@@ -202,7 +190,7 @@ def _family_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) 
         )
     if len(lines) > 6:
         raise FormatError(f"line 7: nothing may follow the family line, got {lines[6]!r}")
-    return _layout(family, n, k, alpha, mode)
+    return Code(family, n, k, alpha, mode)
 
 
 def _list_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) -> Code:
@@ -277,7 +265,7 @@ def _list_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) ->
             f"block layout covers {expected_next} queries but the body has {m}"
         )
     _check_slices(queries, blocks, n, body_start)
-    return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
+    return Code(Listed(tuple(queries), tuple(blocks)), n, k, alpha, mode)
 
 
 def _check_slices(queries: list[Query], blocks: list[Block], n: int, body_start: int) -> None:

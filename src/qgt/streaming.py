@@ -10,14 +10,14 @@ can exceed the cap.  The sketch also keeps the positions of its nonzero
 counters, changed only when a counter moves between 0 and 1, and hands
 the decoder a ``Feedback`` of just those counters, so a reconstruction
 costs O(live support) -- the positions the live elements touch -- and
-never reads all m counters.  On the n singletons as built (every
-multiset code this package builds), the decoder reads that vector in
-closed form (``decode``): a live counter is its element's multiplicity.
+never reads all m counters.  On the n singletons (``code.Singletons``,
+every multiset code this package builds), the family reads that vector
+in closed form: a live counter is its element's multiplicity.
 
 Counters are exact rather than capped because deletions are impossible
 under capped counters; the cap belongs to the readout, not the state.
 A sketch requires a code holding every element alone in some query
-(every multiset code this package builds is the n singletons), so
+(its family's ``alone``; every multiset code built is the singletons), so
 deleting an absent element would drive that query's counter negative;
 such deletes are rejected and leave the sketch untouched.  No shadow
 copy of the multiset is kept.
@@ -54,7 +54,7 @@ class StreamSketch:
     def __init__(self, code: Code, alpha: int | None = None) -> None:
         if code.mode != MODE_MULTISET:
             raise ValueError("stream sketches require a multiset-mode code")
-        if not _every_element_alone(code):
+        if not code.family.alone(code.n):
             raise ValueError("stream sketches require a singleton query for every element")
         self.code = code
         self.alpha = alpha if alpha is not None else code.k
@@ -132,13 +132,6 @@ class StreamSketch:
         if not 1 <= v <= self.code.n:
             raise ValueError(f"element {v} outside universe [1..{self.code.n}]")
         return self.code.incidence[v]  # every element is in a query: it has one alone
-
-
-def _every_element_alone(code: Code) -> bool:
-    """Whether every element is alone in some query; on the singletons layout, from its rule."""
-    if code.is_singletons:
-        return True
-    return len({v for s in code.queries if len(s) == 1 for v in s}) >= code.n
 
 
 def edge_index(u: int, v: int, nu: int) -> int:

@@ -1,12 +1,12 @@
 """The eager layout: every query and block made up front, as the builder once laid codes out.
 
-``code._layout`` keeps a built code as its rule and lays it out only on
+``code.Singletons`` and ``code.SlicedTable`` keep a built code as its rule and lays it out only on
 demand.  This reference lays any family of queries out block by block,
 so tests can lay out tables the build rule does not take (empty and
 one-element bases included) and check the lazy layout against it.
 """
 
-from qgt.code import KIND_SSUI, Block, Code, enhance
+from qgt.code import KIND_SSUI, Block, Code, Listed, enhance
 from qgt.balanced import id_bits
 
 
@@ -22,4 +22,4 @@ def eager_layout(family, n: int, k: int, alpha: int, mode: str) -> Code:
         else:
             blocks.append(Block(KIND_SSUI, k, len(queries), 0))
             queries.append(s)
-    return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
+    return Code(Listed(tuple(queries), tuple(blocks)), n, k, alpha, mode)

@@ -185,6 +185,39 @@ def test_bench_emits_csv_rows(tmp_path, capsys):
     assert all(line.count(",") == 9 for line in lines)
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("1024 x 2", "invalid literal for int() with base 10: 'x'"),
+        ("16 2 2 weird", "unknown build mode 'weird'"),
+        ("12 2 2", "universe size must be a power of two >= 2, got 12"),
+    ],
+    ids=["non-integer", "unknown-mode", "n-12"],
+)
+def test_bench_names_the_grid_line_that_failed(tmp_path, capsys, line, reason):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"16 2 2 plain\n# comment\n{line}\n")
+    status, out, err = run(capsys, "bench", "--grid", str(grid))
+    assert status == 2
+    assert len(out.splitlines()) == 2  # the header and the row of line 1
+    assert err == f"error: grid line 3: {reason}\n"
+
+
+def test_bench_keeps_the_exit_status_of_a_failed_decode(tmp_path, capsys, monkeypatch):
+    import qgt.cli
+    from qgt.decode import DecodeError
+
+    def fail(code, fv):
+        raise DecodeError("decoded more than k=2 elements")
+
+    monkeypatch.setattr(qgt.cli, "decode_detailed", fail)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("16 2 2\n")
+    status, out, err = run(capsys, "bench", "--grid", str(grid))
+    assert status == 1
+    assert err == "error: decoded more than k=2 elements\n"
+
+
 def test_stream_replay_and_reconstruct(tmp_path, capsys):
     code_file = tmp_path / "m.qgtc"
     ops_file = tmp_path / "ops.txt"
@@ -261,10 +294,11 @@ def test_verify_refuses_a_large_family_file_before_laying_it_out(
 ):
     import qgt.code
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("the queries were laid out")
 
-    monkeypatch.setattr(qgt.code.LayoutQueries, "_make", refuse)
+    monkeypatch.setattr(qgt.code.SlicedTable, "_make", refuse)
+    monkeypatch.setattr(qgt.code.SlicedTable, "group_bases", refuse)
     code_file = tmp_path / "code.qgtc"
     code_file.write_text("qgtc 2\nn 262144\nk 4\nalpha 3\nmode plain\nfamily rs 13 4 13\n")
     status, out, err = run(capsys, "verify", "--code", str(code_file), flag)
@@ -275,11 +309,11 @@ def test_verify_refuses_a_large_family_file_before_laying_it_out(
 def test_verify_the_2_18_singletons_lays_out_no_query(tmp_path, capsys, monkeypatch):
     import qgt.code
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("the queries or blocks were laid out")
 
-    monkeypatch.setattr(qgt.code.LayoutQueries, "_make", refuse)
-    monkeypatch.setattr(qgt.code.LayoutBlocks, "_make", refuse)
+    monkeypatch.setattr(qgt.code.Singletons, "_make", refuse)
+    monkeypatch.setattr(qgt.code.Singletons, "blocks", refuse)
     code_file = tmp_path / "code.qgtc"
     code_file.write_text("qgtc 2\nn 262144\nk 2\nalpha 0\nmode multiset\nfamily singletons\n")
     status, out, _ = run(

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from qgt.bounds import verify_uniqueness
-from qgt.code import Block, Code, build_code, build_code_large, build_code_multiset, enhance
+from qgt.code import Block, Code, Listed, build_code, build_code_large, build_code_multiset, enhance
 from qgt.decode import DecodeError, decode, decode_detailed
 from qgt.disperser import DisperserParams, build_disperser
 from qgt.serialize import code_from_text, code_to_text
@@ -20,7 +20,7 @@ def _synthetic_code(bases, n, k, alpha, mode="plain"):
     for s in bases:
         blocks.append(Block("ssui", k, len(queries), width))
         queries.extend(enhance(frozenset(s), n))
-    return Code(tuple(queries), tuple(blocks), n, k, alpha, mode)
+    return Code(Listed(tuple(queries), tuple(blocks)), n, k, alpha, mode)
 
 
 def test_empty_feedback_decodes_to_empty_set():
@@ -82,7 +82,7 @@ def test_decoding_does_not_depend_on_group_order():
     n, k, alpha = 2, 2, 3
     queries = (*enhance(frozenset({1, 2}), n), frozenset({1}))
     blocks = (Block("sui", 2, 0, 2), Block("ssui", 1, 3, 0))
-    code = Code(queries, blocks, n, k, alpha, "plain")
+    code = Code(Listed(queries, blocks), n, k, alpha, "plain")
     assert len(code.block_groups) == 2
     assert verify_uniqueness(code.queries, n, k, alpha)
     assert code_from_text(code_to_text(code)) == code
@@ -98,9 +98,19 @@ def test_fv_length_mismatch():
 
 
 def test_blockless_code_refused():
-    code = Code((frozenset({1}),), (), 8, 1, 1, "random")
+    code = Code(Listed((frozenset({1}),), ()), 8, 1, 1, "random")
     with pytest.raises(DecodeError, match="layout"):
         decode(code, (0,))
+
+
+def test_slices_are_read_over_the_codes_universe():
+    # a base with the 4 slices of n = 4 under an n = 16 header: its word is not read as n = 4's
+    queries = tuple(enhance(frozenset({1, 2}), 4))
+    code = Code(Listed(queries, (Block("ssui", 1, 0, 4),)), 16, 1, 2, "plain")
+    fv = code.feedback({1: 1})
+    for vector in (fv, list(fv)):
+        with pytest.raises(ValueError, match="^expected 8 bit values, got 4$"):
+            decode(code, vector)
 
 
 def test_overfull_hidden_set_fails_loudly():
@@ -197,7 +207,7 @@ def test_composed_level_code_end_to_end():
         for s in family:
             blocks.append(Block(kind, 2, len(queries), width))
             queries.extend(enhance(s, n))
-    code = Code(tuple(queries), tuple(blocks), n, k, alpha, "plain")
+    code = Code(Listed(tuple(queries), tuple(blocks)), n, k, alpha, "plain")
     for size in range(k + 1):
         for combo in itertools.combinations(range(1, n + 1), size):
             assert decode(code, code.feedback(combo)) == {v: 1 for v in combo}
@@ -214,7 +224,7 @@ def test_composed_level_multiset_roundtrip():
     for s in level:
         blocks.append(Block("sui", 2, len(queries), width))
         queries.extend(enhance(s, n))
-    code = Code(tuple(queries), tuple(blocks), n, 2, 0, "multiset")
+    code = Code(Listed(tuple(queries), tuple(blocks)), n, 2, 0, "multiset")
     for total in range(3):
         for combo in itertools.combinations_with_replacement(range(1, n + 1), total):
             hidden: dict[int, int] = {}

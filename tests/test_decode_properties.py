@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgt.code import MODE_MULTISET, _LayoutSequence, build_code, build_code_large, build_code_multiset
+from qgt.code import MODE_MULTISET, Singletons, SlicedTable, build_code, build_code_large, build_code_multiset
 from qgt.decode import DecodeError, decode
 from qgt.model import Feedback, feedback_vector
 from qgt.serialize import code_from_text
@@ -157,7 +157,7 @@ def test_every_vector_of_a_tiny_code_raises_or_is_reproduced_exactly(code, top):
 def test_singletons_read_gives_the_sweeps_outcome(code, top):
     # the list-form twin holds the same singletons as plain tuples, so it takes the sweep
     twin = code_from_text(list_text(code))
-    assert code.is_singletons and not twin.is_singletons
+    assert type(code.family) is Singletons and type(twin.family) is not Singletons
     assert twin.queries == code.queries and twin.blocks == code.blocks
     errors = set()
     for fv in itertools.product(range(top + 1), repeat=len(code)):
@@ -275,6 +275,23 @@ def test_feedback_refuses_bad_entries(length, entries, error, message):
         Feedback(length, entries)
 
 
+@pytest.mark.parametrize("entry", [1.0, True, -1], ids=["float", "bool", "negative"])
+@pytest.mark.parametrize("form", [list, tuple])
+@pytest.mark.parametrize(
+    "code",
+    [build_code(16, 2, 2), build_code(512, 2, 2), code_from_text(list_text(build_code(16, 2, 2)))],
+    ids=["singletons", "table", "listed"],
+)
+def test_decode_refuses_what_feedback_refuses(code, form, entry):
+    # a vector that is not a Feedback becomes one, so it is refused as Feedback refuses it
+    values = [0] * (len(code) - 1) + [entry]
+    with pytest.raises((TypeError, ValueError)) as refused:
+        Feedback(len(values), {p: x for p, x in enumerate(values) if x})
+    with pytest.raises((TypeError, ValueError)) as raised:
+        decode(code, form(values))
+    assert type(raised.value) is type(refused.value) and str(raised.value) == str(refused.value)
+
+
 def test_consistency_error_names_the_first_disagreeing_position():
     code = build_code(16, 3, 2)  # the singletons: a 2 sits at the cap and decodes nothing
     for fv in (Feedback(16, {9: 1, 5: 2}), (0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)):
@@ -321,7 +338,8 @@ def test_round_trip_never_builds_a_dense_vector(code, hidden, monkeypatch):
         raise AssertionError("a dense vector or a laid-out code was built")
 
     monkeypatch.setattr(Feedback, "dense", refuse)
-    monkeypatch.setattr(_LayoutSequence, "_all", refuse)
+    for family in (Singletons, SlicedTable):
+        monkeypatch.setattr(family, "_make", refuse)
     fv = code.feedback(hidden)
     assert len(fv) == len(code) and len(fv.entries) <= len(hidden) * code.occurrence_max
     assert decode(code, fv) == hidden

@@ -1,9 +1,9 @@
 """Built codes stay their rule: the lazy layout against the eager reference.
 
-``code._layout`` makes no set or block; queries and blocks are laid out
-on the first access that needs them all, and incidence, the block at a
-position, base membership and the sole element of a 0-slice block are
-read in closed form.  Over the builder sweep the laid-out code must equal
+A built family (``code.Singletons``, ``code.SlicedTable``) makes no set
+or block; its queries and blocks are laid out on the first access that
+needs them, and incidence, the block at a position and base membership
+are read in closed form.  Over the builder sweep the laid-out code must equal
 the eager reference layout of the same family, and every closed form
 must agree with what the laid-out sets say.
 """
@@ -15,7 +15,7 @@ import qgt.balanced
 import qgt.code
 import qgt.model
 import qgt.ssui
-from qgt.code import KIND_SSUI, Layout, LayoutBlocks, LayoutQueries, build_code, build_code_large
+from qgt.code import KIND_SSUI, Singletons, SlicedTable, build_code, build_code_large
 from qgt.code import build_code_multiset, table_params
 from qgt.decode import decode
 from qgt.model import incidence, singletons
@@ -23,6 +23,7 @@ from qgt.serialize import code_from_text, code_to_text
 from qgt.ssui import truncated_table
 
 from layout_reference import eager_layout
+from list_form import list_text
 
 SWEEP_K = (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32)
 
@@ -36,27 +37,27 @@ def _sweep(e):
 
 
 def _reference(code):
-    family = code.queries.layout.family
-    sets = singletons(code.n) if family is None else truncated_table(code.n, family[0], family[2])
+    family = code.family
+    sets = singletons(code.n) if type(family) is Singletons else truncated_table(code.n, family.q, family.points)
     return eager_layout(sets, code.n, code.k, code.alpha, code.mode)
 
 
 def _check_closed_forms(code, ref):
-    """Incidence, occurrence_max, the block at each position, membership and sole elements."""
+    """Incidence, occurrence_max, the block at each position and membership."""
     n = code.n
     assert code.occurrence_max == ref.occurrence_max
     model_inc = incidence(ref.queries)
     assert all(code.incidence[v] == model_inc[v] for v in range(1, n + 1)), (n, code.k)
     for p, s in enumerate(ref.queries):
-        blk = ref.block_at[p]
-        assert code.block_at[p] == blk
-        if blk is not None and not blk.slices:
-            assert code.sole_elements[p] == next(iter(s))
+        slices = ref.family.block_at[p]
+        assert code.family.block_at[p] == slices
+        if slices == 0:  # only the singletons lay out 0-slice blocks
+            assert type(code.family) is Singletons and s == {p + 1}
         # a few members, and a few elements of the next query that are not members
         members = sorted(s)
         others = sorted(ref.queries[(p + 1) % len(ref.queries)] - s)
-        assert all(code.query_holds(p, v) for v in members[:4] + members[-4:])
-        assert not any(code.query_holds(p, v) for v in others[:4] + others[-4:])
+        assert all(code.family.holds(p, v) for v in members[:4] + members[-4:])
+        assert not any(code.family.holds(p, v) for v in others[:4] + others[-4:])
 
 
 @pytest.mark.parametrize("e", range(1, 13))
@@ -66,12 +67,12 @@ def test_lazy_layout_matches_the_eager_reference(e):
         ref = _reference(code)
         assert code.group_keys == ref.group_keys == ((KIND_SSUI, code.k),)
         assert len(code) == len(ref.queries) and len(code.blocks) == len(ref.blocks)
-        if code.blocks.layout not in checked:  # plain and large share their layout
-            checked.add(code.blocks.layout)
+        if (code.family.line, code.k) not in checked:  # plain and large share their layout
+            checked.add((code.family.line, code.k))
             _check_closed_forms(code, ref)
         assert tuple(code.queries) == ref.queries and tuple(code.blocks) == ref.blocks
         assert code == ref and ref == code and hash(code) == hash(ref)
-        assert tuple(code.group_bases(0)) == ref.group_bases(0)
+        assert tuple(code.family.group_bases(0)) == ref.family.group_bases(0)
 
 
 def test_membership_is_exact_on_small_tables():
@@ -79,14 +80,14 @@ def test_membership_is_exact_on_small_tables():
         code = build_code(n, k, 2)
         ref = _reference(code)
         for p, s in enumerate(ref.queries):
-            assert {v for v in range(0, n + 2) if code.query_holds(p, v)} == s
+            assert {v for v in range(0, n + 2) if code.family.holds(p, v)} == s
 
 
 def test_incidence_is_a_full_mapping_filled_on_use():
     code = build_code(32, 1, 2)
     inc = code.incidence
     assert dict.__len__(inc) == 0  # nothing is computed at build
-    assert inc.get(5) == code.queries.layout.incidence(5)  # get fills, unlike dict.get
+    assert inc.get(5) == incidence(tuple(code.queries))[5]  # get fills, unlike dict.get
     assert dict.__len__(inc) == 1
     assert inc.get(0) is None and inc.get(33, ()) == () and 33 not in inc
     with pytest.raises(KeyError):
@@ -104,14 +105,18 @@ def test_equality_and_hash_follow_content():
     assert hash(four.queries) == hash(singletons(64))
     assert four.queries != list(singletons(64))  # a tuple never equals a list
     parsed = code_from_text(code_to_text(four))
-    assert type(parsed.queries) is LayoutQueries and type(parsed.blocks) is LayoutBlocks
+    assert type(parsed.family) is Singletons
     assert parsed == four and hash(parsed) == hash(four)
     assert {four: 1}[build_code_multiset(64, 4)] == 1
+    for code in (four, build_code(512, 2, 2)):  # a family code equals its list twin, and hashes alike
+        twin = code_from_text(list_text(code))
+        assert type(twin.family) is not type(code.family)
+        assert twin == code and code == twin and hash(twin) == hash(code)
 
 
 def test_a_table_layout_needs_every_base_to_hold_two_elements():
     with pytest.raises(ValueError, match="n >= 2q"):
-        Layout((17, 2, 9), 16, 5)
+        SlicedTable(16, 17, 2, 9)
     # every table the build rule takes has q < n / (1 + 2 log2 n)
     for e in range(1, 19):
         for k in (1, 2, 3, 4, 5, 8, 16, 32):
@@ -142,3 +147,16 @@ def test_building_writing_loading_and_decoding_lay_nothing_out(monkeypatch, n, k
         assert parsed == code and code_to_text(parsed) == code_to_text(code)
         assert decode(parsed, parsed.feedback(hidden)) == hidden
         assert code.occurrence_max == parsed.occurrence_max
+
+
+def test_hashing_the_2_18_codes_lays_nothing_out(monkeypatch):
+    _refuse_layouts(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("the blocks were laid out")
+
+    for family in (Singletons, SlicedTable):
+        monkeypatch.setattr(family, "blocks", refuse)
+    for code in (build_code(2**18, 4, 3), build_code_multiset(2**18, 2)):
+        parsed = code_from_text(code_to_text(code))
+        assert hash(parsed) == hash(code) and {code: 1}[parsed] == 1

@@ -14,7 +14,7 @@ queries, checking that the skip changes no value, witness or refusal;
 the built codes of the benchmark's oracle grid check it at n = 32.
 
 On a built code's queries the oracles read the active elements from the
-rule (``RuleQueries.rule_active``): every walking oracle must give the
+rule (the family's ``active``): every walking oracle must give the
 same outcome there, on the same queries as a plain tuple and in the
 reference scan, under every budget; a call over another universe must
 not read the rule, the immediate verdicts with no active element must
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import qgt.bounds
 import qgt.model
 from qgt.bounds import find_unjammed_violation, verify_uniqueness
-from qgt.code import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, _LayoutSequence, build, build_code_multiset
+from qgt.code import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, Singletons, build, build_code_multiset
 from qgt.code import level_params
 from qgt.model import BudgetError, active_elements, sets_up_to, singletons, subset_at
 from qgt.model import walk_subsets
@@ -390,9 +390,9 @@ def test_built_queries_tuples_and_reference_scans_agree(mode, n, k, alpha):
 @pytest.mark.parametrize("code", [build_code_multiset(32, 2), build(32, 1, 2, MODE_PLAIN)])
 def test_another_universe_is_not_read_from_the_rule(code):
     queries = code.queries
-    assert queries.rule_active(32) == active_elements(tuple(queries), 32)
+    assert queries.active(32) == active_elements(tuple(queries), 32)
     for n in (16, 64):  # over [1..64], 33..64 lie in no query; over [1..16], 17..32 lie outside
-        assert queries.rule_active(n) is None
+        assert queries.active(n) == active_elements(tuple(queries), n)
         assert active_elements(queries, n) == active_elements(tuple(queries), n)
         args = (n, 2, 1, *level_params(2, 1))
         assert _outcomes(queries, *args, OURS) == _outcomes(tuple(queries), *args, REFERENCE)
@@ -451,7 +451,7 @@ def test_oracles_on_the_2_18_singletons_lay_out_nothing(monkeypatch):
 
     n = 2**18
     queries = build_code_multiset(n, 2).queries
-    monkeypatch.setattr(_LayoutSequence, "_all", refuse)
+    monkeypatch.setattr(Singletons, "_make", refuse)
     assert active_elements(queries, n) == []
     budget = 10**11
     assert verify_uniqueness(queries, n, 2, 1, budget) is True

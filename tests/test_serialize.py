@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from qgt.code import KIND_SUI, Block, Code, build_code, build_code_large, build_code_multiset
+from qgt.code import KIND_SUI, Block, Code, Listed, build_code, build_code_large, build_code_multiset
 from qgt.decode import decode
 from qgt import serialize
 from qgt.random_code import build_random_code
@@ -57,7 +57,7 @@ def test_header_shape():
 
 
 def test_empty_query_line_parses_to_empty_set():
-    code = Code((frozenset(), frozenset({1})), (), 8, 1, 1, "random")
+    code = Code(Listed((frozenset(), frozenset({1})), ()), 8, 1, 1, "random")
     parsed = code_from_text(code_to_text(code))
     assert parsed.queries == (frozenset(), frozenset({1}))
 
@@ -244,7 +244,7 @@ def test_every_built_code_round_trips_as_its_family_line(e):
 
 
 def _random_code(n, k, alpha, seed):
-    return Code(build_random_code(n, k, alpha, seed).queries, (), n, k, alpha, "random")
+    return Code(Listed(build_random_code(n, k, alpha, seed).queries, ()), n, k, alpha, "random")
 
 
 @pytest.mark.parametrize(
@@ -270,15 +270,17 @@ def test_a_code_differing_from_its_family_in_one_field_is_a_list():
     table = build_code(32, 1, 2)
     assert code_to_text(table) == "qgtc 2\nn 32\nk 1\nalpha 2\nmode plain\nfamily rs 2 4 1\n"
     base = table.blocks[1].base
-    relabelled = dataclasses.replace(
-        table, blocks=(table.blocks[0], Block(KIND_SUI, 1, base, table.blocks[1].slices))
-    )
+    def listed(code, queries=None, blocks=None):
+        queries = tuple(code.queries) if queries is None else queries
+        return dataclasses.replace(code, family=Listed(queries, code.blocks if blocks is None else blocks))
+
+    relabelled = listed(table, blocks=(table.blocks[0], Block(KIND_SUI, 1, base, table.blocks[1].slices)))
     slices = list(table.queries)
     slices[base + 2] = frozenset()  # a tampered slice: it held 2, 6, 10, ...
-    tampered = dataclasses.replace(table, queries=tuple(slices))
+    tampered = listed(table, queries=tuple(slices))
     singles = build_code(16, 2, 2)
-    moved = dataclasses.replace(singles, queries=singles.queries[::-1])
-    cut = dataclasses.replace(table, queries=table.queries[:11])  # blocks run past the queries
+    moved = listed(singles, queries=singles.queries[::-1])
+    cut = listed(table, queries=table.queries[:11])  # blocks run past the queries
     for code in (relabelled, tampered, moved, cut, dataclasses.replace(table, k=2)):
         assert code_to_text(code) == list_text(code)
 
@@ -360,7 +362,7 @@ def test_list_file_with_a_tampered_slice_names_its_line():
     base = table.blocks[1].base
     slices = list(table.queries)
     slices[base + 2] = frozenset()  # it held 2, 6, 10, ...
-    text = list_text(dataclasses.replace(table, queries=tuple(slices)))
+    text = list_text(dataclasses.replace(table, family=Listed(tuple(slices), table.blocks)))
     # header, blocks line and 2 block lines, then the queries from line 9
     with pytest.raises(FormatError, match=f"line {9 + base + 2}: slice 2 of the base on line {9 + base} "):
         code_from_text(text)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qgt.code import MODE_MULTISET, build_code, build_code_multiset
+from qgt.code import MODE_MULTISET, Code, Listed, Singletons, build_code, build_code_multiset
 from qgt.decode import decode
 from qgt.model import Feedback
 from qgt.streaming import GraphSketch, StreamSketch, edge_endpoints, edge_index, parse_ops
@@ -120,6 +120,22 @@ def test_code_without_a_singleton_per_element_rejected():
     table = dataclasses.replace(build_code(32, 1, 2), alpha=0, mode=MODE_MULTISET)
     with pytest.raises(ValueError, match="singleton query for every element"):
         StreamSketch(table)
+
+
+def test_each_family_says_whether_every_element_is_alone(monkeypatch):
+    singles = build_code_multiset(16, 2)
+    queries, blocks = tuple(singles.queries), tuple(singles.blocks)
+    twin = Code(Listed(queries, blocks), 16, 2, 0, MODE_MULTISET)
+    assert StreamSketch(twin).reconstruct() == {}
+    shared = Code(Listed(queries[:-1] + (frozenset({15, 16}),), blocks), 16, 2, 0, MODE_MULTISET)
+    with pytest.raises(ValueError, match="singleton query for every element"):
+        StreamSketch(shared)
+
+    def refuse(self):
+        raise AssertionError("the singletons were laid out")
+
+    monkeypatch.setattr(Singletons, "_make", refuse)
+    assert StreamSketch(build_code_multiset(2**18, 2)).reconstruct() == {}
 
 
 def test_reconstruct_empty():
