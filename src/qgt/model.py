@@ -127,8 +127,7 @@ class Feedback(Sequence):
     def __init__(self, length: int, entries: Mapping[int, int]) -> None:
         if type(length) is not int or length < 0:
             raise ValueError(f"feedback length must be an int >= 0, got {length!r}")
-        # a _Sparse is made only inside this package, for the vector: kept, not copied
-        sparse = entries if type(entries) is _Sparse else _Sparse(entries)
+        sparse = _Sparse(entries)
         for position, value in sparse.items():
             if type(position) is not int or type(value) is not int or not 0 <= position < length or value < 1:
                 _refuse_entry(length, position, value)

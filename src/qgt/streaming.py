@@ -1,18 +1,18 @@
 """Streaming multiset maintenance and dynamic graph reconstruction.
 
 A stream sketch keeps one exact (uncapped) counter per query of a
-multiset-mode code.  Inserting or deleting an element touches exactly
-the counters of the queries containing it, so update cost is
+multiset-mode code, and stores only the nonzero ones: ``counters`` maps
+a position to its count, the form ``Feedback.entries`` has, so the
+state is O(live support) -- the positions the live elements touch --
+never O(m).  Inserting or deleting an element touches exactly the
+counters of the queries containing it, so update cost is
 O(occurrences): the element's occurrence count in the code.  The
 counters are the readout: reconstruction refuses a live total
 multiplicity above the code capacity or the readout cap, so no counter
-can exceed the cap.  The sketch also keeps the positions of its nonzero
-counters, changed only when a counter moves between 0 and 1, and hands
-the decoder a ``Feedback`` of just those counters, so a reconstruction
-costs O(live support) -- the positions the live elements touch -- and
-never reads all m counters.  On the n singletons (``code.Singletons``,
-every multiset code this package builds), the family reads that vector
-in closed form: a live counter is its element's multiplicity.
+can exceed the cap, and it hands the decoder a copy of the map.  On
+the n singletons (``code.Singletons``, every multiset code this package
+builds), the family reads that vector in closed form: a live counter
+is its element's multiplicity.
 
 Counters are exact rather than capped because deletions are impossible
 under capped counters; the cap belongs to the readout, not the state.
@@ -45,10 +45,11 @@ from .model import Feedback, Multiset, _Filled, _Sparse, check_cap, next_power_o
 class StreamSketch:
     """Exact per-query counters over a multiset-mode code.
 
-    ``counters`` holds one count per query and ``live`` the positions
-    where it is nonzero.  An update costs O(occurrences) of its
-    element; a reconstruction costs O(live support), reading only the
-    live positions and those the decoded elements touch.
+    ``counters`` maps each position whose count is nonzero to that
+    count; a position at 0 is not stored.  An update costs
+    O(occurrences) of its element; a reconstruction costs O(live
+    support), reading only the live positions and those the decoded
+    elements touch.
     """
 
     def __init__(self, code: Code, alpha: int | None = None) -> None:
@@ -59,19 +60,16 @@ class StreamSketch:
         self.code = code
         self.alpha = alpha if alpha is not None else code.k
         check_cap(self.alpha)
-        self.counters = [0] * len(code.queries)
-        self.live: set[int] = set()
+        self.counters = _Sparse()
         self.total_multiplicity = 0
 
     def insert(self, v: int) -> int:
         """Add one unit of v; returns the number of counters touched."""
         indices = self._indices(v)
         counters = self.counters
+        get = counters.get
         for idx in indices:
-            count = counters[idx]
-            if not count:
-                self.live.add(idx)
-            counters[idx] = count + 1
+            counters[idx] = get(idx, 0) + 1
         self.total_multiplicity += 1
         return len(indices)
 
@@ -80,13 +78,14 @@ class StreamSketch:
         indices = self._indices(v)
         counters = self.counters
         for idx in indices:
-            if not counters[idx]:
+            if idx not in counters:
                 raise ValueError(f"delete of absent element {v}")
         for idx in indices:
             count = counters[idx] - 1
-            if not count:
-                self.live.discard(idx)
-            counters[idx] = count
+            if count:
+                counters[idx] = count
+            else:
+                del counters[idx]
         self.total_multiplicity -= 1
         return len(indices)
 
@@ -103,14 +102,8 @@ class StreamSketch:
         Exactness is promised only while the live total multiplicity is
         within both the code capacity and the readout cap; past that the
         readouts can alias, so the request is refused outright.  Within
-        it no counter exceeds the cap, so the counters are the readout,
-        and ``live`` lists every position the decoder must read.
-
-        The live counters go to the decoder unchecked (``Feedback._built``):
-        each live position indexes a counter, and the counter there is at
-        least 1, because an update adds a position to ``live`` as its
-        counter leaves 0 and drops it as the counter returns to 0 (the
-        invariant ``tests/test_streaming.py`` checks after every op).
+        it no counter exceeds the cap, so the counters are the readout:
+        a copy of them goes to the decoder as the vector's entries.
         """
         limit = min(self.alpha, self.code.k)
         if self.total_multiplicity > limit:
@@ -118,9 +111,7 @@ class StreamSketch:
                 f"capacity exceeded: {self.total_multiplicity} units held, "
                 f"reconstruction supports at most {limit}"
             )
-        counters = self.counters
-        entries = _Sparse({idx: counters[idx] for idx in self.live})
-        return decode(self.code, Feedback._built(len(counters), entries))
+        return decode(self.code, Feedback._built(len(self.code), _Sparse(self.counters)))
 
     def _indices(self, v: int) -> tuple[int, ...]:
         # refused before the lookup: the incidence cache would take 2.0 for 2 once 2 is cached

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -25,7 +27,7 @@ def test_readout_cap_below_one_rejected():
 
 def test_insert_delete_cancel_exactly():
     sketch = _sketch()
-    before = list(sketch.counters)
+    before = dict(sketch.counters)
     sketch.insert(5)
     sketch.delete(5)
     assert sketch.counters == before
@@ -34,10 +36,7 @@ def test_insert_delete_cancel_exactly():
 def test_fresh_insert_matches_code_column():
     sketch = _sketch()
     sketch.insert(7)
-    expected = [0] * len(sketch.code.queries)
-    for idx in sketch.code.incidence[7]:
-        expected[idx] = 1
-    assert sketch.counters == expected
+    assert sketch.counters == {idx: 1 for idx in sketch.code.incidence[7]}
 
 
 def test_update_cost_equals_occurrence_count():
@@ -50,7 +49,7 @@ def test_update_cost_equals_occurrence_count():
 def test_delete_absent_element_rejected_and_state_unchanged():
     sketch = _sketch()
     sketch.insert(2)
-    snapshot = list(sketch.counters)
+    snapshot = dict(sketch.counters)
     with pytest.raises(ValueError, match="absent"):
         sketch.delete(9)
     assert sketch.counters == snapshot
@@ -62,11 +61,11 @@ def test_non_int_element_refused_whatever_the_cache_holds(cached):
     sketch = StreamSketch(build_code_multiset(8, 2))
     if cached:
         sketch.insert(2)
-    counters, live = list(sketch.counters), set(sketch.live)
+    counters = dict(sketch.counters)
     for update in (sketch.insert, sketch.delete):
         with pytest.raises(TypeError, match="element must be an int, got 2.0"):
             update(2.0)
-    assert sketch.counters == counters and sketch.live == live
+    assert sketch.counters == counters
     if not cached:
         sketch.insert(2)
     assert sketch.reconstruct() == {2: 1}
@@ -99,7 +98,7 @@ def test_every_element_witnesses_its_own_delete(code):
     for v in range(1, code.n + 1):
         with pytest.raises(ValueError, match="absent"):
             sketch.delete(v)
-    assert sketch.counters == [0] * len(code) and sketch.total_multiplicity == 0
+    assert sketch.counters == {} and sketch.total_multiplicity == 0
 
 
 def test_delete_covered_by_other_elements_rejected():
@@ -108,7 +107,7 @@ def test_delete_covered_by_other_elements_rejected():
     sketch = StreamSketch(build_code_multiset(32, 1))
     sketch.insert(1)
     sketch.insert(31)
-    snapshot = list(sketch.counters)
+    snapshot = dict(sketch.counters)
     with pytest.raises(ValueError, match="delete of absent element 3"):
         sketch.delete(3)
     assert sketch.counters == snapshot and sketch.total_multiplicity == 2
@@ -171,8 +170,8 @@ def test_order_independence():
         for op, v in inserts + deletes:
             sketch.apply(op, v)
         if reference is None:
-            reference = list(sketch.counters)
-        assert list(sketch.counters) == reference
+            reference = dict(sketch.counters)
+        assert sketch.counters == reference
 
 
 def test_random_streams_reconstruct_against_shadow(n=64, k=6, ops=1000):
@@ -214,12 +213,15 @@ def _outcome(func, *args, **kwargs):
         return type(exc)
 
 
-def _assert_sparse_agrees_with_dense(sketch):
-    counters = sketch.counters
-    assert sorted(sketch.live) == [i for i, c in enumerate(counters) if c]
-    dense = _outcome(decode, sketch.code, tuple(counters))
-    sparse = Feedback(len(counters), {idx: counters[idx] for idx in sketch.live})
-    assert _outcome(decode, sketch.code, sparse) == dense
+def _assert_sparse_agrees_with_dense(sketch, held):
+    code, counters = sketch.code, sketch.counters
+    assert 0 not in counters.values()
+    assert counters == code.feedback(Counter(held)).entries
+    values = [0] * len(code)
+    for idx, count in counters.items():
+        values[idx] = count
+    dense = _outcome(decode, code, tuple(values))
+    assert _outcome(decode, code, Feedback(len(code), counters)) == dense
     if sketch.total_multiplicity > min(sketch.alpha, sketch.code.k):
         with pytest.raises(ValueError, match="capacity exceeded"):
             sketch.reconstruct()
@@ -231,8 +233,9 @@ def _replay_against_dense(sketch, apply, n, steps, seed):
     """Seeded inserts and deletes hovering just past the reconstruction limit.
 
     Repeated elements, rejected deletes of absent elements and overfull
-    states all occur; after every op the tracked live positions and the
-    sparse readout must agree with a full scan of the counters.
+    states all occur; after every op the stored counters must be the
+    nonzero entries of the held multiset's uncapped vector, and the
+    sparse readout must agree with a decode of the dense tuple.
     """
     rng = random.Random(seed)
     limit = min(sketch.alpha, sketch.code.k)
@@ -246,10 +249,10 @@ def _replay_against_dense(sketch, apply, n, steps, seed):
                 held.remove(v)
                 apply("D", v)
             else:
-                counters, live = list(sketch.counters), set(sketch.live)
+                counters = dict(sketch.counters)
                 with pytest.raises(ValueError, match="absent"):
                     apply("D", v)
-                assert sketch.counters == counters and sketch.live == live
+                assert sketch.counters == counters
                 rejected += 1
         elif held and (len(held) > limit + 1 or roll < 0.4):
             apply("D", held.pop(rng.randrange(len(held))))
@@ -258,7 +261,7 @@ def _replay_against_dense(sketch, apply, n, steps, seed):
             held.append(v)
             apply("I", v)
         overfull += len(held) > limit
-        _assert_sparse_agrees_with_dense(sketch)
+        _assert_sparse_agrees_with_dense(sketch, held)
     assert rejected and overfull
 
 
@@ -277,29 +280,44 @@ def test_graph_sparse_readout_agrees_with_dense_decode():
     _replay_against_dense(graph.sketch, apply, graph.edge_universe, 800, seed=3)
 
 
-class _CountingList(list):
-    """A list that counts the items read from it, by index or by iteration."""
+def test_sketch_holds_only_the_live_counters(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the singletons were laid out")
 
-    reads = 0
+    monkeypatch.setattr(Singletons, "_make", refuse)
+    code = build_code_multiset(2**20, 16)
+    sketch = StreamSketch(code)
+    held = Counter()
+    ops = [("I", 5), ("I", 77), ("I", 77), ("I", 4096), ("I", 2**20), ("D", 77), ("D", 5), ("D", 77), ("I", 5)]
+    for op, v in ops:
+        sketch.apply(op, v)
+        held[v] += 1 if op == "I" else -1
+        held = +held
+        assert len(sketch.counters) == len({idx for e in held for idx in code.incidence[e]})
+        assert sketch.reconstruct() == dict(sorted(held.items()))
 
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
 
-    def __iter__(self):
-        for item in super().__iter__():
-            self.reads += 1
-            yield item
-
-
-def test_reconstruct_reads_only_the_live_counters():
-    sketch = StreamSketch(build_code_multiset(2**20, 16))
-    for v in (5, 77, 77, 4096, 2**20):
-        sketch.insert(v)
-    live = sum(map(bool, sketch.counters))
-    sketch.counters = _CountingList(sketch.counters)
-    assert sketch.reconstruct() == {5: 1, 77: 2, 4096: 1, 2**20: 1}
-    assert 0 < sketch.counters.reads <= 8 * live
+def test_graph_sketch_memory_is_its_live_edges():
+    # the edge universe of 4,096 nodes is coded by 2^23 counters
+    rng = random.Random(4096)
+    edges: set[tuple[int, int]] = set()
+    tracemalloc.start()
+    try:
+        graph = GraphSketch(4096, 3)
+        for _ in range(200):
+            u, v = sorted(rng.sample(range(1, 4097), 2))
+            if (u, v) in edges:
+                graph.remove_edge(u, v)
+                edges.remove((u, v))
+            else:
+                graph.add_edge(u, v)
+                edges.add((u, v))
+        assert graph.reconstruct() == sorted(edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.sketch.code) == 2**23
+    assert peak < 2 * 2**20, peak
 
 
 def test_edge_index_table():
