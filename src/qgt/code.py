@@ -28,14 +28,16 @@ is the truncated table, each base followed by its slices.
 ``Listed(queries, blocks)`` holds any other code's queries and blocks
 as given: hand-laid tables, list files and random codes.  Each family
 gives its length ``m``; ``incidence``, element -> positions of the
-queries holding it, and ``block_at``, position -> the slice count of
-the block based there or None, both filled on use; ``holds(p, v)``;
+queries holding it (on a built family filled on use, with KeyError
+outside [1..n]), and ``block_at``, position -> the slice count of the
+block based there or None, filled on use; ``holds(p, v)``;
 ``active(n)``, the elements an oracle walks; its queries, and its
 blocks at a level; its ``line`` in a family file (None for
 ``Listed``); ``alone(n)``, whether every element of [1..n] is alone in
-some query; and ``decode(code, values, nonzero)``: a closed form on the
-singletons, the block sweep (``decode.sweep``) on the other two.
-``Code`` holds one family and delegates to it.
+some query; and ``decode(entries, n, k, cap)``, from a vector's nonzero
+entries alone: a closed form on the singletons, the block sweep
+(``decode.sweep``) on the other two.  ``Code`` holds one family and
+delegates to it.
 
 A built code stays its rule: the two built families are read-only
 sequences of their queries, and no set or block is made when a code is
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .balanced import bit_slices, encode_balanced, id_bits
-from .decode import DecodeError, DecodeStats, sweep, unexplained
+from .decode import NO_LAYOUT, DecodeError, DecodeStats, sweep, unexplained
 from .model import Feedback, Multiset, Query, active_elements, as_multiset, check_cap, check_capacity
 from .model import _Filled, _Sparse, check_universe, next_power_of_two, singletons
 from .model import incidence as _incidence
@@ -173,7 +175,15 @@ class _Built(_Family, Sequence):
 
     @cached_property
     def incidence(self) -> Mapping[int, tuple[int, ...]]:
-        return _Incidence(self)
+        """element -> ``_positions(v)``, filled on use; KeyError outside [1..n]."""
+        n, positions = self.n, self._positions
+
+        def fill(v: int) -> tuple[int, ...]:
+            if not (isinstance(v, int) and 1 <= v <= n):
+                raise KeyError(v)
+            return positions(v)
+
+        return _Filled(fill)
 
     @cached_property
     def block_at(self) -> Mapping[int, int | None]:
@@ -193,40 +203,6 @@ class _Built(_Family, Sequence):
     def active(self, n: int) -> list[int]:
         """Over a universe other than its own: one pass over the laid-out queries."""
         return active_elements(self._items, n)
-
-
-class _Incidence(dict):
-    """element -> positions of a built family's queries holding it, each filled on its first lookup.
-
-    A full mapping over [1..n] (every element of a built family is in
-    some query): ``len``, iteration, ``in``, ``get``, the views and
-    ``==`` cover every element.  ``get``, the views and ``==`` are
-    ``Mapping``'s, which read through iteration and lookup; ``dict``'s
-    would see only the filled entries, and ``dict.get`` would skip
-    ``__missing__``.
-    """
-
-    def __init__(self, family: _Built) -> None:
-        super().__init__()
-        self.family = family
-
-    def __missing__(self, v: int) -> tuple[int, ...]:
-        if v not in self:
-            raise KeyError(v)
-        value = self[v] = self.family._positions(v)
-        return value
-
-    def __len__(self) -> int:
-        return self.family.n
-
-    def __iter__(self):
-        return iter(range(1, self.family.n + 1))
-
-    def __contains__(self, v: object) -> bool:
-        return isinstance(v, int) and 1 <= v <= self.family.n
-
-    get, keys, items, values = Mapping.get, Mapping.keys, Mapping.items, Mapping.values
-    __eq__ = Mapping.__eq__
 
 
 class Singletons(_Built):
@@ -263,13 +239,11 @@ class Singletons(_Built):
         """The base queries of block group `index`: the queries, kept as the rule."""
         return self
 
-    def decode(
-        self, code: Code, values: Sequence[int] | Mapping[int, int], nonzero: list[int]
-    ) -> tuple[Multiset, DecodeStats]:
-        """The block sweep's outcome, read off the nonzero values in closed form.
+    def decode(self, entries: Mapping[int, int], n: int, k: int, cap: int) -> tuple[Multiset, DecodeStats]:
+        """The block sweep's outcome, read off the entries in closed form.
 
         Query p holds element p+1 alone, so a trusted value (below a
-        nonzero ``alpha``) is that element's multiplicity; the sweep
+        nonzero ``cap``) is that element's multiplicity; the sweep
         fires each such position once and raises on a (k+1)-th.  A
         position at the cap decodes nothing, so the consistency check
         then fails at the first one, reading 0 decoded there.  The read
@@ -277,14 +251,13 @@ class Singletons(_Built):
         same message, and counts one sweep checking each nonzero
         position once.
         """
-        k, alpha = code.k, code.alpha
-        trusted = [p for p in nonzero if values[p] < alpha] if alpha else nonzero
-        if len(trusted) > k:
+        nonzero = sorted(entries)
+        capped = [p for p in nonzero if entries[p] >= cap] if cap else ()
+        if len(nonzero) - len(capped) > k:
             raise DecodeError(f"decoded more than k={k} elements")
-        if len(trusted) != len(nonzero):
-            first = next(p for p in nonzero if values[p] >= alpha)
-            raise unexplained(first, values[first], 0)
-        result = {p + 1: values[p] for p in nonzero}
+        if capped:
+            raise unexplained(capped[0], entries[capped[0]], 0)
+        result = {p + 1: entries[p] for p in nonzero}
         stats = DecodeStats(sweeps=1 if nonzero else 0, good_checks=len(nonzero), decoded=len(result))
         return result, stats
 
@@ -386,6 +359,12 @@ class Listed(_Family):
 
     def group_keys(self, level: int) -> tuple[tuple[str, int], ...]:
         return tuple((group[0].kind, group[0].level) for group in _grouped(self._blocks))
+
+    def decode(self, entries: Mapping[int, int], n: int, k: int, cap: int) -> tuple[Multiset, DecodeStats]:
+        """The block sweep; a code without blocks (a random code's queries) is refused."""
+        if not self._blocks:
+            raise DecodeError(NO_LAYOUT)
+        return sweep(self, entries, n, k, cap)
 
     def group_bases(self, index: int) -> tuple[Query, ...]:
         return tuple(self.queries[blk.base] for blk in _grouped(self._blocks)[index])

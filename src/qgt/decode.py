@@ -8,11 +8,11 @@ correct whatever fired before it, and one fixed point over all blocks
 decodes everything a walk level by level would, and more.
 
 One rule decodes every mode.  A block is *good* when its base value is
-trusted (below ``code.alpha``, or any value when alpha is 0, as on
-multiset codes), its residue r beyond the decoded weight inside the
-base is positive, and every slice residue is 0 or r.  The slices then
-spell r times the balanced identifier of one new element, decoded with
-multiplicity r; a block with no slices has a base of at most one
+trusted (below the cap, the code's alpha, or any value when alpha is 0,
+as on multiset codes), its residue r beyond the decoded weight inside
+the base is positive, and every slice residue is 0 or r.  The slices
+then spell r times the balanced identifier of one new element, decoded
+with multiplicity r; a block with no slices has a base of at most one
 element, which names that element directly.  On a set input a trusted
 base holding r >= 2 unknown elements never fires: two of them differ in
 some identifier bit, so some slice residue lies strictly between 0 and
@@ -21,25 +21,28 @@ decoded skip the block for this sweep.  A (k+1)-th distinct element
 raises.
 
 At the fixed point the decoder re-encodes its answer, capped at a
-nonzero ``code.alpha``, and raises on any mismatch with the input: it
-returns at most k distinct elements that reproduce the vector exactly,
-or raises.  Only blocks with a nonzero base value can fire, so each
-sweep visits the few touched blocks, not the whole code.
+nonzero cap, and raises on any mismatch with the input: it returns at
+most k distinct elements that reproduce the vector exactly, or raises.
+Only blocks with a nonzero base value can fire, so each sweep visits
+the few touched blocks, not the whole code.
 
 The decoder reads the vector only at its nonzero positions and at the
 positions the decoded elements touch.  A ``Feedback`` (what
 ``Code.feedback``, ``fv_from_text`` and a stream sketch hand over)
 lists those positions itself, so its decode costs O(support), not
 O(m).  Any other sequence is scanned once for them, the one O(m) step,
-and refused as ``Feedback`` refuses it: a value that is not an int, or
-is negative (``Feedback.read``).
+refused as ``Feedback`` refuses it (a value that is not an int, or is
+negative) and decoded as the ``Feedback`` of its nonzero entries
+(``Feedback.of``).
 
 Each query family decodes itself (``code``): ``decode_detailed`` checks
-the vector's length and hands its values and nonzero positions to the
-code's family.  The sweep above, ``sweep``, is the decode of the sliced
-table and of listed codes; it reads the family's ``block_at``,
-``holds`` and ``incidence``.  The n singletons read a vector in closed
-form (``Singletons.decode``).
+the vector's length and hands the family its entries, the code's n, k
+and cap, ``family.decode(entries, n, k, cap)``; no family reads the
+``Code``, and this is the one decoder line that reads the cap.  The
+sweep above, ``sweep``, is the decode of the sliced table and of listed
+codes; it reads the family's ``block_at``, ``holds`` and
+``incidence``, and a listed code without blocks refuses first.  The n
+singletons read a vector in closed form (``Singletons.decode``).
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ if TYPE_CHECKING:  # code imports this module for the families' decodes
 
 class DecodeError(ValueError):
     pass
+
+
+NO_LAYOUT = "code has no block layout; only constructed codes are decodable"
 
 
 @dataclass
@@ -77,36 +83,35 @@ def decode(code: Code, fv: Sequence[int]) -> Multiset:
 
 def decode_detailed(code: Code, fv: Sequence[int]) -> tuple[Multiset, DecodeStats]:
     """Decode ``fv`` by the code's family: a ``Feedback`` in O(support), another sequence after an O(m) scan."""
-    if code.mode == MODE_RANDOM or not code.group_keys:
-        raise DecodeError("code has no block layout; only constructed codes are decodable")
+    if code.mode == MODE_RANDOM:
+        raise DecodeError(NO_LAYOUT)
     if len(fv) != code.family.m:
         raise DecodeError(f"feedback vector length {len(fv)} != code length {code.family.m}")
-    values, nonzero = Feedback.read(fv)
-    return code.family.decode(code, values, nonzero)
+    return code.family.decode(Feedback.of(fv).entries, code.n, code.k, code.alpha)
 
 
 def sweep(
-    family: SlicedTable | Listed, code: Code, values: Sequence[int] | Mapping[int, int], nonzero: list[int]
+    family: SlicedTable | Listed, entries: Mapping[int, int], n: int, k: int, cap: int
 ) -> tuple[Multiset, DecodeStats]:
-    """The block sweep to a fixed point (module docstring) over the blocks of ``code``'s family.
+    """The block sweep to a fixed point (module docstring) over the blocks of ``family``.
 
-    ``values`` reads the value at each position, and ``nonzero`` lists
-    the positions where it is not 0, ascending (``Feedback.read``).
+    ``entries`` maps each nonzero position of the vector to its value
+    (``Feedback.entries``); ``cap`` 0 caps no value.
     """
-    k, alpha = code.k, code.alpha  # alpha 0: no value is capped
     stats = DecodeStats()
     acc: Multiset = {}
     acc_w: dict[int, int] = {}
     inc, block_at = family.incidence, family.block_at
-    candidates = [(base, slices) for base in nonzero if (slices := block_at[base]) is not None]
+    candidates = sorted(
+        (base, base_fv, slices) for base, base_fv in entries.items() if (slices := block_at[base]) is not None
+    )
     progress = True
     while progress and candidates:
         progress = False
         stats.sweeps += 1
         stats.good_checks += len(candidates)  # a sweep checks every candidate, or raises
-        for base, slices in candidates:
-            base_fv = values[base]
-            if alpha and base_fv >= alpha:
+        for base, base_fv, slices in candidates:
+            if cap and base_fv >= cap:
                 continue  # at the cap: the true count may be anything above it
             residue = base_fv - acc_w.get(base, 0)
             if residue < 0:
@@ -119,7 +124,7 @@ def sweep(
             if residue == 0:
                 continue
             if slices:
-                v = _read_slices(code, base, slices, values, acc_w, residue, stats)
+                v = _read_slices(family, n, base, slices, entries, acc_w, residue, stats)
             else:  # a base of at most one element names it
                 s = family.queries[base]
                 v = min(s) if len(s) == 1 else None
@@ -132,15 +137,16 @@ def sweep(
                 acc_w[idx] = acc_w.get(idx, 0) + residue
             stats.decoded += 1
             progress = True
-    _check_consistency(values, acc_w, nonzero, alpha)
+    _check_consistency(entries, acc_w, cap)
     return dict(sorted(acc.items())), stats
 
 
 def _read_slices(
-    code: Code,
+    family: SlicedTable | Listed,
+    n: int,
     base: int,
     slices: int,
-    values: Sequence[int] | Mapping[int, int],
+    entries: Mapping[int, int],
     acc_w: dict[int, int],
     residue: int,
     stats: DecodeStats,
@@ -150,11 +156,11 @@ def _read_slices(
     for j in range(1, slices + 1):
         idx = base + j
         stats.slice_reads += 1
-        raw = values[idx] - acc_w.get(idx, 0)
+        raw = entries.get(idx, 0) - acc_w.get(idx, 0)
         if raw < 0:
             raise DecodeError(
                 f"inconsistent feedback: over-explained slice at position {idx}: "
-                f"reads {values[idx]}, decoded count {acc_w.get(idx, 0)}"
+                f"reads {entries.get(idx, 0)}, decoded count {acc_w.get(idx, 0)}"
             )
         if raw == 0:
             bits_lsb_first.append(0)
@@ -163,13 +169,11 @@ def _read_slices(
         else:
             return None  # superposition of several unknown elements
     word = tuple(reversed(bits_lsb_first))
-    v = decode_balanced(word, code.n)
-    return v if v is not None and code.family.holds(base, v) else None
+    v = decode_balanced(word, n)
+    return v if v is not None and family.holds(base, v) else None
 
 
-def _check_consistency(
-    values: Sequence[int] | Mapping[int, int], acc_w: dict[int, int], nonzero: list[int], alpha: int
-) -> None:
+def _check_consistency(entries: Mapping[int, int], acc_w: dict[int, int], cap: int) -> None:
     """The decoded multiset must reproduce the observed vector exactly.
 
     acc_w already holds the uncapped counts of the decoded multiset at
@@ -177,28 +181,28 @@ def _check_consistency(
     zero.  Only the nonzero positions are read: once each reads its
     decoded count, each is a touched position, and the multiset touches
     no other exactly when it touches as many positions as there are.
-    Uncapped (alpha 0), a ``Feedback``'s entries must equal acc_w, which
-    one dict comparison checks.  Only a failure looks further, for the
-    first position that disagrees.
+    Where no decoded count exceeds the cap (every count, at cap 0), the
+    entries must equal acc_w, which one dict comparison checks.  Only a
+    failure looks further, for the first position that disagrees.
     """
-    if not alpha and values == acc_w:
+    if entries == acc_w and (not cap or max(acc_w.values(), default=0) <= cap):
         return
-    for idx in nonzero:
+    for idx, value in entries.items():
         expected = acc_w.get(idx, 0)
-        if alpha and expected > alpha:
-            expected = alpha
-        if expected != values[idx]:
+        if cap and expected > cap:
+            expected = cap
+        if expected != value:
             break
     else:
-        if len(acc_w) == len(nonzero):
+        if len(acc_w) == len(entries):
             return
 
     def decoded(position: int) -> int:
         count = acc_w.get(position, 0)
-        return min(count, alpha) if alpha else count
+        return min(count, cap) if cap else count
 
-    first = min(p for p in {*nonzero, *acc_w} if decoded(p) != values[p])
-    raise unexplained(first, values[first], decoded(first))
+    first = min(p for p in {*entries, *acc_w} if decoded(p) != entries.get(p, 0))
+    raise unexplained(first, entries.get(first, 0), decoded(first))
 
 
 def unexplained(position: int, reads: int, decoded: int) -> DecodeError:

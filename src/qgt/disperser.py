@@ -64,6 +64,10 @@ class DisperserParams:
         if self.ell_star < 1:
             raise ValueError(f"ell_star must be >= 1, got {self.ell_star}")
         check_epsilon(self.epsilon)
+        if self.degree is not None and self.degree < 0:
+            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        if self.delta is not None and self.delta < 1:
+            raise ValueError(f"delta must be >= 1, got {self.delta}")
 
 
 @dataclass(frozen=True)

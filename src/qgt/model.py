@@ -35,8 +35,8 @@ The facts every selector family and oracle shares live here, once:
 * ``Feedback``: a feedback vector kept as its nonzero entries, the form
   ``Code.feedback`` returns and the decoder reads in O(support), while
   ``feedback_vector``, the reference oracle, returns a plain tuple;
-  ``Feedback.read`` hands the decoder any vector's values and nonzero
-  positions, refusing in a plain sequence what a ``Feedback`` refuses;
+  ``Feedback.of`` turns any other sequence into one for the decoder,
+  refusing in it what a ``Feedback`` refuses;
 * ``MODE_PLAIN``, ``MODE_LARGE``, ``MODE_MULTISET``, ``MODE_RANDOM``:
   the modes a code's header names.
 
@@ -136,25 +136,24 @@ class Feedback(Sequence):
         self._dense: tuple[int, ...] | None = None
 
     @classmethod
-    def read(cls, values: Sequence[int]) -> tuple[Sequence[int] | Mapping[int, int], list[int]]:
-        """What the decoder reads of ``values``: a value at each position, and the nonzero positions ascending.
+    def of(cls, values: Sequence[int]) -> Feedback:
+        """``values`` as a ``Feedback``: a ``Feedback`` as it is, any other sequence after one scan.
 
-        A ``Feedback`` gives its entries in O(support).  Any other
-        sequence is read as it is, after one scan for its nonzero
-        positions that refuses what the constructor refuses: a value
-        that is not an int, or is negative.
+        The scan finds the nonzero positions and refuses what the
+        constructor refuses: a value that is not an int, or is negative.
+        The entries are built from those positions only.
         """
         if type(values) is cls:
-            return values.entries, sorted(values.entries)
+            return values
         positions = list(itertools.compress(range(len(values)), values))
         nonzero = list(map(values.__getitem__, positions))
         if not (set(map(type, nonzero)) <= {int} and min(nonzero, default=1) >= 1):
             cls(len(values), dict(zip(positions, nonzero)))  # raises for the first entry it refuses
-        return values, positions
+        return cls._built(len(values), _Sparse(zip(positions, nonzero)))
 
     @classmethod
     def _built(cls, length: int, entries: _Sparse) -> Feedback:
-        """A vector over entries made to the constructor's rules by this package (``Code.feedback``)."""
+        """A vector over entries made to the constructor's rules by this package (``Code.feedback``, ``of``)."""
         fv = cls.__new__(cls)
         fv.entries = entries
         fv._len = length
@@ -340,7 +339,11 @@ def subset_at(elements: Sequence[int], rank: int) -> list[int]:
 
 
 class _Filled(dict):
-    """key -> fill(key), each computed on its first lookup and kept, then read at dict speed."""
+    """key -> fill(key), each computed on its first lookup and kept, then read at dict speed.
+
+    ``get`` fills as ``[]`` does, and returns its default only where
+    ``fill`` raises KeyError.
+    """
 
     def __init__(self, fill: Callable[[int], object]) -> None:
         super().__init__()
@@ -349,6 +352,12 @@ class _Filled(dict):
     def __missing__(self, key: int) -> object:
         value = self[key] = self.fill(key)
         return value
+
+    def get(self, key: int, default: object = None) -> object:
+        try:
+            return self[key]
+        except KeyError:
+            return default
 
 
 def active_elements(queries: Iterable[Query], n: int) -> list[int]:

@@ -160,6 +160,8 @@ class GraphSketch:
     def __init__(self, nodes: int, k: int, seed: int = 0) -> None:
         if nodes < 2:
             raise ValueError(f"graph sketches need at least 2 nodes, got {nodes}")
+        if k < 0:
+            raise ValueError(f"graph sketch degree bound k must be >= 0, got {k}")
         self.nodes = nodes
         self.k = k
         self.edge_universe = nodes * (nodes - 1) // 2

@@ -254,6 +254,16 @@ def test_graph_replay(tmp_path, capsys):
     assert out == "2 3\n5 6\n"
 
 
+def test_graph_refuses_a_negative_degree_bound(tmp_path, capsys):
+    ops_file = tmp_path / "gops.txt"
+    ops_file.write_text("I 1 2\n")
+    status, out, err = run(
+        capsys, "graph", "--nodes", "6", "--k", "-3", "--ops", str(ops_file), "--reconstruct",
+    )
+    assert status == 2 and out == ""
+    assert err == "error: graph sketch degree bound k must be >= 0, got -3\n"
+
+
 def test_format_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.qgtc"
     bad.write_text("not a code file\n")

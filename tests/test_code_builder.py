@@ -12,7 +12,7 @@ from qgt.code import (
     build_code_multiset,
     enhance,
 )
-from qgt.model import singletons
+from qgt.model import incidence, singletons
 from qgt.serialize import code_to_text
 from qgt.ssui import is_prime, rs_size, rs_trunc_size
 
@@ -145,13 +145,17 @@ def test_multiset_code_is_the_n_singletons_at_alpha_zero(n, k):
 
 
 def test_occurrence_accounting():
-    code = build_code(16, 2, 2)
-    inc = code.incidence
-    assert code.occurrence_max == max(len(ix) for ix in inc.values())
-    for v, indices in inc.items():
-        assert all(v in code.queries[i] for i in indices)
-    # every element must appear somewhere, else it could never be decoded
-    assert set(inc) == set(range(1, 17))
+    for n, k in ((16, 2), (32, 1), (512, 2)):  # the singletons and two tables
+        code = build_code(n, k, 2)
+        reference = incidence(tuple(code.queries))
+        assert code.occurrence_max == max(len(ix) for ix in reference.values())
+        for v in range(1, n + 1):
+            assert code.incidence[v] == reference[v]
+            assert all(v in code.queries[i] for i in code.incidence[v])
+        # every element must appear somewhere, else it could never be decoded
+        assert set(reference) == set(range(1, n + 1))
+        with pytest.raises(KeyError):
+            code.incidence[n + 1]
 
 
 def test_feedback_fast_path_matches_model_oracle():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qgt.bounds import verify_uniqueness
+from qgt.cli import main
 from qgt.code import Block, Code, Listed, build_code, build_code_large, build_code_multiset, enhance
 from qgt.decode import DecodeError, decode, decode_detailed
 from qgt.disperser import DisperserParams, build_disperser
@@ -101,6 +102,31 @@ def test_blockless_code_refused():
     code = Code(Listed((frozenset({1}),), ()), 8, 1, 1, "random")
     with pytest.raises(DecodeError, match="layout"):
         decode(code, (0,))
+
+
+def test_codes_without_a_block_layout_are_refused_by_name(tmp_path):
+    out = tmp_path / "r.qgtc"
+    assert main(["random", "--n", "32", "--k", "3", "--alpha", "8", "--seed", "1", "--out", str(out)]) == 0
+    loaded = code_from_text(out.read_text())
+    plain = Code(Listed(tuple(loaded.queries), ()), 32, 3, 2, "plain")
+    for code in (loaded, plain):
+        for fv in ((0,) * len(code), code.feedback({1, 2})):
+            with pytest.raises(DecodeError) as info:
+                decode(code, fv)
+            assert str(info.value) == "code has no block layout; only constructed codes are decodable"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the readout cap does not reach a multiset code's decoder, "
+    "which trusts the at-cap count 4 of {7: 5} read at cap 4",
+)
+def test_an_at_cap_multiset_count_is_refused():
+    code = build_code_multiset(64, 4)
+    fv = code.feedback({7: 5}, alpha=4)
+    assert fv.entries == {6: 4}
+    with pytest.raises(DecodeError):
+        decode(code, fv)
 
 
 def test_slices_are_read_over_the_codes_universe():

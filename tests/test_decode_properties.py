@@ -337,9 +337,11 @@ def test_round_trip_never_builds_a_dense_vector(code, hidden, monkeypatch):
     def refuse(*args):
         raise AssertionError("a dense vector or a laid-out code was built")
 
+    plain = tuple(code.feedback(hidden))  # a plain tuple, made before anything is refused
     monkeypatch.setattr(Feedback, "dense", refuse)
     for family in (Singletons, SlicedTable):
         monkeypatch.setattr(family, "_make", refuse)
     fv = code.feedback(hidden)
     assert len(fv) == len(code) and len(fv.entries) <= len(hidden) * code.occurrence_max
     assert decode(code, fv) == hidden
+    assert decode(code, plain) == hidden

@@ -143,6 +143,20 @@ def test_degree_zero_finds_no_dispersing_graph():
     assert str(info.value) == "no dispersing graph found in 2 attempts (n=8, ell_star=1, epsilon=0.25, |W|=1)"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("delta", 0, "delta must be >= 1, got 0"),
+        ("delta", -3, "delta must be >= 1, got -3"),
+        ("degree", -1, "degree must be >= 0, got -1"),
+    ],
+)
+def test_params_refuse_a_delta_below_one_and_a_negative_degree(field, value, message):
+    with pytest.raises(ValueError) as info:
+        DisperserParams(ell_star=1, epsilon=0.25, **{field: value})
+    assert str(info.value) == message
+
+
 def test_list_rows_are_accepted():
     g = BipartiteGraph(3, 3, 2, [[1, 3], [2, 2], [3, 1]])
     assert g.masks == (0b101, 0b010, 0b101)

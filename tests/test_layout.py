@@ -83,18 +83,19 @@ def test_membership_is_exact_on_small_tables():
             assert {v for v in range(0, n + 2) if code.family.holds(p, v)} == s
 
 
-def test_incidence_is_a_full_mapping_filled_on_use():
+def test_incidence_is_filled_on_use():
     code = build_code(32, 1, 2)
     inc = code.incidence
-    assert dict.__len__(inc) == 0  # nothing is computed at build
-    assert inc.get(5) == incidence(tuple(code.queries))[5]  # get fills, unlike dict.get
-    assert dict.__len__(inc) == 1
-    assert inc.get(0) is None and inc.get(33, ()) == () and 33 not in inc
-    with pytest.raises(KeyError):
-        inc[33]
-    assert len(inc) == 32 and list(inc) == list(range(1, 33))
-    assert inc == incidence(tuple(code.queries)) and incidence(tuple(code.queries)) == inc
-    assert dict(inc) == dict(inc.items()) and len(inc.values()) == 32
+    reference = incidence(tuple(code.queries))
+    assert len(inc) == 0  # nothing is computed at build
+    assert inc.get(5) == reference[5]  # get fills, as [] does
+    assert len(inc) == 1
+    assert inc[9] == reference[9] and len(inc) == 2
+    assert inc.get(0) is None and inc.get(33, ()) == () and len(inc) == 2
+    for v in (0, 33, -1, 2.0):
+        with pytest.raises(KeyError):
+            inc[v]
+    assert all(inc[v] == reference[v] for v in range(1, 33)) and len(inc) == 32
 
 
 def test_equality_and_hash_follow_content():

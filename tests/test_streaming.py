@@ -355,6 +355,12 @@ def test_graph_capacity_is_the_degree_bound_within_the_edge_universe():
         GraphSketch(6, 2, capacity=3)
 
 
+def test_graph_refuses_a_negative_degree_bound():
+    with pytest.raises(ValueError) as info:
+        GraphSketch(6, -3)
+    assert str(info.value) == "graph sketch degree bound k must be >= 0, got -3"
+
+
 def test_graph_roundtrip_path():
     g = GraphSketch(6, 2)
     path = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
