@@ -64,17 +64,20 @@ from functools import cached_property
 from .balanced import bit_slices, encode_balanced, id_bits
 from .decode import NO_LAYOUT, DecodeError, DecodeStats, sweep, unexplained
 from .model import Feedback, Multiset, Query, active_elements, as_multiset, check_cap, check_capacity
-from .model import _Filled, _Sparse, check_universe, next_power_of_two, singletons
+from .model import _Filled, check_universe, next_power_of_two, singletons
 from .model import incidence as _incidence
 from .ssui import rs_trunc_size, truncated_table
-
-# The modes live in model, where the decoder reads MODE_RANDOM; serialize and cli read them here.
-from .model import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM as MODE_RANDOM
 
 # build_ssui, build_sui and build_sui_rr are not called here; perfbench/tracer.py wraps them
 # as qgt.code globals.
 from .ssui import build_ssui as build_ssui
 from .sui import build_sui as build_sui, build_sui_rr as build_sui_rr
+
+# The modes a code's header names.
+MODE_PLAIN = "plain"
+MODE_LARGE = "large"
+MODE_MULTISET = "multiset"
+MODE_RANDOM = "random"
 
 KIND_SUI = "sui"
 KIND_RR = "rr"
@@ -450,7 +453,7 @@ class Code:
             check_cap(alpha)
         # positions come from the index and multiplicities are >= 1, so every
         # entry is an in-range position holding a positive int
-        entries = _Sparse()
+        entries: dict[int, int] = {}
         get = entries.get
         inc = self.incidence
         for v, mult in counts.items():

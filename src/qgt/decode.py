@@ -31,18 +31,19 @@ positions the decoded elements touch.  A ``Feedback`` (what
 ``Code.feedback``, ``fv_from_text`` and a stream sketch hand over)
 lists those positions itself, so its decode costs O(support), not
 O(m).  Any other sequence is scanned once for them, the one O(m) step,
-refused as ``Feedback`` refuses it (a value that is not an int, or is
-negative) and decoded as the ``Feedback`` of its nonzero entries
-(``Feedback.of``).
+and decoded as the ``Feedback`` of its nonzero entries (``Feedback.of``):
+a value equal to 0 reads as 0, and any other value that is not a
+positive int is refused as ``Feedback`` refuses it, by its position.
 
 Each query family decodes itself (``code``): ``decode_detailed`` checks
 the vector's length and hands the family its entries, the code's n, k
 and cap, ``family.decode(entries, n, k, cap)``; no family reads the
-``Code``, and this is the one decoder line that reads the cap.  The
-sweep above, ``sweep``, is the decode of the sliced table and of listed
-codes; it reads the family's ``block_at``, ``holds`` and
-``incidence``, and a listed code without blocks refuses first.  The n
-singletons read a vector in closed form (``Singletons.decode``).
+``Code``, the decoder reads no mode, and this is the one decoder line
+that reads the cap.  The sweep above, ``sweep``, is the decode of the
+sliced table and of listed codes; it reads the family's ``block_at``,
+``holds`` and ``incidence``, and a listed code without blocks (every
+random code) refuses first.  The n singletons read a vector in closed
+form (``Singletons.decode``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .balanced import decode_balanced
-from .model import MODE_RANDOM, Feedback, Multiset
+from .model import Feedback, Multiset
 
 if TYPE_CHECKING:  # code imports this module for the families' decodes
     from .code import Code, Listed, SlicedTable
@@ -83,8 +84,6 @@ def decode(code: Code, fv: Sequence[int]) -> Multiset:
 
 def decode_detailed(code: Code, fv: Sequence[int]) -> tuple[Multiset, DecodeStats]:
     """Decode ``fv`` by the code's family: a ``Feedback`` in O(support), another sequence after an O(m) scan."""
-    if code.mode == MODE_RANDOM:
-        raise DecodeError(NO_LAYOUT)
     if len(fv) != code.family.m:
         raise DecodeError(f"feedback vector length {len(fv)} != code length {code.family.m}")
     return code.family.decode(Feedback.of(fv).entries, code.n, code.k, code.alpha)

@@ -32,13 +32,12 @@ The facts every selector family and oracle shares live here, once:
   (active elements, each element's queries, query masks), each part
   built on its first use within one oracle call;
 * ``subset_at``: the set at a given rank in ``walk_subsets``'s order;
-* ``Feedback``: a feedback vector kept as its nonzero entries, the form
-  ``Code.feedback`` returns and the decoder reads in O(support), while
-  ``feedback_vector``, the reference oracle, returns a plain tuple;
+* ``Feedback``: a feedback vector kept as a plain dict of its nonzero
+  entries, the form ``Code.feedback`` returns and the decoder reads in
+  O(support), while ``feedback_vector``, the reference oracle, returns a
+  plain tuple; its constructor holds the one rule for an entry, and
   ``Feedback.of`` turns any other sequence into one for the decoder,
-  refusing in it what a ``Feedback`` refuses;
-* ``MODE_PLAIN``, ``MODE_LARGE``, ``MODE_MULTISET``, ``MODE_RANDOM``:
-  the modes a code's header names.
+  reading a value equal to 0 as 0.
 
 Inert elements.  An element v is *inert* in a query family when it lies
 in at least one query and every query holding it is exactly {v}.  The
@@ -92,89 +91,78 @@ Multiset = dict[int, int]
 FeedbackVector = tuple[int, ...]
 T = TypeVar("T")
 
-MODE_PLAIN = "plain"
-MODE_LARGE = "large"
-MODE_MULTISET = "multiset"
-MODE_RANDOM = "random"
-
-
-class _Sparse(dict):
-    """position -> nonzero value; an absent position reads 0 (and is not stored)."""
-
-    __slots__ = ()
-
-    def __missing__(self, position: int) -> int:
-        return 0
-
 
 class Feedback(Sequence):
     """A read-only feedback vector of ``length`` values, kept as its nonzero entries.
 
-    ``entries`` maps each nonzero position to its value and reads 0 at
-    any other position, so the support is exactly its keys; it is not
-    to be modified.  The constructor copies a position -> value mapping
-    and refuses a position that is not an int in [0, length) and a
-    value that is not a positive int.
+    ``entries`` is a plain dict mapping each nonzero position to its
+    value, so the support is exactly its keys; it is not to be
+    modified.  The constructor copies a position -> value mapping and
+    holds the one rule for an entry: a position is an int in [0,
+    length) and a value a positive int.
 
     It is equal to, and hashes like, the tuple of its values.  ``len``,
     indexing by a position in range and comparing two ``Feedback``s
     cost O(1) or O(support); iteration, slices, negative indices and
-    comparing with a tuple build that tuple once and keep it.
+    comparing with a tuple build that tuple (``dense``) on each call.
     """
 
-    __slots__ = ("entries", "_len", "_dense")
+    __slots__ = ("entries", "_len")
 
     def __init__(self, length: int, entries: Mapping[int, int]) -> None:
         if type(length) is not int or length < 0:
             raise ValueError(f"feedback length must be an int >= 0, got {length!r}")
-        sparse = _Sparse(entries)
-        for position, value in sparse.items():
-            if type(position) is not int or type(value) is not int or not 0 <= position < length or value < 1:
-                _refuse_entry(length, position, value)
-        self.entries = sparse
+        entries = dict(entries)
+        for position, value in entries.items():
+            if type(position) is not int:
+                raise TypeError(f"feedback position must be an int, got {position!r}")
+            if not 0 <= position < length:
+                raise ValueError(f"feedback position {position} outside [0, {length})")
+            if type(value) is not int:
+                raise TypeError(f"feedback value at position {position} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"feedback value at position {position} must be positive, got {value}")
+        self.entries = entries
         self._len = length
-        self._dense: tuple[int, ...] | None = None
 
     @classmethod
     def of(cls, values: Sequence[int]) -> Feedback:
         """``values`` as a ``Feedback``: a ``Feedback`` as it is, any other sequence after one scan.
 
-        The scan finds the nonzero positions and refuses what the
-        constructor refuses: a value that is not an int, or is negative.
-        The entries are built from those positions only.
+        A value equal to 0 (``0``, ``0.0``, ``False``) reads as 0; every
+        other value goes to the constructor, which refuses it unless it
+        is a positive int.  The scan keeps the truthy positions, and
+        counts the zeros only to catch a falsy value not equal to 0
+        (``None``, ``''``), which is then kept too and refused.
         """
         if type(values) is cls:
             return values
         positions = list(itertools.compress(range(len(values)), values))
-        nonzero = list(map(values.__getitem__, positions))
-        if not (set(map(type, nonzero)) <= {int} and min(nonzero, default=1) >= 1):
-            cls(len(values), dict(zip(positions, nonzero)))  # raises for the first entry it refuses
-        return cls._built(len(values), _Sparse(zip(positions, nonzero)))
+        if len(values) - len(positions) != values.count(0):
+            positions = [p for p, x in enumerate(values) if x != 0]
+        return cls(len(values), dict(zip(positions, map(values.__getitem__, positions))))
 
     @classmethod
-    def _built(cls, length: int, entries: _Sparse) -> Feedback:
-        """A vector over entries made to the constructor's rules by this package (``Code.feedback``, ``of``)."""
+    def _built(cls, length: int, entries: dict[int, int]) -> Feedback:
+        """A vector over entries this package makes to the constructor's rule (``Code.feedback``, a sketch)."""
         fv = cls.__new__(cls)
         fv.entries = entries
         fv._len = length
-        fv._dense = None
         return fv
 
     def dense(self) -> tuple[int, ...]:
-        """Every value in order, built on the first call and kept."""
-        if self._dense is None:
-            buf = [0] * self._len
-            for position, value in self.entries.items():
-                buf[position] = value
-            self._dense = tuple(buf)
-        return self._dense
+        """Every value in order, built on each call."""
+        buf = [0] * self._len
+        for position, value in self.entries.items():
+            buf[position] = value
+        return tuple(buf)
 
     def __len__(self) -> int:
         return self._len
 
     def __getitem__(self, index):
         if type(index) is int and 0 <= index < self._len:
-            return self.entries[index]
+            return self.entries.get(index, 0)
         return self.dense()[index]
 
     def __iter__(self):
@@ -192,17 +180,6 @@ class Feedback(Sequence):
 
     def __repr__(self) -> str:
         return f"Feedback({self._len}, {dict(sorted(self.entries.items()))})"
-
-
-def _refuse_entry(length: int, position: object, value: object) -> None:
-    """Raise for the first rule a feedback entry breaks (``Feedback``)."""
-    if type(position) is not int:
-        raise TypeError(f"feedback position must be an int, got {position!r}")
-    if not 0 <= position < length:
-        raise ValueError(f"feedback position {position} outside [0, {length})")
-    if type(value) is not int:
-        raise TypeError(f"feedback value at position {position} must be an int, got {value!r}")
-    raise ValueError(f"feedback value at position {position} must be positive, got {value}")
 
 
 def is_power_of_two(n: int) -> bool:

@@ -39,6 +39,7 @@ builders) is written as a list:
 
 Built codes label every block kind "ssui" at level k; "sui" and "rr"
 blocks appear only in files from earlier builders, and still load.
+The block count is at least 0 and every block's level at least 1.
 Block base offsets are 1-based into the query list; each block owns its
 base query and the `slice-count` queries after it, and together the
 blocks must tile [1..m] exactly (random-mode codes carry no blocks).
@@ -195,6 +196,8 @@ def _family_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) 
 
 def _list_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) -> Code:
     block_count = _header_int(lines, 5, "blocks")
+    if block_count < 0:
+        raise FormatError(f"line 6: block count must be >= 0, got {block_count}")
     if mode == MODE_RANDOM and block_count:
         raise FormatError("line 6: random-mode codes carry no blocks")
     header_len = 6
@@ -213,6 +216,8 @@ def _list_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) ->
             level, base, slices = int(parts[1]), int(parts[2]), int(parts[3])
         except ValueError as exc:
             raise FormatError(f"line {lineno + 1}: non-integer block field") from exc
+        if level < 1:
+            raise FormatError(f"line {lineno + 1}: block level must be >= 1, got {level}")
         blocks.append(Block(kind, level, base - 1, slices))
     body_start = header_len + block_count
     queries: list[Query] = []
@@ -287,15 +292,15 @@ def fv_to_text(fv: Sequence[int]) -> str:
 
 
 def fv_from_text(text: str) -> Feedback:
-    """Parse a dense line into a ``Feedback``, so decoding it costs O(support)."""
-    tokens = text.split()
+    """Parse a dense line into a ``Feedback``, so decoding it costs O(support).
+
+    A token that is not an integer is malformed, and so is a negative
+    value, named by its position as ``Feedback`` names it.
+    """
     try:
-        values = [int(t) for t in tokens]
+        return Feedback.of([int(t) for t in text.split()])
     except ValueError as exc:
         raise FormatError(f"malformed feedback vector: {exc}") from exc
-    if any(v < 0 for v in values):
-        raise FormatError("malformed feedback vector: negative value")
-    return Feedback(len(values), {idx: v for idx, v in enumerate(values) if v})
 
 
 def multiset_to_text(counts: dict[int, int]) -> str:

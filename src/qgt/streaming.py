@@ -39,7 +39,7 @@ from math import isqrt
 
 from .code import MODE_MULTISET, Code, build_code_multiset
 from .decode import decode
-from .model import Feedback, Multiset, _Filled, _Sparse, check_cap, next_power_of_two
+from .model import Feedback, Multiset, _Filled, check_cap, next_power_of_two
 
 
 class StreamSketch:
@@ -60,7 +60,7 @@ class StreamSketch:
         self.code = code
         self.alpha = alpha if alpha is not None else code.k
         check_cap(self.alpha)
-        self.counters = _Sparse()
+        self.counters: dict[int, int] = {}
         self.total_multiplicity = 0
 
     def insert(self, v: int) -> int:
@@ -111,7 +111,7 @@ class StreamSketch:
                 f"capacity exceeded: {self.total_multiplicity} units held, "
                 f"reconstruction supports at most {limit}"
             )
-        return decode(self.code, Feedback._built(len(self.code), _Sparse(self.counters)))
+        return decode(self.code, Feedback._built(len(self.code), dict(self.counters)))
 
     def _indices(self, v: int) -> tuple[int, ...]:
         # refused before the lookup: the incidence cache would take 2.0 for 2 once 2 is cached

@@ -283,6 +283,21 @@ def test_decode_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "vector, named",
+    [("0 -2 1\n", "position 1 must be positive"), ("0 x 1\n", "invalid literal")],
+    ids=["negative", "non-integer"],
+)
+def test_malformed_feedback_file_is_a_usage_error(tmp_path, capsys, vector, named):
+    code_file = tmp_path / "code.qgtc"
+    fv_file = tmp_path / "bad.fv"
+    run(capsys, "build", "--n", "4", "--k", "1", "--alpha", "2", "--out", str(code_file))
+    fv_file.write_text(vector)
+    status, out, err = run(capsys, "decode", "--code", str(code_file), "--fv", str(fv_file))
+    assert status == 2 and out == ""
+    assert err.startswith("error: malformed feedback vector: ") and named in err
+
+
 def test_missing_file_is_usage_error(capsys):
     status, _, _ = run(capsys, "decode", "--code", "/nonexistent", "--fv", "/nonexistent")
     assert status == 2

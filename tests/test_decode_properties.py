@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgt import streaming
 from qgt.code import MODE_MULTISET, Singletons, SlicedTable, build_code, build_code_large, build_code_multiset
 from qgt.decode import DecodeError, decode
 from qgt.model import Feedback, feedback_vector
-from qgt.serialize import code_from_text
+from qgt.serialize import code_from_text, fv_from_text
 
 from list_form import list_text
 from rs_table import rs_table_code, trunc_table_code
@@ -241,6 +242,26 @@ def test_feedback_reads_zero_off_its_entries():
         fv[-5]
 
 
+def test_every_vector_keeps_its_entries_in_a_plain_dict(monkeypatch):
+    code = build_code_multiset(16, 2)
+    sketch = streaming.StreamSketch(code)
+    sketch.insert(5)
+    handed = []
+    monkeypatch.setattr(streaming, "decode", lambda code, fv: handed.append(fv))
+    sketch.reconstruct()
+    assert handed[0].entries is not sketch.counters
+    vectors = (
+        code.feedback({5: 1}),
+        Feedback(16, {4: 1}),
+        Feedback.of([0] * 4 + [1] + [0] * 11),
+        fv_from_text("0 0 0 0 1" + " 0" * 11 + "\n"),
+        handed[0],
+    )
+    for fv in vectors:
+        assert type(fv.entries) is dict and fv.entries == {4: 1}
+        assert fv[3] == 0 and fv[15] == 0 and fv[4] == 1
+
+
 @pytest.mark.parametrize(
     "length, entries, error, message",
     [
@@ -275,13 +296,13 @@ def test_feedback_refuses_bad_entries(length, entries, error, message):
         Feedback(length, entries)
 
 
+# one code of each family, for vectors handed over as a list or a tuple
+FORM_CODES = [build_code(16, 2, 2), build_code(512, 2, 2), code_from_text(list_text(build_code(16, 2, 2)))]
+
+
 @pytest.mark.parametrize("entry", [1.0, True, -1], ids=["float", "bool", "negative"])
 @pytest.mark.parametrize("form", [list, tuple])
-@pytest.mark.parametrize(
-    "code",
-    [build_code(16, 2, 2), build_code(512, 2, 2), code_from_text(list_text(build_code(16, 2, 2)))],
-    ids=["singletons", "table", "listed"],
-)
+@pytest.mark.parametrize("code", FORM_CODES, ids=["singletons", "table", "listed"])
 def test_decode_refuses_what_feedback_refuses(code, form, entry):
     # a vector that is not a Feedback becomes one, so it is refused as Feedback refuses it
     values = [0] * (len(code) - 1) + [entry]
@@ -290,6 +311,19 @@ def test_decode_refuses_what_feedback_refuses(code, form, entry):
     with pytest.raises((TypeError, ValueError)) as raised:
         decode(code, form(values))
     assert type(raised.value) is type(refused.value) and str(raised.value) == str(refused.value)
+
+
+@pytest.mark.parametrize("form", [list, tuple])
+@pytest.mark.parametrize("code", FORM_CODES, ids=["singletons", "table", "listed"])
+def test_a_value_equal_to_zero_reads_as_zero_and_no_other(code, form):
+    values = list(code.feedback({3: 1}))
+    for zero in (0.0, False):
+        assert decode(code, form([zero if x == 0 else x for x in values])) == {3: 1}
+    p = values.index(0)
+    for entry in (None, 1.0, True):
+        bad = values[:p] + [entry] + values[p + 1 :]
+        with pytest.raises(TypeError, match=rf"^feedback value at position {p} must be an int, got {entry!r}$"):
+            decode(code, form(bad))
 
 
 def test_consistency_error_names_the_first_disagreeing_position():

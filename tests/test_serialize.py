@@ -192,6 +192,26 @@ def test_full_slice_singleton_file_still_loads_and_decodes():
             assert decode(new, new.feedback(hidden)) == hidden
 
 
+def test_negative_block_count_names_line_6():
+    text = "qgtc 1\nn 4\nk 1\nalpha 2\nmode plain\nblocks -2\n1\n2\n"
+    with pytest.raises(FormatError, match=r"^line 6: block count must be >= 0, got -2$"):
+        code_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ("ssui 0 1 0\nssui 1 2 0\n", "line 7: block level must be >= 1, got 0"),
+        ("ssui 1 1 0\nssui -3 2 0\n", "line 8: block level must be >= 1, got -3"),
+    ],
+    ids=["level-0", "level-negative"],
+)
+def test_block_level_below_one_names_its_line(blocks, message):
+    text = "qgtc 1\nn 4\nk 1\nalpha 2\nmode plain\nblocks 2\n" + blocks + "1\n2\n"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        code_from_text(text)
+
+
 def test_unknown_block_kind_rejected():
     text = "qgtc 1\nn 8\nk 1\nalpha 2\nmode plain\nblocks 1\nxyz 1 1 0\n1\n"
     with pytest.raises(FormatError, match="unknown block kind"):
@@ -204,7 +224,7 @@ def test_fv_roundtrip():
     assert fv_from_text("") == ()
     with pytest.raises(FormatError):
         fv_from_text("1 x 2")
-    with pytest.raises(FormatError, match="negative"):
+    with pytest.raises(FormatError, match="position 1 must be positive"):
         fv_from_text("1 -2 0")
 
 
