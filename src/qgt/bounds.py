@@ -18,10 +18,15 @@ is the definition of solvability itself, checked exhaustively.
 `find_unjammed_violation` walks the candidate sets with
 `model.walk_subsets`, keeping each query's count in K and each
 element's number of queries that are not over-full on push and pop; it
-returns the same first witness as the full enumeration.
-`verify_uniqueness` walks them too, keeping each query's count and an
-additive fingerprint of the set's capped profile (a seeded random step
-per query and capped level, in the manner of Zobrist hashing); only a
+returns the same first witness as the full enumeration.  At the walk's
+last level it settles K plus e from the counts of K, which the walk
+has already found unjammed: unless one of e's queries crosses the
+over-full line, only e can be jammed, and K plus e is pushed only
+when one does.  `verify_uniqueness` walks them too, keeping each
+query's count and an additive fingerprint of the set's capped profile
+(a seeded random step per query and capped level, in the manner of
+Zobrist hashing, drawn once per (m, levels)); at the last level the
+fingerprint of K plus e is the current one plus e's steps, and only a
 repeated fingerprint costs a comparison of full profiles.  It keeps
 only the fingerprints, each with the rank in walk order of the first
 set that had it, and rebuilds that set (`model.subset_at`) only when
@@ -30,8 +35,9 @@ inert-element lemma in `model`, the sets they skip can neither hold
 the first witness nor collide where their active parts do not.  Both
 build a `model.OracleIndex` and read its active elements first: with
 none, as on the n singletons, the verdict is immediate and nothing
-else is built.  Both refuse a negative cap with a ValueError; cap 0
-stays legal.
+else is built.  On a built family over its own universe the index
+reads the family's own incidence, so neither lays out a query.  Both
+refuse a negative cap with a ValueError; cap 0 stays legal.
 """
 
 from __future__ import annotations
@@ -39,9 +45,10 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log2
 
-from .model import OracleIndex, Query, check_budget, check_cap, check_capacity, sets_up_to
+from .model import OracleIndex, Query, check_budget, check_cap, check_capacity, pushed_leaf, sets_up_to
 from .model import subset_at, walk_subsets
 
 
@@ -152,16 +159,32 @@ def find_unjammed_violation(
             return None
         return frozenset(chosen), next(x for x in chosen if roomy[x] == 0)
 
-    return walk_subsets(index.active, k, push, pop, leaf)
+    pushed = pushed_leaf(push, pop, leaf)
+
+    def last(e: int) -> tuple[frozenset[int], int] | None:
+        # The walk reached this prefix as a set of its own, unjammed.  Unless one of e's
+        # queries crosses the over-full line here, adding e jams no element of the prefix,
+        # so only e can be jammed: when no query of e stays within the line.
+        room = False
+        for j in queries_of[e]:
+            h = hits[j]
+            if h == full:
+                return pushed(e)
+            if h < full:
+                room = True
+        return None if room else (frozenset([*chosen, e]), e)
+
+    return walk_subsets(index.active, k, push, pop, last)
 
 
 FINGERPRINT_SEED = 0x7167_7431  # fixed, so every run draws the same fingerprint steps
 
 
-def _fingerprint_steps(m: int, levels: int) -> list[list[int]]:
-    """Row j holds query j's seeded 62-bit steps for capped levels 1..levels."""
+@lru_cache(maxsize=8)
+def _fingerprint_steps(m: int, levels: int) -> tuple[tuple[int, ...], ...]:
+    """Row j holds query j's seeded 62-bit steps for capped levels 1..levels, drawn once per (m, levels)."""
     rng = random.Random(FINGERPRINT_SEED)
-    return [[rng.getrandbits(62) for _ in range(levels)] for _ in range(m)]
+    return tuple(tuple(rng.getrandbits(62) for _ in range(levels)) for _ in range(m))
 
 
 def verify_uniqueness(
@@ -177,12 +200,15 @@ def verify_uniqueness(
     fingerprint 0, is entered before the walk starts.  A set's
     fingerprint is the sum, over queries, of the steps for capped
     levels 1..min(|Q ∩ K|, alpha); push and pop add or remove a query's
-    step whenever its count changes at or below the cap.  Equal vectors
-    give equal fingerprints, so only a repeated fingerprint can mean a
-    repeated vector, and it is confirmed by comparing the two sets' full
-    capped profiles.  A fingerprint is kept with the rank of the first
-    set that had it, which is rebuilt from that rank only on a repeat,
-    so memory grows by one fingerprint and one rank per new fingerprint.
+    step whenever its count changes at or below the cap, and a set at
+    the walk's last level, the current one plus e, takes the current
+    fingerprint plus the steps of e's queries still below the cap, with
+    e not pushed.  Equal vectors give equal fingerprints, so only a
+    repeated fingerprint can mean a repeated vector, and it is confirmed
+    by comparing the two sets' full capped profiles.  A fingerprint is
+    kept with the rank of the first set that had it, which is rebuilt
+    from that rank only on a repeat, so memory grows by one fingerprint
+    and one rank per new fingerprint.
     Only sets of active elements are walked: any two colliding sets
     leave two colliding sets of active elements once their shared inert
     elements are dropped.
@@ -231,19 +257,24 @@ def verify_uniqueness(
             if c <= cap:
                 fingerprint -= steps[j][c - 1]
 
-    def leaf() -> bool | None:
+    def last(e: int) -> bool | None:
         nonlocal rank
         rank += 1
-        earlier = first.setdefault(fingerprint, rank)
+        here = fingerprint  # of the current set plus e, from the counts e would raise
+        for j in queries_of[e]:
+            c = counts[j]
+            if c < cap:
+                here += steps[j][c]
+        earlier = first.setdefault(here, rank)
         if earlier == rank:
             return None
-        profiles = shared.get(fingerprint)
+        profiles = shared.get(here)
         if profiles is None:
-            profiles = shared[fingerprint] = {profile(subset_at(active, earlier))}
-        here = profile(chosen)
-        if here in profiles:
+            profiles = shared[here] = {profile(subset_at(active, earlier))}
+        mine = profile([*chosen, e])
+        if mine in profiles:
             return True  # two sets with one feedback vector
-        profiles.add(here)
+        profiles.add(mine)
         return None
 
-    return walk_subsets(active, k, push, pop, leaf) is None
+    return walk_subsets(active, k, push, pop, last) is None

@@ -23,14 +23,21 @@ The facts every selector family and oracle shares live here, once:
   raises when a search would exceed its budget;
 * ``walk_subsets``: the push/pop walk over those candidate sets that
   the selector, jamming, uniqueness and random-code claim oracles keep
-  their per-set counts on;
+  their per-set counts on; at its final level it asks ``last(e)`` for
+  the verdict of the current set plus e before e is pushed, which the
+  jamming and uniqueness oracles mostly settle from their counts, and
+  ``pushed_leaf`` answers by push, leaf and pop;
 * ``active_elements``: the elements an oracle's walk must visit, named
   by a built family (a built code's queries, ``code.Singletons`` or
   ``code.SlicedTable``) from its rule over its own universe, with no
   query laid out;
 * ``OracleIndex``: the one prelude the four walking oracles share
   (active elements, each element's queries, query masks), each part
-  built on its first use within one oracle call;
+  built on its first use within one oracle call; on a built family
+  over its own universe the active elements and each element's
+  queries are read from the family's rule and its own ``incidence``,
+  filled on use and shared by every oracle call on that family, so no
+  query is laid out;
 * ``subset_at``: the set at a given rank in ``walk_subsets``'s order;
 * ``Feedback``: a feedback vector kept as a plain dict of its nonzero
   entries, the form ``Code.feedback`` returns and the decoder reads in
@@ -66,10 +73,11 @@ no two sets collide, no query can be jammed and no element goes
 unselected, and every set is met exactly once.  Each oracle therefore
 reads ``OracleIndex.active`` right after its budget check and returns
 there on the n singletons, building nothing else (the selector check
-only at alpha >= 1).  The rest of the index costs one pass over the
-queries and an (n+1)-entry list; a mask is built only for a query an
-oracle asks for, which no walk does for a query of one element, so the
-index never holds the m*n bits of every query's mask.
+only at alpha >= 1).  The rest of the index costs an (n+1)-entry list,
+read from a built family's incidence or else from one pass over the
+queries; a mask is built only for a query an oracle asks for, which no
+walk does for a query of one element, so the index never holds the
+m*n bits of every query's mask.
 
 The lemma needs alpha >= 0: at alpha = -1 even an inert element's own
 singleton is over-full on every set that holds it.  So the jamming,
@@ -263,25 +271,35 @@ def walk_subsets(
     max_size: int,
     push: Callable[[int], None],
     pop: Callable[[int], None],
-    leaf: Callable[[], T | None],
+    last: Callable[[int], T | None],
 ) -> T | None:
     """Depth-first walk over the nonempty subsets of ``elements`` of at most max_size elements.
 
     ``elements`` is sorted.  Sets are visited size by size, each size in
     lexicographic order: the order of ``itertools.combinations(elements,
-    size)`` for size = 1 .. min(max_size, len(elements)).  ``push(e)``
-    runs as e joins the current set and ``pop(e)`` as it leaves, so a
-    caller keeps its per-set counts up to date instead of rebuilding
-    them; ``leaf()`` runs at each set of the current size.  Returns the
-    first ``leaf()`` result that is not None, else None.
+    size)`` for size = 1 .. min(max_size, len(elements)).  Below the
+    final level, ``push(e)`` runs as e joins the current set and
+    ``pop(e)`` as it leaves, so a caller keeps its per-set counts up to
+    date instead of rebuilding them.  At the final level each set is the
+    current one plus one element e, and ``last(e)`` returns its verdict
+    with e not pushed, so a caller that can settle it from the counts of
+    the current set pays no push and pop (``pushed_leaf`` answers it by
+    push, leaf, pop).  Returns the first ``last`` result that is not
+    None, else None.
     """
     count = len(elements)
 
     def descend(start: int, left: int) -> T | None:
+        if left == 1:
+            for e in elements[start:]:
+                found = last(e)
+                if found is not None:
+                    return found
+            return None
         for i in range(start, count - left + 1):
             e = elements[i]
             push(e)
-            found = leaf() if left == 1 else descend(i + 1, left - 1)
+            found = descend(i + 1, left - 1)
             pop(e)
             if found is not None:
                 return found
@@ -292,6 +310,20 @@ def walk_subsets(
         if found is not None:
             return found
     return None
+
+
+def pushed_leaf(
+    push: Callable[[int], None], pop: Callable[[int], None], leaf: Callable[[], T | None]
+) -> Callable[[int], T | None]:
+    """``walk_subsets``'s ``last`` for a caller that reads a set once it is pushed: push e, leaf(), pop e."""
+
+    def last(e: int) -> T | None:
+        push(e)
+        found = leaf()
+        pop(e)
+        return found
+
+    return last
 
 
 def subset_at(elements: Sequence[int], rank: int) -> list[int]:
@@ -362,10 +394,14 @@ class OracleIndex:
 
     * ``active``: ``active_elements(queries, n)``;
     * ``queries_of[v]``: the indices of the queries holding v, ascending,
-      for v in [0..n] (``()`` for 0 and for an element in no query);
+      for v in [0..n] (``()`` for 0 and for an element in no query),
+      read from the family's own ``incidence`` where the sequence has
+      one (``code.Singletons``, ``code.SlicedTable``), else from one
+      pass of ``incidence`` over the queries;
     * ``masks[j]``: ``query_mask`` of query j, built on its first lookup.
 
-    Each oracle call builds its own.
+    Each oracle call builds its own; a built family's ``incidence`` is
+    filled once and read by every call.
     """
 
     def __init__(self, queries: Sequence[Query], n: int) -> None:
@@ -378,7 +414,9 @@ class OracleIndex:
 
     @cached_property
     def queries_of(self) -> list[tuple[int, ...]]:
-        inc = incidence(self.queries)
+        inc = getattr(self.queries, "incidence", None)
+        if inc is None:
+            inc = incidence(self.queries)
         return [inc.get(v, ()) for v in range(self.n + 1)]
 
     @cached_property

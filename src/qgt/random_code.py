@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import ceil, e, log
 
 from .model import OracleIndex, Query, active_elements, check_budget, check_cap, check_capacity
-from .model import sets_up_to, singletons, walk_subsets
+from .model import pushed_leaf, sets_up_to, singletons, walk_subsets
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def _first_missed_set(
         once = once1 if len(chosen) <= small_limit else once2
         return None if once else frozenset(chosen)
 
-    return walk_subsets(active, code.k, push, pop, leaf)
+    return walk_subsets(active, code.k, push, pop, pushed_leaf(push, pop, leaf))
 
 
 def verify_claims(

@@ -294,11 +294,18 @@ def fv_to_text(fv: Sequence[int]) -> str:
 def fv_from_text(text: str) -> Feedback:
     """Parse a dense line into a ``Feedback``, so decoding it costs O(support).
 
-    A token that is not an integer is malformed, and so is a negative
-    value, named by its position as ``Feedback`` names it.
+    A token that is not an integer is malformed, named by its position,
+    and so is a negative value, named by its position as ``Feedback``
+    names it.
     """
+    values = []
+    for position, token in enumerate(text.split()):
+        try:
+            values.append(int(token))
+        except ValueError as exc:
+            raise FormatError(f"malformed feedback vector: position {position}: {exc}") from exc
     try:
-        return Feedback.of([int(t) for t in text.split()])
+        return Feedback.of(values)
     except ValueError as exc:
         raise FormatError(f"malformed feedback vector: {exc}") from exc
 

@@ -31,7 +31,7 @@ from math import comb
 
 from .model import BudgetError as BudgetError  # re-exported: qgt.ssui.BudgetError
 from .model import OracleIndex, Query, check_budget, check_cap, check_universe, query_mask, sets_up_to
-from .model import singletons, walk_subsets
+from .model import pushed_leaf, singletons, walk_subsets
 
 
 def check_selector_params(n: int, ell: int, kappa: int, alpha: int) -> None:
@@ -303,7 +303,7 @@ def max_unselected_count(
         return None
 
     universe = index.active if all(thin) else range(1, n + 1)
-    walk_subsets(universe, ell, push, pop, leaf)
+    walk_subsets(universe, ell, push, pop, pushed_leaf(push, pop, leaf))
     return worst
 
 

@@ -285,7 +285,7 @@ def test_decode_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "vector, named",
-    [("0 -2 1\n", "position 1 must be positive"), ("0 x 1\n", "invalid literal")],
+    [("0 -2 1\n", "position 1 must be positive"), ("0 x 1\n", "position 1: invalid literal")],
     ids=["negative", "non-integer"],
 )
 def test_malformed_feedback_file_is_a_usage_error(tmp_path, capsys, vector, named):

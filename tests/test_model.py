@@ -180,10 +180,10 @@ def test_one_budget_rule_behind_every_oracle():
 
 
 def _walk_order(elements, max_size):
-    """Every set ``walk_subsets`` visits, in order, read off its push/pop trail."""
+    """Every set ``walk_subsets`` visits, in order, read off its push/pop trail and last element."""
     current, visited = [], []
     walk_subsets(elements, max_size, current.append, lambda e: current.pop(),
-                 lambda: visited.append(tuple(current)))
+                 lambda e: visited.append((*current, e)))
     return visited
 
 

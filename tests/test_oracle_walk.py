@@ -20,7 +20,12 @@ reference scan, under every budget; a call over another universe must
 not read the rule, the immediate verdicts with no active element must
 keep the reference's verdicts at cap 0, a negative cap must be refused,
 and the n = 2^18
-singletons must be checked with no query laid out.
+singletons and the n = 2^15 table must be checked with no query laid
+out.  The index a built family gives must equal the one scanned from
+its queries, and each way the walks settle a set at their last level
+(a jamming walk without a push, or with one where a query crosses the
+over-full line; a uniqueness walk on a repeated fingerprint) must keep
+the reference's witness or verdict.
 """
 
 import pytest
@@ -30,9 +35,9 @@ from hypothesis import strategies as st
 import qgt.bounds
 import qgt.model
 from qgt.bounds import find_unjammed_violation, verify_uniqueness
-from qgt.code import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, Singletons, build, build_code_multiset
-from qgt.code import level_params
-from qgt.model import BudgetError, active_elements, sets_up_to, singletons, subset_at
+from qgt.code import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, Singletons, SlicedTable, build, build_code
+from qgt.code import build_code_multiset, level_params
+from qgt.model import BudgetError, OracleIndex, active_elements, sets_up_to, singletons, subset_at
 from qgt.model import walk_subsets
 from qgt.random_code import RandomCode, build_random_code, verify_claims
 from qgt.ssui import build_ssui, max_unselected_count, verify_ssui
@@ -45,6 +50,7 @@ from oracle_reference import (
     reference_verify_uniqueness,
 )
 from rs_table import rs_table_code, trunc_table_code
+from test_golden_codes import BUILDERS, GOLDEN
 
 
 def _outcome(oracle, *args, **kwargs):
@@ -348,7 +354,9 @@ def test_oracle_grid_selector_and_random_code_match_reference_scans():
 )
 def test_subset_at_inverts_the_walk_order(elements, max_size):
     order, chosen = [[]], []
-    walk_subsets(elements, max_size, chosen.append, lambda e: chosen.pop(), lambda: order.append(list(chosen)))
+    walk_subsets(
+        elements, max_size, chosen.append, lambda e: chosen.pop(), lambda e: order.append([*chosen, e])
+    )
     assert [subset_at(elements, rank) for rank in range(len(order))] == order
 
 
@@ -460,3 +468,78 @@ def test_oracles_on_the_2_18_singletons_lay_out_nothing(monkeypatch):
     assert max_unselected_count(queries, n, 2, 4, 3, budget) == 0
     with pytest.raises(BudgetError):  # the budget is still checked first
         verify_uniqueness(queries, n, 2, 1)
+
+
+# At the walk's last level each set is the prefix plus one element e, settled before e is
+# pushed: a jamming walk pushes e only where one of e's queries crosses the over-full line,
+# and a uniqueness walk compares profiles only on a repeated fingerprint.
+LAST_LEVEL_JAMMING = {
+    # adding 3 to {1, 2} puts 3 > alpha + 1 elements in query {1, 2, 3}: it jams 1 first
+    "crossing": (((1, 2, 3), (4,)), 4, 3, 1, ({1, 2, 3}, 1)),
+    # 1 and 2 have room alone; 3 is in no query, so {3} is jammed by 3 itself
+    "no-query": (((1, 2),), 4, 2, 1, ({3}, 3)),
+    # at cap 0 one element fills a query: adding 2 to {1} jams 1, whose only query is {1, 2}
+    "cap-0": (((1, 2), (2, 3), (3, 4)), 4, 2, 0, ({1, 2}, 1)),
+    # no query ever crosses, and every element keeps a query within the line
+    "none": (((1, 2), (2, 3), (1, 3)), 3, 3, 1, None),
+}
+
+
+@pytest.mark.parametrize("queries,n,k,alpha,witness", LAST_LEVEL_JAMMING.values(), ids=LAST_LEVEL_JAMMING)
+def test_each_last_level_jamming_path_keeps_the_reference_witness(queries, n, k, alpha, witness):
+    queries = tuple(map(frozenset, queries))
+    expected = None if witness is None else (frozenset(witness[0]), witness[1])
+    assert reference_find_unjammed_violation(queries, n, k, alpha) == expected
+    assert find_unjammed_violation(queries, n, k, alpha) == expected
+
+
+LAST_LEVEL_REPEATS = {
+    # capped at 1, {1, 3} repeats {1, 2} (rank 4); 4 is inert and takes no rank
+    "size-2": (((1, 2), (1, 3), (2, 3), (4,)), 4, 1, [1, 2], 4),
+    # capped at 2, {1, 2, 4} repeats {1, 2, 3} (rank 11), after no repeat in sizes 1 and 2
+    "size-3": (((1, 2), (1, 2, 3, 4), (1, 2, 4), (2, 3, 4)), 4, 2, [1, 2, 3], 11),
+}
+
+
+@pytest.mark.parametrize("queries,n,alpha,first,rank", LAST_LEVEL_REPEATS.values(), ids=LAST_LEVEL_REPEATS)
+def test_a_last_level_repeat_rebuilds_the_first_set(monkeypatch, queries, n, alpha, first, rank):
+    queries = tuple(map(frozenset, queries))
+    k = len(first)
+    ranks = []
+    monkeypatch.setattr(qgt.bounds, "subset_at", lambda e, r: ranks.append(r) or subset_at(e, r))
+    for size, unique, rebuilt in ((k - 1, True, []), (k, False, [rank])):
+        assert verify_uniqueness(queries, n, size, alpha) is unique
+        assert reference_verify_uniqueness(queries, n, size, alpha) is unique
+        assert ranks == rebuilt
+    assert subset_at(active_elements(queries, n), rank) == first
+
+
+def test_uniqueness_at_cap_0_keeps_the_reference_verdict():
+    queries = tuple(map(frozenset, ((1, 2), (2, 3), (3, 4))))
+    for k in (1, 2, 3):
+        assert verify_uniqueness(queries, 4, k, 0) == reference_verify_uniqueness(queries, 4, k, 0)
+
+
+# every golden built family at n <= 1024
+GOLDEN_FAMILIES = {"-".join([m, *map(str, a)]): (m, a) for m, a, *_ in GOLDEN if a[0] <= 1024}
+
+
+@pytest.mark.parametrize("mode,args", GOLDEN_FAMILIES.values(), ids=GOLDEN_FAMILIES)
+def test_the_index_reads_the_family_incidence_as_the_scan_does(mode, args):
+    queries = BUILDERS[mode](*args).queries
+    n = args[0]
+    assert not isinstance(queries, tuple)
+    for universe in (n // 2, n, 2 * n):
+        assert OracleIndex(queries, universe).queries_of == OracleIndex(tuple(queries), universe).queries_of
+
+
+def test_oracles_on_a_2_15_table_lay_out_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the queries were laid out")
+
+    n = 2**15
+    queries = build_code(n, 1, 2).queries
+    assert isinstance(queries, SlicedTable)
+    monkeypatch.setattr(SlicedTable, "_make", refuse)
+    assert verify_uniqueness(queries, n, 1, 2) is True
+    assert find_unjammed_violation(queries, n, 1, 2) is None

@@ -222,8 +222,10 @@ def test_fv_roundtrip():
     assert fv_to_text((0, 2, 1)) == "0 2 1\n"
     assert fv_from_text("0 2 1\n") == (0, 2, 1)
     assert fv_from_text("") == ()
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"^malformed feedback vector: position 1: invalid literal .*'x'$"):
         fv_from_text("1 x 2")
+    with pytest.raises(FormatError, match="position 3: invalid literal"):
+        fv_from_text("0 0\n1 2.5 1")
     with pytest.raises(FormatError, match="position 1 must be positive"):
         fv_from_text("1 -2 0")
 
