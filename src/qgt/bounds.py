@@ -211,10 +211,13 @@ def verify_uniqueness(
     and one rank per new fingerprint.
     Only sets of active elements are walked: any two colliding sets
     leave two colliding sets of active elements once their shared inert
-    elements are dropped.
+    elements are dropped.  At cap 0 every capped vector is all zero, so
+    only k = 0 (the empty set alone) passes, and nothing is walked.
     """
     check_cap(alpha, least=0)
     check_budget(sets_up_to(n, k), budget)
+    if alpha == 0:
+        return sets_up_to(n, k) <= 1  # every capped vector is all zero
     index = OracleIndex(queries, n)
     active = index.active
     if not active:

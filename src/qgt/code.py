@@ -34,10 +34,12 @@ block based there or None, filled on use; ``holds(p, v)``;
 ``active(n)``, the elements an oracle walks; its queries, and its
 blocks at a level; its ``line`` in a family file (None for
 ``Listed``); ``alone(n)``, whether every element of [1..n] is alone in
-some query; and ``decode(entries, n, k, cap)``, from a vector's nonzero
-entries alone: a closed form on the singletons, the block sweep
-(``decode.sweep``) on the other two.  ``Code`` holds one family and
-delegates to it.
+some query; ``encode(counts, cap)``, a multiset's capped vector as its
+nonzero entries: a closed form on the singletons, one pass over the
+hidden elements' incidence on the other two; and ``decode(entries, n,
+k, cap)``, from a vector's nonzero entries alone: a closed form on the
+singletons, the block sweep (``decode.sweep``) on the other two.
+``Code`` holds one family and delegates to it.
 
 A built code stays its rule: the two built families are read-only
 sequences of their queries, and no set or block is made when a code is
@@ -126,6 +128,31 @@ class _Family:
     def alone(self, n: int) -> bool:
         """Whether every element of [1..n] is alone in some query: one pass over the queries."""
         return len({v for s in self.queries if len(s) == 1 for v in s}) >= n
+
+    def encode(self, counts: Mapping[int, int], cap: int) -> dict[int, int]:
+        """The nonzero entries of the vector ``counts`` reads, each capped at ``cap`` (0: uncapped).
+
+        One pass over the incidence of the hidden elements: O(support).
+        ``counts`` maps elements of [1..n] to positive multiplicities; an
+        element in no query (of a list code) reads nowhere.  Positions
+        come from the index, so every entry is an in-range position
+        holding a positive int.
+        """
+        entries: dict[int, int] = {}
+        get = entries.get
+        inc = self.incidence
+        for v, mult in counts.items():
+            try:
+                indices = inc[v]
+            except KeyError:  # in no query of a list code
+                continue
+            for idx in indices:
+                entries[idx] = get(idx, 0) + mult
+        if cap:
+            for idx, value in entries.items():
+                if value > cap:
+                    entries[idx] = cap
+        return entries
 
     decode = sweep  # the block sweep, reading the family's block_at, holds and incidence
 
@@ -242,6 +269,12 @@ class Singletons(_Built):
         """The base queries of block group `index`: the queries, kept as the rule."""
         return self
 
+    def encode(self, counts: Mapping[int, int], cap: int) -> dict[int, int]:
+        """Query v-1 reads v's multiplicity alone, capped at a nonzero ``cap``: no incidence is read."""
+        if cap:
+            return {v - 1: mult if mult < cap else cap for v, mult in counts.items()}
+        return {v - 1: mult for v, mult in counts.items()}
+
     def decode(self, entries: Mapping[int, int], n: int, k: int, cap: int) -> tuple[Multiset, DecodeStats]:
         """The block sweep's outcome, read off the entries in closed form.
 
@@ -252,17 +285,17 @@ class Singletons(_Built):
         then fails at the first one, reading 0 decoded there.  The read
         gives the same multiset, or the same ``DecodeError`` with the
         same message, and counts one sweep checking each nonzero
-        position once.
+        position once.  So a vector decodes exactly when it has at most
+        k entries and none at the cap.
         """
-        nonzero = sorted(entries)
-        capped = [p for p in nonzero if entries[p] >= cap] if cap else ()
-        if len(nonzero) - len(capped) > k:
+        count = len(entries)
+        if count <= k and (not cap or max(entries.values(), default=0) < cap):
+            result = {p + 1: value for p, value in sorted(entries.items())}
+            return result, DecodeStats(sweeps=1 if count else 0, good_checks=count, decoded=count)
+        capped = sorted(p for p, value in entries.items() if cap and value >= cap)
+        if count - len(capped) > k:
             raise DecodeError(f"decoded more than k={k} elements")
-        if capped:
-            raise unexplained(capped[0], entries[capped[0]], 0)
-        result = {p + 1: entries[p] for p in nonzero}
-        stats = DecodeStats(sweeps=1 if nonzero else 0, good_checks=len(nonzero), decoded=len(result))
-        return result, stats
+        raise unexplained(capped[0], entries[capped[0]], 0)
 
 
 class SlicedTable(_Built):
@@ -438,36 +471,20 @@ class Code:
         return hash((self.n, self.k, self.alpha, self.mode, len(self)))
 
     def feedback(self, hidden, alpha: int | None = None) -> Feedback:
-        """Feedback vector via the incidence index, kept as its nonzero entries.
+        """Feedback vector by the family's encode, kept as its nonzero entries.
 
         Costs O(support): the queries the hidden elements lie in, never
-        the whole code.  ``alpha`` defaults to the code's own cap; a code
-        storing alpha 0 (every multiset code) gives uncapped counts,
-        equivalent to any admissible cap at or above the total
-        multiplicity.
+        the whole code (on the singletons, one entry per element).
+        ``alpha`` defaults to the code's own cap; a code storing alpha 0
+        (every multiset code) gives uncapped counts, equivalent to any
+        admissible cap at or above the total multiplicity.
         """
         counts = as_multiset(hidden, self.n)
         if alpha is None:
             alpha = self.alpha or None
         if alpha is not None:
             check_cap(alpha)
-        # positions come from the index and multiplicities are >= 1, so every
-        # entry is an in-range position holding a positive int
-        entries: dict[int, int] = {}
-        get = entries.get
-        inc = self.incidence
-        for v, mult in counts.items():
-            try:
-                indices = inc[v]
-            except KeyError:  # in no query of a list code
-                continue
-            for idx in indices:
-                entries[idx] = get(idx, 0) + mult
-        if alpha is not None:
-            for idx, value in entries.items():
-                if value > alpha:
-                    entries[idx] = alpha
-        return Feedback._built(self.family.m, entries)
+        return Feedback._built(self.family.m, self.family.encode(counts, alpha or 0))
 
 
 def enhance(s: Query, n: int) -> list[Query]:
@@ -496,9 +513,16 @@ def level_params(k: int, alpha: int) -> tuple[int, int]:
 
 
 def table_params(n: int, k: int) -> tuple[int, int, int] | None:
-    """(q, d, L) of the truncated width-k table where the build rule takes it, else None."""
+    """(q, d, L) of the truncated width-k table where the build rule takes it, else None.
+
+    A table is never shorter than k*k bases (q >= L >= k), so where k*k
+    bases with their slices already reach n no search is made.
+    """
+    stride = 1 + id_bits(n)  # a base and its slices
+    if k * k * stride >= n:
+        return None
     q, d, points = rs_trunc_size(n, k)
-    return (q, d, points) if points * q * (1 + id_bits(n)) < n else None
+    return (q, d, points) if points * q * stride < n else None
 
 
 def _assemble(n: int, k: int, alpha: int, mode: str) -> Code:

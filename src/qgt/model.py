@@ -111,8 +111,10 @@ class Feedback(Sequence):
 
     It is equal to, and hashes like, the tuple of its values.  ``len``,
     indexing by a position in range and comparing two ``Feedback``s
-    cost O(1) or O(support); iteration, slices, negative indices and
-    comparing with a tuple build that tuple (``dense``) on each call.
+    cost O(1) or O(support); iteration builds one list of the values,
+    comparing with a tuple counts its zeros and reads it on the support
+    (building nothing), and slices, negative indices and the hash build
+    the tuple (``dense``) on each call.
     """
 
     __slots__ = ("entries", "_len")
@@ -158,12 +160,15 @@ class Feedback(Sequence):
         fv._len = length
         return fv
 
-    def dense(self) -> tuple[int, ...]:
-        """Every value in order, built on each call."""
+    def _values(self) -> list[int]:
         buf = [0] * self._len
         for position, value in self.entries.items():
             buf[position] = value
-        return tuple(buf)
+        return buf
+
+    def dense(self) -> tuple[int, ...]:
+        """Every value in order, built on each call."""
+        return tuple(self._values())
 
     def __len__(self) -> int:
         return self._len
@@ -174,13 +179,20 @@ class Feedback(Sequence):
         return self.dense()[index]
 
     def __iter__(self):
-        return iter(self.dense())
+        return iter(self._values())
 
     def __eq__(self, other: object) -> bool:
         if type(other) is Feedback:
             return self._len == other._len and self.entries == other.entries
         if isinstance(other, tuple):
-            return self._len == len(other) and self.dense() == other
+            # ``dense() == other``: the tuple reads 0 exactly off the support (no
+            # positive value equals 0) and each value on it
+            entries = self.entries
+            return (
+                self._len == len(other)
+                and other.count(0) == self._len - len(entries)
+                and all(other[p] == value for p, value in entries.items())
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -436,7 +448,7 @@ def as_multiset(hidden: Iterable[int] | Mapping[int, int], n: int | None = None)
     """
     counts: Multiset = {}
     index = operator.index
-    if isinstance(hidden, Mapping):
+    if isinstance(hidden, (dict, Mapping)):  # a dict before the slower ABC check
         for v, m in hidden.items():
             v, m = index(v), index(m)
             if m < 1:
@@ -446,10 +458,9 @@ def as_multiset(hidden: Iterable[int] | Mapping[int, int], n: int | None = None)
         for v in hidden:
             v = index(v)
             counts[v] = counts.get(v, 0) + 1
-    if n is not None:
-        for v in counts:
-            if not 1 <= v <= n:
-                raise ValueError(f"element {v} outside universe [1..{n}]")
+    if n is not None and counts and not (min(counts) >= 1 and max(counts) <= n):
+        v = next(v for v in counts if not 1 <= v <= n)  # the first offender in insertion order
+        raise ValueError(f"element {v} outside universe [1..{n}]")
     return counts
 
 

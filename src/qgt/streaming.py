@@ -62,10 +62,14 @@ class StreamSketch:
         check_cap(self.alpha)
         self.counters: dict[int, int] = {}
         self.total_multiplicity = 0
+        self._incidence = code.incidence  # every element is in a query: it has one alone
+        self._n = code.n
 
     def insert(self, v: int) -> int:
         """Add one unit of v; returns the number of counters touched."""
-        indices = self._indices(v)
+        if not (type(v) is int and 1 <= v <= self._n):
+            v = self._element(v)
+        indices = self._incidence[v]
         counters = self.counters
         get = counters.get
         for idx in indices:
@@ -75,7 +79,9 @@ class StreamSketch:
 
     def delete(self, v: int) -> int:
         """Remove one unit of v; rejects deletes that would corrupt the counters."""
-        indices = self._indices(v)
+        if not (type(v) is int and 1 <= v <= self._n):
+            v = self._element(v)
+        indices = self._incidence[v]
         counters = self.counters
         for idx in indices:
             if idx not in counters:
@@ -113,16 +119,19 @@ class StreamSketch:
             )
         return decode(self.code, Feedback._built(len(self.code), dict(self.counters)))
 
-    def _indices(self, v: int) -> tuple[int, ...]:
-        # refused before the lookup: the incidence cache would take 2.0 for 2 once 2 is cached
+    def _element(self, v) -> int:
+        """v as an element of [1..n], for a v that is not already an int there; else raises.
+
+        Refused before the incidence lookup, which would take 2.0 for 2 once 2 is cached.
+        """
         if type(v) is not int:
             try:
                 v = operator.index(v)
             except TypeError:
                 raise TypeError(f"element must be an int, got {v!r}") from None
-        if not 1 <= v <= self.code.n:
-            raise ValueError(f"element {v} outside universe [1..{self.code.n}]")
-        return self.code.incidence[v]  # every element is in a query: it has one alone
+        if not 1 <= v <= self._n:
+            raise ValueError(f"element {v} outside universe [1..{self._n}]")
+        return v
 
 
 def edge_index(u: int, v: int, nu: int) -> int:
@@ -188,12 +197,10 @@ class GraphSketch:
     def reconstruct(self) -> list[tuple[int, int]]:
         """The live edges in index order (decode returns its elements sorted)."""
         found = self.sketch.reconstruct()
-        endpoints, edges = self._endpoints, []
-        for idx, mult in found.items():
-            if mult != 1:
-                raise ValueError(f"edge multiplicity {mult} at index {idx}; graph edges must be 0/1")
-            edges.append(endpoints[idx])
-        return edges
+        if found and max(found.values()) > 1:  # every decoded multiplicity is >= 1
+            idx, mult = next((idx, mult) for idx, mult in found.items() if mult != 1)
+            raise ValueError(f"edge multiplicity {mult} at index {idx}; graph edges must be 0/1")
+        return list(map(self._endpoints.__getitem__, found))
 
     def _index(self, u: int, v: int) -> int:
         if u > v:

@@ -99,7 +99,8 @@ def reference_verify_uniqueness(queries, n, k, alpha, budget=10_000_000):
                         touched.append(idx)
                     counts[idx] += 1
             touched.sort()
-            profile = tuple((idx, min(counts[idx], alpha)) for idx in touched)
+            # a capped value of 0 (every value at cap 0) reads as no entry
+            profile = tuple((idx, c) for idx in touched if (c := min(counts[idx], alpha)))
             for idx in touched:
                 counts[idx] = 0
             if profile in seen:

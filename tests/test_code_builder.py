@@ -11,6 +11,7 @@ from qgt.code import (
     build_code_large,
     build_code_multiset,
     enhance,
+    table_params,
 )
 from qgt.model import incidence, singletons
 from qgt.serialize import code_to_text
@@ -281,6 +282,19 @@ def test_table_crossover_from_closed_form(kappa, first):
     assert n >= 2 * rs_size(n, kappa, kappa, 1)[0]
     q, _, points = rs_trunc_size(n, kappa)
     assert 2 * points * q * (1 + id_bits(n)) < full_length(n)
+
+
+def test_table_params_skips_only_searches_that_cannot_win():
+    # table_params returns None before the prime search where k*k bases with their
+    # slices reach n; the full search must agree at every (n, k)
+    skipped = 0
+    for e in range(1, 19):
+        n = 2**e
+        for k in range(1, min(n, 64) + 1):
+            full = rs_trunc_size(n, k) if _table_wins(n, k) else None
+            assert table_params(n, k) == full, (n, k)
+            skipped += k * k * (1 + id_bits(n)) >= n
+    assert skipped > 0
 
 
 def _reference_trunc_size(n, k):

@@ -242,6 +242,28 @@ def test_feedback_reads_zero_off_its_entries():
         fv[-5]
 
 
+def test_comparing_with_a_tuple_answers_as_the_dense_tuple_does():
+    fv = Feedback(5, {1: 1, 3: 2})
+    tuples = [
+        (0, 1, 0, 2, 0),
+        (0.0, 1, False, 2.0, 0),  # values equal to 0, 1 and 2
+        (0, True, 0, 2, 0),  # True == 1
+        (0, 1, None, 2, 0),
+        (None, 1, 0, 2, 0),
+        (0, 1, 0, True, 0),
+        (0, 0, 0, 2, 0),
+        (0, 1, 0, 2, 1),
+        (0, 1, 0, 2),  # wrong lengths
+        (0, 1, 0, 2, 0, 0),
+        (),
+    ]
+    for t in tuples:
+        assert (fv == t) is (fv.dense() == t) is (t == fv), t
+        assert (fv != t) is (fv.dense() != t), t
+    assert Feedback(0, {}) == () and Feedback(2, {}) == (0, False) and Feedback(2, {}) != (0, None)
+    assert list(fv) == [0, 1, 0, 2, 0] and list(Feedback(0, {})) == []
+
+
 def test_every_vector_keeps_its_entries_in_a_plain_dict(monkeypatch):
     code = build_code_multiset(16, 2)
     sketch = streaming.StreamSketch(code)

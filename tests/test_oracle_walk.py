@@ -515,9 +515,12 @@ def test_a_last_level_repeat_rebuilds_the_first_set(monkeypatch, queries, n, alp
 
 
 def test_uniqueness_at_cap_0_keeps_the_reference_verdict():
-    queries = tuple(map(frozenset, ((1, 2), (2, 3), (3, 4))))
-    for k in (1, 2, 3):
-        assert verify_uniqueness(queries, 4, k, 0) == reference_verify_uniqueness(queries, 4, k, 0)
+    # at cap 0 every capped vector is all zero: the empty set and {1} already collide
+    for queries in (tuple(map(frozenset, ((1, 2), (2, 3), (3, 4)))), singletons(4)):
+        for k in (0, 1, 2, 3):
+            expected = k == 0
+            assert reference_verify_uniqueness(queries, 4, k, 0) is expected
+            assert verify_uniqueness(queries, 4, k, 0) is expected
 
 
 # every golden built family at n <= 1024

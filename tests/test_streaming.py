@@ -369,6 +369,22 @@ def test_graph_roundtrip_path():
     assert g.reconstruct() == path
 
 
+def test_graph_reconstruct_names_the_first_edge_held_twice():
+    g = GraphSketch(6, 2)
+    for u, v, times in ((1, 2, 1), (1, 3, 2), (1, 4, 3)):
+        for _ in range(times):
+            g.add_edge(u, v)
+    with pytest.raises(ValueError) as info:
+        g.reconstruct()
+    assert str(info.value) == "edge multiplicity 2 at index 2; graph edges must be 0/1"
+    g.remove_edge(1, 3)
+    with pytest.raises(ValueError, match="edge multiplicity 3 at index 3;"):
+        g.reconstruct()
+    g.remove_edge(1, 4)
+    g.remove_edge(1, 4)
+    assert g.reconstruct() == [(1, 2), (1, 3), (1, 4)]
+
+
 def test_graph_add_remove_idempotent_against_shadow():
     g = GraphSketch(5, 2)
     for _ in range(3):
