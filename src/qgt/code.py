@@ -12,15 +12,19 @@ model does not.
 A base holding one element of the hidden set is trusted in every mode:
 its value is below any cap alpha >= 2, and exact in a multiset readout.
 So one width-k strong selector (every element of every set of at most k
-elements alone in some query) decodes every mode, and ``_assemble``
-builds it by one rule that builds nothing before it decides: with
-(q, d, L) = ``ssui.rs_trunc_size(n, k)``, the truncated Reed-Solomon
-table (first L evaluation points, empty queries dropped) when
-L*q*(1 + 2*log2(n)) < n, else the n singletons.  Every block is kind
-"ssui" at level k.  No code is longer than n, and its length does not
-depend on alpha: large mode is the plain rule under its own header.
-The table first wins at n = 2^5, 2^9, 2^11 and 2^12 for k = 1, 2, 3
-and 4-5.  Multiset codes stay the n singletons (``build_code_multiset``).
+elements alone in some query) decodes every mode, and ``build`` decides
+it from (n, k, mode) before it builds anything: each class in
+``FAMILIES`` gives ``at(n, k, mode)``, its family there or None where it
+is not admissible, and the shortest admissible family is built, a tie
+going to the earlier class.  The n singletons are admissible everywhere.
+With (q, d, L) = ``ssui.rs_trunc_size(n, k)``, the truncated
+Reed-Solomon table (first L evaluation points, empty queries dropped) is
+admissible where L*q*(1 + 2*log2(n)) < n, except in multiset mode: a
+stream sketch needs every element alone in some query (``streaming``).
+Every block is kind "ssui" at level k.  No code is longer than n, and
+its length does not depend on alpha: large mode is the plain rule under
+its own header.  The table first wins at n = 2^5, 2^9, 2^11 and 2^12
+for k = 1, 2, 3 and 4-5.
 
 Three families, one interface.  ``Singletons(n)`` is the n singletons,
 query p the 0-slice block of element p+1.  ``SlicedTable(n, q, d, L)``
@@ -80,6 +84,9 @@ MODE_PLAIN = "plain"
 MODE_LARGE = "large"
 MODE_MULTISET = "multiset"
 MODE_RANDOM = "random"
+# The least alpha a mode's decoder reads: it trusts a value below alpha,
+# and every value of a multiset code, which stores alpha 0.
+MIN_ALPHA = {MODE_PLAIN: 2, MODE_LARGE: 2, MODE_MULTISET: 0, MODE_RANDOM: 1}
 
 KIND_SUI = "sui"
 KIND_RR = "rr"
@@ -245,8 +252,8 @@ class Singletons(_Built):
         super().__init__(n, 1, n)
 
     @classmethod
-    def at(cls, n: int, k: int) -> Singletons:
-        """The singletons, a selector of every width k."""
+    def at(cls, n: int, k: int, mode: str) -> Singletons:
+        """The singletons, a selector of every width k, admissible in every mode."""
         return cls(n)
 
     def _make(self) -> tuple[Query, ...]:
@@ -319,10 +326,19 @@ class SlicedTable(_Built):
         super().__init__(n, 1 + 2 * bits, q * points)
 
     @classmethod
-    def at(cls, n: int, k: int) -> SlicedTable | None:
-        """The table where the build rule takes it at (n, k) (``table_params``), else None."""
-        params = table_params(n, k) if k >= 1 else None  # a table has width k >= 1
-        return None if params is None else cls(n, *params)
+    def at(cls, n: int, k: int, mode: str) -> SlicedTable | None:
+        """The table at (n, k) where it is shorter than n, outside multiset mode; else None.
+
+        A table is never shorter than k*k bases (q >= L >= k), so where k*k
+        bases with their slices already reach n no search is made.
+        """
+        if mode == MODE_MULTISET or k < 1:
+            return None
+        stride = 1 + id_bits(n)  # a base and its slices
+        if k * k * stride >= n:
+            return None
+        q, d, points = rs_trunc_size(n, k)
+        return cls(n, q, d, points) if points * q * stride < n else None
 
     def _value(self, v: int, x: int) -> int:
         """P_v(x) over F_q, by Horner's rule on P_v's coefficients, the base-q digits of v-1."""
@@ -406,7 +422,8 @@ class Listed(_Family):
         return tuple(self.queries[blk.base] for blk in _grouped(self._blocks)[index])
 
 
-# The family classes a family file can name, each parsed back by ``at(n, k)``.
+# The family classes the build rule chooses from and a family file can name,
+# each admitted by ``at(n, k, mode)``; a tie in length goes to the earlier class.
 FAMILIES = (Singletons, SlicedTable)
 
 
@@ -498,77 +515,42 @@ def enhance(s: Query, n: int) -> list[Query]:
     return [s, *bit_slices(s, n)]
 
 
-def _check_build_params(n: int, k: int, alpha: int | None = None) -> None:
-    """Universe and capacity checks; with ``alpha``, also the decoder's alpha >= 2."""
-    check_universe(n)
-    check_capacity(n, k)
-    if alpha is not None and alpha < 2:
-        raise ValueError("cap too small for quantitative decoding (alpha must be >= 2)")
-
-
 def level_params(k: int, alpha: int) -> tuple[int, int]:
     """(kappa, cap) of a "sui" or "rr" group's check; below alpha = 2 the cap never binds."""
     kappa = next_power_of_two(k)
     return kappa, (alpha - 1 if alpha >= 2 else kappa + 1)
 
 
-def table_params(n: int, k: int) -> tuple[int, int, int] | None:
-    """(q, d, L) of the truncated width-k table where the build rule takes it, else None.
+def build(n: int, k: int, alpha: int, mode: str = MODE_PLAIN) -> Code:
+    """The build rule's code (module docstring): the shortest family ``FAMILIES`` admits.
 
-    A table is never shorter than k*k bases (q >= L >= k), so where k*k
-    bases with their slices already reach n no search is made.
+    Checks the mode, the universe, the capacity and the mode's alpha
+    floor (``MIN_ALPHA``), in that order.  A multiset code stores alpha
+    0: decoding assumes the readout cap is at least the total
+    multiplicity, which makes every feedback value exact.
     """
-    stride = 1 + id_bits(n)  # a base and its slices
-    if k * k * stride >= n:
-        return None
-    q, d, points = rs_trunc_size(n, k)
-    return (q, d, points) if points * q * stride < n else None
-
-
-def _assemble(n: int, k: int, alpha: int, mode: str) -> Code:
-    """The one selector family of a code (module docstring)."""
-    table = SlicedTable.at(n, k)
-    return Code(Singletons(n) if table is None else table, n, k, alpha, mode)
+    if mode not in (MODE_PLAIN, MODE_LARGE, MODE_MULTISET):
+        raise ValueError(f"unknown build mode {mode!r}")
+    check_universe(n)
+    check_capacity(n, k)
+    if mode == MODE_MULTISET:
+        alpha = 0
+    if alpha < MIN_ALPHA[mode]:
+        raise ValueError(f"cap too small for quantitative decoding (alpha must be >= {MIN_ALPHA[mode]})")
+    admissible = [family for cls in FAMILIES if (family := cls.at(n, k, mode)) is not None]
+    return Code(min(admissible, key=len), n, k, alpha, mode)
 
 
 def build_code(n: int, k: int, alpha: int, seed: int = 0) -> Code:
-    """Plain-mode code: the truncated width-k table where shorter than n, else the n singletons.
-
-    ``seed`` changes no byte of the code: no family a code is built from
-    draws anything at random.
-    """
-    _check_build_params(n, k, alpha)
-    return _assemble(n, k, alpha, MODE_PLAIN)
+    """Plain-mode code (``build``); ``seed`` changes no byte, as no built family draws at random."""
+    return build(n, k, alpha, MODE_PLAIN)
 
 
 def build_code_large(n: int, k: int, alpha: int, seed: int = 0) -> Code:
-    """Large-k code: the plain family and layout under the ``large`` header.
-
-    Large mode stays for the files and callers that name it.  ``seed``
-    changes no byte of the code.
-    """
-    _check_build_params(n, k, alpha)
-    return _assemble(n, k, alpha, MODE_LARGE)
+    """The plain rule under the ``large`` header, kept for the files and callers that name it."""
+    return build(n, k, alpha, MODE_LARGE)
 
 
 def build_code_multiset(n: int, k: int, seed: int = 0) -> Code:
-    """Multiset code: the n singletons, stored with alpha 0.
-
-    Decoding assumes the readout cap is at least the total multiplicity,
-    which makes every feedback value exact.  The truncated table would
-    decode it too, but a stream sketch rejects deletes of absent elements
-    only on a code holding every element alone (``streaming``).
-    ``seed`` changes no byte of the code.
-    """
-    _check_build_params(n, k)
-    return Code(Singletons(n), n, k, 0, MODE_MULTISET)
-
-
-def build(n: int, k: int, alpha: int, mode: str = MODE_PLAIN) -> Code:
-    if mode == MODE_PLAIN:
-        return build_code(n, k, alpha)
-    if mode == MODE_LARGE:
-        return build_code_large(n, k, alpha)
-    if mode == MODE_MULTISET:
-        return build_code_multiset(n, k)
-    raise ValueError(f"unknown build mode {mode!r}")
+    """Multiset-mode code, stored with alpha 0 (``build``)."""
+    return build(n, k, 0, MODE_MULTISET)

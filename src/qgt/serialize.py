@@ -12,18 +12,18 @@ A code the builder lays out is written as its rule (LF line endings):
 and loading returns that rule, a ``code.Singletons`` or
 ``code.SlicedTable``: no set or block is made, so reading, writing and
 loading a built code cost O(1) plus the (q, d, L) search.  The parser
-matches the line against the family of each class in ``code.FAMILIES``
-at (n, k) (``at``): ``family singletons`` is the n singleton queries;
-``family rs`` is the truncated width-k Reed-Solomon table, accepted only
-with the (q, d, L) of ``ssui.rs_trunc_size(n, k)`` and only where the
-build rule takes it (``code.table_params``), so a six-line file cannot
-name a table the builder would not build.  Nothing follows the family
-line, and a family file needs n <= 2^18 (``FAMILY_MAX_N``).  The writer
-picks this form from the code's content alone: a code with n <= 2^18
-equal to one of those families, under its own header, is written this
-way, so equal codes always give equal bytes.  A built family's code
-reads its own line, and compares with that family without laying
-anything out.
+matches the line against the family each class in ``code.FAMILIES``
+admits at (n, k, mode) (``at``, the build rule's own test):
+``family singletons`` is the n singleton queries; ``family rs`` is the
+truncated width-k Reed-Solomon table, accepted only with the (q, d, L)
+of ``ssui.rs_trunc_size(n, k)`` and only where the build rule takes it,
+never in multiset mode, so a six-line file cannot name a table the
+builder would not build.  Nothing follows the family line, and a family
+file needs n <= 2^18 (``FAMILY_MAX_N``).  The writer picks this form
+from the code's content alone: a code with n <= 2^18 equal to a family
+admitted at its own header is written this way, so equal codes always
+give equal bytes.  A built family's code reads its own line, and
+compares with that family without laying anything out.
 
 Every other code (random codes, hand-laid tables, files from earlier
 builders) is written as a list:
@@ -64,21 +64,18 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .balanced import id_bits, slice_table
-from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_LARGE, MODE_MULTISET, MODE_PLAIN, MODE_RANDOM
-from .code import FAMILIES, Block, Code, Listed
+from .code import KIND_RR, KIND_SSUI, KIND_SUI, MODE_MULTISET, MODE_RANDOM
+from .code import FAMILIES, MIN_ALPHA, Block, Code, Listed
 from .model import Feedback, Query, check_capacity, check_universe, is_power_of_two
 
 FORMAT_NAME = "qgtc"
 LIST_VERSION = 1
 FAMILY_VERSION = 2
 
-_MODES = (MODE_PLAIN, MODE_LARGE, MODE_MULTISET, MODE_RANDOM)
 _KINDS = (KIND_SUI, KIND_RR, KIND_SSUI)
-# The decoder trusts a value below alpha, and every value when alpha is 0.
-_MIN_ALPHA = {MODE_PLAIN: 2, MODE_LARGE: 2, MODE_RANDOM: 1}
 # A family file needs n at most the largest universe on the ROADMAP grid.
-# The parser checks it before table_params, whose prime search grows with n,
-# and a larger built code is written as a list.
+# The parser checks it before ``SlicedTable.at``, whose prime search grows
+# with n, and a larger built code is written as a list.
 FAMILY_MAX_N = 1 << 18
 
 
@@ -92,7 +89,7 @@ def _family_line(code: Code) -> str | None:
     if code.mode == MODE_RANDOM or not 2 <= n <= FAMILY_MAX_N or not is_power_of_two(n):
         return None  # no family exists (slice widths need a power-of-two n), or n is too large
     for cls in FAMILIES:
-        family = cls.at(n, k)
+        family = cls.at(n, k, code.mode)
         if family is not None and Code(family, n, k, code.alpha, code.mode) == code:
             return family.line
     return None
@@ -131,7 +128,7 @@ def _header(lines: list[str]) -> tuple[int, int, int, str]:
     if len(lines) < 5 or not lines[4].startswith("mode "):
         raise FormatError("line 5: expected 'mode <plain|large|multiset|random>'")
     mode = lines[4][5:].strip()
-    if mode not in _MODES:
+    if mode not in MIN_ALPHA:  # every mode a header can name
         raise FormatError(f"line 5: unknown mode {mode!r}")
     if n < 2:
         raise FormatError(f"line 2: universe size must be >= 2, got {n}")
@@ -148,8 +145,8 @@ def _header(lines: list[str]) -> tuple[int, int, int, str]:
         raise FormatError(f"line 4: alpha must be >= 0, got {alpha}")
     if mode == MODE_MULTISET and alpha:
         raise FormatError(f"line 4: multiset codes store alpha 0, got {alpha}")
-    if mode != MODE_MULTISET and alpha < _MIN_ALPHA[mode]:
-        raise FormatError(f"line 4: {mode} codes need alpha >= {_MIN_ALPHA[mode]}, got {alpha}")
+    if alpha < MIN_ALPHA[mode]:
+        raise FormatError(f"line 4: {mode} codes need alpha >= {MIN_ALPHA[mode]}, got {alpha}")
     return n, k, alpha, mode
 
 
@@ -171,18 +168,19 @@ def _family_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) 
         raise FormatError("line 6: missing 'family' line")
     if mode == MODE_RANDOM:
         raise FormatError("line 6: random-mode codes carry no family")
-    if n > FAMILY_MAX_N:  # checked before table_params, whose prime search grows with n and k
+    if n > FAMILY_MAX_N:  # checked before SlicedTable.at, whose prime search grows with n and k
         raise FormatError(f"line 2: a family file needs n <= {FAMILY_MAX_N}, got {n}")
     words = lines[5].split()
     line = " ".join(words)
     for cls in FAMILIES:
-        family = cls.at(n, k)
+        family = cls.at(n, k, mode)
         if family is not None and family.line == line:
             break
     else:
         if words[:2] == ["family", "rs"]:
             raise FormatError(
                 f"line 6: {lines[5]!r} is not the table the build rule takes at n = {n}, k = {k}"
+                f" in {mode} mode"
             )
         if words[:1] == ["family"]:
             raise FormatError(f"line 6: unknown family {' '.join(words[1:])!r}")

@@ -3,11 +3,14 @@
 A stream sketch keeps one exact (uncapped) counter per query of a
 multiset-mode code, and stores only the nonzero ones: ``counters`` maps
 a position to its count, the form ``Feedback.entries`` has, so the
-state is O(live support) -- the positions the live elements touch --
-never O(m).  Inserting or deleting an element touches exactly the
-counters of the queries containing it, so update cost is
-O(occurrences): the element's occurrence count in the code.  The
-counters are the readout: reconstruction refuses a live total
+counters are O(live support) -- the positions the live elements touch --
+never O(m).  The code's shared ``incidence`` index, filled on use, keeps
+one entry per element the stream has touched, up to n: an update reads
+a cached entry rather than working out its positions again.  Inserting
+or deleting an element touches exactly the counters of the queries
+containing it, so update cost is O(occurrences): the element's
+occurrence count in the code.  The counters are the readout:
+reconstruction refuses a live total
 multiplicity above the code capacity or the readout cap, so no counter
 can exceed the cap, and it hands the decoder a copy of the map.  On
 the n singletons (``code.Singletons``, every multiset code this package

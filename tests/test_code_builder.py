@@ -6,15 +6,16 @@ import pytest
 
 from qgt.balanced import id_bits, slice_query
 from qgt.code import (
+    FAMILIES,
+    SlicedTable,
     build,
     build_code,
     build_code_large,
     build_code_multiset,
     enhance,
-    table_params,
 )
 from qgt.model import incidence, singletons
-from qgt.serialize import code_to_text
+from qgt.serialize import FormatError, code_from_text, code_to_text
 from qgt.ssui import is_prime, rs_size, rs_trunc_size
 
 from rs_table import rs_table_code
@@ -285,16 +286,42 @@ def test_table_crossover_from_closed_form(kappa, first):
 
 
 def test_table_params_skips_only_searches_that_cannot_win():
-    # table_params returns None before the prime search where k*k bases with their
+    # SlicedTable.at returns None before the prime search where k*k bases with their
     # slices reach n; the full search must agree at every (n, k)
     skipped = 0
     for e in range(1, 19):
         n = 2**e
         for k in range(1, min(n, 64) + 1):
-            full = rs_trunc_size(n, k) if _table_wins(n, k) else None
-            assert table_params(n, k) == full, (n, k)
+            full = "family rs %d %d %d" % rs_trunc_size(n, k) if _table_wins(n, k) else None
+            table = SlicedTable.at(n, k, "plain")
+            assert (table and table.line) == full, (n, k)
             skipped += k * k * (1 + id_bits(n)) >= n
     assert skipped > 0
+
+
+@pytest.mark.parametrize("e", range(1, 13))
+def test_build_takes_the_first_shortest_admissible_family(e):
+    # one rule, read by build, the writer and the parser alike: the family built is
+    # the first shortest one some class admits, and a family line parses exactly
+    # when its family is admissible at the header's (n, k, mode)
+    n = 2**e
+    for k in range(1, min(n, 64) + 1):
+        q, d, points = rs_trunc_size(n, k)
+        lines = ("family singletons", f"family rs {q} {d} {points}")
+        for mode, alpha in (("plain", 2), ("large", 3), ("multiset", 0)):
+            admissible = [f for f in (cls.at(n, k, mode) for cls in FAMILIES) if f is not None]
+            shortest = min(len(f) for f in admissible)
+            code = build(n, k, alpha, mode)
+            assert code.family.line == next(f.line for f in admissible if len(f) == shortest), (n, k, mode)
+            assert len(code) <= n
+            assert code_to_text(code).splitlines()[5] == code.family.line
+            header = f"qgtc 2\nn {n}\nk {k}\nalpha {alpha}\nmode {mode}\n"
+            for line in lines:
+                try:
+                    parsed = code_from_text(f"{header}{line}\n")
+                except FormatError:
+                    parsed = None
+                assert (parsed is not None) == (line in {f.line for f in admissible}), (n, k, mode, line)
 
 
 def _reference_trunc_size(n, k):

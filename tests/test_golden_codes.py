@@ -20,7 +20,7 @@ import hashlib
 
 import pytest
 
-from qgt.code import build_code, build_code_large, build_code_multiset
+from qgt.code import build, build_code, build_code_large, build_code_multiset
 from qgt.serialize import code_from_text, code_to_text
 
 from list_form import list_text
@@ -28,9 +28,10 @@ from list_form import list_text
 BUILDERS = {"plain": build_code, "large": build_code_large, "multiset": build_code_multiset}
 
 GOLDEN = [
-    # code._assemble builds one family, labelled "ssui" at level k: the
-    # truncated width-k Reed-Solomon table where its laid-out length bound
-    # is below n, else the n singletons.
+    # code.build builds one family, labelled "ssui" at level k: the
+    # shortest one admitted at (n, k, mode), the truncated width-k
+    # Reed-Solomon table where its laid-out length bound is below n
+    # (never in multiset mode), else the n singletons.
     # The n singletons, in plain mode at alpha = 2 ...
     ("plain", (1024, 4, 2), "1e461d13026c7997d51a3930ce65068452469cbe2102a893fba2dbb677a746ac",
      "qgtc 2\nn 1024\nk 4\nalpha 2\nmode plain\nfamily singletons\n"),
@@ -98,3 +99,40 @@ def test_code_is_written_as_its_family_line(mode, args, digest, family_text):
     code = BUILDERS[mode](*args)
     assert code_to_text(code) == family_text
     assert code_from_text(family_text) == code
+
+
+SWEEP_K = (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32, 64)
+# Builds the rule refuses, hashed as their error text: n not a power of two,
+# k = 0, k > n, alpha below the floor and an unknown mode.
+REFUSED = [(12, 2, 2, "plain"), (16, 0, 2, "plain"), (16, 17, 2, "large"), (16, 2, 1, "plain"), (16, 2, 2, "auto")]
+# Recorded before every mode's build rule moved into the families' ``at(n, k, mode)``.
+SWEEP_DIGEST = "bae2d96cf58d604b254290b8c4c67e93687423b9dd0cafb3a57d94cbdccac3de"
+
+
+def _sweep_cases():
+    for e in range(1, 19):
+        n = 2**e
+        for k in sorted({k for k in (*SWEEP_K, n) if k <= n}):
+            for mode in ("plain", "large", "multiset"):
+                for alpha in (2, 3, 5):
+                    yield n, k, alpha, mode
+    yield from REFUSED
+
+
+def test_builder_sweep_hash():
+    # 1,809 builds over n = 2^1 .. 2^18 in every mode, each written by code_to_text
+    # and loaded back, then the refused builds by their error text
+    digest = hashlib.sha256()
+    refused = 0
+    for n, k, alpha, mode in _sweep_cases():
+        try:
+            code = build(n, k, alpha, mode)
+        except ValueError as exc:
+            refused += 1
+            digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+            continue
+        text = code_to_text(code)
+        assert code_from_text(text) == code, (n, k, alpha, mode)
+        digest.update(text.encode())
+    assert refused == len(REFUSED)
+    assert digest.hexdigest() == SWEEP_DIGEST

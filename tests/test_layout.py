@@ -16,7 +16,7 @@ import qgt.code
 import qgt.model
 import qgt.ssui
 from qgt.code import KIND_SSUI, Singletons, SlicedTable, build_code, build_code_large
-from qgt.code import build_code_multiset, table_params
+from qgt.code import build_code_multiset
 from qgt.decode import decode
 from qgt.model import incidence, singletons
 from qgt.serialize import code_from_text, code_to_text
@@ -121,8 +121,8 @@ def test_a_table_layout_needs_every_base_to_hold_two_elements():
     # every table the build rule takes has q < n / (1 + 2 log2 n)
     for e in range(1, 19):
         for k in (1, 2, 3, 4, 5, 8, 16, 32):
-            params = table_params(2**e, k) if k <= 2**e else None
-            assert params is None or 2**e >= 2 * params[0]
+            table = SlicedTable.at(2**e, k, "plain") if k <= 2**e else None
+            assert table is None or 2**e >= 2 * table.q
 
 
 def _refuse_layouts(monkeypatch):
