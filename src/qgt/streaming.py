@@ -3,19 +3,20 @@
 A stream sketch keeps one exact (uncapped) counter per query of a
 multiset-mode code, and stores only the nonzero ones: ``counters`` maps
 a position to its count, the form ``Feedback.entries`` has, so the
-counters are O(live support) -- the positions the live elements touch --
-never O(m).  The code's shared ``incidence`` index, filled on use, keeps
-one entry per element the stream has touched, up to n: an update reads
-a cached entry rather than working out its positions again.  Inserting
-or deleting an element touches exactly the counters of the queries
-containing it, so update cost is O(occurrences): the element's
-occurrence count in the code.  The counters are the readout:
-reconstruction refuses a live total
+sketch's state is O(live support) -- the positions the live elements
+touch -- never O(m).  Inserting or deleting an element touches exactly
+the counters of the queries containing it.  The sketch chooses how it
+finds them once, from the code's family: on the n singletons
+(``code.Singletons``, every multiset code this package builds) query
+v-1 holds v alone, so an update is that one counter, in closed form,
+and no index is read or filled; on any other family (a list file's
+``Listed``) an update reads the element's positions from the code's
+``incidence`` index, at a cost of its occurrence count in the code.
+The counters are the readout: reconstruction refuses a live total
 multiplicity above the code capacity or the readout cap, so no counter
 can exceed the cap, and it hands the decoder a copy of the map.  On
-the n singletons (``code.Singletons``, every multiset code this package
-builds), the family reads that vector in closed form: a live counter
-is its element's multiplicity.
+the singletons the family reads that vector in closed form: a live
+counter is its element's multiplicity.
 
 Counters are exact rather than capped because deletions are impossible
 under capped counters; the cap belongs to the readout, not the state.
@@ -29,10 +30,12 @@ The graph maintainer reuses the sketch over the edge universe of an
 nu-node graph, with edges numbered row-major: (1,2), (1,3), ...,
 (1,nu), (2,3), ...  The edge universe is rounded up to the next power
 of two to meet the code's universe restriction; indices past the last
-real edge are simply never touched.  A reconstruction lists the edges
-in index order, as the decoder returns them, and turns each index into
-its endpoints once: the sketch keeps the endpoints of every edge it has
-reconstructed, never a table over the whole edge universe.
+real edge are simply never touched.  An edge update checks and orders
+its endpoints and updates the edge's index; its errors name the edge,
+never its index.  A reconstruction lists the edges in index order, as
+the decoder returns them, and turns each index into its endpoints once:
+the sketch keeps the endpoints of every edge it has reconstructed, never
+a table over the whole edge universe.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import operator
 from math import isqrt
 
-from .code import MODE_MULTISET, Code, build_code_multiset
+from .code import MODE_MULTISET, Code, Singletons, build_code_multiset
 from .decode import decode
 from .model import Feedback, Multiset, _Filled, check_cap, next_power_of_two
 
@@ -49,8 +52,10 @@ class StreamSketch:
     """Exact per-query counters over a multiset-mode code.
 
     ``counters`` maps each position whose count is nonzero to that
-    count; a position at 0 is not stored.  An update costs
-    O(occurrences) of its element; a reconstruction costs O(live
+    count; a position at 0 is not stored.  On the singletons an update
+    writes the one counter of its element, at position v-1, in closed
+    form; on any other family it writes the element's occurrences,
+    read from the code's index.  A reconstruction costs O(live
     support), reading only the live positions and those the decoded
     elements touch.
     """
@@ -65,15 +70,21 @@ class StreamSketch:
         check_cap(self.alpha)
         self.counters: dict[int, int] = {}
         self.total_multiplicity = 0
-        self._incidence = code.incidence  # every element is in a query: it has one alone
+        # None on the singletons, where v's one counter is at v-1; else the code's index, which
+        # holds every element: each is alone in some query
+        self._incidence = None if isinstance(code.family, Singletons) else code.incidence
         self._n = code.n
 
     def insert(self, v: int) -> int:
         """Add one unit of v; returns the number of counters touched."""
         if not (type(v) is int and 1 <= v <= self._n):
             v = self._element(v)
-        indices = self._incidence[v]
         counters = self.counters
+        if self._incidence is None:
+            counters[v - 1] = counters.get(v - 1, 0) + 1
+            self.total_multiplicity += 1
+            return 1
+        indices = self._incidence[v]
         get = counters.get
         for idx in indices:
             counters[idx] = get(idx, 0) + 1
@@ -84,8 +95,16 @@ class StreamSketch:
         """Remove one unit of v; rejects deletes that would corrupt the counters."""
         if not (type(v) is int and 1 <= v <= self._n):
             v = self._element(v)
-        indices = self._incidence[v]
         counters = self.counters
+        if self._incidence is None:
+            count = counters.pop(v - 1, 0)
+            if not count:
+                raise ValueError(f"delete of absent element {v}")
+            if count > 1:
+                counters[v - 1] = count - 1
+            self.total_multiplicity -= 1
+            return 1
+        indices = self._incidence[v]
         for idx in indices:
             if idx not in counters:
                 raise ValueError(f"delete of absent element {v}")
@@ -125,7 +144,8 @@ class StreamSketch:
     def _element(self, v) -> int:
         """v as an element of [1..n], for a v that is not already an int there; else raises.
 
-        Refused before the incidence lookup, which would take 2.0 for 2 once 2 is cached.
+        Refused before any lookup: 2.0 hashes like 2, so the counter at 2.0 - 1 or a
+        cached index entry would take it for 2.
         """
         if type(v) is not int:
             try:
@@ -185,17 +205,29 @@ class GraphSketch:
         self._endpoints = _Filled(lambda i: edge_endpoints(i, nodes))
 
     def add_edge(self, u: int, v: int) -> int:
-        return self.sketch.insert(self._index(u, v))
+        return self.apply("I", u, v)
 
     def remove_edge(self, u: int, v: int) -> int:
-        return self.sketch.delete(self._index(u, v))
+        return self.apply("D", u, v)
 
     def apply(self, op: str, u: int, v: int) -> int:
+        """Insert ("I") or delete ("D") the edge {u, v}; returns the number of counters touched."""
+        if op != "I" and op != "D":
+            raise ValueError(f"unknown operation {op!r} (expected 'I' or 'D')")
+        if type(u) is not int or type(v) is not int:
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise TypeError(f"edge endpoints must be ints, got ({u!r}, {v!r})") from None
+        if u > v:
+            u, v = v, u
+        index = edge_index(u, v, self.nodes)
         if op == "I":
-            return self.add_edge(u, v)
-        if op == "D":
-            return self.remove_edge(u, v)
-        raise ValueError(f"unknown operation {op!r} (expected 'I' or 'D')")
+            return self.sketch.insert(index)
+        try:
+            return self.sketch.delete(index)
+        except ValueError:  # the index is in range, so the delete's only refusal: an absent edge
+            raise ValueError(f"delete of absent edge ({u}, {v})") from None
 
     def reconstruct(self) -> list[tuple[int, int]]:
         """The live edges in index order (decode returns its elements sorted)."""
@@ -204,11 +236,6 @@ class GraphSketch:
             idx, mult = next((idx, mult) for idx, mult in found.items() if mult != 1)
             raise ValueError(f"edge multiplicity {mult} at index {idx}; graph edges must be 0/1")
         return list(map(self._endpoints.__getitem__, found))
-
-    def _index(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return edge_index(u, v, self.nodes)
 
 
 def parse_ops(lines: list[str]) -> list[tuple[str, tuple[int, ...]]]:

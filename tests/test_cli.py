@@ -254,6 +254,16 @@ def test_graph_replay(tmp_path, capsys):
     assert out == "2 3\n5 6\n"
 
 
+def test_graph_rejects_delete_of_absent_edge(tmp_path, capsys):
+    ops_file = tmp_path / "gops.txt"
+    ops_file.write_text("I 1 2\nD 4 3\n")
+    status, out, err = run(
+        capsys, "graph", "--nodes", "8", "--k", "2", "--ops", str(ops_file), "--reconstruct",
+    )
+    assert status == 2 and out == ""
+    assert err == "error: delete of absent edge (3, 4)\n"
+
+
 def test_graph_refuses_a_negative_degree_bound(tmp_path, capsys):
     ops_file = tmp_path / "gops.txt"
     ops_file.write_text("I 1 2\n")

@@ -271,6 +271,42 @@ def test_sparse_readout_agrees_with_dense_decode(n, k, steps):
     _replay_against_dense(sketch, sketch.apply, n, steps, seed=n + k)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [(), ({1, 2}, {2, 3}, {5, 40}, {17, 64})],
+    ids=["listed-twin", "listed-twin-with-pairs"],
+)
+def test_incidence_path_agrees_with_dense_decode(extra):
+    # a list code takes the index path; every element stays alone in its
+    # singleton, and with the pairs an update touches 1-3 counters
+    singles = build_code_multiset(64, 4)
+    family = Listed(tuple(singles.queries) + tuple(map(frozenset, extra)), tuple(singles.blocks))
+    code = Code(family, 64, 4, 0, MODE_MULTISET)
+    sketch = StreamSketch(code)
+    touched = Counter()
+
+    def apply(op, v):
+        count = sketch.apply(op, v)
+        assert count == len(code.incidence[v])
+        touched[count] += 1
+
+    _replay_against_dense(sketch, apply, 64, 300, seed=68)
+    assert set(touched) == ({1, 2, 3} if extra else {1})
+
+
+def test_singletons_sketch_keeps_no_index_entry():
+    # an index filled on use would hold one entry per element ever touched: 19,260 here
+    code = build_code_multiset(2**18, 16)
+    sketch = StreamSketch(code)
+    rng = random.Random(18)
+    for _ in range(20_000):
+        v = rng.randint(1, code.n)
+        assert sketch.insert(v) == 1
+        assert sketch.delete(v) == 1
+    assert len(vars(code.family).get("incidence", ())) == 0
+    assert sketch.counters == {} and sketch.total_multiplicity == 0
+
+
 def test_graph_sparse_readout_agrees_with_dense_decode():
     graph = GraphSketch(64, 3)
 
@@ -431,6 +467,47 @@ def test_graph_reconstruct_names_edges_by_their_endpoints_in_index_order(nu):
         assert g.reconstruct() == sorted(edges)
         for u, v in edges:
             g.remove_edge(u, v)
+
+
+def test_graph_delete_of_an_absent_edge_names_the_edge():
+    g = GraphSketch(8, 2)
+    g.add_edge(1, 2)
+    counters = dict(g.sketch.counters)
+    for u, v in ((3, 4), (4, 3)):
+        with pytest.raises(ValueError) as info:
+            g.apply("D", u, v)
+        assert str(info.value) == "delete of absent edge (3, 4)"
+    with pytest.raises(ValueError, match=r"^delete of absent edge \(2, 5\)$"):
+        g.remove_edge(5, 2)
+    assert g.sketch.counters == counters and g.sketch.total_multiplicity == 1
+    assert g.reconstruct() == [(1, 2)]
+
+
+@pytest.mark.parametrize(
+    "u, v, shown",
+    [(1.5, 2, "(1.5, 2)"), ("1", 2, "('1', 2)"), (3, 2.0, "(3, 2.0)"), (None, 4, "(None, 4)")],
+)
+def test_graph_refuses_non_int_endpoints_naming_both(u, v, shown):
+    g = GraphSketch(8, 2)
+    g.add_edge(1, 2)
+    counters = dict(g.sketch.counters)
+    for op in ("I", "D"):
+        with pytest.raises(TypeError) as info:
+            g.apply(op, u, v)
+        assert str(info.value) == f"edge endpoints must be ints, got {shown}"
+    assert g.sketch.counters == counters
+
+
+def test_graph_takes_bool_endpoints_as_ints():
+    g = GraphSketch(4, 1)
+    assert g.apply("I", 2, True) == 1  # operator.index(True) == 1
+    assert g.reconstruct() == [(1, 2)]
+    g.remove_edge(True, 2)
+    assert g.reconstruct() == []
+    with pytest.raises(ValueError, match="endpoints must satisfy"):
+        g.add_edge(True, True)
+    with pytest.raises(ValueError, match="unknown operation"):
+        g.apply("X", 1.5, 2)
 
 
 def test_graph_minimum_nodes():
