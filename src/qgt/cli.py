@@ -134,22 +134,25 @@ def _verify_levels(code, budget: int, kinds) -> int:
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
+    # the verify spec is checked before the code is written, so a bad one writes nothing
+    mode, _, trials = (args.verify or "").partition(":")
+    sampled = mode == "sampled" and trials.isdecimal() and int(trials) >= 1
+    if args.verify not in (None, "exhaustive") and not sampled:
+        raise FormatError(
+            f"unknown verify mode {args.verify!r}; expected 'exhaustive' or 'sampled:<trials>', trials >= 1"
+        )
     code = random_mod.build_random_code(args.n, args.k, args.alpha, args.seed)
     wrapped = Code(Listed(code.queries, ()), args.n, args.k, args.alpha, MODE_RANDOM)
     _write_out(code_to_text(wrapped), args.out)
-    status = EXIT_OK
-    if args.verify is not None:
-        if args.verify == "exhaustive":
-            report = random_mod.verify_claims(code, mode="exhaustive", budget=args.budget)
-        elif args.verify.startswith("sampled:"):
-            trials = int(args.verify.split(":", 1)[1])
-            report = random_mod.verify_claims(code, mode="sampled", trials=trials, seed=args.seed)
-        else:
-            raise FormatError(f"unknown verify mode {args.verify!r}")
-        for line in report.lines():
-            print(line, file=sys.stderr)
-        status = EXIT_OK if report.passed else EXIT_VERIFY
-    return status
+    if args.verify is None:
+        return EXIT_OK
+    if sampled:
+        report = random_mod.verify_claims(code, mode="sampled", trials=int(trials), seed=args.seed)
+    else:
+        report = random_mod.verify_claims(code, mode="exhaustive", budget=args.budget)
+    for line in report.lines():
+        print(line, file=sys.stderr)
+    return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

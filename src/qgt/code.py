@@ -41,8 +41,11 @@ blocks at a level; its ``line`` in a family file (None for
 some query; ``encode(counts, cap)``, a multiset's capped vector as its
 nonzero entries: a closed form on the singletons, one pass over the
 hidden elements' incidence on the other two; and ``decode(entries, n,
-k, cap)``, from a vector's nonzero entries alone: a closed form on the
-singletons, the block sweep (``decode.sweep``) on the other two.
+k, cap)``, a proposal read from a vector's nonzero entries alone, handed
+over with its uncapped counts: a closed form on the singletons, the
+block sweep (``decode.sweep``) on the other two.  A family refuses no
+vector and reads a multiplicity only at a value below the cap;
+``decode.decode_detailed`` accepts or refuses what it proposes.
 ``Code`` holds one family and delegates to it.
 
 A built code stays its rule: the two built families are read-only
@@ -68,8 +71,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .balanced import bit_slices, encode_balanced, id_bits
-from .decode import NO_LAYOUT, DecodeError, DecodeStats, sweep, unexplained
-from .model import Feedback, Multiset, Query, active_elements, as_multiset, check_cap, check_capacity
+from .decode import NO_LAYOUT, DecodeError, DecodeStats, Proposal, sweep
+from .model import Feedback, Query, active_elements, as_multiset, check_cap, check_capacity
 from .model import _Filled, check_universe, next_power_of_two, singletons
 from .model import incidence as _incidence
 from .ssui import rs_trunc_size, truncated_table
@@ -282,27 +285,21 @@ class Singletons(_Built):
             return {v - 1: mult if mult < cap else cap for v, mult in counts.items()}
         return {v - 1: mult for v, mult in counts.items()}
 
-    def decode(self, entries: Mapping[int, int], n: int, k: int, cap: int) -> tuple[Multiset, DecodeStats]:
-        """The block sweep's outcome, read off the entries in closed form.
+    def decode(self, entries: Mapping[int, int], n: int, k: int, cap: int) -> Proposal:
+        """The closed-form proposal: query p holds element p+1 alone.
 
-        Query p holds element p+1 alone, so a trusted value (below a
-        nonzero ``cap``) is that element's multiplicity; the sweep
-        fires each such position once and raises on a (k+1)-th.  A
-        position at the cap decodes nothing, so the consistency check
-        then fails at the first one, reading 0 decoded there.  The read
-        gives the same multiset, or the same ``DecodeError`` with the
-        same message, and counts one sweep checking each nonzero
-        position once.  So a vector decodes exactly when it has at most
-        k entries and none at the cap.
+        A value below a nonzero ``cap`` is that element's multiplicity; a
+        value at the cap is read as nothing.  The counts are the trusted
+        entries: the entries themselves when none sits at the cap.
         """
-        count = len(entries)
-        if count <= k and (not cap or max(entries.values(), default=0) < cap):
-            result = {p + 1: value for p, value in sorted(entries.items())}
-            return result, DecodeStats(sweeps=1 if count else 0, good_checks=count, decoded=count)
-        capped = sorted(p for p, value in entries.items() if cap and value >= cap)
-        if count - len(capped) > k:
-            raise DecodeError(f"decoded more than k={k} elements")
-        raise unexplained(capped[0], entries[capped[0]], 0)
+        if cap:
+            found = {p + 1: value for p, value in sorted(entries.items()) if value < cap}
+            counts = entries if len(found) == len(entries) else {v - 1: mult for v, mult in found.items()}
+        else:
+            found = {p + 1: value for p, value in sorted(entries.items())}
+            counts = entries
+        count = len(found)
+        return found, counts, DecodeStats(1 if count else 0, count, 0, count)
 
 
 class SlicedTable(_Built):
@@ -412,7 +409,7 @@ class Listed(_Family):
     def group_keys(self, level: int) -> tuple[tuple[str, int], ...]:
         return tuple((group[0].kind, group[0].level) for group in _grouped(self._blocks))
 
-    def decode(self, entries: Mapping[int, int], n: int, k: int, cap: int) -> tuple[Multiset, DecodeStats]:
+    def decode(self, entries: Mapping[int, int], n: int, k: int, cap: int) -> Proposal:
         """The block sweep; a code without blocks (a random code's queries) is refused."""
         if not self._blocks:
             raise DecodeError(NO_LAYOUT)

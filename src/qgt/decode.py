@@ -5,7 +5,9 @@ order, until a sweep yields no new element (a fixed point; a counted
 loop would presume the hidden set is full-size).  A block fires only
 when its base holds exactly one unknown element, so every firing is
 correct whatever fired before it, and one fixed point over all blocks
-decodes everything a walk level by level would, and more.
+decodes everything a walk level by level would, and more.  Only blocks
+with a nonzero base value can fire, so each sweep visits the few
+touched blocks, not the whole code.
 
 One rule decodes every mode.  A block is *good* when its base value is
 trusted (below the cap, the code's alpha, or any value when alpha is 0,
@@ -16,15 +18,42 @@ with multiplicity r; a block with no slices has a base of at most one
 element, which names that element directly.  On a set input a trusted
 base holding r >= 2 unknown elements never fires: two of them differ in
 some identifier bit, so some slice residue lies strictly between 0 and
-r.  Bad identifier weight, an element outside the base or one already
-decoded skip the block for this sweep.  A (k+1)-th distinct element
-raises.
+r.  Bad identifier weight, a negative residue, an element outside the
+base or one already decoded skip the block for this sweep.  A (k+1)-th
+distinct element ends the sweep.
 
-At the fixed point the decoder re-encodes its answer, capped at a
-nonzero cap, and raises on any mismatch with the input: it returns at
-most k distinct elements that reproduce the vector exactly, or raises.
-Only blocks with a nonzero base value can fire, so each sweep visits
-the few touched blocks, not the whole code.
+Families propose; ``decode_detailed`` refuses.  A family's decode
+raises nothing about the vector.  It returns its proposal, the proposal's
+uncapped counts at every position it touches (the sweep's running
+weights; on the singletons, the trusted entries) and its stats.
+``decode_detailed`` is the one place a vector is refused, in this order:
+1. its length differs from the code's;
+2. the proposal has more than k elements;
+3. the proposal's counts, capped at a nonzero cap, differ from the
+   entries (``_check_consistency``, naming the first position that
+   disagrees).
+So the decoder returns at most k distinct elements that reproduce the
+vector exactly, or raises.  A negative residue, at a base or at a slice,
+comes only from a value below the cap that the proposal over-explains
+(a slice's elements lie in its base, which reads below the cap), and
+the counts only grow, so check 3 refuses every such vector.
+
+Why this leaves no wrong answer.  The paper counts a code correct when
+its capped vectors tell apart any two different sets of at most k
+elements, which the oracles (``bounds``) check.  On such a code a set of
+at most k elements that reproduces the vector is the hidden set, so
+checks 2 and 3 refuse every wrong set.  A wrong multiplicity is the one
+way past them: at the cap a count may be anything at or above it, and a
+smaller one re-encodes to the same capped vector.  So each family keeps
+one duty that no check here sees: it reads a multiplicity only where the
+value is below the cap, where it is exact.  Both families keep it (the
+sweep skips a base at the cap; the singletons read nothing there), and
+``tests/test_decode_properties.py`` pins it; a check at run time would
+need each element's positions, which the singletons never keep.
+Multisets need one more condition: the readout cap must reach the
+decoder.  A multiset code stores cap 0 and so trusts every value, and a
+count read at a smaller readout cap is taken as exact (the strict xfail
+``test_an_at_cap_multiset_count_is_refused``).
 
 The decoder reads the vector only at its nonzero positions and at the
 positions the decoded elements touch.  A ``Feedback`` (what
@@ -35,15 +64,15 @@ and decoded as the ``Feedback`` of its nonzero entries (``Feedback.of``):
 a value equal to 0 reads as 0, and any other value that is not a
 positive int is refused as ``Feedback`` refuses it, by its position.
 
-Each query family decodes itself (``code``): ``decode_detailed`` checks
-the vector's length and hands the family its entries, the code's n, k
-and cap, ``family.decode(entries, n, k, cap)``; no family reads the
-``Code``, the decoder reads no mode, and this is the one decoder line
-that reads the cap.  The sweep above, ``sweep``, is the decode of the
+Each query family proposes for itself (``code``): ``decode_detailed``
+hands the family the vector's entries and the code's n, k and cap,
+``family.decode(entries, n, k, cap)``; no family reads the ``Code``,
+the decoder reads no mode, and only ``decode_detailed`` reads the cap
+off the code.  The sweep above, ``sweep``, is the proposal of the
 sliced table and of listed codes; it reads the family's ``block_at``,
-``holds`` and ``incidence``, and a listed code without blocks (every
-random code) refuses first.  The n singletons read a vector in closed
-form (``Singletons.decode``).
+``holds`` and ``incidence``.  A listed code without blocks (every random
+code) is refused first, a refusal of the code, not of a vector.  The n
+singletons propose in closed form (``Singletons.decode``).
 """
 
 from __future__ import annotations
@@ -78,24 +107,36 @@ class DecodeStats:
         return self.good_checks + self.slice_reads
 
 
+# What a family's decode returns: the proposal, its uncapped counts at every position it touches, the stats.
+Proposal = tuple[Multiset, Mapping[int, int], DecodeStats]
+
+
 def decode(code: Code, fv: Sequence[int]) -> Multiset:
     return decode_detailed(code, fv)[0]
 
 
 def decode_detailed(code: Code, fv: Sequence[int]) -> tuple[Multiset, DecodeStats]:
-    """Decode ``fv`` by the code's family: a ``Feedback`` in O(support), another sequence after an O(m) scan."""
+    """Decode ``fv`` by the code's family: a ``Feedback`` in O(support), another sequence after an O(m) scan.
+
+    The one place a vector is refused (module docstring): its length,
+    then the family's proposal, by its size and by what it re-encodes to.
+    """
     if len(fv) != code.family.m:
         raise DecodeError(f"feedback vector length {len(fv)} != code length {code.family.m}")
-    return code.family.decode(Feedback.of(fv).entries, code.n, code.k, code.alpha)
+    entries = Feedback.of(fv).entries
+    found, counts, stats = code.family.decode(entries, code.n, code.k, code.alpha)
+    if len(found) > code.k:
+        raise DecodeError(f"decoded more than k={code.k} elements")
+    _check_consistency(entries, counts, code.alpha)
+    return found, stats
 
 
-def sweep(
-    family: SlicedTable | Listed, entries: Mapping[int, int], n: int, k: int, cap: int
-) -> tuple[Multiset, DecodeStats]:
+def sweep(family: SlicedTable | Listed, entries: Mapping[int, int], n: int, k: int, cap: int) -> Proposal:
     """The block sweep to a fixed point (module docstring) over the blocks of ``family``.
 
     ``entries`` maps each nonzero position of the vector to its value
-    (``Feedback.entries``); ``cap`` 0 caps no value.
+    (``Feedback.entries``); ``cap`` 0 caps no value.  It stops at a
+    (k+1)-th element.
     """
     stats = DecodeStats()
     acc: Multiset = {}
@@ -108,20 +149,13 @@ def sweep(
     while progress and candidates:
         progress = False
         stats.sweeps += 1
-        stats.good_checks += len(candidates)  # a sweep checks every candidate, or raises
+        stats.good_checks += len(candidates)  # a sweep checks every candidate, or stops at a (k+1)-th element
         for base, base_fv, slices in candidates:
             if cap and base_fv >= cap:
                 continue  # at the cap: the true count may be anything above it
             residue = base_fv - acc_w.get(base, 0)
-            if residue < 0:
-                # below the cap the value is exact, so decoded weight can
-                # never legitimately exceed it
-                raise DecodeError(
-                    f"inconsistent feedback: over-explained query at position {base}: "
-                    f"reads {base_fv}, decoded count {acc_w.get(base, 0)}"
-                )
-            if residue == 0:
-                continue
+            if residue <= 0:
+                continue  # explained, or over-explained, which the consistency check refuses
             if slices:
                 v = _read_slices(family, n, base, slices, entries, acc_w, residue, stats)
             else:  # a base of at most one element names it
@@ -129,15 +163,14 @@ def sweep(
                 v = min(s) if len(s) == 1 else None
             if v is None or v in acc:
                 continue
-            if len(acc) >= k:
-                raise DecodeError(f"decoded more than k={k} elements")
             acc[v] = residue
             for idx in inc[v]:
                 acc_w[idx] = acc_w.get(idx, 0) + residue
             stats.decoded += 1
+            if len(acc) > k:
+                return acc, acc_w, stats
             progress = True
-    _check_consistency(entries, acc_w, cap)
-    return dict(sorted(acc.items())), stats
+    return dict(sorted(acc.items())), acc_w, stats
 
 
 def _read_slices(
@@ -156,56 +189,47 @@ def _read_slices(
         idx = base + j
         stats.slice_reads += 1
         raw = entries.get(idx, 0) - acc_w.get(idx, 0)
-        if raw < 0:
-            raise DecodeError(
-                f"inconsistent feedback: over-explained slice at position {idx}: "
-                f"reads {entries.get(idx, 0)}, decoded count {acc_w.get(idx, 0)}"
-            )
         if raw == 0:
             bits_lsb_first.append(0)
         elif raw == residue:
             bits_lsb_first.append(1)
         else:
-            return None  # superposition of several unknown elements
+            return None  # several unknown elements, or an over-explained slice
     word = tuple(reversed(bits_lsb_first))
     v = decode_balanced(word, n)
     return v if v is not None and family.holds(base, v) else None
 
 
-def _check_consistency(entries: Mapping[int, int], acc_w: dict[int, int], cap: int) -> None:
-    """The decoded multiset must reproduce the observed vector exactly.
+def _check_consistency(entries: Mapping[int, int], counts: Mapping[int, int], cap: int) -> None:
+    """The proposal, capped at a nonzero cap, must reproduce the observed vector exactly.
 
-    acc_w already holds the uncapped counts of the decoded multiset at
-    every query it touches, each positive; everything else must read
-    zero.  Only the nonzero positions are read: once each reads its
-    decoded count, each is a touched position, and the multiset touches
-    no other exactly when it touches as many positions as there are.
-    Where no decoded count exceeds the cap (every count, at cap 0), the
-    entries must equal acc_w, which one dict comparison checks.  Only a
-    failure looks further, for the first position that disagrees.
+    ``counts`` holds the uncapped counts of the proposal at every query
+    it touches, each positive; everything else must read zero.  Only the
+    nonzero positions are read: once each reads its decoded count, each
+    is a touched position, and the proposal touches no other exactly
+    when it touches as many positions as there are.  Where no decoded
+    count exceeds the cap (every count, at cap 0), the entries must
+    equal the counts, which one dict comparison checks.  Only a failure
+    looks further, for the first position that disagrees.
     """
-    if entries == acc_w and (not cap or max(acc_w.values(), default=0) <= cap):
+    if (counts is entries or counts == entries) and (not cap or not counts or max(counts.values()) <= cap):
         return
     for idx, value in entries.items():
-        expected = acc_w.get(idx, 0)
+        expected = counts.get(idx, 0)
         if cap and expected > cap:
             expected = cap
         if expected != value:
             break
     else:
-        if len(acc_w) == len(entries):
+        if len(counts) == len(entries):
             return
 
     def decoded(position: int) -> int:
-        count = acc_w.get(position, 0)
+        count = counts.get(position, 0)
         return min(count, cap) if cap else count
 
-    first = min(p for p in {*entries, *acc_w} if decoded(p) != entries.get(p, 0))
-    raise unexplained(first, entries.get(first, 0), decoded(first))
-
-
-def unexplained(position: int, reads: int, decoded: int) -> DecodeError:
-    return DecodeError(
+    first = min(p for p in {*entries, *counts} if decoded(p) != entries.get(p, 0))
+    raise DecodeError(
         "inconsistent feedback: residual counts unexplained by decoded set: "
-        f"position {position} reads {reads}, decoded count {decoded}"
+        f"position {first} reads {entries.get(first, 0)}, decoded count {decoded(first)}"
     )

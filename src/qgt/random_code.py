@@ -220,6 +220,8 @@ def verify_claims(
         check_budget(sets_up_to(n, k) - 1, budget)
     elif mode != "sampled":
         raise ValueError(f"unknown verification mode {mode!r}")
+    elif trials < 1:
+        raise ValueError(f"sampled verification needs trials >= 1, got {trials}")
     witness1 = next((s for s in code.queries if len(s) > alpha), None)
     if code.fallback:
         part1 = (0, len(code.queries))

@@ -368,6 +368,15 @@ def test_random_unknown_verify_mode(tmp_path, capsys):
     assert "unknown verify mode" in err
 
 
+@pytest.mark.parametrize("spec", ["guess", "sampled:x", "sampled:0", "sampled:-3"])
+def test_random_refuses_a_bad_verify_spec_before_writing_the_code(capsys, spec):
+    status, out, err = run(capsys, "random", "--n", "32", "--k", "2", "--alpha", "4", "--verify", spec)
+    assert status == 2 and out == ""
+    assert err == (
+        f"error: unknown verify mode {spec!r}; expected 'exhaustive' or 'sampled:<trials>', trials >= 1\n"
+    )
+
+
 def test_random_sampled_verify(tmp_path, capsys):
     status, _, err = run(
         capsys, "random", "--n", "32", "--k", "2", "--alpha", "4",

@@ -3,6 +3,9 @@
 For an arbitrary feedback vector the decoder either raises DecodeError
 or returns a multiset of at most k distinct elements whose encoding is
 exactly that vector; every set of at most k elements decodes to itself.
+A family's decode only proposes: it hands over the uncapped counts of
+its proposal, reads each multiplicity below the cap, and a wrong
+proposal is refused by ``decode_detailed``.
 Kept as its nonzero entries (a ``Feedback``), a vector decodes exactly
 as its dense tuple does, and ``Code.feedback`` equals the reference
 ``feedback_vector`` in every way a tuple is read.
@@ -17,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgt import streaming
-from qgt.code import MODE_MULTISET, Singletons, SlicedTable, build_code, build_code_large, build_code_multiset
-from qgt.decode import DecodeError, decode
+from qgt.code import MODE_MULTISET, Listed, Singletons, SlicedTable
+from qgt.code import build_code, build_code_large, build_code_multiset
+from qgt.decode import DecodeError, DecodeStats, decode
 from qgt.model import Feedback, feedback_vector
 from qgt.serialize import code_from_text, fv_from_text
 
@@ -78,13 +82,21 @@ def _code_and_vector(draw):
 @settings(max_examples=1500, deadline=None)
 def test_arbitrary_vector_raises_or_is_reproduced_exactly(case):
     code, fv = case
+    family, cap = code.family, code.alpha
+    # a family only proposes: it raises nothing and hands over the uncapped counts of its proposal
+    found, counts, _ = family.decode(Feedback.of(fv).entries, code.n, code.k, cap)
+    assert counts == family.encode(found, 0)
     try:
         got = decode(code, fv)
     except DecodeError:
         return
+    assert got == found
     assert len(got) <= code.k
     assert all(mult >= 1 for mult in got.values())
     assert code.feedback(got) == fv
+    if cap:  # each multiplicity was read where the value is below the cap, so exact
+        for v, mult in got.items():
+            assert any(counts[p] < cap for p in family.encode({v: mult}, 0)), v
 
 
 @pytest.mark.parametrize("code", CODES, ids=CODE_IDS)
@@ -375,10 +387,40 @@ def test_over_explained_query_names_its_base():
     fv[bases[-1]] = 1  # the first base decodes 6 twice; the last reads only 1
     with pytest.raises(
         DecodeError,
-        match=rf"^inconsistent feedback: over-explained query at position {bases[-1]}: "
-        r"reads 1, decoded count 2$",
+        match=r"^inconsistent feedback: residual counts unexplained by decoded set: "
+        rf"position {bases[-1]} reads 1, decoded count 2$",
     ):
         decode(code, _sparse(fv))
+
+
+class _Proposing(Listed):
+    """A listed family whose decode proposes a fixed multiset, with its honest counts."""
+
+    def __init__(self, queries, blocks, proposal):
+        super().__init__(queries, blocks)
+        self.proposal = proposal
+
+    def decode(self, entries, n, k, cap):
+        return self.proposal, self.encode(self.proposal, 0), DecodeStats()
+
+
+@pytest.mark.parametrize(
+    "code", [build_code(16, 3, 3), build_code_multiset(16, 3)], ids=["plain-16-3-3", "multiset-16-3"]
+)
+def test_a_wrong_proposal_is_refused(code):
+    def proposing(proposal):
+        return dataclasses.replace(code, family=_Proposing(tuple(code.queries), code.blocks, proposal))
+
+    fv = Feedback(16, {6: 2})  # element 7 twice
+    assert decode(proposing({7: 2}), fv) == {7: 2}
+    with pytest.raises(DecodeError, match=r"^decoded more than k=3 elements$"):
+        decode(proposing({1: 1, 2: 1, 3: 1, 4: 1}), fv)
+    with pytest.raises(
+        DecodeError,
+        match=r"^inconsistent feedback: residual counts unexplained by decoded set: "
+        r"position 6 reads 2, decoded count 3$",
+    ):
+        decode(proposing({7: 3}), fv)
 
 
 @pytest.mark.parametrize(

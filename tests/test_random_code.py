@@ -99,6 +99,15 @@ def test_mode_validation():
         verify_claims(code, mode="guess")
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampled_claims_with_no_sample_are_refused(trials):
+    # checking no set must not report claims 2 and 3 as passed
+    with pytest.raises(ValueError, match=rf"^sampled verification needs trials >= 1, got {trials}$"):
+        verify_claims(build_random_code(32, 3, 8), mode="sampled", trials=trials)
+    with pytest.raises(ValueError, match="trials >= 1"):
+        find_verified_code(32, 3, 8, mode="sampled", trials=trials)
+
+
 def _failing_code(part1_covers_all: bool) -> RandomCode:
     """n = 8, k = 3, alpha = 4: sets of size <= 2 read part 1, size 3 reads part 2.
 
