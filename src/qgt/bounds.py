@@ -15,6 +15,15 @@ K has at most alpha+1 elements; otherwise K and K \\ {x} produce
 identical feedback under some cap-alpha function.  `verify_uniqueness`
 is the definition of solvability itself, checked exhaustively.
 
+For k <= alpha + 1 claim A has a closed form.  A query is over-full on
+K when it holds more than alpha + 1 elements of K, which no query can
+do when |K| <= k <= alpha + 1.  Then x is jammed in K exactly when x
+lies in no query (all of its queries are over-full only when it has
+none), and then {x} alone is jammed too.  Sets of one element come
+first in walk order, so the first witness is ({x}, x) for the smallest
+element x in no query (such an x is never inert), and there is none
+when every element lies in some query or k = 0;
+`find_unjammed_violation` returns it without a walk.  For larger k
 `find_unjammed_violation` walks the candidate sets with
 `model.walk_subsets`, keeping each query's count in K and each
 element's number of queries that are not over-full on push and pop; it
@@ -102,15 +111,22 @@ def find_unjammed_violation(
     size, each size lexicographic) and x is the smallest violating
     element, so the witness is the first one a full enumeration finds:
     that witness holds no inert element, so walking the active elements
-    alone still reaches it first.
+    alone still reaches it first.  For k <= alpha + 1 nothing is walked:
+    the witness, if any, is {x} for the smallest x in no query.
     """
     check_cap(alpha, least=0)
     check_budget(sets_up_to(n, k), budget)
     index = OracleIndex(queries, n)
     if not index.active:
         return None
-    masks, queries_of = index.masks, index.queries_of
+    queries_of = index.queries_of
     full = alpha + 1  # a query holding more elements of K than this is over-full
+    if k <= full:
+        # no query holds more than |K| <= k elements of K, so none is over-full and x is
+        # jammed only when it lies in no query: the first witness is {x}, x the smallest such
+        x = next((v for v in index.active if not queries_of[v]), None)
+        return None if x is None or k < 1 else (frozenset((x,)), x)
+    masks = index.masks
     hits = [0] * len(queries)  # |Q ∩ K|
     roomy = [0] * (n + 1)  # queries containing v that are not over-full
     chosen: list[int] = []

@@ -168,7 +168,8 @@ def verify_dispersion(
     """Check that every (or, sampled, each tried) ell_star-subset sees enough of W.
 
     Exhaustive mode refuses instances where C(n_left, ell_star) exceeds
-    the budget; sampled mode draws ``trials`` random subsets instead.
+    the budget; sampled mode draws ``trials`` random subsets instead,
+    and refuses ``trials < 1``, which would check no subset.
     """
     # |N(L)| >= (1-eps)|W|  <=>  missing right nodes <= eps*|W|
     allowed_missing = epsilon * graph.n_right
@@ -178,6 +179,8 @@ def verify_dispersion(
         check_budget(comb(graph.n_left, ell_star), budget)
         candidates = itertools.combinations(range(graph.n_left), ell_star)
     elif mode == "sampled":
+        if trials < 1:
+            raise ValueError(f"sampled verification needs trials >= 1, got {trials}")
         rng = random.Random(seed)
         candidates = (rng.sample(range(graph.n_left), ell_star) for _ in range(trials))
     else:

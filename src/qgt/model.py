@@ -32,12 +32,12 @@ The facts every selector family and oracle shares live here, once:
   ``code.SlicedTable``) from its rule over its own universe, with no
   query laid out;
 * ``OracleIndex``: the one prelude the four walking oracles share
-  (active elements, each element's queries, query masks), each part
-  built on its first use within one oracle call; on a built family
-  over its own universe the active elements and each element's
-  queries are read from the family's rule and its own ``incidence``,
-  filled on use and shared by every oracle call on that family, so no
-  query is laid out;
+  (active elements, each element's queries, query masks), each part a
+  plain slot built on its first read within one oracle call, with no
+  lock taken; on a built family over its own universe the active
+  elements come from the family's rule and each element's queries
+  from one ``map`` over its own ``incidence``, filled on use and
+  shared by every oracle call on that family, so no query is laid out;
 * ``subset_at``: the set at a given rank in ``walk_subsets``'s order;
 * ``Feedback``: a feedback vector kept as a plain dict of its nonzero
   entries, the form ``Code.feedback`` returns and the decoder reads in
@@ -90,7 +90,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import cached_property
 from math import comb
 from typing import TypeVar
 
@@ -412,29 +411,46 @@ class OracleIndex:
       pass of ``incidence`` over the queries;
     * ``masks[j]``: ``query_mask`` of query j, built on its first lookup.
 
-    Each oracle call builds its own; a built family's ``incidence`` is
-    filled once and read by every call.
+    Each part is kept in a plain slot, empty until its first read, so an
+    oracle call pays no per-instance lock for it.  Each oracle call
+    builds its own index; a built family's ``incidence`` is filled once
+    and read by every call.  Over the family's own universe it has an
+    entry for every element of [1..n], so ``queries_of`` is one ``map``
+    over them.
     """
+
+    __slots__ = ("queries", "n", "_active", "_queries_of", "_masks")
 
     def __init__(self, queries: Sequence[Query], n: int) -> None:
         self.queries = queries
         self.n = n
+        self._active = self._queries_of = self._masks = None
 
-    @cached_property
+    @property
     def active(self) -> list[int]:
-        return active_elements(self.queries, self.n)
+        if self._active is None:
+            self._active = active_elements(self.queries, self.n)
+        return self._active
 
-    @cached_property
+    @property
     def queries_of(self) -> list[tuple[int, ...]]:
-        inc = getattr(self.queries, "incidence", None)
-        if inc is None:
-            inc = incidence(self.queries)
-        return [inc.get(v, ()) for v in range(self.n + 1)]
+        if self._queries_of is None:
+            queries, n = self.queries, self.n
+            inc = getattr(queries, "incidence", None)
+            if inc is None:
+                inc = incidence(queries)
+            if getattr(queries, "n", None) == n:  # a built family over its own universe
+                self._queries_of = [(), *map(inc.__getitem__, range(1, n + 1))]
+            else:
+                self._queries_of = [inc.get(v, ()) for v in range(n + 1)]
+        return self._queries_of
 
-    @cached_property
+    @property
     def masks(self) -> Mapping[int, int]:
-        queries = self.queries
-        return _Filled(lambda j: query_mask(queries[j]))
+        if self._masks is None:
+            queries = self.queries
+            self._masks = _Filled(lambda j: query_mask(queries[j]))
+        return self._masks
 
 
 def as_multiset(hidden: Iterable[int] | Mapping[int, int], n: int | None = None) -> Multiset:

@@ -116,6 +116,17 @@ def test_unknown_dispersion_mode_raises():
         verify_dispersion(ONE_BAD_PAIR, 2, 0.25, mode="guess")
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_sampled_dispersion_with_no_sample_is_refused(trials):
+    # every left node reaches only right node 1 of 4: the exhaustive check fails,
+    # and a sampled check that drew no subset used to pass it
+    graph = BipartiteGraph(4, 4, 1, ((1,),) * 4)
+    assert verify_dispersion(graph, 2, 0.25) is False
+    with pytest.raises(ValueError, match=f"sampled verification needs trials >= 1, got {trials}"):
+        verify_dispersion(graph, 2, 0.25, mode="sampled", trials=trials)
+    assert verify_dispersion(graph, 2, 0.25, mode="sampled", trials=1) is False
+
+
 # Recorded before the draws took the closed form at |W| = 1 and each graph
 # was built once: every seeded graph, |W|, seed, attempt count and error of
 # the sweep below, hashed in order.

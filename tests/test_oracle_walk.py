@@ -25,7 +25,10 @@ out.  The index a built family gives must equal the one scanned from
 its queries, and each way the walks settle a set at their last level
 (a jamming walk without a push, or with one where a query crosses the
 over-full line; a uniqueness walk on a repeated fingerprint) must keep
-the reference's witness or verdict.
+the reference's witness or verdict.  Claim A is checked on both sides
+of k = alpha + 1: at or below it no query can be over-full and nothing
+is walked, above it the walk runs, and either way the witness and the
+BudgetError points are the reference's.
 """
 
 import pytest
@@ -37,8 +40,8 @@ import qgt.model
 from qgt.bounds import find_unjammed_violation, verify_uniqueness
 from qgt.code import MODE_LARGE, MODE_MULTISET, MODE_PLAIN, Singletons, SlicedTable, build, build_code
 from qgt.code import build_code_multiset, level_params
-from qgt.model import BudgetError, OracleIndex, active_elements, sets_up_to, singletons, subset_at
-from qgt.model import walk_subsets
+from qgt.model import BudgetError, OracleIndex, _Filled, active_elements, incidence, sets_up_to, singletons
+from qgt.model import subset_at, walk_subsets
 from qgt.random_code import RandomCode, build_random_code, verify_claims
 from qgt.ssui import build_ssui, max_unselected_count, verify_ssui
 from qgt.sui import build_sui
@@ -531,9 +534,25 @@ GOLDEN_FAMILIES = {"-".join([m, *map(str, a)]): (m, a) for m, a, *_ in GOLDEN if
 def test_the_index_reads_the_family_incidence_as_the_scan_does(mode, args):
     queries = BUILDERS[mode](*args).queries
     n = args[0]
-    assert not isinstance(queries, tuple)
+    assert isinstance(queries, (Singletons, SlicedTable))
+    scanned = incidence(tuple(queries))
     for universe in (n // 2, n, 2 * n):
-        assert OracleIndex(queries, universe).queries_of == OracleIndex(tuple(queries), universe).queries_of
+        expected = [scanned.get(v, ()) for v in range(universe + 1)]
+        assert OracleIndex(queries, universe).queries_of == expected
+        assert OracleIndex(tuple(queries), universe).queries_of == expected
+
+
+def test_the_index_over_the_family_universe_reads_every_entry_directly(monkeypatch):
+    # over its own [1..n] a built family's incidence has an entry for every element,
+    # so the index reads each one directly and never falls back to a default
+    def refuse(*args):
+        raise AssertionError("the index fell back to get")
+
+    monkeypatch.setattr(_Filled, "get", refuse)
+    for queries in (Singletons(16), build_code(32, 1, 2).queries):
+        n = queries.n
+        expected = [(), *(queries.incidence[v] for v in range(1, n + 1))]
+        assert OracleIndex(queries, n).queries_of == expected
 
 
 def test_oracles_on_a_2_15_table_lay_out_nothing(monkeypatch):
@@ -546,3 +565,32 @@ def test_oracles_on_a_2_15_table_lay_out_nothing(monkeypatch):
     monkeypatch.setattr(SlicedTable, "_make", refuse)
     assert verify_uniqueness(queries, n, 1, 2) is True
     assert find_unjammed_violation(queries, n, 1, 2) is None
+
+
+# Claim A on both sides of k = alpha + 1: at or below it no query can be over-full, so
+# the witness is read off the elements in no query without a walk; above it the walk runs.
+CLAIM_A_FAMILIES = {
+    # 5 and 8 lie in no query, 1 in a private singleton as well
+    "no-query": (tuple(map(frozenset, ((1, 2, 3), (2, 3, 4), (6, 7), (1,)))), 8),
+    # every element lies in some query; one query holds them all, so a set above the line jams
+    "covered": (tuple(map(frozenset, ((1, 2, 3, 4, 5, 6, 7, 8), (1, 2), (7,), (3, 4, 5)))), 8),
+    # the built singletons: no active element over their own n, and 9..16 in no query over 16
+    "singletons": (build(8, 2, 2).queries, 8),
+    "singletons-over-16": (build(8, 2, 2).queries, 16),
+    "table": (build(32, 1, 2).queries, 32),
+}
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+@pytest.mark.parametrize("queries,n", CLAIM_A_FAMILIES.values(), ids=CLAIM_A_FAMILIES)
+def test_claim_a_on_both_sides_of_the_over_full_line(monkeypatch, queries, n, alpha):
+    walks = []
+    monkeypatch.setattr(qgt.bounds, "walk_subsets", lambda *args: walks.append(args) or walk_subsets(*args))
+    active = active_elements(tuple(queries), n)
+    for k in range(alpha + 3):
+        count = sets_up_to(n, k)
+        for budget in (count - 1, count):
+            args = (queries, n, k, alpha, budget)
+            walks.clear()
+            assert _outcome(find_unjammed_violation, *args) == _outcome(reference_find_unjammed_violation, *args)
+            assert bool(walks) == (budget >= count and k > alpha + 1 and bool(active))
