@@ -169,8 +169,11 @@ def verify_dispersion(
 
     Exhaustive mode refuses instances where C(n_left, ell_star) exceeds
     the budget; sampled mode draws ``trials`` random subsets instead,
-    and refuses ``trials < 1``, which would check no subset.
+    and refuses ``trials < 1``, which would check no subset.  An
+    epsilon outside (0, 1/2] is refused too: at 1 or above every graph
+    would pass.
     """
+    check_epsilon(epsilon)
     # |N(L)| >= (1-eps)|W|  <=>  missing right nodes <= eps*|W|
     allowed_missing = epsilon * graph.n_right
     masks = graph.masks

@@ -127,7 +127,11 @@ def verify_sui(
     alpha: int,
     budget: int = 10_000_000,
 ) -> SuIReport:
-    """Exhaustive worst-case unselected count; passes iff strictly below epsilon*ell."""
+    """Exhaustive worst-case unselected count; passes iff strictly below epsilon*ell.
+
+    Refuses an epsilon outside (0, 1/2], as ``build_sui`` does.
+    """
+    check_epsilon(epsilon)
     worst = max_unselected_count(queries, n, ell, kappa, alpha, budget)
     return SuIReport(max_unselected=worst, threshold=epsilon * ell)
 

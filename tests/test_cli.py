@@ -1,3 +1,7 @@
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,11 +11,20 @@ from qgt.serialize import code_from_text
 
 from list_form import list_text
 
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
 
 def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def run_module(*argv, timeout=60, **kwargs):
+    """``python -m qgt`` in a fresh interpreter: exit status, stdout and stderr bytes."""
+    proc = subprocess.run([sys.executable, "-m", "qgt", *argv], env=SRC_ENV, capture_output=True,
+                          timeout=timeout, **kwargs)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_build_encode_decode_roundtrip(tmp_path, capsys):
@@ -344,19 +357,29 @@ def test_verify_refuses_a_large_family_file_before_laying_it_out(
 def test_verify_the_2_18_singletons_lays_out_no_query(tmp_path, capsys, monkeypatch):
     import qgt.code
 
+    code_file = tmp_path / "code.qgtc"
+    run(capsys, "build", "--n", "262144", "--k", "2", "--alpha", "2", "--mode", "multiset",
+        "--out", str(code_file))
+    assert code_file.read_text() == "qgtc 2\nn 262144\nk 2\nalpha 0\nmode multiset\nfamily singletons\n"
+
     def refuse(*args):
         raise AssertionError("the queries or blocks were laid out")
 
     monkeypatch.setattr(qgt.code.Singletons, "_make", refuse)
     monkeypatch.setattr(qgt.code.Singletons, "blocks", refuse)
-    code_file = tmp_path / "code.qgtc"
-    code_file.write_text("qgtc 2\nn 262144\nk 2\nalpha 0\nmode multiset\nfamily singletons\n")
-    status, out, _ = run(
-        capsys, "verify", "--code", str(code_file), "--uniqueness", "--claim-a", "--ssui",
-        "--budget", "100000000000",
-    )
+    verify = ("verify", "--code", str(code_file), "--uniqueness", "--claim-a", "--ssui",
+              "--budget", "100000000000")
+    expected = "uniqueness: pass\nclaim-a: pass (no jammed element)\nssui level 2: pass\n"
+    status, out, _ = run(capsys, *verify)
     assert status == 0
-    assert out == "uniqueness: pass\nclaim-a: pass (no jammed element)\nssui level 2: pass\n"
+    assert out == expected
+
+    # and in a fresh interpreter held to 1 GB of address space
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1_000_000 * 1024,) * 2)
+
+    status, out, err = run_module(*verify, timeout=20, preexec_fn=cap_memory)
+    assert (status, out) == (0, expected.encode()), err
 
 
 def test_random_unknown_verify_mode(tmp_path, capsys):

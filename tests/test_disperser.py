@@ -127,6 +127,17 @@ def test_sampled_dispersion_with_no_sample_is_refused(trials):
     assert verify_dispersion(graph, 2, 0.25, mode="sampled", trials=1) is False
 
 
+@pytest.mark.parametrize("epsilon", [1.0, 5.0, 0.0, -0.25])
+def test_dispersion_with_epsilon_outside_the_half_interval_is_refused(epsilon):
+    # the graph of the test above fails at 0.25 and 0.5; at epsilon >= 1 it
+    # used to pass, since no right node then needs to be reached
+    graph = BipartiteGraph(4, 4, 1, ((1,),) * 4)
+    assert verify_dispersion(graph, 2, 0.5) is False
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(ValueError, match=rf"epsilon must lie in \(0, 1/2\], got {epsilon}"):
+            verify_dispersion(graph, 2, epsilon, mode=mode)
+
+
 # Recorded before the draws took the closed form at |W| = 1 and each graph
 # was built once: every seeded graph, |W|, seed, attempt count and error of
 # the sweep below, hashed in order.

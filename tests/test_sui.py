@@ -101,6 +101,16 @@ def test_empty_family_fails():
     assert not report.passed
 
 
+@pytest.mark.parametrize("epsilon", [1.0, 5.0, 0.0, -0.25])
+def test_verify_sui_refuses_epsilon_outside_the_half_interval(epsilon):
+    # one query holds all four elements: two of any pair stay unselected at
+    # every epsilon, and at 5.0 (threshold 10) the report used to pass
+    family = (frozenset({1, 2, 3, 4}),)
+    assert verify_sui(family, 4, 2, 0.5, 0, 1).max_unselected == 2
+    with pytest.raises(ValueError, match=rf"epsilon must lie in \(0, 1/2\], got {epsilon}"):
+        verify_sui(family, 4, 2, epsilon, 0, 1)
+
+
 def test_determinism():
     a = build_sui(16, 4, 0.5, 4, 2, seed=5)
     b = build_sui(16, 4, 0.5, 4, 2, seed=5)
