@@ -14,6 +14,7 @@ from .bounds import (
     counting_bound_holds,
     find_unjammed_violation,
     lower_bound,
+    verify_decoding,
     verify_uniqueness,
 )
 from .code import (
@@ -117,6 +118,7 @@ __all__ = [
     "smallest_admissible_prime",
     "strong_selector",
     "verify_claims",
+    "verify_decoding",
     "verify_dispersion",
     "verify_ssui",
     "verify_sui",

@@ -47,18 +47,31 @@ none, as on the n singletons, the verdict is immediate and nothing
 else is built.  On a built family over its own universe the index
 reads the family's own incidence, so neither lays out a query.  Both
 refuse a negative cap with a ValueError; cap 0 stays legal.
+
+`verify_decoding` checks the decoder where the others check the code:
+every hidden input within capacity, encoded by ``Code.feedback`` and
+handed to ``decode``, must come back as itself.  The code's mode decides
+the inputs: every multiset of total at most k on a multiset code, which
+stores cap 0 and so is read uncapped, and every set of at most k
+elements, read at the code's alpha, on any other.  It is the plain loop
+on purpose, with no count kept on push and pop and no inert-element
+shortcut: decoding takes most of its time, and the inert lemma is about
+distinguishability, not decoding.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log2
+from math import comb, log2
 
-from .model import OracleIndex, Query, check_budget, check_cap, check_capacity, pushed_leaf, sets_up_to
-from .model import subset_at, walk_subsets
+from .code import MODE_MULTISET, Code
+from .decode import DecodeError, decode
+from .model import Multiset, OracleIndex, Query, as_multiset, check_budget, check_cap, check_capacity
+from .model import pushed_leaf, sets_up_to, subset_at, walk_subsets
 
 
 @dataclass(frozen=True)
@@ -297,3 +310,32 @@ def verify_uniqueness(
         return None
 
     return walk_subsets(active, k, push, pop, last) is None
+
+
+def verify_decoding(code: Code, budget: int = 10_000_000) -> tuple[Multiset, Multiset | DecodeError] | None:
+    """First hidden input within capacity that does not decode to itself, with its outcome, or None.
+
+    A multiset code (cap 0) is walked over every multiset of total at
+    most k, read uncapped; any other code over every set of at most k
+    elements, read at its own alpha.  Inputs go size by size, each size
+    lexicographic, so the witness is the first one a full scan meets.
+    The outcome is the ``DecodeError`` raised or the wrong multiset
+    returned.
+    """
+    n, k = code.n, code.k
+    if code.mode == MODE_MULTISET:
+        check_budget(comb(n + k, k), budget)
+        draw = itertools.combinations_with_replacement
+    else:
+        check_budget(sets_up_to(n, k), budget)
+        draw = itertools.combinations
+    for size in range(k + 1):
+        for elements in draw(range(1, n + 1), size):
+            hidden = as_multiset(elements)
+            try:
+                got = decode(code, code.feedback(hidden))
+            except DecodeError as error:
+                return hidden, error
+            if got != hidden:
+                return hidden, got
+    return None

@@ -50,6 +50,11 @@ value is below the cap, where it is exact.  Both families keep it (the
 sweep skips a base at the cap; the singletons read nothing there), and
 ``tests/test_decode_properties.py`` pins it; a check at run time would
 need each element's positions, which the singletons never keep.
+``bounds.verify_decoding`` checks that every valid input decodes to
+itself but cannot pin this duty: a decoder that reads at the cap still
+passes it, since on a valid set the balanced slices keep a capped base
+of two or more unknown elements from firing, so only arbitrary vectors
+show such a read.
 Multisets need one more condition: the readout cap must reach the
 decoder.  A multiset code stores cap 0 and so trusts every value, and a
 count read at a smaller readout cap is taken as exact (the strict xfail

@@ -9,13 +9,15 @@ import itertools
 import random
 import time
 
+import pytest
+
 from qgt.balanced import decode_balanced, encode_balanced, id_bits
-from qgt.bounds import counting_bound_holds, find_unjammed_violation, verify_uniqueness
+from qgt.bounds import counting_bound_holds, find_unjammed_violation, verify_decoding, verify_uniqueness
 from qgt.cli import bench_row
 from qgt.code import build_code, build_code_large, build_code_multiset
 from qgt.decode import decode
 from qgt.disperser import DisperserParams, build_disperser, verify_dispersion
-from qgt.model import feedback_vector
+from qgt.model import BudgetError, feedback_vector
 from qgt.random_code import find_verified_code
 from qgt.ssui import build_ssui, cooccurrence_bound_holds, verify_ssui
 from qgt.streaming import GraphSketch, StreamSketch
@@ -60,18 +62,13 @@ def _grid_codes():
 
 def test_criterion_1_plain_exhaustive_roundtrip():
     started = time.time()
-    failures = 0
     rng = random.Random(7)
     for n, k, alpha, code in _grid_codes():
-        for combo in _all_subsets(n, k):
-            got = decode(code, code.feedback(combo))
-            if got != {v: 1 for v in combo}:
-                failures += 1
+        assert verify_decoding(code) is None, (n, k, alpha)
         # dual route: the indexed encoder must agree with the direct definition
         for _ in range(10):
             combo = tuple(rng.sample(range(1, n + 1), rng.randint(0, k)))
             assert code.feedback(combo) == feedback_vector(code.queries, combo, alpha)
-    assert failures == 0
     _report("criterion 1 (plain exhaustive roundtrip, 18-point grid)", started, 60)
 
 
@@ -90,17 +87,11 @@ def test_criterion_2_large_mode_roundtrip():
 
 def test_criterion_3_multiset_roundtrip():
     started = time.time()
-    n, k, alpha = 16, 4, 4
-    code = build_code_multiset(n, k)
-    checked = 0
-    for total in range(k + 1):
-        for combo in itertools.combinations_with_replacement(range(1, n + 1), total):
-            hidden: dict[int, int] = {}
-            for v in combo:
-                hidden[v] = hidden.get(v, 0) + 1
-            assert decode(code, code.feedback(hidden, alpha=alpha)) == hidden
-            checked += 1
-    assert checked == 4845  # sum over t<=4 of C(16+t-1, t)
+    code = build_code_multiset(16, 4)
+    # read uncapped, as at cap 4: sum over t<=4 of C(16+t-1, t) = 4845 multisets
+    with pytest.raises(BudgetError):
+        verify_decoding(code, budget=4844)
+    assert verify_decoding(code, budget=4845) is None
     _report("criterion 3 (multiset roundtrip, every total multiplicity <= 4)", started, 120)
 
 

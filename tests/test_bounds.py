@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from qgt.bounds import (
@@ -5,11 +7,16 @@ from qgt.bounds import (
     find_unjammed_violation,
     lower_bound,
     sets_up_to,
+    verify_decoding,
     verify_uniqueness,
 )
+from qgt.code import Singletons, build_code, build_code_multiset
+from qgt.decode import DecodeError
 from qgt.ssui import BudgetError
 
-from rs_table import rs_table_code
+from rs_table import rs_table_code, trunc_table_code
+
+decode_mod = importlib.import_module("qgt.decode")  # the module; qgt.decode is the function
 
 
 def test_lower_bound_example():
@@ -98,3 +105,24 @@ def test_counting_bound_on_correct_code():
     code = rs_table_code(16, 2)
     assert verify_uniqueness(code.queries, 16, 2, 2)
     assert counting_bound_holds(16, 2, 2, len(code.queries))
+
+
+def test_decoding_oracle_catches_a_decoder_that_reads_its_word_reversed(monkeypatch):
+    real = decode_mod.decode_balanced
+    monkeypatch.setattr(decode_mod, "decode_balanced", lambda word, n: real(word[::-1], n))
+    hidden, error = verify_decoding(trunc_table_code(16, 2))
+    assert hidden == {1: 1} and type(error) is DecodeError
+    assert str(error).startswith("inconsistent feedback: ")
+
+
+def test_decoding_oracle_walks_multisets_on_a_multiset_code(monkeypatch):
+    # a singletons read that takes every multiplicity as 1 passes on sets, so only a multiset walk sees it
+    real = Singletons.decode
+
+    def read_once(self, entries, n, k, cap):
+        found, counts, stats = real(self, entries, n, k, cap)
+        return {v: 1 for v in found}, counts, stats
+
+    monkeypatch.setattr(Singletons, "decode", read_once)
+    assert verify_decoding(build_code_multiset(16, 4)) == ({1: 2}, {1: 1})
+    assert verify_decoding(build_code(16, 2, 2)) is None

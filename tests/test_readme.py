@@ -40,4 +40,4 @@ def test_library_entry_points_block_states_true_values():
             continue
         assert eval(code, namespace) == stated[0], line
         checked += 1
-    assert checked == 4  # {5: 1, 11: 1}, {7: 3}, True, {9: 1}
+    assert checked == 5  # {5: 1, 11: 1}, None, {7: 3}, True, {9: 1}

@@ -1,8 +1,8 @@
 import dataclasses
-import itertools
 
 import pytest
 
+from qgt.bounds import verify_decoding
 from qgt.code import KIND_SUI, Block, Code, Listed, build_code, build_code_large, build_code_multiset
 from qgt.decode import decode
 from qgt import serialize
@@ -183,13 +183,7 @@ def test_full_slice_singleton_file_still_loads_and_decodes():
     assert len(old) == 20 and all(blk.slices == 4 for blk in old.blocks)
     new = build_code_multiset(4, 2)
     assert len(new) == 4 and all(blk.slices == 0 for blk in new.blocks)
-    for total in range(3):
-        for combo in itertools.combinations_with_replacement(range(1, 5), total):
-            hidden: dict[int, int] = {}
-            for v in combo:
-                hidden[v] = hidden.get(v, 0) + 1
-            assert decode(old, old.feedback(hidden)) == hidden
-            assert decode(new, new.feedback(hidden)) == hidden
+    assert verify_decoding(old) is None and verify_decoding(new) is None
 
 
 def test_negative_block_count_names_line_6():
