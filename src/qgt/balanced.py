@@ -2,11 +2,13 @@
 
 Every element v in [1..n] (n a power of two, b = log2 n) gets a 2b-bit
 word with exactly b ones: the b-bit binary form of v-1 followed by its
-bitwise complement.  Fixed weight is what makes superpositions
-detectable: the elementwise sum of two or more distinct identifiers
-either contains a value above one or fails the weight/complement
-structure, so a decoder can tell "exactly one unknown element" apart
-from "several" without knowing which elements are involved.
+bitwise complement.  The decoder does not rely on the fixed weight; it
+reads the plain bits alone (``decode``).  In a query whose count is
+exact, two or more distinct unknown elements differ in some bit of v-1,
+so that bit's slice reads strictly between nothing and all of them, and
+a complement slice, the count minus its plain bit's slice, says nothing
+more.  The complement slices stay in the layout that code files fix;
+``decode_balanced`` still checks a whole word, weight and complement.
 
 Words are stored most-significant-bit first (the order a human would
 write them); "bit i" with i counted from 1 at the least significant

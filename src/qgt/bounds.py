@@ -70,7 +70,7 @@ from math import comb, log2
 
 from .code import MODE_MULTISET, Code
 from .decode import DecodeError, decode
-from .model import Multiset, OracleIndex, Query, as_multiset, check_budget, check_cap, check_capacity
+from .model import Multiset, OracleIndex, Query, as_multiset, check_budget, check_cap, check_capacity, check_width
 from .model import pushed_leaf, sets_up_to, subset_at, walk_subsets
 
 
@@ -127,6 +127,7 @@ def find_unjammed_violation(
     alone still reaches it first.  For k <= alpha + 1 nothing is walked:
     the witness, if any, is {x} for the smallest x in no query.
     """
+    check_width("k", k)
     check_cap(alpha, least=0)
     check_budget(sets_up_to(n, k), budget)
     index = OracleIndex(queries, n)
@@ -243,6 +244,7 @@ def verify_uniqueness(
     elements are dropped.  At cap 0 every capped vector is all zero, so
     only k = 0 (the empty set alone) passes, and nothing is walked.
     """
+    check_width("k", k)
     check_cap(alpha, least=0)
     check_budget(sets_up_to(n, k), budget)
     if alpha == 0:

@@ -34,10 +34,9 @@ as given: hand-laid tables, list files and random codes.  Each family
 gives its length ``m``; ``incidence``, element -> positions of the
 queries holding it (on a built family filled on use, with KeyError
 outside [1..n]), and ``block_at``, position -> the slice count of the
-block based there or None, filled on use; ``holds(p, v)``;
-``active(n)``, the elements an oracle walks; its queries, and its
-blocks at a level; its ``line`` in a family file (None for
-``Listed``); ``alone(n)``, whether every element of [1..n] is alone in
+block based there or None, filled on use; ``active(n)``, the elements
+an oracle walks; its queries, and its blocks at a level; its ``line``
+in a family file (None for ``Listed``); ``alone(n)``, whether every element of [1..n] is alone in
 some query; ``encode(counts, cap)``, a multiset's capped vector as its
 nonzero entries: a closed form on the singletons, one pass over the
 hidden elements' incidence on the other two; and ``decode(entries, n,
@@ -52,10 +51,10 @@ A built code stays its rule: the two built families are read-only
 sequences of their queries, and no set or block is made when a code is
 built, written or loaded (``serialize``).  Every table the rule takes
 has q < n/3, so each of its L*q bases holds at least two elements and
-carries all its slices: incidence, the block at a position and base
-membership have closed forms, and decoding reads only those.  The
-queries are laid out once, on the first access to an item, and the
-blocks on the first read of ``Code.blocks``.
+carries all its slices: incidence and the block at a position have
+closed forms, and decoding reads only those.  The queries are laid out
+once, on the first access to an item, and the blocks on the first read
+of ``Code.blocks``.
 
 The paper's selectors under interference are the n singletons at every
 n a code can be built for (``sui`` module), so none is built.  Blocks of
@@ -128,10 +127,6 @@ class _Family:
     def __len__(self) -> int:
         return self.m
 
-    def holds(self, position: int, v: int) -> bool:
-        """Whether the query at `position` holds v."""
-        return v in self.queries[position]
-
     def active(self, n: int) -> list[int]:
         return active_elements(self.queries, n)
 
@@ -164,7 +159,7 @@ class _Family:
                     entries[idx] = cap
         return entries
 
-    decode = sweep  # the block sweep, reading the family's block_at, holds and incidence
+    decode = sweep  # the block sweep, reading the family's block_at and incidence
 
 
 class _Built(_Family, Sequence):
@@ -175,9 +170,8 @@ class _Built(_Family, Sequence):
     items, and hashed like it; two families with one line over one n
     compare equal without laying anything out.  Its blocks are
     ``block_count`` "ssui" blocks of ``stride`` queries each: a base and
-    its ``stride - 1`` slices.  Incidence and membership are read off
-    ``_positions(v)``: the positions of the queries holding v in [1..n],
-    ascending.
+    its ``stride - 1`` slices.  Incidence is read off ``_positions(v)``:
+    the positions of the queries holding v in [1..n], ascending.
     """
 
     def __init__(self, n: int, stride: int, block_count: int) -> None:
@@ -264,9 +258,6 @@ class Singletons(_Built):
 
     def _positions(self, v: int) -> tuple[int, ...]:
         return (v - 1,)
-
-    def holds(self, position: int, v: int) -> bool:
-        return 1 <= v <= self.n and position == v - 1
 
     def active(self, n: int) -> list[int]:
         # every element is inert: its one query holds it alone
@@ -357,14 +348,6 @@ class SlicedTable(_Built):
             start = (x * q + self._value(v, x)) * stride
             out.extend([start + o for o in offsets])
         return tuple(out)
-
-    def holds(self, position: int, v: int) -> bool:
-        """Whether the query at `position` holds v, from one value of P_v."""
-        if not (1 <= v <= self.n and 0 <= position < self.m):
-            return False
-        index, offset = divmod(position, self.stride)
-        x, y = divmod(index, self.q)
-        return self._value(v, x) == y and (offset == 0 or encode_balanced(v, self.n)[-offset] == 1)
 
     def _make(self) -> tuple[Query, ...]:
         """Every query: the table's bases and their slices (``enhance``)."""

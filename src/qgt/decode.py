@@ -12,15 +12,19 @@ touched blocks, not the whole code.
 One rule decodes every mode.  A block is *good* when its base value is
 trusted (below the cap, the code's alpha, or any value when alpha is 0,
 as on multiset codes), its residue r beyond the decoded weight inside
-the base is positive, and every slice residue is 0 or r.  The slices
-then spell r times the balanced identifier of one new element, decoded
-with multiplicity r; a block with no slices has a base of at most one
-element, which names that element directly.  On a set input a trusted
-base holding r >= 2 unknown elements never fires: two of them differ in
-some identifier bit, so some slice residue lies strictly between 0 and
-r.  Bad identifier weight, a negative residue, an element outside the
-base or one already decoded skip the block for this sweep.  A (k+1)-th
-distinct element ends the sweep.
+the base is positive, and each of its last log2(n) slices, which hold
+the plain bits of v-1 (``balanced``), has residue 0 or r.  Those slices
+then spell r times the bits of v-1 for one new element v, decoded with
+multiplicity r when the base lies in v's incidence; a block with no
+slices has a base of at most one element, which names that element
+directly.  A trusted base holding two or more unknown elements never
+fires: two of them differ in some bit of v-1, so that bit's slice
+residue lies strictly between 0 and r.  The complement slices say
+nothing more (each reads r minus its plain bit's slice), so they are
+not read.  A negative residue, an element outside the base or one
+already decoded skip the block for this sweep, and a block with fewer
+than log2(n) slices (only a hand-built listed code has one) is never
+read.  A (k+1)-th distinct element ends the sweep.
 
 Families propose; ``decode_detailed`` refuses.  A family's decode
 raises nothing about the vector.  It returns its proposal, the proposal's
@@ -48,12 +52,14 @@ smaller one re-encodes to the same capped vector.  So each family keeps
 one duty that no check here sees: it reads a multiplicity only where the
 value is below the cap, where it is exact.  Both families keep it (the
 sweep skips a base at the cap; the singletons read nothing there), and
-``tests/test_decode_properties.py`` pins it; a check at run time would
-need each element's positions, which the singletons never keep.
+``tests/test_decode_properties.py`` and, on two built tables,
+``tests/test_decode.py::test_a_base_at_the_cap_is_never_read`` pin it;
+a check at run time would need each element's positions, which the
+singletons never keep.
 ``bounds.verify_decoding`` checks that every valid input decodes to
 itself but cannot pin this duty: a decoder that reads at the cap still
-passes it, since on a valid set the balanced slices keep a capped base
-of two or more unknown elements from firing, so only arbitrary vectors
+passes it, since on a valid set the plain bits keep a capped base of
+two or more unknown elements from firing, so only arbitrary vectors
 show such a read.
 Multisets need one more condition: the readout cap must reach the
 decoder.  A multiset code stores cap 0 and so trusts every value, and a
@@ -74,10 +80,11 @@ hands the family the vector's entries and the code's n, k and cap,
 ``family.decode(entries, n, k, cap)``; no family reads the ``Code``,
 the decoder reads no mode, and only ``decode_detailed`` reads the cap
 off the code.  The sweep above, ``sweep``, is the proposal of the
-sliced table and of listed codes; it reads the family's ``block_at``,
-``holds`` and ``incidence``.  A listed code without blocks (every random
-code) is refused first, a refusal of the code, not of a vector.  The n
-singletons propose in closed form (``Singletons.decode``).
+sliced table and of listed codes; it reads the family's ``block_at``
+and ``incidence``, and the base query only at a block with no slices.
+A listed code without blocks (every random code) is refused first, a
+refusal of the code, not of a vector.  The n singletons propose in
+closed form (``Singletons.decode``).
 """
 
 from __future__ import annotations
@@ -86,7 +93,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .balanced import decode_balanced
+# decode_balanced is not called here; perfbench/tracer.py wraps it as a qgt.decode global.
+from .balanced import decode_balanced as decode_balanced
 from .model import Feedback, Multiset
 
 if TYPE_CHECKING:  # code imports this module for the families' decodes
@@ -147,6 +155,7 @@ def sweep(family: SlicedTable | Listed, entries: Mapping[int, int], n: int, k: i
     acc: Multiset = {}
     acc_w: dict[int, int] = {}
     inc, block_at = family.incidence, family.block_at
+    bits = n.bit_length() - 1
     candidates = sorted(
         (base, base_fv, slices) for base, base_fv in entries.items() if (slices := block_at[base]) is not None
     )
@@ -161,15 +170,17 @@ def sweep(family: SlicedTable | Listed, entries: Mapping[int, int], n: int, k: i
             residue = base_fv - acc_w.get(base, 0)
             if residue <= 0:
                 continue  # explained, or over-explained, which the consistency check refuses
-            if slices:
-                v = _read_slices(family, n, base, slices, entries, acc_w, residue, stats)
+            if slices >= bits:  # the last log2(n) slices hold the plain bits of v-1
+                v = _read_plain_bits(base + slices - bits + 1, bits, entries, acc_w, residue, stats)
+            elif slices:
+                continue  # too few slices to name an element
             else:  # a base of at most one element names it
                 s = family.queries[base]
                 v = min(s) if len(s) == 1 else None
-            if v is None or v in acc:
+            if v is None or v in acc or base not in (positions := inc.get(v, ())):
                 continue
             acc[v] = residue
-            for idx in inc[v]:
+            for idx in positions:
                 acc_w[idx] = acc_w.get(idx, 0) + residue
             stats.decoded += 1
             if len(acc) > k:
@@ -178,31 +189,20 @@ def sweep(family: SlicedTable | Listed, entries: Mapping[int, int], n: int, k: i
     return dict(sorted(acc.items())), acc_w, stats
 
 
-def _read_slices(
-    family: SlicedTable | Listed,
-    n: int,
-    base: int,
-    slices: int,
-    entries: Mapping[int, int],
-    acc_w: dict[int, int],
-    residue: int,
-    stats: DecodeStats,
+def _read_plain_bits(
+    first: int, bits: int, entries: Mapping[int, int], acc_w: dict[int, int], residue: int, stats: DecodeStats
 ) -> int | None:
-    """Recover the single new element a good sliced block isolates, or None to skip."""
-    bits_lsb_first = []
-    for j in range(1, slices + 1):
-        idx = base + j
+    """The new element v whose bits of v-1 the ``bits`` slices from ``first`` spell, lowest first; else None."""
+    u = 0
+    for j in range(bits):
+        idx = first + j
         stats.slice_reads += 1
         raw = entries.get(idx, 0) - acc_w.get(idx, 0)
-        if raw == 0:
-            bits_lsb_first.append(0)
-        elif raw == residue:
-            bits_lsb_first.append(1)
-        else:
+        if raw == residue:
+            u |= 1 << j
+        elif raw:
             return None  # several unknown elements, or an over-explained slice
-    word = tuple(reversed(bits_lsb_first))
-    v = decode_balanced(word, n)
-    return v if v is not None and family.holds(base, v) else None
+    return u + 1
 
 
 def _check_consistency(entries: Mapping[int, int], counts: Mapping[int, int], cap: int) -> None:

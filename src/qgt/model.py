@@ -11,10 +11,11 @@ All values here are immutable; every operation is a pure function.
 
 The facts every selector family and oracle shares live here, once:
 
-* ``check_universe``, ``check_capacity``, ``check_cap``, ``check_epsilon``:
-  the parameter rules for n (a power of two, at least 2), k (1 <= k <=
-  n), alpha (at least 1; at least 0 in the walking oracles) and epsilon
-  (in (0, 1/2]);
+* ``check_universe``, ``check_capacity``, ``check_cap``, ``check_width``,
+  ``check_epsilon``: the parameter rules for n (a power of two, at least
+  2), k (1 <= k <= n), alpha (at least 1; at least 0 in the walking
+  oracles), a walking oracle's set widths (at least 0) and epsilon (in
+  (0, 1/2]);
 * ``singletons``: the n singleton queries, a selector for every width;
 * ``query_mask``: a query as an int with bit v-1 set for element v;
 * ``incidence``: element -> indices of the queries containing it;
@@ -232,6 +233,16 @@ def check_cap(alpha: int, least: int = 1) -> None:
     """
     if alpha < least:
         raise ValueError(f"feedback cap must be >= {least}, got {alpha}")
+
+
+def check_width(name: str, width: int) -> None:
+    """ValueError unless a walking oracle's set width (k, ell or kappa) is at least 0.
+
+    A negative width walks no set, so a verdict over it would be vacuous;
+    width 0 walks the empty set alone.
+    """
+    if width < 0:
+        raise ValueError(f"{name} must be >= 0, got {width}")
 
 
 def check_epsilon(epsilon: float) -> None:

@@ -22,8 +22,8 @@ candidate sets with ``model.walk_subsets``, keeping each query's count
 and each part's number of queries hit exactly once on push and pop;
 it skips the elements inert in every part it reads, since by the
 inert-element lemma in ``model`` a set holding one is met exactly once
-by that element's singleton.  The sampled check counts each seeded
-draw from scratch.
+by that element's singleton.  The sampled check pushes and pops each
+seeded draw through the same counters.
 
 The natural logarithm in t1/t2 is evaluated in floating point and then
 rounded up.
@@ -32,6 +32,7 @@ rounded up.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import ceil, e, log
 
@@ -124,24 +125,14 @@ class ClaimReport:
         return out
 
 
-def _hit_exactly_once(
-    lo: int, hi: int, queries_of: list[tuple[int, ...]], combo: tuple[int, ...]
-) -> bool:
-    """Does some query with index in [lo, hi) meet the set in exactly one element?"""
-    counts: dict[int, int] = {}
-    for v in combo:
-        for idx in queries_of[v]:
-            counts[idx] = counts.get(idx, 0) + 1
-    return any(c == 1 and lo <= idx < hi for idx, c in counts.items())
-
-
 def _first_missed_set(
     code: RandomCode,
     part1: tuple[int, int],
     part2: tuple[int, int],
     small_limit: int,
+    draws: Iterable[list[int]] | None,
 ) -> frozenset[int] | None:
-    """First set, in walk order, that no query of its part meets exactly once.
+    """First set, in walk order or among ``draws``, that no query of its part meets exactly once.
 
     Sets of at most ``small_limit`` elements read part 1, larger ones part
     2.  Each query's count in K and, per part, the number of its queries
@@ -149,7 +140,8 @@ def _first_missed_set(
     elements active in some part the walk reads are walked: an element
     inert in every such part is met once by its singleton in any set.
     With none, as on the singleton fallback, no set is missed, and the
-    index (``model.OracleIndex``) is not built.
+    index (``model.OracleIndex``) is not built.  Each of ``draws`` is
+    pushed, read and popped in turn.
     """
     # the parts the walk reads: part 1 for sets of 1 .. small_limit elements, part 2 above
     read = [part1] if small_limit >= 1 else []
@@ -198,7 +190,17 @@ def _first_missed_set(
         once = once1 if len(chosen) <= small_limit else once2
         return None if once else frozenset(chosen)
 
-    return walk_subsets(active, code.k, push, pop, pushed_leaf(push, pop, leaf))
+    if draws is None:
+        return walk_subsets(active, code.k, push, pop, pushed_leaf(push, pop, leaf))
+    for combo in draws:
+        for v in combo:
+            push(v)
+        found = leaf()
+        for v in reversed(combo):
+            pop(v)
+        if found is not None:
+            return found
+    return None
 
 
 def verify_claims(
@@ -230,19 +232,12 @@ def verify_claims(
         part1 = (0, code.t1)
         part2 = (code.t1, code.t1 + code.t2)
     small_limit = min(k, n // alpha)
-    if mode == "exhaustive":
-        missed = _first_missed_set(code, part1, part2, small_limit)
-    else:
-        queries_of = OracleIndex(code.queries, n).queries_of
+    draws = None
+    if mode == "sampled":
         rng = random.Random(seed)
         population = list(range(1, n + 1))
-        missed = None
-        for _ in range(trials):
-            combo = tuple(rng.sample(population, rng.randint(1, k)))
-            lo, hi = part1 if len(combo) <= small_limit else part2
-            if not _hit_exactly_once(lo, hi, queries_of, combo):
-                missed = frozenset(combo)
-                break
+        draws = (rng.sample(population, rng.randint(1, k)) for _ in range(trials))
+    missed = _first_missed_set(code, part1, part2, small_limit, draws)
     small = missed is not None and len(missed) <= small_limit
     witness2 = missed if small else None
     witness3 = None if small else missed

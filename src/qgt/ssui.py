@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .model import BudgetError as BudgetError  # re-exported: qgt.ssui.BudgetError
-from .model import OracleIndex, Query, check_budget, check_cap, check_universe, query_mask, sets_up_to
-from .model import pushed_leaf, singletons, walk_subsets
+from .model import OracleIndex, Query, check_budget, check_cap, check_universe, check_width, query_mask
+from .model import pushed_leaf, sets_up_to, singletons, walk_subsets
 
 
 def check_selector_params(n: int, ell: int, kappa: int, alpha: int) -> None:
@@ -201,9 +201,11 @@ def max_unselected_count(
 
     ``stop_at`` allows early exit once the count reaches a threshold.
     The enumeration, including the collapsed K2 scans, is charged against
-    ``budget``.  A negative alpha is refused with a ValueError; alpha 0
-    is legal.
+    ``budget``.  A negative ell, kappa or alpha is refused with a
+    ValueError; 0 is legal for each.
     """
+    check_width("ell", ell)
+    check_width("kappa", kappa)
     check_cap(alpha, least=0)
     spent = sets_up_to(n, ell)
     check_budget(spent, budget)

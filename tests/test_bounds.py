@@ -108,10 +108,16 @@ def test_counting_bound_on_correct_code():
 
 
 def test_decoding_oracle_catches_a_decoder_that_reads_its_word_reversed(monkeypatch):
-    real = decode_mod.decode_balanced
-    monkeypatch.setattr(decode_mod, "decode_balanced", lambda word, n: real(word[::-1], n))
+    # the plain bits read most significant first: element 1 (bits 0000) still decodes, element 2 does not
+    real = decode_mod._read_plain_bits
+
+    def read_msb_first(first, bits, entries, acc_w, residue, stats):
+        v = real(first, bits, entries, acc_w, residue, stats)
+        return None if v is None else int(f"{v - 1:0{bits}b}"[::-1], 2) + 1
+
+    monkeypatch.setattr(decode_mod, "_read_plain_bits", read_msb_first)
     hidden, error = verify_decoding(trunc_table_code(16, 2))
-    assert hidden == {1: 1} and type(error) is DecodeError
+    assert hidden == {2: 1} and type(error) is DecodeError
     assert str(error).startswith("inconsistent feedback: ")
 
 

@@ -2,8 +2,8 @@
 
 A built family (``code.Singletons``, ``code.SlicedTable``) makes no set
 or block; its queries and blocks are laid out on the first access that
-needs them, and incidence, the block at a position and base membership
-are read in closed form.  Over the builder sweep the laid-out code must equal
+needs them, and incidence and the block at a position are read in
+closed form.  Over the builder sweep the laid-out code must equal
 the eager reference layout of the same family, and every closed form
 must agree with what the laid-out sets say.
 """
@@ -43,7 +43,7 @@ def _reference(code):
 
 
 def _check_closed_forms(code, ref):
-    """Incidence, occurrence_max, the block at each position and membership."""
+    """Incidence, occurrence_max and the block at each position."""
     n = code.n
     assert code.occurrence_max == ref.occurrence_max
     model_inc = incidence(ref.queries)
@@ -53,11 +53,6 @@ def _check_closed_forms(code, ref):
         assert code.family.block_at[p] == slices
         if slices == 0:  # only the singletons lay out 0-slice blocks
             assert type(code.family) is Singletons and s == {p + 1}
-        # a few members, and a few elements of the next query that are not members
-        members = sorted(s)
-        others = sorted(ref.queries[(p + 1) % len(ref.queries)] - s)
-        assert all(code.family.holds(p, v) for v in members[:4] + members[-4:])
-        assert not any(code.family.holds(p, v) for v in others[:4] + others[-4:])
 
 
 @pytest.mark.parametrize("e", range(1, 13))
@@ -73,14 +68,6 @@ def test_lazy_layout_matches_the_eager_reference(e):
         assert tuple(code.queries) == ref.queries and tuple(code.blocks) == ref.blocks
         assert code == ref and ref == code and hash(code) == hash(ref)
         assert tuple(code.family.group_bases(0)) == ref.family.group_bases(0)
-
-
-def test_membership_is_exact_on_small_tables():
-    for n, k in ((32, 1), (512, 2)):
-        code = build_code(n, k, 2)
-        ref = _reference(code)
-        for p, s in enumerate(ref.queries):
-            assert {v for v in range(0, n + 2) if code.family.holds(p, v)} == s
 
 
 def test_incidence_is_filled_on_use():

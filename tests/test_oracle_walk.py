@@ -18,8 +18,8 @@ rule (the family's ``active``): every walking oracle must give the
 same outcome there, on the same queries as a plain tuple and in the
 reference scan, under every budget; a call over another universe must
 not read the rule, the immediate verdicts with no active element must
-keep the reference's verdicts at cap 0, a negative cap must be refused,
-and the n = 2^18
+keep the reference's verdicts at cap 0, a negative cap or set width
+must be refused, and the n = 2^18
 singletons and the n = 2^15 table must be checked with no query laid
 out.  The index a built family gives must equal the one scanned from
 its queries, and each way the walks settle a set at their last level
@@ -441,6 +441,34 @@ def test_verify_uniqueness_refuses_a_negative_cap():
 def test_max_unselected_count_refuses_a_negative_cap():
     with pytest.raises(ValueError, match=r"feedback cap must be >= 0, got -1"):
         max_unselected_count(singletons(8), 8, 2, 1, -1)
+
+
+# A negative width walks no set, so its verdict would be vacuous: on these queries
+# uniqueness at k = -1 would read True where k = 1 reads False ({3} and {4} collide),
+# and the selector check at ell = -1 would pass where ell = 2 fails.  Width 0 stays legal.
+NEGATIVE_WIDTH_QUERIES = (frozenset({1, 2, 3, 4}), frozenset({1, 2}))
+
+
+def test_find_unjammed_violation_refuses_a_negative_width():
+    with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+        find_unjammed_violation(NEGATIVE_WIDTH_QUERIES, 4, -1, 1)
+    assert find_unjammed_violation(NEGATIVE_WIDTH_QUERIES, 4, 0, 1) is None
+
+
+def test_verify_uniqueness_refuses_a_negative_width():
+    assert verify_uniqueness(NEGATIVE_WIDTH_QUERIES, 4, 1, 1) is False
+    with pytest.raises(ValueError, match=r"^k must be >= 0, got -1$"):
+        verify_uniqueness(NEGATIVE_WIDTH_QUERIES, 4, -1, 1)
+    assert verify_uniqueness(NEGATIVE_WIDTH_QUERIES, 4, 0, 1) is True
+
+
+def test_max_unselected_count_refuses_a_negative_width():
+    assert verify_ssui(NEGATIVE_WIDTH_QUERIES, 4, 2, 0, 1) is False
+    with pytest.raises(ValueError, match=r"^ell must be >= 0, got -1$"):
+        verify_ssui(NEGATIVE_WIDTH_QUERIES, 4, -1, 0, 1)
+    with pytest.raises(ValueError, match=r"^kappa must be >= 0, got -1$"):
+        max_unselected_count(NEGATIVE_WIDTH_QUERIES, 4, 2, -1, 1)
+    assert max_unselected_count(NEGATIVE_WIDTH_QUERIES, 4, 0, 0, 1) == 0
 
 
 def test_a_repeat_rebuilds_the_first_set_from_its_rank(monkeypatch):
