@@ -27,6 +27,7 @@ from .serialize import (
     fv_from_text,
     fv_to_text,
     multiset_to_text,
+    parse_int,
     parse_set_spec,
 )
 from .ssui import check_ssui_budget, verify_ssui
@@ -135,9 +136,12 @@ def _verify_levels(code, budget: int, kinds) -> int:
 
 def _cmd_random(args: argparse.Namespace) -> int:
     # the verify spec is checked before the code is written, so a bad one writes nothing
-    mode, _, trials = (args.verify or "").partition(":")
-    sampled = mode == "sampled" and trials.isdecimal() and int(trials) >= 1
-    if args.verify not in (None, "exhaustive") and not sampled:
+    mode, _, spec = (args.verify or "").partition(":")
+    try:
+        trials = parse_int(spec) if mode == "sampled" else 0
+    except ValueError:
+        trials = 0
+    if args.verify not in (None, "exhaustive") and trials < 1:
         raise FormatError(
             f"unknown verify mode {args.verify!r}; expected 'exhaustive' or 'sampled:<trials>', trials >= 1"
         )
@@ -146,8 +150,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
     _write_out(code_to_text(wrapped), args.out)
     if args.verify is None:
         return EXIT_OK
-    if sampled:
-        report = random_mod.verify_claims(code, mode="sampled", trials=int(trials), seed=args.seed)
+    if trials:
+        report = random_mod.verify_claims(code, mode="sampled", trials=trials, seed=args.seed)
     else:
         report = random_mod.verify_claims(code, mode="exhaustive", budget=args.budget)
     for line in report.lines():
@@ -167,7 +171,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise FormatError(f"grid line {lineno}: expected 'n k alpha [mode]'")
         mode = parts[3] if len(parts) == 4 else MODE_PLAIN
         try:
-            row = bench_row(int(parts[0]), int(parts[1]), int(parts[2]), mode, seed=args.seed)
+            n, k, alpha = map(parse_int, parts[:3])
+            row = bench_row(n, k, alpha, mode, seed=args.seed)
         except (DecodeError, BudgetError):
             raise  # a failed decode keeps its own exit status
         except ValueError as exc:  # a non-integer, an unknown mode or a parameter the builder refuses

@@ -34,13 +34,13 @@ as given: hand-laid tables, list files and random codes.  Each family
 gives its length ``m``; ``incidence``, element -> positions of the
 queries holding it (on a built family filled on use, with KeyError
 outside [1..n]), and ``block_at``, position -> the slice count of the
-block based there or None, filled on use; ``active(n)``, the elements
-an oracle walks; its queries, and its blocks at a level; its ``line``
-in a family file (None for ``Listed``); ``alone(n)``, whether every element of [1..n] is alone in
-some query; ``encode(counts, cap)``, a multiset's capped vector as its
-nonzero entries: a closed form on the singletons, one pass over the
-hidden elements' incidence on the other two; and ``decode(entries, n,
-k, cap)``, a proposal read from a vector's nonzero entries alone, handed
+block based there or None, filled on use; its queries, and its blocks
+at a level; its ``line`` in a family file (None for ``Listed``);
+``alone(n)``, whether every element of [1..n] is alone in some query;
+``encode(counts, cap)``, a multiset's capped vector as its nonzero
+entries: a closed form on the singletons, one pass over the hidden
+elements' incidence on the other two; and ``decode(entries, n, k,
+cap)``, a proposal read from a vector's nonzero entries alone, handed
 over with its uncapped counts: a closed form on the singletons, the
 block sweep (``decode.sweep``) on the other two.  A family refuses no
 vector and reads a multiplicity only at a value below the cap;
@@ -49,12 +49,14 @@ vector and reads a multiplicity only at a value below the cap;
 
 A built code stays its rule: the two built families are read-only
 sequences of their queries, and no set or block is made when a code is
-built, written or loaded (``serialize``).  Every table the rule takes
-has q < n/3, so each of its L*q bases holds at least two elements and
-carries all its slices: incidence and the block at a position have
-closed forms, and decoding reads only those.  The queries are laid out
-once, on the first access to an item, and the blocks on the first read
-of ``Code.blocks``.
+built, written or loaded (``serialize``).  They also give ``active(n)``,
+the elements an oracle walks (``model.active_elements``), from the rule
+over their own n; a listed code's queries are a plain tuple, which the
+oracles scan.  Every table the rule takes has q < n/3, so each of its
+L*q bases holds at least two elements and carries all its slices:
+incidence and the block at a position have closed forms, and decoding
+reads only those.  The queries are laid out once, on the first access to
+an item, and the blocks on the first read of ``Code.blocks``.
 
 The paper's selectors under interference are the n singletons at every
 n a code can be built for (``sui`` module), so none is built.  Blocks of
@@ -126,9 +128,6 @@ class _Family:
 
     def __len__(self) -> int:
         return self.m
-
-    def active(self, n: int) -> list[int]:
-        return active_elements(self.queries, n)
 
     def alone(self, n: int) -> bool:
         """Whether every element of [1..n] is alone in some query: one pass over the queries."""

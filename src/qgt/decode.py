@@ -30,12 +30,13 @@ Families propose; ``decode_detailed`` refuses.  A family's decode
 raises nothing about the vector.  It returns its proposal, the proposal's
 uncapped counts at every position it touches (the sweep's running
 weights; on the singletons, the trusted entries) and its stats.
-``decode_detailed`` is the one place a vector is refused, in this order:
-1. its length differs from the code's;
-2. the proposal has more than k elements;
-3. the proposal's counts, capped at a nonzero cap, differ from the
-   entries (``_check_consistency``, naming the first position that
-   disagrees).
+``decode_detailed`` is the one place a vector is refused; it checks, in
+this order, that
+1. its length is the code's;
+2. the proposal has at most k elements;
+3. the proposal's counts, capped at a nonzero cap, equal the entries
+   (one dict comparison, as both hold only positive values; a refusal
+   names the first position that disagrees).
 So the decoder returns at most k distinct elements that reproduce the
 vector exactly, or raises.  A negative residue, at a base or at a slice,
 comes only from a value below the cap that the proposal over-explains
@@ -140,7 +141,16 @@ def decode_detailed(code: Code, fv: Sequence[int]) -> tuple[Multiset, DecodeStat
     found, counts, stats = code.family.decode(entries, code.n, code.k, code.alpha)
     if len(found) > code.k:
         raise DecodeError(f"decoded more than k={code.k} elements")
-    _check_consistency(entries, counts, code.alpha)
+    cap = code.alpha
+    if cap and counts and max(counts.values()) > cap:
+        counts = {idx: min(count, cap) for idx, count in counts.items()}
+    # Both maps hold only positive values, so they are equal exactly when every position agrees.
+    if counts is not entries and counts != entries:
+        first = min(p for p in {*entries, *counts} if counts.get(p, 0) != entries.get(p, 0))
+        raise DecodeError(
+            "inconsistent feedback: residual counts unexplained by decoded set: "
+            f"position {first} reads {entries.get(first, 0)}, decoded count {counts.get(first, 0)}"
+        )
     return found, stats
 
 
@@ -203,38 +213,3 @@ def _read_plain_bits(
         elif raw:
             return None  # several unknown elements, or an over-explained slice
     return u + 1
-
-
-def _check_consistency(entries: Mapping[int, int], counts: Mapping[int, int], cap: int) -> None:
-    """The proposal, capped at a nonzero cap, must reproduce the observed vector exactly.
-
-    ``counts`` holds the uncapped counts of the proposal at every query
-    it touches, each positive; everything else must read zero.  Only the
-    nonzero positions are read: once each reads its decoded count, each
-    is a touched position, and the proposal touches no other exactly
-    when it touches as many positions as there are.  Where no decoded
-    count exceeds the cap (every count, at cap 0), the entries must
-    equal the counts, which one dict comparison checks.  Only a failure
-    looks further, for the first position that disagrees.
-    """
-    if (counts is entries or counts == entries) and (not cap or not counts or max(counts.values()) <= cap):
-        return
-    for idx, value in entries.items():
-        expected = counts.get(idx, 0)
-        if cap and expected > cap:
-            expected = cap
-        if expected != value:
-            break
-    else:
-        if len(counts) == len(entries):
-            return
-
-    def decoded(position: int) -> int:
-        count = counts.get(position, 0)
-        return min(count, cap) if cap else count
-
-    first = min(p for p in {*entries, *counts} if decoded(p) != entries.get(p, 0))
-    raise DecodeError(
-        "inconsistent feedback: residual counts unexplained by decoded set: "
-        f"position {first} reads {entries.get(first, 0)}, decoded count {decoded(first)}"
-    )

@@ -51,10 +51,12 @@ empty line is the empty query.  Multiset codes store alpha 0: their cap
 is chosen at encode/readout time, and the decoder trusts every value.
 Plain and large codes need alpha >= 2, random codes alpha >= 1.
 
-Parsing is strict: version, header shape, a power-of-two n (any n >= 2
-in random mode), the family line, offsets, slice counts, index order and
-every slice (it must be its base cut by ``balanced.slice_table``) are
-all checked, and errors name the offending line.
+Parsing is strict: version, header shape, every integer (ASCII digits
+after an optional '-', ``parse_int``: no '+', underscore, space or other
+digit), a power-of-two n (any n >= 2 in random mode), the family line,
+offsets, slice counts, index order and every slice (it must be its base
+cut by ``balanced.slice_table``) are all checked, and errors name the
+offending line.
 parse(serialize(c)) reproduces the code exactly; in a list, equal query
 lines parse to one shared set.
 """
@@ -108,6 +110,14 @@ def code_to_text(code: Code) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_int(token: str) -> int:
+    """``int(token)`` for ASCII digits after an optional '-'; else ``int``'s ValueError, as ``int`` words it."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
 def _header_int(lines: list[str], lineno: int, key: str) -> int:
     if lineno >= len(lines):
         raise FormatError(f"line {lineno + 1}: missing header line '{key}'")
@@ -115,7 +125,7 @@ def _header_int(lines: list[str], lineno: int, key: str) -> int:
     if len(parts) != 2 or parts[0] != key:
         raise FormatError(f"line {lineno + 1}: expected '{key} <value>', got {lines[lineno]!r}")
     try:
-        return int(parts[1])
+        return parse_int(parts[1])
     except ValueError as exc:
         raise FormatError(f"line {lineno + 1}: non-integer value for '{key}'") from exc
 
@@ -211,7 +221,7 @@ def _list_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) ->
         if kind not in _KINDS:
             raise FormatError(f"line {lineno + 1}: unknown block kind {kind!r}")
         try:
-            level, base, slices = int(parts[1]), int(parts[2]), int(parts[3])
+            level, base, slices = parse_int(parts[1]), parse_int(parts[2]), parse_int(parts[3])
         except ValueError as exc:
             raise FormatError(f"line {lineno + 1}: non-integer block field") from exc
         if level < 1:
@@ -231,7 +241,7 @@ def _list_from_lines(lines: list[str], n: int, k: int, alpha: int, mode: str) ->
         prev = 0
         for token in raw.split():
             try:
-                v = int(token)
+                v = parse_int(token)
             except ValueError as exc:
                 raise FormatError(f"line {lineno + 1}: non-integer element {token!r}") from exc
             if v <= prev:
@@ -299,7 +309,7 @@ def fv_from_text(text: str) -> Feedback:
     values = []
     for position, token in enumerate(text.split()):
         try:
-            values.append(int(token))
+            values.append(parse_int(token))
         except ValueError as exc:
             raise FormatError(f"malformed feedback vector: position {position}: {exc}") from exc
     try:
@@ -327,7 +337,7 @@ def parse_set_spec(spec: str) -> dict[int, int]:
         else:
             v_str, m_str = part, "1"
         try:
-            v, m = int(v_str), int(m_str)
+            v, m = parse_int(v_str.strip()), parse_int(m_str.strip())
         except ValueError as exc:
             raise FormatError(f"malformed set entry {part!r}") from exc
         if m < 1:

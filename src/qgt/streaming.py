@@ -46,6 +46,7 @@ from math import isqrt
 from .code import MODE_MULTISET, Code, Singletons, build_code_multiset
 from .decode import decode
 from .model import Feedback, Multiset, _Filled, check_cap, next_power_of_two
+from .serialize import parse_int
 
 
 class StreamSketch:
@@ -249,7 +250,7 @@ def parse_ops(lines: list[str]) -> list[tuple[str, tuple[int, ...]]]:
         if parts[0] not in ("I", "D") or len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: malformed operation {raw!r}")
         try:
-            args = tuple(int(p) for p in parts[1:])
+            args = tuple(parse_int(p) for p in parts[1:])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: malformed operation {raw!r}") from exc
         out.append((parts[0], args))

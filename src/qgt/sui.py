@@ -24,9 +24,11 @@ library constructions, checked at tiny n.
 
 The chunked variant covers the regime ell <= kappa/alpha: build the
 selector for width kappa/alpha, then split every query into
-consecutive chunks of at most alpha elements.  A chunk of a selecting
-query still selects (subsets only shrink interference), and every chunk
-is small enough that its feedback can never be capped away.
+consecutive chunks of at most alpha elements (``chunk_query``).  A chunk
+of a selecting query still selects (subsets only shrink interference),
+and every chunk is small enough that its feedback can never be capped
+away.  That selector is the n singletons, whose one-element queries
+chunk to themselves, so ``build_sui_rr`` returns the singletons too.
 """
 
 from __future__ import annotations
@@ -103,19 +105,14 @@ def chunk_query(s: Query, size: int) -> list[Query]:
 
 
 def build_sui_rr(n: int, ell: int, epsilon: float, kappa: int, alpha: int) -> SuIFamily:
-    """Chunked selector for the ell <= kappa/alpha regime; all queries have <= alpha elements."""
+    """Chunked selector for the ell <= kappa/alpha regime: the n singletons (module docstring)."""
     _check_params(n, ell, epsilon, kappa, alpha)
     if alpha * ell > kappa:
         raise ValueError(
             f"chunked builder covers alpha*ell <= kappa; got alpha*ell = {alpha * ell}, "
             f"kappa = {kappa} (use build_sui)"
         )
-    inner_ell = max(1, -(-kappa // alpha))
-    base = build_sui(n, inner_ell, epsilon, kappa, alpha)
-    chunked: list[Query] = []
-    for s in base.queries:
-        chunked.extend(chunk_query(s, alpha))
-    return SuIFamily(tuple(chunked), n, ell, epsilon, kappa, alpha, "alpha-chunked")
+    return SuIFamily(singletons(n), n, ell, epsilon, kappa, alpha, "alpha-chunked")
 
 
 def verify_sui(

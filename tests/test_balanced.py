@@ -116,3 +116,15 @@ def test_slice_of_plain_set_is_frozenset():
         part = slice_query(s, i, 8)
         assert type(part) is frozenset
         assert part == {v for v in s if encode_balanced(v, 8)[6 - i] == 1}
+
+
+@pytest.mark.parametrize("v", [0, 9])
+def test_encode_refuses_an_element_outside_the_universe(v):
+    with pytest.raises(ValueError, match=rf"^element {v} outside universe \[1\.\.8\]$"):
+        encode_balanced(v, 8)
+
+
+def test_a_word_of_the_right_weight_whose_low_half_is_not_the_complement_is_invalid():
+    word = (1, 1, 0, 1, 0, 0)  # weight 3 = log2 8; the complement of 110 is 001
+    assert sum(word) == 3
+    assert decode_balanced(word, 8) is None

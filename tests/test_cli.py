@@ -418,3 +418,48 @@ def test_stream_rejects_graph_style_ops(tmp_path, capsys):
     status, _, err = run(capsys, "stream", "--code", str(code_file), "--ops", str(ops_file))
     assert status == 2
     assert "one element" in err
+
+
+@pytest.mark.parametrize("line", ["16 2", "16 2 2 plain extra"], ids=["2-fields", "5-fields"])
+def test_bench_refuses_a_grid_line_of_the_wrong_width(tmp_path, capsys, line):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"16 2 2\n{line}\n")
+    status, out, err = run(capsys, "bench", "--grid", str(grid))
+    assert status == 2
+    assert len(out.splitlines()) == 2
+    assert err == "error: grid line 2: expected 'n k alpha [mode]'\n"
+
+
+@pytest.mark.parametrize("token", ["1_6", "+16", "١٦"])
+@pytest.mark.parametrize("field", range(3))
+def test_bench_refuses_a_grid_integer_that_is_not_ascii_digits(tmp_path, capsys, token, field):
+    parts = ["16", "2", "2"]
+    parts[field] = token
+    grid = tmp_path / "grid.txt"
+    grid.write_text(" ".join(parts) + "\n")
+    status, out, err = run(capsys, "bench", "--grid", str(grid))
+    assert status == 2
+    assert out.splitlines() == ["n,k,alpha,mode,m,occurrence_max,lb_total,ratio,build_ms,decode_ops"]
+    assert err == f"error: grid line 1: invalid literal for int() with base 10: {token!r}\n"
+
+
+@pytest.mark.parametrize("spec", ["sampled:1_0", "sampled:+10", "sampled:١٠"])
+def test_random_refuses_sampled_trials_that_are_not_ascii_digits(tmp_path, capsys, spec):
+    out_file = tmp_path / "r.qgtc"
+    status, out, err = run(
+        capsys, "random", "--n", "32", "--k", "2", "--alpha", "4", "--verify", spec, "--out", str(out_file),
+    )
+    assert status == 2 and out == "" and not out_file.exists()
+    assert err == (
+        f"error: unknown verify mode {spec!r}; expected 'exhaustive' or 'sampled:<trials>', trials >= 1\n"
+    )
+
+
+def test_graph_refuses_an_operation_with_one_endpoint(tmp_path, capsys):
+    ops_file = tmp_path / "gops.txt"
+    ops_file.write_text("I 1 2\nI 3\n")
+    status, out, err = run(
+        capsys, "graph", "--nodes", "6", "--k", "2", "--ops", str(ops_file), "--reconstruct",
+    )
+    assert status == 2 and out == ""
+    assert err == "error: graph operations take two endpoints, got (3,)\n"

@@ -224,3 +224,22 @@ def test_a_returned_graph_keeps_its_masks(monkeypatch, n, params):
     fresh[0] = -1
     assert g.left_masks() == list(g.masks) != fresh
     assert len(built) == g.attempts
+
+
+def test_params_refuse_an_ell_star_below_one():
+    with pytest.raises(ValueError, match="^ell_star must be >= 1, got 0$"):
+        DisperserParams(ell_star=0, epsilon=0.25)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((1, "a"), "'<=' not supported between instances of 'int' and 'str'"),
+        ((1, [1]), "'<=' not supported between instances of 'int' and 'list'"),
+    ],
+    ids=["does-not-compare", "does-not-hash"],
+)
+def test_a_row_entry_that_does_not_compare_or_hash_is_refused_by_the_scan(row, message):
+    # _rows_fit answers False on either entry, and _refuse_rows raises as it reaches it
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        BipartiteGraph(2, 2, 2, ((1, 2), row))

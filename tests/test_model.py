@@ -215,3 +215,9 @@ def test_active_elements_drops_only_inert_elements():
     assert active_elements(queries, 6) == [2, 3, 4, 6]
     assert active_elements([], 4) == [1, 2, 3, 4]
     assert active_elements([frozenset({v}) for v in range(1, 9)], 8) == []
+
+
+@pytest.mark.parametrize("x", [0, -4])
+def test_next_power_of_two_refuses_a_non_positive_input(x):
+    with pytest.raises(ValueError, match=f"^expected a positive integer, got {x}$"):
+        next_power_of_two(x)

@@ -2,6 +2,7 @@ import pytest
 
 from qgt.bounds import verify_uniqueness
 from qgt.random_code import (
+    ClaimReport,
     RandomCode,
     RandomCodeParams,
     build_random_code,
@@ -138,3 +139,33 @@ def test_failing_claims_pin_their_witness(part1_covers_all, mode, seed, witness2
     assert report.witness2 == (None if witness2 is None else frozenset(witness2))
     assert report.witness3 == (None if witness3 is None else frozenset(witness3))
     assert report.claim2 == (witness2 is None) and report.claim3 == (witness3 is None)
+
+
+def test_build_refuses_a_universe_below_two():
+    with pytest.raises(ValueError, match="^universe size must be >= 2, got 1$"):
+        build_random_code(1, 1, 1)
+
+
+def test_find_verified_code_names_the_seeds_it_ran_out_of(monkeypatch):
+    import qgt.random_code as random_code
+
+    seeds = []
+
+    def failing(code, **kwargs):
+        seeds.append(code.seed)
+        return ClaimReport(True, False, True, witness2=frozenset({1}))
+
+    monkeypatch.setattr(random_code, "verify_claims", failing)
+    with pytest.raises(ValueError, match=r"^no seed in \[5, 8\) passed the claims$"):
+        find_verified_code(16, 2, 2, start_seed=5, max_tries=3)
+    assert seeds == [5, 6, 7]
+
+
+def test_claim_report_lines_show_each_witness_sorted():
+    report = ClaimReport(False, True, False, frozenset({4, 2}), None, frozenset({9, 3, 5}))
+    assert report.lines() == [
+        "claim1 (all queries have <= alpha elements): FAIL  witness=[2, 4]",
+        "claim2 (small sets hit exactly once by part 1): pass",
+        "claim3 (large sets hit exactly once by part 2): FAIL  witness=[3, 5, 9]",
+    ]
+    assert not report.passed

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -232,6 +233,7 @@ def test_multiset_text():
 def test_parse_set_spec():
     assert parse_set_spec("3,5:2,3") == {3: 2, 5: 2}
     assert parse_set_spec("") == {}
+    assert parse_set_spec("1,,2") == {1: 1, 2: 1}  # an empty part is skipped
     with pytest.raises(FormatError):
         parse_set_spec("3:0")
     with pytest.raises(FormatError):
@@ -402,3 +404,82 @@ def test_family_file_header_checks_name_their_lines():
             code_from_text("\n".join(lines) + "\nfamily singletons\n")
     with pytest.raises(FormatError, match="line 6: expected 'blocks <value>'"):
         code_from_text(FAMILY_HEADER.replace("qgtc 2", "qgtc 1") + "family singletons\n")
+
+
+# Tokens int() takes that a file may not hold: an underscore, a '+' and a non-ASCII digit.
+LOOSE_INTS = ["1_0", "+1", "١"]
+
+
+@pytest.mark.parametrize("token", LOOSE_INTS)
+def test_parse_int_takes_only_ascii_digits_after_an_optional_minus(token):
+    with pytest.raises(ValueError, match=f"^invalid literal for int\\(\\) with base 10: {re.escape(repr(token))}$"):
+        serialize.parse_int(token)
+
+
+def test_parse_int_reads_what_int_reads_on_ascii_digits():
+    assert [serialize.parse_int(t) for t in ("0", "7", "-12", "0012", "-0")] == [0, 7, -12, 12, 0]
+    for token in ("", "-", "--1", " 1", "1 ", "1.0", "²"):
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            serialize.parse_int(token)
+
+
+@pytest.mark.parametrize("token", LOOSE_INTS)
+@pytest.mark.parametrize("key, lineno", [("n", 2), ("k", 3), ("alpha", 4)])
+def test_a_loose_header_integer_names_its_line(token, key, lineno):
+    header = {"n": "8", "k": "1", "alpha": "2"}
+    for version, last in (("2", "family singletons"), ("1", "blocks 0")):
+        lines = [f"qgtc {version}", *(f"{name} {token if name == key else value}" for name, value in header.items())]
+        text = "\n".join([*lines, "mode plain", last]) + "\n"
+        with pytest.raises(FormatError, match=f"^line {lineno}: non-integer value for '{key}'$"):
+            code_from_text(text)
+
+
+@pytest.mark.parametrize("token", LOOSE_INTS)
+def test_a_loose_block_count_or_field_names_its_line(token):
+    with pytest.raises(FormatError, match="^line 6: non-integer value for 'blocks'$"):
+        code_from_text(f"qgtc 1\nn 4\nk 1\nalpha 2\nmode plain\nblocks {token}\n")
+    for fields in (f"{token} 1 0", f"1 {token} 0", f"1 1 {token}"):
+        text = f"qgtc 1\nn 4\nk 1\nalpha 2\nmode plain\nblocks 1\nssui {fields}\n1\n"
+        with pytest.raises(FormatError, match="^line 7: non-integer block field$"):
+            code_from_text(text)
+
+
+@pytest.mark.parametrize("token", LOOSE_INTS)
+def test_a_loose_query_element_names_its_line(token):
+    text = f"qgtc 1\nn 16\nk 1\nalpha 1\nmode random\nblocks 0\n1 2\n3 {token}\n"
+    with pytest.raises(FormatError, match=f"^line 8: non-integer element {re.escape(repr(token))}$"):
+        code_from_text(text)
+
+
+@pytest.mark.parametrize("token", LOOSE_INTS)
+def test_a_loose_feedback_value_names_its_position(token):
+    with pytest.raises(
+        FormatError,
+        match=f"^malformed feedback vector: position 2: invalid literal for int\\(\\) with base 10: {re.escape(repr(token))}$",
+    ):
+        fv_from_text(f"0 1 {token} 2")
+
+
+@pytest.mark.parametrize("token", LOOSE_INTS)
+def test_a_loose_set_entry_is_refused(token):
+    for entry in (token, f"{token}:2", f"3:{token}"):
+        with pytest.raises(FormatError, match=f"^malformed set entry {re.escape(repr(entry))}$"):
+            parse_set_spec(f"1,{entry}")
+    assert parse_set_spec(" 3 : 2 , 5") == {3: 2, 5: 1}  # each side of ':' is stripped, as int strips it
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: empty input"),
+        ("qgtc 2\nn 8\n", "line 3: missing header line 'k'"),
+        ("qgtc 1\nn 8\nk 1\nalpha 2\n", "line 5: expected 'mode <plain|large|multiset|random>'"),
+        ("qgtc 1\nn 8\nk 1\nalpha 2\nmode plain\n", "line 6: missing header line 'blocks'"),
+        ("qgtc 1\nn 4\nk 1\nalpha 2\nmode plain\nblocks 3\nssui 1 1 0\nssui 1 2 0\n", "line 9: missing block line"),
+        ("qgtc 1\nn 1\nk 1\nalpha 1\nmode random\nblocks 0\n1\n", "line 2: universe size must be >= 2, got 1"),
+    ],
+    ids=["empty", "header-cut", "mode-missing", "blocks-missing", "block-lines-cut", "random-n-1"],
+)
+def test_a_file_cut_short_or_too_small_names_its_line(text, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        code_from_text(text)

@@ -237,3 +237,8 @@ def test_build_ssui_rejects_bad_parameters():
         build_ssui(16, 2, -1, 2)
     with pytest.raises(ValueError):
         build_ssui(16, 2, 2, 0)
+
+
+def test_strong_selector_refuses_width_zero():
+    with pytest.raises(ValueError, match="^width must be >= 1, got 0$"):
+        strong_selector(16, 0)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -525,3 +526,43 @@ def test_parse_ops():
         parse_ops(["X 1"])
     with pytest.raises(ValueError, match="malformed"):
         parse_ops(["I one"])
+
+
+def _listed_twin(n=16, k=3):
+    # the singletons as a list code, so an update takes the incidence path
+    singles = build_code_multiset(n, k)
+    return Code(Listed(tuple(singles.queries), tuple(singles.blocks)), n, k, 0, MODE_MULTISET)
+
+
+@pytest.mark.parametrize("code", [build_code_multiset(16, 3), _listed_twin()], ids=["singletons", "listed"])
+@pytest.mark.parametrize("v", [0, -1, 17])
+def test_an_out_of_universe_element_is_refused_and_state_unchanged(code, v):
+    # without the range check, insert(0) on the singletons would store position -1
+    sketch = StreamSketch(code)
+    sketch.insert(5)
+    counters = dict(sketch.counters)
+    for update in (sketch.insert, sketch.delete):
+        with pytest.raises(ValueError, match=rf"^element {v} outside universe \[1\.\.16\]$"):
+            update(v)
+    assert sketch.counters == counters and sketch.total_multiplicity == 1
+    assert sketch.reconstruct() == {5: 1}
+
+
+def test_apply_refuses_an_unknown_operation():
+    sketch = _sketch()
+    with pytest.raises(ValueError, match=r"^unknown operation 'X' \(expected 'I' or 'D'\)$"):
+        sketch.apply("X", 3)
+    assert sketch.counters == {} and sketch.total_multiplicity == 0
+
+
+def test_graph_sketch_needs_two_nodes():
+    with pytest.raises(ValueError, match="^graph sketches need at least 2 nodes, got 1$"):
+        GraphSketch(1, 1)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "١"])
+def test_parse_ops_takes_only_ascii_digits(token):
+    for line in (f"I {token}", f"D 2 {token}"):
+        with pytest.raises(ValueError, match=f"^line 2: malformed operation {re.escape(repr(line))}$"):
+            parse_ops(["I 1", line])
+    assert parse_ops(["I -1"]) == [("I", (-1,))]  # a '-' is kept; the sketch refuses the element

@@ -75,6 +75,7 @@ def test_rr_chunks_respect_alpha():
     fam = build_sui_rr(8, 2, 0.5, 8, 2)
     assert fam.provenance == "alpha-chunked"
     assert all(len(s) <= 2 for s in fam.queries)
+    assert fam.queries == singletons(8)  # the singletons chunk to themselves
 
 
 def test_rr_regime_gate():
@@ -174,3 +175,8 @@ def test_build_sui_builds_no_strong_selector_or_disperser(monkeypatch):
     fam = build_sui(1024, 16, 0.5, 16, 3)
     assert fam.provenance == "singleton"
     assert fam.queries == tuple(frozenset({v}) for v in range(1, 1025))
+
+
+def test_chunk_query_refuses_a_size_below_one():
+    with pytest.raises(ValueError, match="^chunk size must be >= 1, got 0$"):
+        chunk_query(frozenset({1, 2}), 0)
