@@ -47,7 +47,16 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _load_code(path: str):
-    return code_from_text(Path(path).read_text())
+    with open(path, newline="") as f:  # no newline translation: the parser sees every line break
+        return code_from_text(f.read())
+
+
+def _int(token: str) -> int:
+    """An integer option, read by the rule every file integer follows (``serialize.parse_int``)."""
+    try:
+        return parse_int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -233,10 +242,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="construct a code and write its serialized form")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument(
-        "--alpha", type=int, required=True,
+        "--alpha", type=_int, required=True,
         help="feedback cap (>= 2; multiset codes ignore it: their cap is chosen at encode time)",
     )
     p.add_argument("--mode", choices=("plain", "large", "multiset"), default=MODE_PLAIN)
@@ -246,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="feedback vector of a hidden (multi)set")
     p.add_argument("--code", required=True)
     p.add_argument("--set", required=True, help="elements as 'v[:mult],v[:mult],...'")
-    p.add_argument("--alpha", type=int, default=None, help="cap override (multiset codes)")
+    p.add_argument("--alpha", type=_int, default=None, help="cap override (multiset codes)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_encode)
 
@@ -262,35 +271,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim-a", dest="claim_a", action="store_true")
     p.add_argument("--sui", action="store_true")
     p.add_argument("--ssui", action="store_true")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_int, default=10_000_000)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("random", help="seeded random query system plus claim report")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--alpha", type=_int, required=True)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--verify", default=None, help="'exhaustive' or 'sampled:<trials>'")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=_int, default=10_000_000)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_random)
 
     p = sub.add_parser("bench", help="CSV of lengths, bounds and timings over a grid file")
     p.add_argument("--grid", required=True, help="lines of 'n k alpha [mode]'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("stream", help="replay an insert/delete op log against a sketch")
     p.add_argument("--code", required=True, help="a multiset-mode code file")
     p.add_argument("--ops", required=True)
-    p.add_argument("--alpha", type=int, default=None)
+    p.add_argument("--alpha", type=_int, default=None)
     p.add_argument("--reconstruct", action="store_true")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser("graph", help="replay an edge op log and reconstruct the graph")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, help="maximum node degree")
+    p.add_argument("--nodes", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True, help="maximum node degree")
     p.add_argument("--ops", required=True)
     p.add_argument("--reconstruct", action="store_true")
     p.add_argument("--out", default="-")

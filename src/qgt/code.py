@@ -283,10 +283,10 @@ class Singletons(_Built):
         entries: the entries themselves when none sits at the cap.
         """
         if cap:
-            found = {p + 1: value for p, value in sorted(entries.items()) if value < cap}
+            found = {p + 1: value for p in sorted(entries) if (value := entries[p]) < cap}
             counts = entries if len(found) == len(entries) else {v - 1: mult for v, mult in found.items()}
         else:
-            found = {p + 1: value for p, value in sorted(entries.items())}
+            found = {p + 1: entries[p] for p in sorted(entries)}
             counts = entries
         count = len(found)
         return found, counts, DecodeStats(1 if count else 0, count, 0, count)

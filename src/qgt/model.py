@@ -140,21 +140,27 @@ class Feedback(Sequence):
         """``values`` as a ``Feedback``: a ``Feedback`` as it is, any other sequence after one scan.
 
         A value equal to 0 (``0``, ``0.0``, ``False``) reads as 0; every
-        other value goes to the constructor, which refuses it unless it
-        is a positive int.  The scan keeps the truthy positions, and
-        counts the zeros only to catch a falsy value not equal to 0
-        (``None``, ``''``), which is then kept too and refused.
+        other value must be a positive int.  The scan keeps the truthy
+        positions, and counts the zeros only to catch a falsy value not
+        equal to 0 (``None``, ``''``), which is then kept too and refused.
+        The kept values are accepted in one step when each is an int and
+        the least is positive; otherwise the constructor refuses the
+        first offender, as it words it.
         """
         if type(values) is cls:
             return values
         positions = list(itertools.compress(range(len(values)), values))
         if len(values) - len(positions) != values.count(0):
             positions = [p for p, x in enumerate(values) if x != 0]
-        return cls(len(values), dict(zip(positions, map(values.__getitem__, positions))))
+        entries = dict(zip(positions, map(values.__getitem__, positions)))
+        kept = entries.values()
+        if set(map(type, kept)) <= {int} and min(kept, default=1) >= 1:
+            return cls._built(len(values), entries)
+        return cls(len(values), entries)
 
     @classmethod
     def _built(cls, length: int, entries: dict[int, int]) -> Feedback:
-        """A vector over entries this package makes to the constructor's rule (``Code.feedback``, a sketch)."""
+        """A vector over entries made to the constructor's rule (``Code.feedback``, a sketch, ``of`` after its check)."""
         fv = cls.__new__(cls)
         fv.entries = entries
         fv._len = length
@@ -279,7 +285,7 @@ class BudgetError(ValueError):
 
 def sets_up_to(n: int, k: int) -> int:
     """Number of hidden-set candidates: all subsets of [1..n] with at most k elements."""
-    return sum(comb(n, j) for j in range(k + 1))
+    return sum(map(comb, itertools.repeat(n, k + 1), range(k + 1)))
 
 
 def check_budget(count: int, budget: int) -> None:

@@ -147,7 +147,8 @@ def _first_missed_set(
     read = [part1] if small_limit >= 1 else []
     if code.k > small_limit:
         read.append(part2)
-    active = sorted({v for lo, hi in read for v in active_elements(code.queries[lo:hi], code.n)})
+    # a part read twice (the fallback's two parts are one range) is scanned once
+    active = sorted({v for lo, hi in set(read) for v in active_elements(code.queries[lo:hi], code.n)})
     if not active:
         return None
     m = len(code.queries)

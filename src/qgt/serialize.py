@@ -51,9 +51,11 @@ empty line is the empty query.  Multiset codes store alpha 0: their cap
 is chosen at encode/readout time, and the decoder trusts every value.
 Plain and large codes need alpha >= 2, random codes alpha >= 1.
 
-Parsing is strict: version, header shape, every integer (ASCII digits
-after an optional '-', ``parse_int``: no '+', underscore, space or other
-digit), a power-of-two n (any n >= 2 in random mode), the family line,
+Parsing is strict: line breaks (a line ends with "\\n" alone; a "\\r",
+a form feed, "\\x1c" or any other break ``str.splitlines`` would take is
+refused, naming its line), version, header shape, every integer (ASCII
+digits after an optional '-', ``parse_int``: no '+', underscore, space
+or other digit), a power-of-two n (any n >= 2 in random mode), the family line,
 offsets, slice counts, index order and every slice (it must be its base
 cut by ``balanced.slice_table``) are all checked, and errors name the
 offending line.
@@ -79,6 +81,8 @@ _KINDS = (KIND_SUI, KIND_RR, KIND_SSUI)
 # The parser checks it before ``SlicedTable.at``, whose prime search grows
 # with n, and a larger built code is written as a list.
 FAMILY_MAX_N = 1 << 18
+# Every line break ``str.splitlines`` takes but "\n": a file's lines end with "\n" alone.
+_STRAY_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class FormatError(ValueError):
@@ -161,7 +165,12 @@ def _header(lines: list[str]) -> tuple[int, int, int, str]:
 
 
 def code_from_text(text: str) -> Code:
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last line, or an empty input
+    if text.splitlines() != lines:  # they differ only where a line holds another break
+        lineno, brk = next((i, c) for i, line in enumerate(lines, 1) for c in line if c in _STRAY_BREAKS)
+        raise FormatError(f"line {lineno}: line break {brk!r}; lines end with '\\n' alone")
     if not lines:
         raise FormatError("line 1: empty input")
     magic = lines[0].split()

@@ -1,3 +1,4 @@
+import argparse
 import os
 import resource
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from qgt.cli import main
+from qgt import cli
+from qgt.cli import _build_parser, main
 from qgt.serialize import code_from_text
 
 from list_form import list_text
@@ -463,3 +465,55 @@ def test_graph_refuses_an_operation_with_one_endpoint(tmp_path, capsys):
     )
     assert status == 2 and out == ""
     assert err == "error: graph operations take two endpoints, got (3,)\n"
+
+
+# Each command's integer options with valid values, the other arguments it needs, and whether
+# it takes --out.  No file is read before the arguments are parsed, so the paths need not exist.
+COMMANDS = {
+    "build": ({"--n": "16", "--k": "1", "--alpha": "2"}, [], True),
+    "encode": ({"--alpha": "2"}, ["--code", "c.qgtc", "--set", "1"], True),
+    "verify": ({"--budget": "10"}, ["--code", "c.qgtc", "--uniqueness"], False),
+    "random": ({"--n": "32", "--k": "2", "--alpha": "4", "--seed": "0", "--budget": "10"}, [], True),
+    "bench": ({"--seed": "0"}, ["--grid", "grid.txt"], False),
+    "stream": ({"--alpha": "2"}, ["--code", "c.qgtc", "--ops", "ops.txt"], True),
+    "graph": ({"--nodes": "6", "--k": "2"}, ["--ops", "ops.txt"], True),
+}
+INT_CASES = [(command, option) for command, (ints, _, _) in COMMANDS.items() for option in ints]
+
+
+def test_every_integer_option_reads_by_the_file_rule():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    typed = {(name, a.option_strings[0]): a.type for name, p in sub.choices.items() for a in p._actions if a.type}
+    assert set(typed) == set(INT_CASES)
+    assert set(typed.values()) == {cli._int}
+
+
+@pytest.mark.parametrize("token", ["1_6", "+16", "١٦"])
+@pytest.mark.parametrize("command,option", INT_CASES)
+def test_an_integer_option_that_is_not_ascii_digits_is_a_usage_error(tmp_path, capsys, command, option, token):
+    ints, other, writes = COMMANDS[command]
+    out_file = tmp_path / "out"
+    argv = [command, *other, *(["--out", str(out_file)] if writes else [])]
+    for name, value in ints.items():
+        argv += [name, token if name == option else value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and not out_file.exists()
+    assert captured.err.endswith(f": error: argument {option}: invalid int value: {token!r}\n")
+
+
+def test_build_with_loose_integers_exits_2_and_writes_nothing():
+    status, out, err = run_module("build", "--n", "1_6", "--k", "+1", "--alpha", "2")
+    assert status == 2 and out == b""
+    assert err.endswith(b"qgt build: error: argument --n: invalid int value: '1_6'\n")
+
+
+def test_a_code_file_with_crlf_line_ends_is_refused_naming_line_1(tmp_path, capsys):
+    code_file = tmp_path / "code.qgtc"
+    assert run(capsys, "build", "--n", "16", "--k", "1", "--alpha", "2", "--out", str(code_file))[0] == 0
+    code_file.write_bytes(code_file.read_bytes().replace(b"\n", b"\r\n"))
+    status, out, err = run(capsys, "verify", "--code", str(code_file), "--uniqueness")
+    assert status == 2 and out == ""
+    assert err == "error: line 1: line break '\\r'; lines end with '\\n' alone\n"

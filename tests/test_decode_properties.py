@@ -360,6 +360,24 @@ def test_a_value_equal_to_zero_reads_as_zero_and_no_other(code, form):
             decode(code, form(bad))
 
 
+@pytest.mark.parametrize(
+    "entry, error, wording",
+    [(None, TypeError, "must be an int, got None"), (True, TypeError, "must be an int, got True"),
+     (-1, ValueError, "must be positive, got -1"), (1.5, TypeError, "must be an int, got 1.5")],
+    ids=["none", "bool", "negative", "float"],
+)
+@pytest.mark.parametrize("form", [list, tuple])
+def test_a_list_form_vector_names_its_first_bad_entry(form, entry, error, wording):
+    # positive ints around it, and bad entries after it, which are not named
+    values = form([0, 2, 0, 1, entry, 0, 3, -2, 2.5, None])
+    with pytest.raises(error, match=rf"^feedback value at position 4 {wording}$"):
+        Feedback.of(values)
+    good = form([0, 2, 0, 1, 7, 0, 3, 0.0, False, 0])
+    fv = Feedback.of(good)
+    assert type(fv.entries) is dict and fv.entries == {1: 2, 3: 1, 4: 7, 6: 3} and len(fv) == 10
+    assert fv == Feedback(10, {1: 2, 3: 1, 4: 7, 6: 3}) and Feedback.of(form([0, 0])).entries == {}
+
+
 def test_consistency_error_names_the_first_disagreeing_position():
     code = build_code(16, 3, 2)  # the singletons: a 2 sits at the cap and decodes nothing
     for fv in (Feedback(16, {9: 1, 5: 2}), (0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)):

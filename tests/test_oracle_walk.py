@@ -25,7 +25,10 @@ out.  The index a built family gives must equal the one scanned from
 its queries, and each way the walks settle a set at their last level
 (a jamming walk without a push, or with one where a query crosses the
 over-full line; a uniqueness walk on a repeated fingerprint) must keep
-the reference's witness or verdict.  Claim A is checked on both sides
+the reference's witness or verdict.  Uniqueness at k <= 1 is read from
+the columns without a walk, checked against the reference on families
+with twin columns, elements in no query, repeated singleton queries and
+empty queries.  Claim A is checked on both sides
 of k = alpha + 1: at or below it no query can be over-full and nothing
 is walked, above it the walk runs, and either way the witness and the
 BudgetError points are the reference's.
@@ -168,6 +171,51 @@ def test_verify_uniqueness_with_forced_collisions_keeps_verdicts(queries, n, k, 
         )
 
 
+@st.composite
+def _column_family(draw):
+    """Queries at n <= 8 whose columns (each element's queries) repeat, vanish or stand alone.
+
+    A twin takes another element's column, so the two lie in exactly the
+    same queries; private singleton queries (some repeated) and empty
+    queries follow, and elements in no query occur throughout.
+    """
+    n = draw(st.integers(1, 8))
+    queries = [set(draw(st.sets(st.integers(1, n), max_size=n))) for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.integers(0, 2))):
+        u, twin = draw(st.integers(1, n)), draw(st.integers(1, n))
+        for q in queries:
+            if u in q:
+                q.add(twin)
+            else:
+                q.discard(twin)
+    for v in sorted(draw(st.sets(st.integers(1, n), max_size=3))):
+        queries += [{v}] * draw(st.integers(1, 2))
+    queries += [set()] * draw(st.integers(0, 2))
+    return tuple(draw(st.permutations([frozenset(q) for q in queries]))), n
+
+
+@given(_column_family(), st.integers(0, 1), st.integers(0, 3))
+@settings(max_examples=600, deadline=None)
+def test_uniqueness_closed_form_matches_reference_scan(family, k, alpha):
+    queries, n = family
+    _uniqueness_matches_reference(queries, n, k, alpha)
+
+
+def test_two_elements_with_one_column_collide_at_k_1():
+    # 1 and 2 lie in exactly the same queries, so {1} and {2} read alike
+    queries = tuple(map(frozenset, ((1, 2, 3), (1, 2), (3, 4))))
+    for alpha in (1, 2):
+        assert verify_uniqueness(queries, 4, 1, alpha) is False
+        assert reference_verify_uniqueness(queries, 4, 1, alpha) is False
+    split = queries + (frozenset({1}),)  # a private singleton tells 1 from 2
+    assert verify_uniqueness(split, 4, 1, 2) is True
+    assert reference_verify_uniqueness(split, 4, 1, 2) is True
+    # a budget one short of the n + 1 sets of at most one element is refused before any verdict
+    with pytest.raises(BudgetError):
+        verify_uniqueness(queries, 4, 1, 2, budget=4)
+    assert verify_uniqueness(queries, 4, 1, 2, budget=5) is False
+
+
 def _fingerprint_tables(queries, n, k, alpha):
     """The (m, levels) of every fingerprint table one verify_uniqueness call draws."""
     sizes = []
@@ -218,6 +266,19 @@ def test_fingerprint_table_is_m_by_capped_levels(family, k, alpha):
 def test_a_family_with_no_active_element_draws_no_fingerprint_table(queries, n):
     assert active_elements(queries, n) == []
     assert _fingerprint_tables(queries, n, 3, 2) == []
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_uniqueness_walks_only_above_k_1(monkeypatch, alpha):
+    walks = []
+    monkeypatch.setattr(qgt.bounds, "walk_subsets", lambda *args: walks.append(args) or walk_subsets(*args))
+    for family in ("trunc-8-1", "built-32-1-2"):
+        make, n = TABLES[family]
+        queries = make()
+        for k in (0, 1, 2):
+            walks.clear()
+            assert verify_uniqueness(queries, n, k, alpha) is reference_verify_uniqueness(queries, n, k, alpha)
+            assert bool(walks) == (k >= 2)
 
 
 @given(_family(), st.data())

@@ -1,6 +1,8 @@
 import pytest
 
+from qgt import random_code
 from qgt.bounds import verify_uniqueness
+from qgt.model import active_elements
 from qgt.random_code import (
     ClaimReport,
     RandomCode,
@@ -30,6 +32,16 @@ def test_fallback_threshold():
     assert len(code.queries) == 32
     assert code.queries == tuple(frozenset({v}) for v in range(1, 33))
     assert len(code.queries) == min(p.t1 + p.t2, 32)
+
+
+@pytest.mark.parametrize("alpha, scans", [(8, [32]), (16, [32])])
+def test_the_fallback_scans_its_one_range_once(monkeypatch, alpha, scans):
+    # k = 3 <= 32 // 8 reads part 1 alone; 3 > 32 // 16 reads both parts, one range on the fallback
+    calls = []
+    monkeypatch.setattr(random_code, "active_elements", lambda q, n: calls.append(len(q)) or active_elements(q, n))
+    code = build_random_code(32, 3, alpha, 1)
+    assert code.fallback and verify_claims(code).passed
+    assert calls == scans
 
 
 def test_fallback_claims_pass_trivially():

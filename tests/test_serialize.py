@@ -483,3 +483,52 @@ def test_a_loose_set_entry_is_refused(token):
 def test_a_file_cut_short_or_too_small_names_its_line(text, message):
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         code_from_text(text)
+
+
+# Every line break str.splitlines() takes besides "\n": a file's lines end with "\n" alone.
+STRAY_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_the_stray_breaks_are_every_break_splitlines_takes_but_newline():
+    breaks = {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2}
+    assert breaks - {"\n"} == set(STRAY_BREAKS) == set(serialize._STRAY_BREAKS)
+
+
+def _stray_break_message(lineno, brk):
+    return f"^line {lineno}: line break {re.escape(repr(brk))}; lines end with '\\\\n' alone$"
+
+
+def test_a_group_separator_does_not_end_a_line():
+    # read with splitlines(), "\x1c" ended line 2 and this file loaded as the (16, 1, 2) code
+    text = "qgtc 2\nn 16\x1ck 1\nalpha 2\nmode plain\nfamily singletons\n"
+    with pytest.raises(FormatError, match=_stray_break_message(2, "\x1c")):
+        code_from_text(text)
+    assert code_from_text(text.replace("\x1c", "\n")) == build_code(16, 1, 2)
+
+
+@pytest.mark.parametrize("brk", STRAY_BREAKS, ids=lambda brk: f"U+{ord(brk):04X}")
+def test_a_stray_line_break_names_its_line(brk):
+    files = (code_to_text(build_code(16, 1, 2)), list_text(rs_table_code(16, 2)))
+    for text in files:
+        lines = text.split("\n")[:-1]
+        for lineno in (1, 3, len(lines)):
+            ends = ["\n"] * len(lines)
+            for end in (brk, brk + "\n"):  # in place of the line's "\n", or before it
+                ends[lineno - 1] = end
+                broken = "".join(line + e for line, e in zip(lines, ends))
+                with pytest.raises(FormatError, match=_stray_break_message(lineno, brk)):
+                    code_from_text(broken)
+    with pytest.raises(FormatError, match=_stray_break_message(1, "\r")):
+        code_from_text(files[0].replace("\n", "\r\n"))
+
+
+def test_lines_split_on_newline_alone_as_before():
+    text = code_to_text(build_code(16, 1, 2))
+    assert code_from_text(text) == code_from_text(text[:-1]) == build_code(16, 1, 2)  # the last "\n" is optional
+    with pytest.raises(FormatError, match="^line 7: nothing may follow the family line, got ''$"):
+        code_from_text(text + "\n")
+    listed = code_to_text(_random_code(32, 2, 4, 0))
+    assert code_from_text(listed + "\n").queries == (*code_from_text(listed).queries, frozenset())  # an empty query
+    for text in ("", "\n"):
+        with pytest.raises(FormatError, match="^line 1: "):
+            code_from_text(text)
