@@ -29,6 +29,7 @@ from .serialize import (
     multiset_to_text,
     parse_int,
     parse_set_spec,
+    read_lines,
 )
 from .ssui import check_ssui_budget, verify_ssui
 from .streaming import GraphSketch, StreamSketch, parse_ops
@@ -46,9 +47,13 @@ def _write_out(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
+def _read(path: str) -> str:
+    with open(path, newline="") as f:  # no newline translation: the reader sees every line break
+        return f.read()
+
+
 def _load_code(path: str):
-    with open(path, newline="") as f:  # no newline translation: the parser sees every line break
-        return code_from_text(f.read())
+    return code_from_text(_read(path))
 
 
 def _int(token: str) -> int:
@@ -75,7 +80,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
-    fv = fv_from_text(Path(args.fv).read_text())
+    fv = fv_from_text(_read(args.fv))
     result, _ = decode_detailed(code, fv)
     _write_out(multiset_to_text(result), args.out)
     return EXIT_OK
@@ -83,17 +88,17 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
+    if not (args.uniqueness or args.claim_a or args.sui or args.ssui):
+        print("nothing to verify (pass --uniqueness/--claim-a/--sui/--ssui)")
+        return EXIT_USAGE
     failures = 0
-    ran_any = False
     if args.uniqueness:
-        ran_any = True
         ok = bounds_mod.verify_uniqueness(
             code.queries, code.n, code.k, max(1, code.alpha), budget=args.budget
         )
         print(f"uniqueness: {'pass' if ok else 'FAIL'}")
         failures += 0 if ok else 1
     if args.claim_a:
-        ran_any = True
         witness = bounds_mod.find_unjammed_violation(
             code.queries, code.n, code.k, max(1, code.alpha), budget=args.budget
         )
@@ -105,31 +110,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
     for flag, kinds in ((args.sui, (KIND_SUI, KIND_RR)), (args.ssui, (KIND_SSUI,))):
         if flag:
-            ran_any = True
             failures += _verify_levels(code, args.budget, kinds)
-    if not ran_any:
-        print("nothing to verify (pass --uniqueness/--claim-a/--sui/--ssui)")
-        return EXIT_USAGE
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
 def _verify_levels(code, budget: int, kinds) -> int:
     """One line per block group of a kind in `kinds` ("sui" and "rr" only in older files)."""
-    groups = [(index, kind, level) for index, (kind, level) in enumerate(code.group_keys) if kind in kinds]
+    groups = [group for group in code.block_groups if group[0] in kinds]
     if not groups:
         print(f"selector check: no {' or '.join(kinds)} block in this code")
         return 1
     k_pow, cap = level_params(code.k, code.alpha)
     failures = 0
-    for index, kind, level in groups:
+    for kind, level, positions in groups:
         try:
             if kind == KIND_SSUI:
                 # Refuse before the bases are read: reading one lays out a built code.
                 check_ssui_budget(code.n, level, 0, budget)
-                ok = verify_ssui(code.family.group_bases(index), code.n, level, 0, 1, budget=budget)
+                ok = verify_ssui(_bases(code, positions), code.n, level, 0, 1, budget=budget)
                 print(f"{kind} level {level}: {'pass' if ok else 'FAIL'}")
             else:
-                report = verify_sui(code.family.group_bases(index), code.n, level, 0.5, k_pow, cap, budget=budget)
+                report = verify_sui(_bases(code, positions), code.n, level, 0.5, k_pow, cap, budget=budget)
                 ok = report.passed
                 print(
                     f"{kind} level {level}: max unselected {report.max_unselected} "
@@ -141,6 +142,16 @@ def _verify_levels(code, budget: int, kinds) -> int:
             continue
         failures += 0 if ok else 1
     return failures
+
+
+def _bases(code, positions):
+    """The queries at ``positions``, or the code's own queries where every query is a base.
+
+    On the singletons that is the family itself, which names its active
+    elements by its rule, so no query is laid out.
+    """
+    queries = code.queries
+    return queries if len(positions) == len(queries) else tuple(map(queries.__getitem__, positions))
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
@@ -169,7 +180,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    grid_lines = Path(args.grid).read_text().splitlines()
+    grid_lines = read_lines(_read(args.grid))
     print("n,k,alpha,mode,m,occurrence_max,lb_total,ratio,build_ms,decode_ops")
     for lineno, raw in enumerate(grid_lines, start=1):
         line = raw.strip()
@@ -209,7 +220,7 @@ def bench_row(n: int, k: int, alpha: int, mode: str = MODE_PLAIN, seed: int = 0)
 def _cmd_stream(args: argparse.Namespace) -> int:
     code = _load_code(args.code)
     sketch = StreamSketch(code, alpha=args.alpha)
-    ops = parse_ops(Path(args.ops).read_text().splitlines())
+    ops = parse_ops(read_lines(_read(args.ops)))
     for op, params in ops:
         if len(params) != 1:
             raise FormatError(f"stream operations take one element, got {params}")
@@ -223,7 +234,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     sketch = GraphSketch(args.nodes, args.k)
-    ops = parse_ops(Path(args.ops).read_text().splitlines())
+    ops = parse_ops(read_lines(_read(args.ops)))
     for op, params in ops:
         if len(params) != 2:
             raise FormatError(f"graph operations take two endpoints, got {params}")

@@ -1,12 +1,12 @@
 """Group-testing code assembly: one strong selector with balanced-ID slices.
 
-A code is one query family under a header (n, k, alpha, mode).  The
-family's queries come in blocks: one selector query S followed by its
+A code is one query family under a header (n, k, alpha, mode).  A
+sweep family's queries come in blocks: one selector query S followed by its
 2*log2(n) bit slices R_1(S) .. R_2b(S), except that a base of at most
 one element carries no slices: a one-element base already names its
 element, and an empty one names none.  A block records its kind, the
 selector level it came from, where its base query sits and its slice
-count (0 or 2*log2(n)).  The decoder needs the blocks; the feedback
+count (0 or 2*log2(n)).  The block sweep needs the blocks; the feedback
 model does not.
 
 A base holding one element of the hidden set is trusted in every mode:
@@ -26,37 +26,45 @@ its length does not depend on alpha: large mode is the plain rule under
 its own header.  The table first wins at n = 2^5, 2^9, 2^11 and 2^12
 for k = 1, 2, 3 and 4-5.
 
-Three families, one interface.  ``Singletons(n)`` is the n singletons,
-query p the 0-slice block of element p+1.  ``SlicedTable(n, q, d, L)``
-is the truncated table, each base followed by its slices.
-``Listed(queries, blocks)`` holds any other code's queries and blocks
-as given: hand-laid tables, list files and random codes.  Each family
-gives its length ``m``; ``incidence``, element -> positions of the
-queries holding it (on a built family filled on use, with KeyError
-outside [1..n]), and ``block_at``, position -> the slice count of the
-block based there or None, filled on use; its queries, and its blocks
-at a level; its ``line`` in a family file (None for ``Listed``);
-``alone(n)``, whether every element of [1..n] is alone in some query;
+A family is its rule.  It gives its length ``m`` and its queries;
+``positions(v)``, the positions of the queries holding element v,
+ascending; and ``decode(entries, n, k, cap)``, a proposal read from a
+vector's nonzero entries alone, handed over with its uncapped counts.
+A family refuses no vector and reads a multiplicity only at a value
+below the cap; ``decode.decode_detailed`` accepts or refuses what it
+proposes.  A family the build rule chooses from also gives ``at(n, k,
+mode)``, its ``line`` in a family file, and ``active(n)``, the elements
+an oracle walks (``model.active_elements``), from the rule over its own
+n.  The base class reads the rest off ``positions``: ``incidence``,
+element -> positions, filled on use (KeyError outside [1..n], and on
+a listed family for an element in no query), and
 ``encode(counts, cap)``, a multiset's capped vector as its nonzero
-entries: a closed form on the singletons, one pass over the hidden
-elements' incidence on the other two; and ``decode(entries, n, k,
-cap)``, a proposal read from a vector's nonzero entries alone, handed
-over with its uncapped counts: a closed form on the singletons, the
-block sweep (``decode.sweep``) on the other two.  A family refuses no
-vector and reads a multiplicity only at a value below the cap;
-``decode.decode_detailed`` accepts or refuses what it proposes.
-``Code`` holds one family and delegates to it.
+entries, one pass over the hidden elements' incidence.  ``Code`` holds
+one family and delegates to it.
+
+Three families.  ``Singletons(n)`` is the n singletons, query p the
+0-slice block of element p+1; it encodes and decodes in closed form.
+``SlicedTable(n, q, d, L)`` is the truncated table, each base followed
+by its slices, and decodes by the block sweep (``decode.sweep``).
+``Listed(queries, blocks)`` holds any other code's queries and blocks
+as given (hand-laid tables, list files and random codes), its
+positions read from ``model.incidence``, and decodes by the sweep.
+Blocks belong to the sweep families alone: each gives ``blocks(level)``,
+which the list writer and ``Code.__eq__`` read, and ``block_at``,
+position -> the slice count of the block based there or None, which
+the sweep reads.  ``Code.block_groups`` names the runs of one (kind,
+level) and their base positions for ``qgt verify --sui``/``--ssui``; a
+built code is one "ssui" run at level k.
 
 A built code stays its rule: the two built families are read-only
 sequences of their queries, and no set or block is made when a code is
-built, written or loaded (``serialize``).  They also give ``active(n)``,
-the elements an oracle walks (``model.active_elements``), from the rule
-over their own n; a listed code's queries are a plain tuple, which the
-oracles scan.  Every table the rule takes has q < n/3, so each of its
-L*q bases holds at least two elements and carries all its slices:
-incidence and the block at a position have closed forms, and decoding
-reads only those.  The queries are laid out once, on the first access to
-an item, and the blocks on the first read of ``Code.blocks``.
+built, written or loaded (``serialize``); a listed code's queries are a
+plain tuple, which the oracles scan.  Every table the rule takes has
+q < n/3, so each of its L*q bases holds at least two elements and
+carries all its slices: positions and the block at a position have
+closed forms, and decoding reads only those.  The queries are laid out
+once, on the first access to an item, and the blocks only when a list
+is written or compared.
 
 The paper's selectors under interference are the n singletons at every
 n a code can be built for (``sui`` module), so none is built.  Blocks of
@@ -111,23 +119,34 @@ class Block:
     slices: int
 
 
-def _grouped(blocks: Sequence[Block]) -> tuple[tuple[Block, ...], ...]:
-    """Blocks grouped into consecutive runs of equal (kind, level)."""
-    return tuple(tuple(run) for _, run in itertools.groupby(blocks, key=lambda blk: (blk.kind, blk.level)))
-
-
 class _Family:
-    """What ``Code`` reads of a query family (module docstring), answered here from its queries.
+    """What ``Code`` reads of a query family (module docstring).
 
-    Each family overrides what its rule answers without laying them out.
+    A family gives ``m``, its queries, ``positions(v)`` and ``decode``,
+    and one the build rule chooses from also ``at``, ``line`` and
+    ``active``; ``incidence`` and ``encode`` are read off ``positions``
+    here, and ``alone`` off the queries.
     """
 
     line: str | None = None  # its line in a family file; None: written as a list
+    n: int | None = None  # a family over [1..n]; None: its elements are those of its queries
     m: int
     queries: Sequence[Query]
 
     def __len__(self) -> int:
         return self.m
+
+    @cached_property
+    def incidence(self) -> Mapping[int, tuple[int, ...]]:
+        """element -> ``positions(v)``, filled on use; KeyError outside [1..n], or for v in no query."""
+        n, positions = self.n, self.positions
+
+        def fill(v: int) -> tuple[int, ...]:
+            if n is not None and not (isinstance(v, int) and 1 <= v <= n):
+                raise KeyError(v)
+            return positions(v)
+
+        return _Filled(fill)
 
     def alone(self, n: int) -> bool:
         """Whether every element of [1..n] is alone in some query: one pass over the queries."""
@@ -158,8 +177,6 @@ class _Family:
                     entries[idx] = cap
         return entries
 
-    decode = sweep  # the block sweep, reading the family's block_at and incidence
-
 
 class _Built(_Family, Sequence):
     """A family the build rule lays out, kept as its rule over [1..n]: ``Singletons``, ``SlicedTable``.
@@ -169,8 +186,8 @@ class _Built(_Family, Sequence):
     items, and hashed like it; two families with one line over one n
     compare equal without laying anything out.  Its blocks are
     ``block_count`` "ssui" blocks of ``stride`` queries each: a base and
-    its ``stride - 1`` slices.  Incidence is read off ``_positions(v)``:
-    the positions of the queries holding v in [1..n], ascending.
+    its ``stride - 1`` slices.  ``positions(v)`` gives the positions of
+    the queries holding v in [1..n], ascending.
     """
 
     def __init__(self, n: int, stride: int, block_count: int) -> None:
@@ -207,18 +224,6 @@ class _Built(_Family, Sequence):
         return f"{type(self).__name__}({self.n}, {self.line!r})"
 
     @cached_property
-    def incidence(self) -> Mapping[int, tuple[int, ...]]:
-        """element -> ``_positions(v)``, filled on use; KeyError outside [1..n]."""
-        n, positions = self.n, self._positions
-
-        def fill(v: int) -> tuple[int, ...]:
-            if not (isinstance(v, int) and 1 <= v <= n):
-                raise KeyError(v)
-            return positions(v)
-
-        return _Filled(fill)
-
-    @cached_property
     def block_at(self) -> Mapping[int, int | None]:
         """position -> the slice count of the block based there, or None (filled on use)."""
         stride, m = self.stride, self.m
@@ -228,10 +233,6 @@ class _Built(_Family, Sequence):
         """Every block laid out, each "ssui" at `level`."""
         stride = self.stride
         return tuple(Block(KIND_SSUI, level, b * stride, stride - 1) for b in range(self.block_count))
-
-    def group_keys(self, level: int) -> tuple[tuple[str, int], ...]:
-        """(kind, level) of each block group, in order: one "ssui" group, named without laying out a block."""
-        return ((KIND_SSUI, level),)
 
     def active(self, n: int) -> list[int]:
         """Over a universe other than its own: one pass over the laid-out queries."""
@@ -255,7 +256,7 @@ class Singletons(_Built):
     def _make(self) -> tuple[Query, ...]:
         return singletons(self.n)
 
-    def _positions(self, v: int) -> tuple[int, ...]:
+    def positions(self, v: int) -> tuple[int, ...]:
         return (v - 1,)
 
     def active(self, n: int) -> list[int]:
@@ -264,10 +265,6 @@ class Singletons(_Built):
 
     def alone(self, n: int) -> bool:
         return n <= self.n  # element v is alone in query v-1
-
-    def group_bases(self, index: int) -> Sequence[Query]:
-        """The base queries of block group `index`: the queries, kept as the rule."""
-        return self
 
     def encode(self, counts: Mapping[int, int], cap: int) -> dict[int, int]:
         """Query v-1 reads v's multiplicity alone, capped at a nonzero ``cap``: no incidence is read."""
@@ -301,6 +298,8 @@ class SlicedTable(_Built):
     those whose balanced-identifier bit j is one
     (``balanced.slice_table``).
     """
+
+    decode = sweep  # the block sweep, reading block_at and incidence
 
     def __init__(self, n: int, q: int, d: int, points: int) -> None:
         if n < 2 * q:
@@ -338,7 +337,7 @@ class SlicedTable(_Built):
             y = (y * x + c) % q
         return y
 
-    def _positions(self, v: int) -> tuple[int, ...]:
+    def positions(self, v: int) -> tuple[int, ...]:
         q, stride = self.q, self.stride
         # v's base, then slice j where v's balanced-identifier bit j is one (word[-j])
         offsets = [0, *[j for j, bit in enumerate(encode_balanced(v, self.n)[::-1], 1) if bit]]
@@ -351,10 +350,6 @@ class SlicedTable(_Built):
     def _make(self) -> tuple[Query, ...]:
         """Every query: the table's bases and their slices (``enhance``)."""
         return tuple(s for base in truncated_table(self.n, self.q, self.points) for s in enhance(base, self.n))
-
-    def group_bases(self, index: int) -> tuple[Query, ...]:
-        """The bases of the one block group, laid out (``ssui.truncated_table``)."""
-        return truncated_table(self.n, self.q, self.points)
 
     def active(self, n: int) -> list[int]:
         # A base at x holds, in each run of q consecutive elements, exactly one v per value
@@ -376,9 +371,12 @@ class Listed(_Family):
         return self._blocks
 
     @cached_property
-    def incidence(self) -> dict[int, tuple[int, ...]]:
-        """``model.incidence``: an element in no query has no entry."""
+    def _index(self) -> dict[int, tuple[int, ...]]:
         return _incidence(self.queries)
+
+    def positions(self, v: int) -> tuple[int, ...]:
+        """``model.incidence``'s entry: KeyError for an element in no query."""
+        return self._index[v]
 
     @cached_property
     def block_at(self) -> Mapping[int, int | None]:
@@ -386,19 +384,13 @@ class Listed(_Family):
 
     @property
     def occurrence_max(self) -> int:
-        return max((len(ix) for ix in self.incidence.values()), default=0)
-
-    def group_keys(self, level: int) -> tuple[tuple[str, int], ...]:
-        return tuple((group[0].kind, group[0].level) for group in _grouped(self._blocks))
+        return max(map(len, self._index.values()), default=0)
 
     def decode(self, entries: Mapping[int, int], n: int, k: int, cap: int) -> Proposal:
         """The block sweep; a code without blocks (a random code's queries) is refused."""
         if not self._blocks:
             raise DecodeError(NO_LAYOUT)
         return sweep(self, entries, n, k, cap)
-
-    def group_bases(self, index: int) -> tuple[Query, ...]:
-        return tuple(self.queries[blk.base] for blk in _grouped(self._blocks)[index])
 
 
 # The family classes the build rule chooses from and a family file can name,
@@ -410,10 +402,10 @@ FAMILIES = (Singletons, SlicedTable)
 class Code:
     """A query family under its header; every method reads the family.
 
-    Two codes are equal when their headers are and they lay out the same
-    queries and blocks; two codes of one built family compare equal
-    without laying anything out.  A hash reads only the header and the
-    length.
+    Two codes are equal when their headers are and their families have
+    one line, or lay out the same queries and blocks; two codes of one
+    built family compare equal without laying anything out.  A hash
+    reads only the header and the length.
     """
 
     family: _Family
@@ -431,23 +423,22 @@ class Code:
         return self.family.queries
 
     @cached_property
-    def blocks(self) -> Sequence[Block]:
-        return self.family.blocks(self.k)
-
-    @cached_property
     def incidence(self) -> Mapping[int, tuple[int, ...]]:
-        """element -> indices of the queries containing it (the family's, filled on use on a built code)."""
+        """element -> indices of the queries containing it (the family's, filled on use)."""
         return self.family.incidence
 
     @cached_property
-    def block_groups(self) -> tuple[tuple[Block, ...], ...]:
-        """Blocks grouped into consecutive runs of equal (kind, level)."""
-        return _grouped(self.blocks)
+    def block_groups(self) -> tuple[tuple[str, int, Sequence[int]], ...]:
+        """(kind, level, base positions) of each run of blocks of one (kind, level), in order.
 
-    @cached_property
-    def group_keys(self) -> tuple[tuple[str, int], ...]:
-        """(kind, level) of each block group, in order (the family's, at level k)."""
-        return self.family.group_keys(self.k)
+        A built family is one "ssui" run at level k, every ``stride``-th
+        position a base: named without laying out a query or a block.
+        """
+        family = self.family
+        if isinstance(family, _Built):
+            return ((KIND_SSUI, self.k, range(0, family.m, family.stride)),)
+        runs = itertools.groupby(family.blocks(self.k), key=lambda blk: (blk.kind, blk.level))
+        return tuple((kind, level, tuple(blk.base for blk in run)) for (kind, level), run in runs)
 
     @property
     def occurrence_max(self) -> int:
@@ -458,10 +449,10 @@ class Code:
             return NotImplemented
         if (self.n, self.k, self.alpha, self.mode) != (other.n, other.k, other.alpha, other.mode):
             return False
-        line = self.family.line
-        if line is not None and line == other.family.line:
+        mine, theirs = self.family, other.family
+        if mine.line is not None and mine.line == theirs.line:
             return True  # one built family over one n
-        return self.queries == other.queries and self.blocks == other.blocks
+        return mine.queries == theirs.queries and mine.blocks(self.k) == theirs.blocks(self.k)
 
     def __hash__(self) -> int:
         return hash((self.n, self.k, self.alpha, self.mode, len(self)))

@@ -80,12 +80,14 @@ Each query family proposes for itself (``code``): ``decode_detailed``
 hands the family the vector's entries and the code's n, k and cap,
 ``family.decode(entries, n, k, cap)``; no family reads the ``Code``,
 the decoder reads no mode, and only ``decode_detailed`` reads the cap
-off the code.  The sweep above, ``sweep``, is the proposal of the
-sliced table and of listed codes; it reads the family's ``block_at``
-and ``incidence``, and the base query only at a block with no slices.
-A listed code without blocks (every random code) is refused first, a
-refusal of the code, not of a vector.  The n singletons propose in
-closed form (``Singletons.decode``).
+off the code.  A family needs no blocks to propose: the n singletons
+propose in closed form (``Singletons.decode``), as can any family whose
+rule names an element from the values it reads.  The sweep above,
+``sweep``, is the proposal of the two families with blocks, the sliced
+table and listed codes; it reads the family's ``block_at`` and
+``incidence``, and the base query only at a block with no slices.  A
+listed code without blocks (every random code) is refused first, a
+refusal of the code, not of a vector.
 """
 
 from __future__ import annotations

@@ -106,8 +106,9 @@ def code_to_text(code: Code) -> str:
     family = _family_line(code)
     if family is not None:
         return "\n".join([f"{FORMAT_NAME} {FAMILY_VERSION}", *header, family]) + "\n"
-    lines = [f"{FORMAT_NAME} {LIST_VERSION}", *header, f"blocks {len(code.blocks)}"]
-    for blk in code.blocks:
+    blocks = code.family.blocks(code.k)
+    lines = [f"{FORMAT_NAME} {LIST_VERSION}", *header, f"blocks {len(blocks)}"]
+    for blk in blocks:
         lines.append(f"{blk.kind} {blk.level} {blk.base + 1} {blk.slices}")
     for s in code.queries:
         lines.append(" ".join(str(v) for v in sorted(s)))
@@ -164,13 +165,23 @@ def _header(lines: list[str]) -> tuple[int, int, int, str]:
     return n, k, alpha, mode
 
 
-def code_from_text(text: str) -> Code:
+def read_lines(text: str) -> list[str]:
+    """The lines of a file every reader here and in the CLI takes: each ends with "\\n" alone.
+
+    The last line's "\\n" is optional.  Any other break ``str.splitlines``
+    takes is refused, naming its line.
+    """
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the newline that ends the last line, or an empty input
     if text.splitlines() != lines:  # they differ only where a line holds another break
         lineno, brk = next((i, c) for i, line in enumerate(lines, 1) for c in line if c in _STRAY_BREAKS)
         raise FormatError(f"line {lineno}: line break {brk!r}; lines end with '\\n' alone")
+    return lines
+
+
+def code_from_text(text: str) -> Code:
+    lines = read_lines(text)
     if not lines:
         raise FormatError("line 1: empty input")
     magic = lines[0].split()
@@ -311,12 +322,14 @@ def fv_to_text(fv: Sequence[int]) -> str:
 def fv_from_text(text: str) -> Feedback:
     """Parse a dense line into a ``Feedback``, so decoding it costs O(support).
 
-    A token that is not an integer is malformed, named by its position,
+    Values are separated by " " and "\\n" alone (``read_lines``).  A
+    token that is not an integer is malformed, named by its position,
     and so is a negative value, named by its position as ``Feedback``
     names it.
     """
     values = []
-    for position, token in enumerate(text.split()):
+    tokens = [token for line in read_lines(text) for token in line.split(" ") if token]
+    for position, token in enumerate(tokens):
         try:
             values.append(parse_int(token))
         except ValueError as exc:

@@ -14,8 +14,8 @@ def list_text(code) -> str:
         f"k {code.k}",
         f"alpha {code.alpha}",
         f"mode {code.mode}",
-        f"blocks {len(code.blocks)}",
+        f"blocks {len(code.family.blocks(code.k))}",
     ]
-    lines += [f"{blk.kind} {blk.level} {blk.base + 1} {blk.slices}" for blk in code.blocks]
+    lines += [f"{blk.kind} {blk.level} {blk.base + 1} {blk.slices}" for blk in code.family.blocks(code.k)]
     lines += [" ".join(str(v) for v in sorted(s)) for s in code.queries]
     return "\n".join(lines) + "\n"

@@ -348,7 +348,7 @@ def test_verify_refuses_a_large_family_file_before_laying_it_out(
         raise AssertionError("the queries were laid out")
 
     monkeypatch.setattr(qgt.code.SlicedTable, "_make", refuse)
-    monkeypatch.setattr(qgt.code.SlicedTable, "group_bases", refuse)
+    monkeypatch.setattr(qgt.code.SlicedTable, "__getitem__", refuse)  # what reads the bases
     code_file = tmp_path / "code.qgtc"
     code_file.write_text("qgtc 2\nn 262144\nk 4\nalpha 3\nmode plain\nfamily rs 13 4 13\n")
     status, out, err = run(capsys, "verify", "--code", str(code_file), flag)
@@ -515,5 +515,44 @@ def test_a_code_file_with_crlf_line_ends_is_refused_naming_line_1(tmp_path, caps
     assert run(capsys, "build", "--n", "16", "--k", "1", "--alpha", "2", "--out", str(code_file))[0] == 0
     code_file.write_bytes(code_file.read_bytes().replace(b"\n", b"\r\n"))
     status, out, err = run(capsys, "verify", "--code", str(code_file), "--uniqueness")
+    assert status == 2 and out == ""
+    assert err == "error: line 1: line break '\\r'; lines end with '\\n' alone\n"
+
+
+# Each file the CLI reads, as (command and options, its file option, a valid text), read by one line
+# rule (``serialize.read_lines``): every line ends with "\n" alone.
+READERS = {
+    "decode --fv": (["decode", "--code", "{code}"], "--fv", "0 0 0 0 1 0 0 0\n0 0 1 0 0 0 0 0\n"),
+    "stream --ops": (["stream", "--code", "{multiset}", "--reconstruct"], "--ops", "I 1\nI 2\nI 3\n"),
+    "graph --ops": (["graph", "--nodes", "4", "--k", "2", "--reconstruct"], "--ops", "I 1 2\nI 2 3\nI 1 3\n"),
+    "bench --grid": (["bench"], "--grid", "16 2 2\n32 1 2\n16 1 2\n"),
+}
+
+
+def _reader_argv(tmp_path, capsys, reader, text):
+    argv, option, _ = READERS[reader]
+    paths = {"code": tmp_path / "code.qgtc", "multiset": tmp_path / "multiset.qgtc"}
+    run(capsys, "build", "--n", "16", "--k", "2", "--alpha", "2", "--out", str(paths["code"]))
+    run(capsys, "build", "--n", "16", "--k", "3", "--alpha", "3", "--mode", "multiset", "--out", str(paths["multiset"]))
+    data = tmp_path / "input.txt"
+    data.write_bytes(text.encode())
+    return [arg.format(**{name: str(path) for name, path in paths.items()}) for arg in argv] + [option, str(data)]
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_every_file_reader_refuses_a_stray_line_break_naming_its_line(tmp_path, capsys, reader):
+    text = READERS[reader][2]
+    assert run(capsys, *_reader_argv(tmp_path, capsys, reader, text))[0] == 0
+    # read with splitlines() or split(), "\x1c" ended line 2 (or split a value) and the file was read
+    broken = text.replace("\n", "\x1c", 2).replace("\x1c", "\n", 1)
+    status, out, err = run(capsys, *_reader_argv(tmp_path, capsys, reader, broken))
+    assert status == 2 and out == ""
+    assert err == "error: line 2: line break '\\x1c'; lines end with '\\n' alone\n"
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_a_crlf_input_file_is_refused_naming_line_1(tmp_path, capsys, reader):
+    crlf = READERS[reader][2].replace("\n", "\r\n")
+    status, out, err = run(capsys, *_reader_argv(tmp_path, capsys, reader, crlf))
     assert status == 2 and out == ""
     assert err == "error: line 1: line break '\\r'; lines end with '\\n' alone\n"

@@ -68,8 +68,8 @@ def test_block_arity():
     for n in (16, 32):
         code = rs_table_code(n, 2)
         width = id_bits(n)
-        assert len(code.queries) == sum(1 + blk.slices for blk in code.blocks)
-        for blk in code.blocks:
+        assert len(code.queries) == sum(1 + blk.slices for blk in code.family.blocks(code.k))
+        for blk in code.family.blocks(code.k):
             size = len(code.queries[blk.base])
             sizes.add(size)
             assert blk.slices == (0 if size <= 1 else width)
@@ -78,7 +78,7 @@ def test_block_arity():
 
 def test_layout_self_consistency():
     code = build_code(16, 2, 3)
-    for blk in code.blocks:
+    for blk in code.family.blocks(code.k):
         base = code.queries[blk.base]
         for i in range(1, blk.slices + 1):
             assert code.queries[blk.base + i] == slice_query(base, i, code.n)
@@ -86,22 +86,22 @@ def test_layout_self_consistency():
 
 def test_alpha_two_collapses_to_terminal_selector_only():
     code = build_code(16, 2, 2)
-    assert {blk.kind for blk in code.blocks} == {"ssui"}
+    assert {blk.kind for blk in code.family.blocks(code.k)} == {"ssui"}
 
 
 def test_level_structure_alpha_three():
     # one strong selector at level k, here the n singletons: the
     # truncated width-3 table is longer than n below 2^11
     code = build_code(32, 3, 3)
-    assert {(blk.kind, blk.level) for blk in code.blocks} == {("ssui", 3)}
+    assert {(blk.kind, blk.level) for blk in code.family.blocks(code.k)} == {("ssui", 3)}
     assert code.queries == singletons(32)
-    assert all(blk.slices == 0 for blk in code.blocks)
+    assert all(blk.slices == 0 for blk in code.family.blocks(code.k))
 
 
 def test_duplicate_levels_emitted_once():
     # at n=1024 the one selector level is the singleton family
     code = build_code(1024, 4, 4)
-    assert {(blk.kind, blk.level) for blk in code.blocks} == {("ssui", 4)}
+    assert {(blk.kind, blk.level) for blk in code.family.blocks(code.k)} == {("ssui", 4)}
 
 
 def test_determinism_bit_for_bit():
@@ -133,14 +133,14 @@ def test_large_mode_is_the_plain_rule_under_its_header(n, k, alpha):
     code = build_code_large(n, k, alpha)
     assert code.mode == "large"
     assert dataclasses.replace(code, mode="plain") == build_code(n, k, alpha)
-    assert {(blk.kind, blk.level) for blk in code.blocks} == {("ssui", k)}
+    assert {(blk.kind, blk.level) for blk in code.family.blocks(code.k)} == {("ssui", k)}
 
 
 @pytest.mark.parametrize("n, k", [(16, 4), (32, 1), (512, 2), (2048, 3), (4096, 5)])
 def test_multiset_code_is_the_n_singletons_at_alpha_zero(n, k):
     # a stream sketch's delete check needs every element alone in a query
     code = build_code_multiset(n, k)
-    assert {(blk.kind, blk.level) for blk in code.blocks} == {("ssui", k)}
+    assert {(blk.kind, blk.level) for blk in code.family.blocks(code.k)} == {("ssui", k)}
     assert code.alpha == 0
     assert code.mode == "multiset"
     assert code.queries == singletons(n)
@@ -186,13 +186,13 @@ def test_k_one_builds_and_decodes():
     from qgt.decode import decode
 
     code = build_code(16, 1, 3)
-    assert {blk.kind for blk in code.blocks} == {"ssui"}
+    assert {blk.kind for blk in code.family.blocks(code.k)} == {"ssui"}
     assert code.queries == singletons(16)
     for v in range(1, 17):
         assert decode(code, code.feedback([v])) == {v: 1}
     # from n = 2^5 a k = 1 code is the table at one argument: odd and even
     table = build_code(32, 1, 3)
-    assert [len(table.queries[blk.base]) for blk in table.blocks] == [16, 16]
+    assert [len(table.queries[blk.base]) for blk in table.family.blocks(table.k)] == [16, 16]
     for v in range(1, 33):
         assert decode(table, table.feedback([v])) == {v: 1}
 
@@ -345,7 +345,7 @@ def test_laid_out_table_length_is_its_closed_form():
     code = rs_table_code(1024, 1)
     assert rs_size(1024, 1, 1, 1)[0] == 23
     assert len(code) == 23**2 * 21 == 11_109
-    assert all(blk.slices == id_bits(1024) for blk in code.blocks)
+    assert all(blk.slices == id_bits(1024) for blk in code.family.blocks(code.k))
 
 
 def test_k_one_table_at_2_15_is_62_queries():

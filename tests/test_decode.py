@@ -192,13 +192,13 @@ def test_fat_query_roundtrip_sampled():
     import random
 
     code = dataclasses.replace(rs_table_code(256, 4), alpha=3)
-    assert any(len(code.queries[b.base]) > 1 for b in code.blocks)
+    assert any(len(code.queries[b.base]) > 1 for b in code.family.blocks(code.k))
     rng = random.Random(11)
     trusted_twos = 0
     for _ in range(300):
         combo = rng.sample(range(1, 257), rng.randint(0, 4))
         fv = code.feedback(combo)
-        trusted_twos += sum(fv[b.base] == 2 for b in code.blocks)
+        trusted_twos += sum(fv[b.base] == 2 for b in code.family.blocks(code.k))
         assert decode(code, fv) == {v: 1 for v in combo}
     assert trusted_twos > 0
 

@@ -63,7 +63,7 @@ CODE_IDS = [f"{c.mode}-{c.n}-{c.k}-{c.alpha}-m{len(c)}" for c in CODES]
 
 
 def test_codes_cover_fat_bases_in_plain_and_multiset_mode():
-    fat = [c for c in CODES if any(len(c.queries[b.base]) > 1 for b in c.blocks)]
+    fat = [c for c in CODES if any(len(c.queries[b.base]) > 1 for b in c.family.blocks(c.k))]
     assert {c.mode for c in fat} == {"plain", MODE_MULTISET}
 
 
@@ -171,7 +171,7 @@ def test_singletons_read_gives_the_sweeps_outcome(code, top):
     # the list-form twin holds the same singletons as plain tuples, so it takes the sweep
     twin = code_from_text(list_text(code))
     assert type(code.family) is Singletons and type(twin.family) is not Singletons
-    assert twin.queries == code.queries and twin.blocks == code.blocks
+    assert twin.queries == code.queries and twin.family.blocks(twin.k) == code.family.blocks(code.k)
     errors = set()
     for fv in itertools.product(range(top + 1), repeat=len(code)):
         sparse = _sparse(fv)
@@ -274,6 +274,7 @@ def test_comparing_with_a_tuple_answers_as_the_dense_tuple_does():
         assert (fv != t) is (fv.dense() != t), t
     assert Feedback(0, {}) == () and Feedback(2, {}) == (0, False) and Feedback(2, {}) != (0, None)
     assert list(fv) == [0, 1, 0, 2, 0] and list(Feedback(0, {})) == []
+    assert fv != list(fv) and fv != fv.entries  # a list or a dict is not a vector
 
 
 def test_every_vector_keeps_its_entries_in_a_plain_dict(monkeypatch):
@@ -401,7 +402,7 @@ def test_consistency_error_names_a_touched_position_that_reads_zero():
 def test_over_explained_query_names_its_base():
     code = dataclasses.replace(rs_table_code(16, 2), alpha=3)
     fv = list(code.feedback({6: 2}))
-    bases = [b.base for b in code.blocks if fv[b.base]]
+    bases = [b.base for b in code.family.blocks(code.k) if fv[b.base]]
     fv[bases[-1]] = 1  # the first base decodes 6 twice; the last reads only 1
     with pytest.raises(
         DecodeError,
@@ -427,7 +428,7 @@ class _Proposing(Listed):
 )
 def test_a_wrong_proposal_is_refused(code):
     def proposing(proposal):
-        return dataclasses.replace(code, family=_Proposing(tuple(code.queries), code.blocks, proposal))
+        return dataclasses.replace(code, family=_Proposing(tuple(code.queries), code.family.blocks(code.k), proposal))
 
     fv = Feedback(16, {6: 2})  # element 7 twice
     assert decode(proposing({7: 2}), fv) == {7: 2}

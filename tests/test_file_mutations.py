@@ -26,7 +26,7 @@ import pytest
 
 from qgt.code import build_code, build_code_multiset
 from qgt.decode import DecodeError, decode
-from qgt.serialize import FormatError, code_from_text, code_to_text, fv_from_text, fv_to_text
+from qgt.serialize import FormatError, code_from_text, code_to_text, fv_from_text, fv_to_text, read_lines
 from qgt.streaming import StreamSketch, parse_ops
 
 from list_form import list_text
@@ -150,7 +150,7 @@ def _replay(code, text):
     """Apply each op of ``text`` until one raises; returns the multiset applied and whether one raised."""
     sketch, held = StreamSketch(code), Counter()
     try:
-        ops = parse_ops(text.splitlines())
+        ops = parse_ops(read_lines(text))  # as ``qgt stream`` reads its log
     except ValueError:
         return sketch, held, True
     for op, params in ops:

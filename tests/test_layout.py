@@ -60,14 +60,16 @@ def test_lazy_layout_matches_the_eager_reference(e):
     checked = set()
     for code in _sweep(e):
         ref = _reference(code)
-        assert code.group_keys == ref.group_keys == ((KIND_SSUI, code.k),)
-        assert len(code) == len(ref.queries) and len(code.blocks) == len(ref.blocks)
+        keys = [group[:2] for group in code.block_groups]
+        assert keys == [group[:2] for group in ref.block_groups] == [(KIND_SSUI, code.k)]
+        blocks, ref_blocks = code.family.blocks(code.k), ref.family.blocks(ref.k)
+        assert len(code) == len(ref.queries) and len(blocks) == len(ref_blocks)
         if (code.family.line, code.k) not in checked:  # plain and large share their layout
             checked.add((code.family.line, code.k))
             _check_closed_forms(code, ref)
-        assert tuple(code.queries) == ref.queries and tuple(code.blocks) == ref.blocks
+        assert tuple(code.queries) == ref.queries and tuple(blocks) == ref_blocks
         assert code == ref and ref == code and hash(code) == hash(ref)
-        assert tuple(code.family.group_bases(0)) == ref.family.group_bases(0)
+        assert tuple(code.block_groups[0][2]) == ref.block_groups[0][2]
 
 
 def test_incidence_is_filled_on_use():
@@ -88,7 +90,7 @@ def test_incidence_is_filled_on_use():
 def test_equality_and_hash_follow_content():
     four, eight = build_code_multiset(64, 4), build_code_multiset(64, 8)
     assert four.queries == eight.queries  # the singletons do not depend on k
-    assert four.blocks != eight.blocks and four != eight
+    assert four.family.blocks(four.k) != eight.family.blocks(eight.k) and four != eight
     assert four.queries == singletons(64) and singletons(64) == four.queries
     assert hash(four.queries) == hash(singletons(64))
     assert four.queries != list(singletons(64))  # a tuple never equals a list
@@ -100,6 +102,14 @@ def test_equality_and_hash_follow_content():
         twin = code_from_text(list_text(code))
         assert type(twin.family) is not type(code.family)
         assert twin == code and code == twin and hash(twin) == hash(code)
+
+
+def test_a_built_family_reads_as_its_rule_and_no_other_object_equals_its_code(monkeypatch):
+    _refuse_layouts(monkeypatch)
+    table, singles = build_code(2**18, 4, 3), build_code_multiset(64, 4)
+    assert repr(table.family) == "SlicedTable(262144, 'family rs 13 4 13')"
+    assert repr(singles.family) == "Singletons(64, 'family singletons')"
+    assert table != table.family and singles != singles.queries
 
 
 def test_a_table_layout_needs_every_base_to_hold_two_elements():

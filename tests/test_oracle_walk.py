@@ -306,10 +306,10 @@ def _verdicts(code, unjammed, unselected):
     """Claim-a witness and every selector level's unselected counts, as `qgt verify` reads them."""
     kappa, cap = level_params(code.k, code.alpha)
     verdicts = [unjammed(code.queries, code.n, code.k, max(1, code.alpha))]
-    for group in code.block_groups:
-        queries = tuple(code.queries[blk.base] for blk in group)
+    for _, level, positions in code.block_groups:
+        queries = tuple(code.queries[p] for p in positions)
         for stop_at in (None, 1):
-            verdicts.append(unselected(queries, code.n, group[0].level, kappa, cap, stop_at=stop_at))
+            verdicts.append(unselected(queries, code.n, level, kappa, cap, stop_at=stop_at))
     return verdicts
 
 

@@ -16,6 +16,7 @@ from qgt.serialize import (
     fv_to_text,
     multiset_to_text,
     parse_set_spec,
+    read_lines,
 )
 
 from list_form import list_text
@@ -35,7 +36,7 @@ def test_roundtrip_identity(code):
     text = code_to_text(code)
     parsed = code_from_text(text)
     assert parsed.queries == code.queries
-    assert parsed.blocks == code.blocks
+    assert parsed.family.blocks(parsed.k) == code.family.blocks(code.k)
     assert (parsed.n, parsed.k, parsed.alpha, parsed.mode) == (
         code.n, code.k, code.alpha, code.mode,
     )
@@ -181,9 +182,9 @@ FULL_SLICE_SINGLETONS = (
 
 def test_full_slice_singleton_file_still_loads_and_decodes():
     old = code_from_text(FULL_SLICE_SINGLETONS)
-    assert len(old) == 20 and all(blk.slices == 4 for blk in old.blocks)
+    assert len(old) == 20 and all(blk.slices == 4 for blk in old.family.blocks(old.k))
     new = build_code_multiset(4, 2)
-    assert len(new) == 4 and all(blk.slices == 0 for blk in new.blocks)
+    assert len(new) == 4 and all(blk.slices == 0 for blk in new.family.blocks(new.k))
     assert verify_decoding(old) is None and verify_decoding(new) is None
 
 
@@ -287,12 +288,13 @@ def test_codes_the_builder_does_not_lay_out_stay_lists(code):
 def test_a_code_differing_from_its_family_in_one_field_is_a_list():
     table = build_code(32, 1, 2)
     assert code_to_text(table) == "qgtc 2\nn 32\nk 1\nalpha 2\nmode plain\nfamily rs 2 4 1\n"
-    base = table.blocks[1].base
+    first, second = table.family.blocks(table.k)
+    base = second.base
     def listed(code, queries=None, blocks=None):
         queries = tuple(code.queries) if queries is None else queries
-        return dataclasses.replace(code, family=Listed(queries, code.blocks if blocks is None else blocks))
+        return dataclasses.replace(code, family=Listed(queries, code.family.blocks(code.k) if blocks is None else blocks))
 
-    relabelled = listed(table, blocks=(table.blocks[0], Block(KIND_SUI, 1, base, table.blocks[1].slices)))
+    relabelled = listed(table, blocks=(first, Block(KIND_SUI, 1, base, second.slices)))
     slices = list(table.queries)
     slices[base + 2] = frozenset()  # a tampered slice: it held 2, 6, 10, ...
     tampered = listed(table, queries=tuple(slices))
@@ -380,10 +382,10 @@ def test_built_code_above_the_family_caps_is_a_list(monkeypatch):
 
 def test_list_file_with_a_tampered_slice_names_its_line():
     table = build_code(32, 1, 2)
-    base = table.blocks[1].base
+    base = table.family.blocks(table.k)[1].base
     slices = list(table.queries)
     slices[base + 2] = frozenset()  # it held 2, 6, 10, ...
-    text = list_text(dataclasses.replace(table, family=Listed(tuple(slices), table.blocks)))
+    text = list_text(dataclasses.replace(table, family=Listed(tuple(slices), table.family.blocks(table.k))))
     # header, blocks line and 2 block lines, then the queries from line 9
     with pytest.raises(FormatError, match=f"line {9 + base + 2}: slice 2 of the base on line {9 + base} "):
         code_from_text(text)
@@ -520,6 +522,25 @@ def test_a_stray_line_break_names_its_line(brk):
                     code_from_text(broken)
     with pytest.raises(FormatError, match=_stray_break_message(1, "\r")):
         code_from_text(files[0].replace("\n", "\r\n"))
+
+
+def test_a_feedback_file_reads_by_the_line_rule_of_a_code_file():
+    # read with split(), "\x1c" separated two values and this vector had 3
+    with pytest.raises(FormatError, match=_stray_break_message(1, "\x1c")):
+        fv_from_text("1\x1c0 2\n")
+    with pytest.raises(FormatError, match=_stray_break_message(2, "\r")):
+        fv_from_text("1 0\n2\r\n")
+    assert fv_from_text("1 0 2\n") == fv_from_text("1  0\n2") == (1, 0, 2)  # " " and "\n" separate values
+    for other in ("\t", "\x1f", "\xa0"):  # whitespace that is neither
+        with pytest.raises(FormatError, match=r"^malformed feedback vector: position 0: invalid literal"):
+            fv_from_text(f"1{other}0 2\n")
+
+
+def test_read_lines_is_the_line_rule_of_every_reader():
+    assert read_lines("a\n\nb\n") == read_lines("a\n\nb") == ["a", "", "b"]
+    assert read_lines("") == [] and read_lines("\n") == [""]
+    with pytest.raises(FormatError, match=_stray_break_message(3, "\u2028")):
+        read_lines("I 1\nI 2\nI 3\u2028I 4\n")
 
 
 def test_lines_split_on_newline_alone_as_before():

@@ -124,7 +124,7 @@ def test_code_without_a_singleton_per_element_rejected():
 
 def test_each_family_says_whether_every_element_is_alone(monkeypatch):
     singles = build_code_multiset(16, 2)
-    queries, blocks = tuple(singles.queries), tuple(singles.blocks)
+    queries, blocks = tuple(singles.queries), singles.family.blocks(singles.k)
     twin = Code(Listed(queries, blocks), 16, 2, 0, MODE_MULTISET)
     assert StreamSketch(twin).reconstruct() == {}
     shared = Code(Listed(queries[:-1] + (frozenset({15, 16}),), blocks), 16, 2, 0, MODE_MULTISET)
@@ -281,7 +281,7 @@ def test_incidence_path_agrees_with_dense_decode(extra):
     # a list code takes the index path; every element stays alone in its
     # singleton, and with the pairs an update touches 1-3 counters
     singles = build_code_multiset(64, 4)
-    family = Listed(tuple(singles.queries) + tuple(map(frozenset, extra)), tuple(singles.blocks))
+    family = Listed(tuple(singles.queries) + tuple(map(frozenset, extra)), singles.family.blocks(singles.k))
     code = Code(family, 64, 4, 0, MODE_MULTISET)
     sketch = StreamSketch(code)
     touched = Counter()
@@ -531,7 +531,7 @@ def test_parse_ops():
 def _listed_twin(n=16, k=3):
     # the singletons as a list code, so an update takes the incidence path
     singles = build_code_multiset(n, k)
-    return Code(Listed(tuple(singles.queries), tuple(singles.blocks)), n, k, 0, MODE_MULTISET)
+    return Code(Listed(tuple(singles.queries), singles.family.blocks(singles.k)), n, k, 0, MODE_MULTISET)
 
 
 @pytest.mark.parametrize("code", [build_code_multiset(16, 3), _listed_twin()], ids=["singletons", "listed"])

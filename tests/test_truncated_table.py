@@ -24,8 +24,8 @@ def test_configs_are_shorter_tables_with_fat_bases():
     for n, k in CONFIGS:
         q, _, points = rs_trunc_size(n, k)
         code = trunc_table_code(n, k)
-        assert len(code.blocks) <= points * q < n
-        assert any(len(code.queries[blk.base]) > 1 for blk in code.blocks)
+        assert len(code.family.blocks(code.k)) <= points * q < n
+        assert any(len(code.queries[blk.base]) > 1 for blk in code.family.blocks(code.k))
 
 
 @pytest.mark.parametrize("alpha", [2, 3, 5])
