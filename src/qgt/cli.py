@@ -29,7 +29,7 @@ from .serialize import (
     multiset_to_text,
     parse_int,
     parse_set_spec,
-    read_lines,
+    read_records,
 )
 from .ssui import check_ssui_budget, verify_ssui
 from .streaming import GraphSketch, StreamSketch, parse_ops
@@ -47,13 +47,14 @@ def _write_out(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
-def _read(path: str) -> str:
+def _input(option: str, path: str, parse):
+    """``parse`` of the file at ``path``; a FormatError it raises names ``option`` before its own text."""
     with open(path, newline="") as f:  # no newline translation: the reader sees every line break
-        return f.read()
-
-
-def _load_code(path: str):
-    return code_from_text(_read(path))
+        text = f.read()
+    try:
+        return parse(text)
+    except FormatError as exc:
+        raise FormatError(f"{option}: {exc}") from exc
 
 
 def _int(token: str) -> int:
@@ -71,7 +72,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
+    code = _input("--code", args.code, code_from_text)
     hidden = parse_set_spec(args.set)
     fv = code.feedback(hidden, args.alpha)
     _write_out(fv_to_text(fv), args.out)
@@ -79,15 +80,15 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
-    fv = fv_from_text(_read(args.fv))
+    code = _input("--code", args.code, code_from_text)
+    fv = _input("--fv", args.fv, fv_from_text)
     result, _ = decode_detailed(code, fv)
     _write_out(multiset_to_text(result), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
+    code = _input("--code", args.code, code_from_text)
     if not (args.uniqueness or args.claim_a or args.sui or args.ssui):
         print("nothing to verify (pass --uniqueness/--claim-a/--sui/--ssui)")
         return EXIT_USAGE
@@ -180,25 +181,26 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    grid_lines = read_lines(_read(args.grid))
+    _input("--grid", args.grid, lambda text: _print_bench(text, args.seed))
+    return EXIT_OK
+
+
+def _print_bench(grid: str, seed: int) -> None:
+    """The CSV header, then the row of each grid record ('n k alpha [mode]') as it is built."""
+    records = read_records(grid)  # before the header: a file refused by its line breaks prints nothing
     print("n,k,alpha,mode,m,occurrence_max,lb_total,ratio,build_ms,decode_ops")
-    for lineno, raw in enumerate(grid_lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (3, 4):
-            raise FormatError(f"grid line {lineno}: expected 'n k alpha [mode]'")
-        mode = parts[3] if len(parts) == 4 else MODE_PLAIN
+    for lineno, fields in records:
+        if len(fields) not in (3, 4):
+            raise FormatError(f"line {lineno}: expected 'n k alpha [mode]'")
+        mode = fields[3] if len(fields) == 4 else MODE_PLAIN
         try:
-            n, k, alpha = map(parse_int, parts[:3])
-            row = bench_row(n, k, alpha, mode, seed=args.seed)
+            n, k, alpha = map(parse_int, fields[:3])
+            row = bench_row(n, k, alpha, mode, seed=seed)
         except (DecodeError, BudgetError):
             raise  # a failed decode keeps its own exit status
         except ValueError as exc:  # a non-integer, an unknown mode or a parameter the builder refuses
-            raise FormatError(f"grid line {lineno}: {exc}") from exc
+            raise FormatError(f"line {lineno}: {exc}") from exc
         print(row)
-    return EXIT_OK
 
 
 def bench_row(n: int, k: int, alpha: int, mode: str = MODE_PLAIN, seed: int = 0) -> str:
@@ -218,13 +220,11 @@ def bench_row(n: int, k: int, alpha: int, mode: str = MODE_PLAIN, seed: int = 0)
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    code = _load_code(args.code)
+    code = _input("--code", args.code, code_from_text)
     sketch = StreamSketch(code, alpha=args.alpha)
-    ops = parse_ops(read_lines(_read(args.ops)))
+    ops = _input("--ops", args.ops, lambda text: parse_ops(text, 1))
     for op, params in ops:
-        if len(params) != 1:
-            raise FormatError(f"stream operations take one element, got {params}")
-        sketch.apply(op, params[0])
+        sketch.apply(op, *params)
     if args.reconstruct:
         result = sketch.reconstruct()
         _write_out(multiset_to_text(result), args.out)
@@ -234,11 +234,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     sketch = GraphSketch(args.nodes, args.k)
-    ops = parse_ops(read_lines(_read(args.ops)))
+    ops = _input("--ops", args.ops, lambda text: parse_ops(text, 2))
     for op, params in ops:
-        if len(params) != 2:
-            raise FormatError(f"graph operations take two endpoints, got {params}")
-        sketch.apply(op, params[0], params[1])
+        sketch.apply(op, *params)
     if args.reconstruct:
         edges = sketch.reconstruct()
         _write_out("".join(f"{u} {v}\n" for u, v in edges), args.out)

@@ -84,7 +84,7 @@ from .decode import NO_LAYOUT, DecodeError, DecodeStats, Proposal, sweep
 from .model import Feedback, Query, active_elements, as_multiset, check_cap, check_capacity
 from .model import _Filled, check_universe, next_power_of_two, singletons
 from .model import incidence as _incidence
-from .ssui import rs_trunc_size, truncated_table
+from .ssui import rs_trunc_size, rs_value, truncated_table
 
 # build_ssui, build_sui and build_sui_rr are not called here; perfbench/tracer.py wraps them
 # as qgt.code globals.
@@ -293,9 +293,9 @@ class SlicedTable(_Built):
     """The truncated width-k Reed-Solomon table (q, d, L), each base followed by its slices.
 
     Block b = x*q + y starts at b*(1 + 2*log2 n); its base holds the v
-    with P_v(x) = y, P_v the polynomial whose coefficients are the
-    base-q digits of v-1 (``ssui.rs_table``), and its slice j keeps
-    those whose balanced-identifier bit j is one
+    with P_v(x) = y (``ssui.rs_value``), P_v the polynomial whose
+    coefficients are the base-q digits of v-1 (``ssui.rs_table``), and
+    its slice j keeps those whose balanced-identifier bit j is one
     (``balanced.slice_table``).
     """
 
@@ -326,24 +326,13 @@ class SlicedTable(_Built):
         q, d, points = rs_trunc_size(n, k)
         return cls(n, q, d, points) if points * q * stride < n else None
 
-    def _value(self, v: int, x: int) -> int:
-        """P_v(x) over F_q, by Horner's rule on P_v's coefficients, the base-q digits of v-1."""
-        q, u, digits = self.q, v - 1, []
-        while u:
-            u, c = divmod(u, q)
-            digits.append(c)
-        y = 0
-        for c in reversed(digits):
-            y = (y * x + c) % q
-        return y
-
     def positions(self, v: int) -> tuple[int, ...]:
         q, stride = self.q, self.stride
         # v's base, then slice j where v's balanced-identifier bit j is one (word[-j])
         offsets = [0, *[j for j, bit in enumerate(encode_balanced(v, self.n)[::-1], 1) if bit]]
         out: list[int] = []
         for x in range(self.points):
-            start = (x * q + self._value(v, x)) * stride
+            start = (x * q + rs_value(v, x, q)) * stride
             out.extend([start + o for o in offsets])
         return tuple(out)
 

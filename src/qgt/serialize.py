@@ -61,6 +61,21 @@ cut by ``balanced.slice_table``) are all checked, and errors name the
 offending line.
 parse(serialize(c)) reproduces the code exactly; in a list, equal query
 lines parse to one shared set.
+
+Every file read here is split into lines by one rule, ``read_lines``.
+Besides code files, the module reads:
+
+* a feedback vector (``fv_from_text``): integers separated by " " and
+  "\\n" alone, each named by its position when refused;
+* a set spec (``parse_set_spec``): 'v[:mult],v[:mult],...', an option
+  rather than a file;
+* records (``read_records``): every line that is neither blank nor a
+  comment (its first non-blank character a '#') is a record, its fields
+  split on whitespace and kept with its line number.  Op logs
+  (``streaming.parse_ops``: 'I' or 'D' and one element for ``qgt
+  stream``, two endpoints for ``qgt graph``) and bench grids ('n k
+  alpha [mode]', ``qgt bench``) are records; each reader checks a
+  record's shape and names its line when it refuses it.
 """
 
 from __future__ import annotations
@@ -178,6 +193,15 @@ def read_lines(text: str) -> list[str]:
         lineno, brk = next((i, c) for i, line in enumerate(lines, 1) for c in line if c in _STRAY_BREAKS)
         raise FormatError(f"line {lineno}: line break {brk!r}; lines end with '\\n' alone")
     return lines
+
+
+def read_records(text: str) -> list[tuple[int, list[str]]]:
+    """The (line number, fields) of each line of ``text`` that is neither blank nor a '#' comment.
+
+    Lines are read by ``read_lines``; fields are split on whitespace.
+    """
+    lines = enumerate(read_lines(text), 1)
+    return [(lineno, line.split()) for lineno, line in lines if line.strip()[:1] not in ("", "#")]
 
 
 def code_from_text(text: str) -> Code:

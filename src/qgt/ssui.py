@@ -7,7 +7,8 @@ whose interference from K2 (counted without v itself) stays below alpha.
 
 Construction (``rs_table``): element i is the polynomial over F_q, q
 prime, whose coefficients are the base-q digits of i-1, of degree at
-most d; for each argument x it joins query number x*q + P_i(x) + 1.
+most d; for each argument x it joins query number x*q + P_i(x) + 1
+(``rs_value`` reads P_i(x) for one element).
 Two distinct polynomials agree on at most d arguments, which bounds
 both pairwise co-occurrence and, by a counting argument, the number of
 arguments an adversary can jam.  ``build_ssui`` takes all q arguments,
@@ -109,6 +110,21 @@ def rs_table(n: int, q: int, points: int) -> tuple[Query, ...]:
             values[v] = y = (v % q + x * values[v // q]) % q
             members[x * q + y].append(v + 1)
     return tuple(frozenset(m) for m in members)
+
+
+def rs_value(v: int, x: int, q: int) -> int:
+    """P_v(x) over F_q: the row of element v at argument x in ``rs_table``.
+
+    Horner's rule on P_v's coefficients, the base-q digits of v-1.
+    """
+    u, digits = v - 1, []
+    while u:
+        u, c = divmod(u, q)
+        digits.append(c)
+    y = 0
+    for c in reversed(digits):
+        y = (y * x + c) % q
+    return y
 
 
 def truncated_table(n: int, q: int, points: int) -> tuple[Query, ...]:

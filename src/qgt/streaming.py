@@ -46,7 +46,7 @@ from math import isqrt
 from .code import MODE_MULTISET, Code, Singletons, build_code_multiset
 from .decode import decode
 from .model import Feedback, Multiset, _Filled, check_cap, next_power_of_two
-from .serialize import parse_int
+from .serialize import FormatError, parse_int, read_records
 
 
 class StreamSketch:
@@ -239,19 +239,27 @@ class GraphSketch:
         return list(map(self._endpoints.__getitem__, found))
 
 
-def parse_ops(lines: list[str]) -> list[tuple[str, tuple[int, ...]]]:
-    """Parse an op log: one 'I v' / 'D v' (or 'I u v' / 'D u v') per line."""
-    out = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] not in ("I", "D") or len(parts) not in (2, 3):
-            raise ValueError(f"line {lineno}: malformed operation {raw!r}")
+# What an op of each arity takes, as a refusal words it: a stream op names an element, a graph op an edge.
+_OPERANDS = {1: "stream operations take one element", 2: "graph operations take two endpoints"}
+
+
+def parse_ops(text: str, arity: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The ops of a log: records (``serialize.read_records``) of 'I' or 'D' and ``arity`` integers.
+
+    An arity of 1 reads a stream log ('I v' / 'D v'), 2 a graph log
+    ('I u v' / 'D u v').  Any other record is refused, naming its line
+    and quoting it: an unknown op or a non-integer as malformed, a
+    wrong count of integers by what the op takes.
+    """
+    ops = []
+    for lineno, fields in read_records(text):
         try:
-            args = tuple(parse_int(p) for p in parts[1:])
+            if fields[0] not in ("I", "D"):
+                raise ValueError(f"unknown operation {fields[0]!r}")
+            params = tuple(map(parse_int, fields[1:]))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: malformed operation {raw!r}") from exc
-        out.append((parts[0], args))
-    return out
+            raise FormatError(f"line {lineno}: malformed operation {' '.join(fields)!r}") from exc
+        if len(params) != arity:
+            raise FormatError(f"line {lineno}: {_OPERANDS[arity]}, got {' '.join(fields)!r}")
+        ops.append((fields[0], params))
+    return ops

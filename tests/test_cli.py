@@ -215,7 +215,7 @@ def test_bench_names_the_grid_line_that_failed(tmp_path, capsys, line, reason):
     status, out, err = run(capsys, "bench", "--grid", str(grid))
     assert status == 2
     assert len(out.splitlines()) == 2  # the header and the row of line 1
-    assert err == f"error: grid line 3: {reason}\n"
+    assert err == f"error: --grid: line 3: {reason}\n"
 
 
 def test_bench_keeps_the_exit_status_of_a_failed_decode(tmp_path, capsys, monkeypatch):
@@ -320,7 +320,7 @@ def test_malformed_feedback_file_is_a_usage_error(tmp_path, capsys, vector, name
     fv_file.write_text(vector)
     status, out, err = run(capsys, "decode", "--code", str(code_file), "--fv", str(fv_file))
     assert status == 2 and out == ""
-    assert err.startswith("error: malformed feedback vector: ") and named in err
+    assert err.startswith("error: --fv: malformed feedback vector: ") and named in err
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -419,7 +419,7 @@ def test_stream_rejects_graph_style_ops(tmp_path, capsys):
     ops_file.write_text("I 1 2\n")
     status, _, err = run(capsys, "stream", "--code", str(code_file), "--ops", str(ops_file))
     assert status == 2
-    assert "one element" in err
+    assert err == "error: --ops: line 1: stream operations take one element, got 'I 1 2'\n"
 
 
 @pytest.mark.parametrize("line", ["16 2", "16 2 2 plain extra"], ids=["2-fields", "5-fields"])
@@ -429,7 +429,7 @@ def test_bench_refuses_a_grid_line_of_the_wrong_width(tmp_path, capsys, line):
     status, out, err = run(capsys, "bench", "--grid", str(grid))
     assert status == 2
     assert len(out.splitlines()) == 2
-    assert err == "error: grid line 2: expected 'n k alpha [mode]'\n"
+    assert err == "error: --grid: line 2: expected 'n k alpha [mode]'\n"
 
 
 @pytest.mark.parametrize("token", ["1_6", "+16", "١٦"])
@@ -442,7 +442,7 @@ def test_bench_refuses_a_grid_integer_that_is_not_ascii_digits(tmp_path, capsys,
     status, out, err = run(capsys, "bench", "--grid", str(grid))
     assert status == 2
     assert out.splitlines() == ["n,k,alpha,mode,m,occurrence_max,lb_total,ratio,build_ms,decode_ops"]
-    assert err == f"error: grid line 1: invalid literal for int() with base 10: {token!r}\n"
+    assert err == f"error: --grid: line 1: invalid literal for int() with base 10: {token!r}\n"
 
 
 @pytest.mark.parametrize("spec", ["sampled:1_0", "sampled:+10", "sampled:١٠"])
@@ -464,7 +464,7 @@ def test_graph_refuses_an_operation_with_one_endpoint(tmp_path, capsys):
         capsys, "graph", "--nodes", "6", "--k", "2", "--ops", str(ops_file), "--reconstruct",
     )
     assert status == 2 and out == ""
-    assert err == "error: graph operations take two endpoints, got (3,)\n"
+    assert err == "error: --ops: line 2: graph operations take two endpoints, got 'I 3'\n"
 
 
 # Each command's integer options with valid values, the other arguments it needs, and whether
@@ -516,7 +516,7 @@ def test_a_code_file_with_crlf_line_ends_is_refused_naming_line_1(tmp_path, caps
     code_file.write_bytes(code_file.read_bytes().replace(b"\n", b"\r\n"))
     status, out, err = run(capsys, "verify", "--code", str(code_file), "--uniqueness")
     assert status == 2 and out == ""
-    assert err == "error: line 1: line break '\\r'; lines end with '\\n' alone\n"
+    assert err == "error: --code: line 1: line break '\\r'; lines end with '\\n' alone\n"
 
 
 # Each file the CLI reads, as (command and options, its file option, a valid text), read by one line
@@ -547,7 +547,7 @@ def test_every_file_reader_refuses_a_stray_line_break_naming_its_line(tmp_path, 
     broken = text.replace("\n", "\x1c", 2).replace("\x1c", "\n", 1)
     status, out, err = run(capsys, *_reader_argv(tmp_path, capsys, reader, broken))
     assert status == 2 and out == ""
-    assert err == "error: line 2: line break '\\x1c'; lines end with '\\n' alone\n"
+    assert err == f"error: {READERS[reader][1]}: line 2: line break '\\x1c'; lines end with '\\n' alone\n"
 
 
 @pytest.mark.parametrize("reader", READERS)
@@ -555,4 +555,4 @@ def test_a_crlf_input_file_is_refused_naming_line_1(tmp_path, capsys, reader):
     crlf = READERS[reader][2].replace("\n", "\r\n")
     status, out, err = run(capsys, *_reader_argv(tmp_path, capsys, reader, crlf))
     assert status == 2 and out == ""
-    assert err == "error: line 1: line break '\\r'; lines end with '\\n' alone\n"
+    assert err == f"error: {READERS[reader][1]}: line 1: line break '\\r'; lines end with '\\n' alone\n"

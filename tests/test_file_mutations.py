@@ -1,4 +1,4 @@
-"""Every one-line or one-token mutation of a code, feedback or op-log file is refused, or works.
+"""Every mutation of a code, feedback, op-log or grid file is refused, or works.
 
 The code sources are the golden family files, the (512, 2, 2) table
 file and the list forms (``qgtc 1``, ``list_form.list_text``) of small
@@ -17,16 +17,32 @@ and ``StreamSketch.apply``: an op either raises ``ValueError`` and
 leaves the counters as they were, or applies, and ``reconstruct``
 returns the multiset of the applied ops, refusing exactly when its
 total passes min(alpha, k).
+
+The record readers (``parse_ops`` for stream and graph logs, and
+``qgt bench``'s grid reader) also take byte mutants, drawn by
+hypothesis: up to three swaps, drops, duplicates or inserts of one
+character, every stray line break (``serialize._STRAY_BREAKS``) among
+the inserts.  Each mutant must raise ``FormatError`` naming a line the
+mutant has, quoting that line's record unless the refusal is a line
+break, or read to records whose canonical text, made by a writer here,
+reads back to the same records.
 """
 
+import contextlib
+import io
 import random
+import re
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qgt import cli
 from qgt.code import build_code, build_code_multiset
 from qgt.decode import DecodeError, decode
-from qgt.serialize import FormatError, code_from_text, code_to_text, fv_from_text, fv_to_text, read_lines
+from qgt.serialize import _STRAY_BREAKS, FormatError, code_from_text, code_to_text, fv_from_text, fv_to_text
 from qgt.streaming import StreamSketch, parse_ops
 
 from list_form import list_text
@@ -150,19 +166,17 @@ def _replay(code, text):
     """Apply each op of ``text`` until one raises; returns the multiset applied and whether one raised."""
     sketch, held = StreamSketch(code), Counter()
     try:
-        ops = parse_ops(read_lines(text))  # as ``qgt stream`` reads its log
-    except ValueError:
+        ops = parse_ops(text, 1)  # as ``qgt stream`` reads its log
+    except FormatError:
         return sketch, held, True
-    for op, params in ops:
+    for op, (v,) in ops:
         before = dict(sketch.counters)
         try:
-            if len(params) != 1:  # as ``qgt stream`` refuses it
-                raise ValueError(f"stream operations take one element, got {params}")
-            sketch.apply(op, params[0])
+            sketch.apply(op, v)
         except ValueError:
-            assert sketch.counters == before, (text, op, params)
+            assert sketch.counters == before, (text, op, v)
             return sketch, held, True
-        held[params[0]] += 1 if op == "I" else -1
+        held[v] += 1 if op == "I" else -1
         held = +held
     return sketch, held, False
 
@@ -182,3 +196,96 @@ def test_every_op_log_mutant_is_refused_at_an_op_or_reconstructs():
         else:
             assert sketch.reconstruct() == dict(sorted(held.items())), mutant
     assert refused and over
+
+
+# Record files to mutate: each holds a comment, a blank line and records spaced more than one way.
+STREAM_LOG = _op_log(64, 4, 12, seed=7).replace("\n", "\n# a comment\n\n", 1).replace("D ", "D  ", 1)
+GRAPH_LOG = "I 1 2\n# edges\nI 2 3\n\nD 1 2\n  I 3 4 \nI 1 4\n"
+GRID = "16 2 2\n# n k alpha [mode]\n32 1 2 plain\n\n16 1 2\tmultiset\n"
+_INSERTS = "\n \t#-0123456789IDx"
+
+
+@st.composite
+def _byte_mutant(draw, text):
+    """``text`` after one to three swaps, drops, duplicates or inserts of a character."""
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(chars) - 1))
+        kind = draw(st.sampled_from(["swap", "drop", "duplicate", "insert"]))
+        if kind == "swap":
+            j = draw(st.integers(0, len(chars) - 1))
+            chars[i], chars[j] = chars[j], chars[i]
+        elif kind == "drop":
+            del chars[i]
+        elif kind == "duplicate":
+            chars.insert(i, chars[i])
+        else:
+            chars.insert(i, draw(st.sampled_from(_INSERTS) | st.sampled_from(_STRAY_BREAKS)))
+    return "".join(chars)
+
+
+def _each_stray_break(text):
+    """Pin one example per stray break, inserted mid-line, beside the drawn ones."""
+    middle = text.index("\n", len(text) // 2) - 1
+
+    def pin(test):
+        for brk in _STRAY_BREAKS:
+            test = example(text[:middle] + brk + text[middle:])(test)
+        return test
+
+    return pin
+
+
+def _refused_or_roundtrips(mutant, read, write, quoted):
+    """``read(mutant)`` raises FormatError naming a line of the mutant, or its records round-trip.
+
+    With ``quoted``, a refusal other than a line break also quotes that line's record.
+    """
+    try:
+        records = read(mutant)
+    except FormatError as exc:
+        lineno = int(re.match(r"line (\d+): ", str(exc)).group(1))
+        lines = mutant.split("\n")
+        assert 1 <= lineno <= len(lines) - mutant.endswith("\n"), (mutant, exc)
+        record = " ".join(lines[lineno - 1].split())
+        assert not quoted or "line break" in str(exc) or repr(record) in str(exc), (mutant, exc)
+        return
+    assert read(write(records)) == records, mutant
+
+
+def _write_ops(ops):
+    return "".join(f"{op} {' '.join(map(str, params))}\n" for op, params in ops)
+
+
+@_each_stray_break(STREAM_LOG)
+@given(_byte_mutant(STREAM_LOG))
+@settings(max_examples=200, deadline=None)
+def test_every_stream_log_byte_mutant_is_refused_naming_a_line_or_roundtrips(mutant):
+    _refused_or_roundtrips(mutant, lambda text: parse_ops(text, 1), _write_ops, quoted=True)
+
+
+@_each_stray_break(GRAPH_LOG)
+@given(_byte_mutant(GRAPH_LOG))
+@settings(max_examples=200, deadline=None)
+def test_every_graph_log_byte_mutant_is_refused_naming_a_line_or_roundtrips(mutant):
+    _refused_or_roundtrips(mutant, lambda text: parse_ops(text, 2), _write_ops, quoted=True)
+
+
+def _read_grid(text):
+    """The (n, k, alpha, mode) of each record ``qgt bench`` reads from a grid, with no code built."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "bench_row", lambda *row, seed: " ".join(map(str, row))):
+        with contextlib.redirect_stdout(out):
+            cli._print_bench(text, seed=0)
+    return [tuple(row.split()) for row in out.getvalue().splitlines()[1:]]
+
+
+def _write_grid(rows):
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+@_each_stray_break(GRID)
+@given(_byte_mutant(GRID))
+@settings(max_examples=200, deadline=None)
+def test_every_grid_byte_mutant_is_refused_naming_a_line_or_roundtrips(mutant):
+    _refused_or_roundtrips(mutant, _read_grid, _write_grid, quoted=False)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgt.code import SlicedTable, build_code
 from qgt.ssui import (
     BudgetError,
     build_ssui,
@@ -14,6 +15,7 @@ from qgt.ssui import (
     rs_size,
     rs_table,
     rs_trunc_size,
+    rs_value,
     smallest_admissible_prime,
     strong_selector,
     truncated_table,
@@ -207,6 +209,19 @@ def test_truncated_table_is_the_first_points_of_the_full_table(n, ell, kappa, al
         assert truncated_table(n, full.q, points) == tuple(
             s for s in full.queries[: points * full.q] if s
         )
+
+
+@pytest.mark.parametrize("n, k", [(32, 1), (512, 2)])
+def test_rs_value_is_the_polynomial_and_the_row_of_the_built_table(n, k):
+    family = build_code(n, k, 2).family
+    q, d, points = rs_trunc_size(n, k)
+    assert isinstance(family, SlicedTable) and (family.q, family.points) == (q, points)
+    table = rs_table(n, q, points)
+    for v in range(1, n + 1):
+        coeffs = nth_polynomial(v, q, d)
+        for x in range(points):
+            assert rs_value(v, x, q) == poly_eval(coeffs, x, q)
+            assert v in table[x * q + rs_value(v, x, q)]
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])

@@ -9,6 +9,7 @@ import pytest
 from qgt.code import MODE_MULTISET, Code, Listed, Singletons, build_code, build_code_multiset
 from qgt.decode import decode
 from qgt.model import Feedback
+from qgt.serialize import FormatError
 from qgt.streaming import GraphSketch, StreamSketch, edge_endpoints, edge_index, parse_ops
 
 
@@ -520,12 +521,23 @@ def test_graph_minimum_nodes():
 
 
 def test_parse_ops():
-    lines = ["I 3", "D 3", "# comment", "", "I 1 2"]
-    assert parse_ops(lines) == [("I", (3,)), ("D", (3,)), ("I", (1, 2))]
-    with pytest.raises(ValueError, match="malformed"):
-        parse_ops(["X 1"])
-    with pytest.raises(ValueError, match="malformed"):
-        parse_ops(["I one"])
+    assert parse_ops("I 3\nD 3\n# comment\n\n", 1) == [("I", (3,)), ("D", (3,))]
+    assert parse_ops("I 1 2\n  # comment\n\t\nD 1  2 \n", 2) == [("I", (1, 2)), ("D", (1, 2))]
+    with pytest.raises(FormatError, match="^line 1: malformed operation 'X 1'$"):
+        parse_ops("X 1\n", 1)
+    with pytest.raises(FormatError, match="^line 2: malformed operation 'I one'$"):
+        parse_ops("# log\nI one\n", 1)
+
+
+@pytest.mark.parametrize(
+    "arity, record",
+    [(1, "I 1 2"), (1, "D"), (1, "I 1 2 3"), (2, "I 3"), (2, "D"), (2, "D 1 2 3")],
+)
+def test_parse_ops_refuses_a_record_of_the_wrong_arity_naming_its_line(arity, record):
+    takes = {1: "stream operations take one element", 2: "graph operations take two endpoints"}[arity]
+    valid = " ".join(["I", *"12"[:arity]])
+    with pytest.raises(FormatError, match=f"^line 3: {takes}, got {re.escape(repr(record))}$"):
+        parse_ops(f"{valid}\n\n{record}\n{valid}\n", arity)
 
 
 def _listed_twin(n=16, k=3):
@@ -562,7 +574,7 @@ def test_graph_sketch_needs_two_nodes():
 
 @pytest.mark.parametrize("token", ["1_0", "+1", "١"])
 def test_parse_ops_takes_only_ascii_digits(token):
-    for line in (f"I {token}", f"D 2 {token}"):
-        with pytest.raises(ValueError, match=f"^line 2: malformed operation {re.escape(repr(line))}$"):
-            parse_ops(["I 1", line])
-    assert parse_ops(["I -1"]) == [("I", (-1,))]  # a '-' is kept; the sketch refuses the element
+    for first, line, arity in (("I 1", f"I {token}", 1), ("I 1 2", f"D 2 {token}", 2)):
+        with pytest.raises(FormatError, match=f"^line 2: malformed operation {re.escape(repr(line))}$"):
+            parse_ops(f"{first}\n{line}\n", arity)
+    assert parse_ops("I -1\n", 1) == [("I", (-1,))]  # a '-' is kept; the sketch refuses the element
